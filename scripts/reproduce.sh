@@ -15,11 +15,12 @@ ctest --test-dir "$BUILD" --output-on-failure
 # Same test suite under ASan+UBSan: the packet-pool / inline-callback /
 # trace-arena lifetime code is exactly what sanitizers are for. The
 # fault-injection suite (label "fault"), the grid/batched-cull
-# equivalence suite (label "perf"), the car-following dynamics suite
-# (label "mobility"), the space-sharded engine suite (label "shard"),
-# the run-cache / campaign suite (label "campaign"), and the V2X
-# beaconing suite (label "v2x") run as explicit passes: crash / flush /
-# mid-flight-detach paths, the SoA swap-remove bookkeeping, the
+# equivalence and per-node container suites (label "perf"), the
+# car-following dynamics suite (label "mobility"), the space-sharded
+# engine suite (label "shard"), the run-cache / campaign suite (label
+# "campaign"), and the V2X beaconing suite (label "v2x") run as explicit
+# passes: crash / flush / mid-flight-detach paths, the SoA swap-remove
+# bookkeeping, the queue-ring growth and channel detach compaction, the
 # spawn/despawn vehicle lifecycle with its closed-loop callbacks, the
 # seam-mailbox handoff, the cache's parse/evict/reconstruct path over
 # real (including deliberately corrupted) files, and the EDCA internal

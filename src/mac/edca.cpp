@@ -30,7 +30,10 @@ Edca::Edca(net::Env& env, net::NodeId address, phy::WirelessPhy& phy,
       nav_timer_{env.scheduler(), [this] { medium_changed(); }},
       response_tx_timer_{env.scheduler(), [this] { send_scheduled_response(); }},
       post_tx_timer_{env.scheduler(), [this] { on_data_tx_end(); }} {
-  for (std::size_t i = 0; i < kAccessCategoryCount; ++i) ac_[i].cw = params_.ac[i].cw_min;
+  for (std::size_t i = 0; i < kAccessCategoryCount; ++i) {
+    ac_[i].cw = params_.ac[i].cw_min;
+    ac_[i].queue = queue::PacketRing{params_.ac_queue_capacity};
+  }
   phy_.set_rx_end_callback([this](net::Packet p, bool ok) { on_rx_end(std::move(p), ok); });
   phy_.set_carrier_callback([this](bool) { medium_changed(); });
 }
@@ -70,8 +73,7 @@ std::optional<net::Packet> Edca::ac_dequeue(AccessCategory c) {
   if (c == AccessCategory::kBestEffort) return ifq_->dequeue();
   AcState& a = st(c);
   if (a.queue.empty()) return std::nullopt;
-  net::Packet p = std::move(a.queue.front());
-  a.queue.pop_front();
+  net::Packet p = a.queue.pop_front();
   env_.metrics().add(address_, sim::Counter::kIfqDequeued);
   return p;
 }
@@ -95,13 +97,14 @@ std::vector<net::Packet> Edca::flush_next_hop(net::NodeId next_hop) {
   for (AccessCategory c :
        {AccessCategory::kBackground, AccessCategory::kVideo, AccessCategory::kVoice}) {
     auto& q = st(c).queue;
-    for (auto it = q.begin(); it != q.end();) {
-      if (it->mac && it->mac->dst == next_hop) {
+    for (std::size_t i = 0; i < q.size();) {
+      net::Packet& p = q.at(i);
+      if (p.mac && p.mac->dst == next_hop) {
         env_.metrics().add(address_, sim::Counter::kIfqRemoved);
-        out.push_back(std::move(*it));
-        it = q.erase(it);
+        out.push_back(std::move(p));
+        q.erase(i);
       } else {
-        ++it;
+        ++i;
       }
     }
   }
@@ -381,7 +384,7 @@ net::Packet Edca::make_ack(net::NodeId dst) {
 void Edca::handle_data(net::Packet p) {
   // ACK after SIFS, even for duplicates (the original ACK may have been lost).
   schedule_response(make_ack(p.mac->src), ctrl_airtime(params_.ack_bytes));
-  if (is_duplicate(p)) {
+  if (seen_.seen_or_record(p.uid)) {
     ++rx_dups_;
     env_.metrics().add(address_, sim::Counter::kMacDuplicates);
     return;
@@ -434,11 +437,11 @@ void Edca::set_link_up(bool up) {
   post_tx_timer_.cancel();
   for (std::size_t i = 0; i < kAccessCategoryCount; ++i) {
     AcState& a = ac_[i];
-    for (net::Packet& p : a.queue) {
+    while (!a.queue.empty()) {
+      const net::Packet p = a.queue.pop_front();
       env_.metrics().add(address_, sim::Counter::kIfqFaultFlushed);
       env_.trace(net::TraceAction::kDrop, net::TraceLayer::kIfq, address_, p, "FLT");
     }
-    a.queue.clear();
     a.frame.reset();
     a.slots = -1;
     a.cw = params_.ac[i].cw_min;
@@ -452,17 +455,6 @@ void Edca::set_link_up(bool up) {
   idle_since_ = sim::Time{};
   nav_until_ = sim::Time{};
   eifs_edge_ = sim::Time{};
-}
-
-bool Edca::is_duplicate(const net::Packet& p) {
-  if (seen_uids_.contains(p.uid)) return true;
-  seen_uids_.insert(p.uid);
-  seen_order_.push_back(p.uid);
-  if (seen_order_.size() > 1024) {
-    seen_uids_.erase(seen_order_.front());
-    seen_order_.pop_front();
-  }
-  return false;
 }
 
 }  // namespace eblnet::mac

@@ -1,11 +1,11 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <optional>
-#include <unordered_set>
 
 #include "mac/mac_base.hpp"
+#include "mac/uid_history.hpp"
+#include "queue/packet_ring.hpp"
 #include "sim/timer.hpp"
 
 namespace eblnet::mac {
@@ -124,7 +124,7 @@ class Edca final : public MacBase {
   enum class TxState : std::uint8_t { kIdle, kBroadcast, kWaitAck };
 
   struct AcState {
-    std::deque<net::Packet> queue;     ///< unused for AC_BE (served by ifq_)
+    queue::PacketRing queue{0};        ///< bound set by the constructor; unused for AC_BE
     std::optional<net::Packet> frame;  ///< head frame contending for the medium
     int slots{-1};                     ///< remaining backoff slots; -1 = none drawn
     unsigned cw{0};
@@ -180,7 +180,6 @@ class Edca final : public MacBase {
   sim::Time data_airtime(const net::Packet& p) const;
   sim::Time ctrl_airtime(std::size_t bytes) const;
   net::Packet make_ack(net::NodeId dst);
-  bool is_duplicate(const net::Packet& p);
 
   EdcaParams params_;
   std::array<AcState, kAccessCategoryCount> ac_;
@@ -202,9 +201,7 @@ class Edca final : public MacBase {
   std::optional<net::Packet> pending_response_;
   sim::Time pending_response_airtime_{};
 
-  // duplicate detection
-  std::unordered_set<std::uint64_t> seen_uids_;
-  std::deque<std::uint64_t> seen_order_;
+  UidHistory seen_;  ///< duplicate detection
 
   sim::Timer access_timer_;
   sim::Timer response_timer_;

@@ -292,7 +292,7 @@ void Mac80211::handle_data(net::Packet p) {
   // ACK after SIFS, even for duplicates (the original ACK may have been lost).
   net::Packet ack = make_ctrl(net::PacketType::kMacAck, p.mac->src, sim::Time::zero());
   schedule_response(std::move(ack), ctrl_airtime(params_.ack_bytes));
-  if (is_duplicate(p)) {
+  if (seen_.seen_or_record(p.uid)) {
     ++rx_dups_;
     env_.metrics().add(address_, sim::Counter::kMacDuplicates);
     return;
@@ -389,17 +389,6 @@ void Mac80211::set_link_up(bool up) {
   cw_ = params_.cw_min;
   retries_ = 0;
   cts_received_ = false;
-}
-
-bool Mac80211::is_duplicate(const net::Packet& p) {
-  if (seen_uids_.contains(p.uid)) return true;
-  seen_uids_.insert(p.uid);
-  seen_order_.push_back(p.uid);
-  if (seen_order_.size() > 1024) {
-    seen_uids_.erase(seen_order_.front());
-    seen_order_.pop_front();
-  }
-  return false;
 }
 
 }  // namespace eblnet::mac

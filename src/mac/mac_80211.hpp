@@ -1,10 +1,9 @@
 #pragma once
 
-#include <deque>
 #include <optional>
-#include <unordered_set>
 
 #include "mac/mac_base.hpp"
+#include "mac/uid_history.hpp"
 #include "sim/timer.hpp"
 
 namespace eblnet::mac {
@@ -110,7 +109,6 @@ class Mac80211 final : public MacBase {
   sim::Time data_airtime(const net::Packet& p) const;
   sim::Time ctrl_airtime(std::size_t bytes) const;
   net::Packet make_ctrl(net::PacketType type, net::NodeId dst, sim::Time duration);
-  bool is_duplicate(const net::Packet& p);
 
   Mac80211Params params_;
 
@@ -135,9 +133,7 @@ class Mac80211 final : public MacBase {
   sim::Time pending_response_airtime_{};
   bool response_is_data_{false};
 
-  // duplicate detection
-  std::unordered_set<std::uint64_t> seen_uids_;
-  std::deque<std::uint64_t> seen_order_;
+  UidHistory seen_;  ///< duplicate detection
 
   sim::Timer difs_timer_;
   sim::Timer backoff_timer_;

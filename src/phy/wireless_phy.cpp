@@ -1,6 +1,7 @@
 #include "phy/wireless_phy.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace eblnet::phy {
@@ -181,6 +182,7 @@ Channel::Channel(net::Env& env, std::shared_ptr<PropagationModel> propagation,
 
 void Channel::attach(WirelessPhy* phy) {
   if (phy == nullptr) throw std::invalid_argument{"Channel: null phy"};
+  phy->chan_index_ = static_cast<std::uint32_t>(phys_.size());
   phys_.push_back(phy);
 
   std::uint32_t slot;
@@ -215,12 +217,22 @@ void Channel::attach(WirelessPhy* phy) {
 }
 
 void Channel::detach(WirelessPhy* phy) {
-  std::erase(phys_, phy);
+  assert(phys_[phy->chan_index_] == phy);  // attached, and detached once
+  phys_[phy->chan_index_] = nullptr;
+  if (++phy_holes_ * 2 > phys_.size()) compact_phys();
   if (grid_built_) grid_.remove(phy);
   slots_[phy->chan_slot_] = nullptr;
   free_slots_.push_back(phy->chan_slot_);
   // max_tx_power_w_ / min_cs_threshold_w_ stay as-is: conservative
   // extremes only widen the candidate neighbourhood, never miss a phy.
+}
+
+void Channel::compact_phys() {
+  std::erase(phys_, nullptr);
+  for (std::size_t i = 0; i < phys_.size(); ++i) {
+    phys_[i]->chan_index_ = static_cast<std::uint32_t>(i);
+  }
+  phy_holes_ = 0;
 }
 
 double Channel::mobility_slack() const noexcept {
@@ -266,6 +278,7 @@ void Channel::rebuild_grid() {
   // neighbourhood of the sender's cell.
   grid_.reset(query_radius());
   for (WirelessPhy* phy : phys_) {
+    if (phy == nullptr) continue;
     phy->grid_cull_r2_ = cull_radius2_for(*phy);
     grid_.insert(phy, phy->position());
   }
@@ -274,7 +287,9 @@ void Channel::rebuild_grid() {
 }
 
 void Channel::rebucket_all() {
-  for (WirelessPhy* phy : phys_) grid_.update(phy, phy->position());
+  for (WirelessPhy* phy : phys_) {
+    if (phy != nullptr) grid_.update(phy, phy->position());
+  }
   last_rebucket_ = env_.now();
   ++grid_rebucket_count_;
 }
@@ -346,7 +361,7 @@ void Channel::collect_receivers(mobility::Vec2 from, double tx_power_w,
   };
 
   const auto consider = [&](WirelessPhy* rx) {
-    if (rx == exclude) return;
+    if (rx == nullptr || rx == exclude) return;  // detach hole, or the sender
     ++pair_evaluations_;
     if (rx->channel_id() != channel_id) return;  // different frequency
     const mobility::Vec2 to = rx->position();

@@ -123,6 +123,7 @@ class WirelessPhy {
   // Owned by the Channel this phy is attached to; kept inline here so the
   // broadcast hot path needs no side-table lookups.
   std::uint32_t chan_slot_{0};      ///< delivery-liveness slot in the channel
+  std::uint32_t chan_index_{0};     ///< position in the channel's attach-order list
   std::uint64_t attach_seq_{0};     ///< stable iteration order for grid queries
   std::int32_t grid_cx_{0};         ///< cached grid cell (valid iff grid_bucketed_)
   std::int32_t grid_cy_{0};
@@ -256,10 +257,11 @@ class Channel {
 
   const PropagationModel& propagation() const noexcept { return *propagation_; }
   const ChannelParams& params() const noexcept { return params_; }
-  std::size_t phy_count() const noexcept { return phys_.size(); }
+  /// Phys currently attached.
+  std::size_t phy_count() const noexcept { return phys_.size() - phy_holes_; }
 
   /// True when the next transmit will take the grid path.
-  bool grid_active() const noexcept { return phys_.size() >= params_.grid_min_phys; }
+  bool grid_active() const noexcept { return phy_count() >= params_.grid_min_phys; }
 
   /// Declare that attached phys may move at up to `mps` metres/second.
   /// `ChannelParams::grid_max_speed_mps` is an *assumption* that holds for
@@ -311,6 +313,8 @@ class Channel {
 
   void rebuild_grid();
   void rebucket_all();
+  /// Drop the detach holes from phys_, keeping attach order.
+  void compact_phys();
   double query_radius() const noexcept;
   double mobility_slack() const noexcept;
   /// (envelope range for `phy`'s CS threshold at the conservative max tx
@@ -336,7 +340,12 @@ class Channel {
   net::Env& env_;
   std::shared_ptr<PropagationModel> propagation_;
   ChannelParams params_;
+  /// Attached phys in attach order — the flat loop's delivery order.
+  /// Detach nulls the phy's entry (found through chan_index_) instead of
+  /// shifting the tail, so tearing down N radios is O(N), not O(N²); the
+  /// holes are squeezed out stably once they exceed half the list.
   std::vector<WirelessPhy*> phys_;
+  std::size_t phy_holes_{0};
   std::vector<Reachable> scratch_;  ///< per-transmit receiver list, reused
   SeamHook seam_hook_;
 

@@ -4,12 +4,12 @@
 
 namespace eblnet::queue {
 
-DropTailQueue::DropTailQueue(std::size_t capacity) : capacity_{capacity}, q_{capacity} {
+DropTailQueue::DropTailQueue(std::size_t capacity) : q_{capacity} {
   if (capacity == 0) throw std::invalid_argument{"DropTailQueue: capacity must be > 0"};
 }
 
 bool DropTailQueue::enqueue(net::Packet p) {
-  if (q_.size() >= capacity_) {
+  if (q_.size() >= q_.bound()) {
     drop(std::move(p), "IFQ");
     return false;
   }

@@ -21,14 +21,13 @@ class DropTailQueue : public net::PacketQueue {
   std::uint64_t drop_count() const override { return drops_; }
   void set_drop_callback(DropCallback cb) override { drop_cb_ = std::move(cb); }
 
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t capacity() const noexcept { return q_.bound(); }
 
  protected:
   void drop(net::Packet p, const char* reason);
   PacketRing& packets() noexcept { return q_; }
 
  private:
-  std::size_t capacity_;
   PacketRing q_;
   std::uint64_t drops_{0};
   DropCallback drop_cb_;

@@ -101,7 +101,7 @@ class Aodv final : public net::RoutingAgent {
     unsigned ttl{0};
     sim::Time started{};  ///< for the route-acquisition-latency gauge
     sim::Timer timer;
-    Discovery(sim::Scheduler& s, std::function<void()> cb) : timer{s, std::move(cb)} {}
+    Discovery(sim::Scheduler& s, sim::Timer::Callback cb) : timer{s, std::move(cb)} {}
   };
   void start_discovery(net::NodeId dst);
   void send_rreq(net::NodeId dst, unsigned ttl);

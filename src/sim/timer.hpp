@@ -19,12 +19,20 @@ namespace eblnet::sim {
 /// stack around each invocation (then moved back), so an expiry performs
 /// no allocation — unlike the previous std::function copy-per-fire —
 /// while the handler remains free to destroy this Timer mid-call.
+///
+/// Handler budget: kHandlerCapacity (16) bytes of capture, enough for
+/// `[this]` or `[this, id]` — what every protocol timer holds. A node
+/// owns over a dozen Timers, so the budget is kept apart from (and much
+/// smaller than) the scheduler's 64-byte event callback; a capture that
+/// outgrows it is a compile error, not a heap fallback. Whatever else a
+/// handler needs belongs in the object `this` points at.
 class Timer {
  public:
-  using Callback = Scheduler::Callback;
+  static constexpr std::size_t kHandlerCapacity = 16;
+  using Callback = InlineFunction<kHandlerCapacity>;
 
   Timer(Scheduler& sched, Callback on_expire)
-      : sched_{&sched}, on_expire_{std::move(on_expire)} {}
+      : on_expire_{std::move(on_expire)}, sched_{&sched} {}
 
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
@@ -75,8 +83,10 @@ class Timer {
     }
   }
 
-  Scheduler* sched_;
+  // The 16-byte-aligned handler leads so the pointer-sized members pack
+  // behind it without padding.
   Callback on_expire_;
+  Scheduler* sched_;
   EventId id_{kInvalidEventId};
   Time expires_at_{};
   bool* alive_flag_ = nullptr;

@@ -279,5 +279,52 @@ TEST_F(Mac80211Test, FlushNextHopEmptiesMatchingPackets) {
   for (const auto& p : flushed) EXPECT_EQ(p.mac->dst, 1u);
 }
 
+TEST_F(Mac80211Test, DuplicateWindowSpansLast1024DistinctUids) {
+  // A frame whose uid the receiver already accepted (a retransmission
+  // whose ACK was lost) is ACKed but not delivered again, as long as the
+  // uid is among the last 1024 distinct uids accepted.
+  constexpr std::size_t kQueue = 2048;
+  auto& a = net.with_80211(net.add_node({0.0, 0.0}), {}, kQueue);
+  auto& b = net.with_80211(net.add_node({10.0, 0.0}), {}, kQueue);
+  std::vector<std::uint64_t> got;
+  b.set_rx_callback([&](net::Packet p) { got.push_back(p.uid); });
+  const auto frame = [&](std::uint64_t uid) {
+    net::Packet p = data_to(net.env(), 1, 20);
+    p.uid = uid;
+    return p;
+  };
+  a.enqueue(frame(1));
+  for (std::uint64_t u = 2; u <= 1024; ++u) a.enqueue(frame(u));  // 1023 newer uids
+  a.enqueue(frame(1));     // still inside the window: a duplicate
+  a.enqueue(frame(1025));  // the 1024th newer uid pushes uid 1 out
+  a.enqueue(frame(1));     // so this copy is accepted
+  net.run_for(Time::seconds(std::int64_t{10}));
+
+  ASSERT_EQ(got.size(), 1026u);
+  EXPECT_EQ(b.rx_dup_count(), 1u);
+  EXPECT_EQ(got[1023], 1024u);
+  EXPECT_EQ(got[1024], 1025u);
+  EXPECT_EQ(got[1025], 1u);
+}
+
+TEST(UidHistoryTest, WindowIsTheLast1024DistinctUids) {
+  UidHistory h;
+  EXPECT_FALSE(h.seen_or_record(7));
+  for (std::uint64_t u = 1000; u < 1000 + UidHistory::kWindow - 1; ++u) {
+    EXPECT_FALSE(h.seen_or_record(u));
+  }
+  // 1023 newer uids: 7 is the oldest remembered, still a duplicate, and
+  // seeing it again does not refresh its age.
+  EXPECT_TRUE(h.seen_or_record(7));
+  EXPECT_TRUE(h.seen_or_record(1000));
+  EXPECT_FALSE(h.seen_or_record(5000));  // 1024th newer uid evicts 7
+  EXPECT_FALSE(h.seen_or_record(7));     // accepted, recorded anew (evicts 1000)
+  EXPECT_TRUE(h.seen_or_record(7));
+  // The wrapped ring keeps evicting oldest first.
+  EXPECT_FALSE(h.seen_or_record(1000));  // evicts 1001
+  EXPECT_TRUE(h.seen_or_record(1002));
+  EXPECT_FALSE(h.seen_or_record(1001));
+}
+
 }  // namespace
 }  // namespace eblnet::mac

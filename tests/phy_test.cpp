@@ -315,5 +315,55 @@ TEST_F(PhyFixture, TxStatisticsCount) {
   EXPECT_EQ(net.phy(1).rx_ok_count(), 2u);
 }
 
+// Detach leaves a hole in the channel's attach-order list and compacts
+// once holes outnumber live entries; re-attach appends. Delivery order
+// must stay attach order throughout, on the flat loop and the grid path.
+TEST_F(PhyFixture, DetachReattachKeepsAttachOrderAcrossCompaction) {
+  for (const std::size_t grid_min_phys : {SIZE_MAX, std::size_t{0}}) {
+    SCOPED_TRACE(grid_min_phys == 0 ? "grid" : "flat");
+    phy::ChannelParams params;
+    params.grid_min_phys = grid_min_phys;
+    eblnet::testing::TestNet net{1, nullptr, params};
+    for (int i = 0; i < 10; ++i) net.add_node({10.0 * i, 0.0});
+    const auto receivers = [&] {
+      net.phy(0).transmit(make_packet(), 1_ms);
+      std::vector<net::NodeId> out;
+      for (const auto& r : net.channel().last_reachable()) out.push_back(r.rx->owner());
+      net.run_for(10_ms);
+      return out;
+    };
+
+    net.phy(2).set_down(true);
+    net.phy(3).set_down(true);
+    net.phy(3).set_down(false);  // re-attached: now after 9
+    EXPECT_EQ(receivers(), (std::vector<net::NodeId>{1, 4, 5, 6, 7, 8, 9, 3}));
+    // Six holes (2, 3's old entry, 4-7) among 11 entries: the last detach
+    // compacts.
+    for (std::size_t i : {4, 5, 6, 7}) net.phy(i).set_down(true);
+    EXPECT_EQ(net.channel().phy_count(), 5u);
+    EXPECT_EQ(receivers(), (std::vector<net::NodeId>{1, 8, 9, 3}));
+    net.phy(5).set_down(false);
+    net.phy(2).set_down(false);
+    EXPECT_EQ(net.channel().phy_count(), 7u);
+    EXPECT_EQ(receivers(), (std::vector<net::NodeId>{1, 8, 9, 3, 5, 2}));
+    net.phy(8).set_down(true);  // found through the index the compaction renumbered
+    EXPECT_EQ(receivers(), (std::vector<net::NodeId>{1, 9, 3, 5, 2}));
+  }
+}
+
+TEST_F(PhyFixture, GridActivationCountsOnlyAttachedPhys) {
+  phy::ChannelParams params;
+  params.grid_min_phys = 4;
+  eblnet::testing::TestNet net{1, nullptr, params};
+  for (int i = 0; i < 5; ++i) net.add_node({10.0 * i, 0.0});
+  EXPECT_TRUE(net.channel().grid_active());
+  net.phy(1).set_down(true);
+  net.phy(3).set_down(true);
+  EXPECT_EQ(net.channel().phy_count(), 3u);
+  EXPECT_FALSE(net.channel().grid_active());
+  net.phy(3).set_down(false);
+  EXPECT_TRUE(net.channel().grid_active());
+}
+
 }  // namespace
 }  // namespace eblnet::phy

@@ -125,6 +125,66 @@ TEST_F(RedQueueTest, RemoveByNextHopWorks) {
   EXPECT_EQ(q.length(), 1u);
 }
 
+// The ring under RED grows on demand (4, 8, ... slots up to the capacity);
+// these pin the queue-visible behaviour across those growth steps. Early
+// drops are switched off so every arrival below the cap is admitted.
+RedParams no_early_drops(std::size_t capacity) {
+  RedParams params;
+  params.capacity = capacity;
+  params.min_thresh = 1000.0;
+  params.max_thresh = 2000.0;
+  return params;
+}
+
+TEST_F(RedQueueTest, FifoOrderAcrossGrowthWithWrappedHead) {
+  RedQueue q{rng, no_early_drops(50)};
+  for (std::uint64_t i = 0; i < 3; ++i) q.enqueue(data_packet(i));
+  EXPECT_EQ(q.dequeue()->uid, 0u);
+  EXPECT_EQ(q.dequeue()->uid, 1u);
+  // Three more wrap the live range round the first 4-slot allocation;
+  // the fourth forces growth with the head mid-array.
+  for (std::uint64_t i = 3; i < 20; ++i) EXPECT_TRUE(q.enqueue(data_packet(i)));
+  for (std::uint64_t i = 2; i < 20; ++i) EXPECT_EQ(q.dequeue()->uid, i);
+  EXPECT_FALSE(q.dequeue().has_value());
+}
+
+TEST_F(RedQueueTest, ProtectedHeadInsertAtGrowthBoundary) {
+  RedQueue q{rng, no_early_drops(50)};
+  for (std::uint64_t i = 1; i <= 4; ++i) q.enqueue(data_packet(i));
+  EXPECT_TRUE(q.enqueue(routing_packet(100)));  // 5th arrival: head-insert + grow
+  EXPECT_EQ(q.length(), 5u);
+  EXPECT_EQ(q.peek()->uid, 100u);
+  EXPECT_EQ(q.dequeue()->uid, 100u);
+  for (std::uint64_t i = 1; i <= 4; ++i) EXPECT_EQ(q.dequeue()->uid, i);
+}
+
+TEST_F(RedQueueTest, RemoveByNextHopAfterGrowth) {
+  RedQueue q{rng, no_early_drops(50)};
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    net::Packet p = data_packet(i);
+    p.mac->dst = i % 3 == 0 ? 1 : 9;
+    q.enqueue(std::move(p));
+  }
+  const auto removed = q.remove_by_next_hop(1);
+  ASSERT_EQ(removed.size(), 4u);
+  for (std::size_t k = 0; k < removed.size(); ++k) EXPECT_EQ(removed[k].uid, 3 * k);
+  const std::uint64_t kept[] = {1, 2, 4, 5, 7, 8, 10, 11};
+  ASSERT_EQ(q.length(), std::size(kept));
+  for (std::uint64_t uid : kept) EXPECT_EQ(q.dequeue()->uid, uid);
+}
+
+TEST_F(RedQueueTest, ForcedDropExactlyAtCapacityAfterGrowth) {
+  // 6 is reached by growing 4 -> 6 (the doubling clamps to the cap).
+  RedQueue q{rng, no_early_drops(6)};
+  for (std::uint64_t i = 0; i < 6; ++i) EXPECT_TRUE(q.enqueue(data_packet(i)));
+  EXPECT_EQ(q.forced_drops(), 0u);
+  EXPECT_FALSE(q.enqueue(data_packet(6)));
+  EXPECT_FALSE(q.enqueue(routing_packet(100)));  // the cap binds control too
+  EXPECT_EQ(q.forced_drops(), 2u);
+  EXPECT_EQ(q.length(), 6u);
+  for (std::uint64_t i = 0; i < 6; ++i) EXPECT_EQ(q.dequeue()->uid, i);
+}
+
 // End to end: with a window big enough to overflow a drop-tail queue, RED
 // keeps the standing queue (and so the one-way delay) lower while
 // sustaining comparable throughput.

@@ -276,6 +276,10 @@ TEST(SchedulerTest, SameTimeFifoSurvivesSlotRecycling) {
 // Timer
 // ---------------------------------------------------------------------------
 
+// A node owns over a dozen Timers, so the 16-byte handler budget must keep
+// each one small.
+static_assert(sizeof(Timer) <= 80);
+
 TEST(TimerTest, FiresOnceAtScheduledTime) {
   Scheduler s;
   int fired = 0;
