@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bench/options.hpp"
-#include "core/campaign/campaign.hpp"
 #include "core/report.hpp"
 #include "core/runner.hpp"
 #include "core/scenario_builder.hpp"
@@ -36,16 +35,7 @@ int main(int argc, char** argv) {
       specs.push_back({cfg, red ? "RED" : "drop-tail"});
     }
   }
-  // --cache routes the specs through the content-addressed run cache
-  // (byte-identical output either way — only repeat invocations skip the
-  // simulation work).
-  std::vector<core::TrialResult> runs;
-  if (opts.cache) {
-    core::campaign::RunCache cache{opts.cache_dir};
-    runs = core::campaign::run_cached_trials(cache, specs, opts.jobs, opts.shards);
-  } else {
-    runs = core::Runner{opts.jobs, opts.shards}.run_trials(specs);
-  }
+  const std::vector<core::TrialResult> runs = bench::run(specs, opts);
 
   std::ostream& os = opts.out();
   core::report::print_header({os, 4, ""}, "Ablation — drop-tail vs RED interface queue (trial 1 setup)");

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "bench/options.hpp"
-#include "core/campaign/campaign.hpp"
 #include "core/report.hpp"
 #include "core/runner.hpp"
 #include "core/safety.hpp"
@@ -36,13 +35,7 @@ int main(int argc, char** argv) {
                                    .build();
     specs.push_back({cfg, {}});
   }
-  std::vector<core::TrialResult> runs;
-  if (opts.cache) {
-    core::campaign::RunCache cache{opts.cache_dir};
-    runs = core::campaign::run_cached_trials(cache, specs, opts.jobs, opts.shards);
-  } else {
-    runs = core::Runner{opts.jobs, opts.shards}.run_trials(specs);
-  }
+  const std::vector<core::TrialResult> runs = bench::run(specs, opts);
 
   std::ostream& os = opts.out();
   core::report::print_header({os, 4, ""}, "Ablation — TDMA slots-per-frame sweep (trial 1 setup)");

@@ -4,6 +4,8 @@
 #include <iostream>
 #include <string_view>
 
+#include "core/campaign/campaign.hpp"
+
 namespace eblnet::bench {
 
 namespace {
@@ -89,5 +91,11 @@ Options Options::parse(int argc, char** argv) {
 }
 
 std::ostream& Options::out() const { return quiet ? null_stream : std::cout; }
+
+std::vector<core::TrialResult> run(std::span<const core::TrialSpec> specs, const Options& opts) {
+  if (!opts.cache) return core::Runner{opts.jobs, opts.shards}.run_trials(specs);
+  core::campaign::RunCache cache{opts.cache_dir};
+  return core::campaign::run_cached_trials(cache, specs, opts.jobs, opts.shards);
+}
 
 }  // namespace eblnet::bench

@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/runner.hpp"
 #include "core/scenario.hpp"
 
 namespace eblnet::bench {
@@ -29,8 +31,8 @@ struct Options {
   /// Space-sharded conservative engine shards per trial (DESIGN.md §3.9).
   /// 1 (the default) is the serial engine — every bench stays
   /// bit-identical to a build without the flag. Benches whose runs the
-  /// sharded engine rejects (fault plans, Nakagami, reactive braking)
-  /// accept the flag but keep those runs serial.
+  /// sharded engine rejects (fault plans, reactive braking, beaconing,
+  /// shared-stream Nakagami) accept the flag but keep those runs serial.
   std::size_t shards{1};
   bool quiet{false};
   /// Route trial execution through the content-addressed run cache
@@ -59,5 +61,11 @@ struct Options {
     if (want_json()) cfg.enable_metrics = true;
   }
 };
+
+/// Run `specs` the way the flags ask: through the content-addressed run
+/// cache under --cache (hits load from disk, misses simulate and commit),
+/// otherwise on core::Runner. Both honor --jobs and --shards and return
+/// results in spec order, byte-identical either way.
+std::vector<core::TrialResult> run(std::span<const core::TrialSpec> specs, const Options& opts);
 
 }  // namespace eblnet::bench

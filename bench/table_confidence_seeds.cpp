@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bench/options.hpp"
-#include "core/campaign/campaign.hpp"
 #include "core/report.hpp"
 #include "core/runner.hpp"
 #include "core/scenario_builder.hpp"
@@ -67,16 +66,7 @@ int main(int argc, char** argv) {
     for (core::TrialSpec& s : seed_sweep(base, opts.want_json())) specs.push_back(std::move(s));
   }
 
-  // --cache routes the identical specs through the content-addressed run
-  // cache: repeated invocations (or overlapping sweeps) only simulate
-  // cells the store has not seen. Results are byte-identical either way.
-  std::vector<core::TrialResult> runs;
-  if (opts.cache) {
-    core::campaign::RunCache cache{opts.cache_dir};
-    runs = core::campaign::run_cached_trials(cache, specs, opts.jobs, opts.shards);
-  } else {
-    runs = core::Runner{opts.jobs, opts.shards}.run_trials(specs);
-  }
+  const std::vector<core::TrialResult> runs = bench::run(specs, opts);
 
   std::ostream& os = opts.out();
   report(os, runs, 0 * kSeeds, "Trial 1 (1000 B, TDMA)");

@@ -13,15 +13,19 @@ transport::TcpParams link_tcp_params(const EblConfig& cfg) {
 
 }  // namespace
 
+EblSender::EblSender(net::Env& env, net::Node& lead, net::Port lead_port, net::NodeId follower,
+                     net::Port follower_port, const EblConfig& cfg)
+    : sender_{lead, lead_port, link_tcp_params(cfg)},
+      feeder_{env, sender_, cfg.packet_bytes,
+              app::CbrSource::interval_for_rate(cfg.packet_bytes, cfg.cbr_rate_bps)} {
+  sender_.connect(follower, follower_port);
+}
+
 EblLink::EblLink(net::Env& env, net::Node& lead, net::Node& follower, net::Port lead_port,
                  net::Port follower_port, const EblConfig& cfg)
     : follower_{follower},
-      sender_{lead, lead_port, link_tcp_params(cfg)},
-      sink_{follower, follower_port, cfg.sink},
-      feeder_{env, sender_, cfg.packet_bytes,
-              app::CbrSource::interval_for_rate(cfg.packet_bytes, cfg.cbr_rate_bps)} {
-  sender_.connect(follower.id(), follower_port);
-}
+      sender_{env, lead, lead_port, follower.id(), follower_port, cfg},
+      sink_{follower, follower_port, cfg.sink} {}
 
 PlatoonEbl::PlatoonEbl(net::Env& env, mobility::Platoon& platoon,
                        const std::vector<net::Node*>& nodes, EblConfig cfg, net::Port base_port) {
@@ -30,20 +34,12 @@ PlatoonEbl::PlatoonEbl(net::Env& env, mobility::Platoon& platoon,
   if (nodes.size() < 2) throw std::invalid_argument{"PlatoonEbl: need at least one follower"};
 
   for (std::size_t i = 1; i < nodes.size(); ++i) {
-    const auto idx = static_cast<net::Port>(i);
     links_.push_back(std::make_unique<EblLink>(env, *nodes[0], *nodes[i],
-                                               static_cast<net::Port>(base_port + idx),
-                                               static_cast<net::Port>(base_port + 100),
-                                               cfg));
+                                               ebl_lead_port(base_port, i),
+                                               ebl_sink_port(base_port), cfg));
   }
 
-  auto& lead_vehicle = *platoon.lead();
-  lead_vehicle.subscribe([this](mobility::DriveState s) { on_lead_state(s); });
-  // Apply the current state once the simulation starts (the platoon may
-  // already be stopped at an intersection, like the paper's platoon 2).
-  env.scheduler().schedule_in(sim::Time::zero(), [this, &lead_vehicle] {
-    on_lead_state(lead_vehicle.state());
-  });
+  follow_lead_state(env, *platoon.lead(), links_);
 }
 
 bool PlatoonEbl::communicating() const {
@@ -54,17 +50,6 @@ std::uint64_t PlatoonEbl::total_sink_bytes() const {
   std::uint64_t total = 0;
   for (const auto& l : links_) total += l->sink().bytes();
   return total;
-}
-
-void PlatoonEbl::on_lead_state(mobility::DriveState s) {
-  const bool communicate = s != mobility::DriveState::kCruising;
-  for (const auto& l : links_) {
-    if (communicate) {
-      l->start();
-    } else {
-      l->stop();
-    }
-  }
 }
 
 }  // namespace eblnet::core

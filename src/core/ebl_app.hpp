@@ -36,40 +36,85 @@ struct EblConfig {
   transport::TcpSinkParams sink{};
 };
 
-/// One Extended-Brake-Lights stream: brake-status messages from the lead
-/// vehicle to a single follower, carried as CBR over a TCP connection
-/// (lead-side TcpSender, follower-side TcpSink).
-class EblLink {
+/// Port layout of a platoon's EBL streams: follower i's stream leaves the
+/// lead from `base + i` and arrives at `base + 100` on the follower.
+constexpr net::Port ebl_lead_port(net::Port base, std::size_t follower) {
+  return static_cast<net::Port>(base + follower);
+}
+constexpr net::Port ebl_sink_port(net::Port base) { return static_cast<net::Port>(base + 100); }
+
+/// The lead-vehicle half of one EBL stream: a TcpSender connected to the
+/// follower's sink port, fed CBR by a TcpCbrFeeder.
+class EblSender {
  public:
-  EblLink(net::Env& env, net::Node& lead, net::Node& follower, net::Port lead_port,
-          net::Port follower_port, const EblConfig& cfg);
+  EblSender(net::Env& env, net::Node& lead, net::Port lead_port, net::NodeId follower,
+            net::Port follower_port, const EblConfig& cfg);
 
   void start() { feeder_.start(); }
+  /// Stop feeding and drop the unsent backlog, so a restart carries fresh
+  /// brake status rather than stale messages.
   void stop() {
     feeder_.stop();
     sender_.truncate_backlog();
   }
   bool running() const noexcept { return feeder_.running(); }
 
+  const transport::TcpSender& sender() const noexcept { return sender_; }
+
+ private:
+  transport::TcpSender sender_;
+  app::TcpCbrFeeder feeder_;
+};
+
+/// One Extended-Brake-Lights stream: brake-status messages from the lead
+/// vehicle to a single follower, carried as CBR over a TCP connection
+/// (lead-side EblSender, follower-side TcpSink).
+class EblLink {
+ public:
+  EblLink(net::Env& env, net::Node& lead, net::Node& follower, net::Port lead_port,
+          net::Port follower_port, const EblConfig& cfg);
+
+  void start() { sender_.start(); }
+  void stop() { sender_.stop(); }
+  bool running() const noexcept { return sender_.running(); }
+
   const transport::TcpSink& sink() const noexcept { return sink_; }
   /// Mutable access for composition (e.g. attaching an EblBrakeReactor).
   transport::TcpSink& mutable_sink() noexcept { return sink_; }
-  const transport::TcpSender& sender() const noexcept { return sender_; }
+  const transport::TcpSender& sender() const noexcept { return sender_.sender(); }
   net::NodeId follower_id() const noexcept { return follower_.id(); }
 
  private:
   net::Node& follower_;
-  transport::TcpSender sender_;
+  EblSender sender_;
   transport::TcpSink sink_;
-  app::TcpCbrFeeder feeder_;
 };
+
+/// The paper's rule: "communication between the vehicles occurs only when
+/// the vehicles are braking or stopped". Starts every element of `links`
+/// (pointers to EblLink or EblSender) while `lead` brakes or is stopped
+/// and stops them while it cruises: on each drive-state change, and once
+/// when the simulation starts (a platoon may already be stopped, like the
+/// paper's platoon 2). `links` must outlive the simulation.
+template <typename Links>
+void follow_lead_state(net::Env& env, mobility::Vehicle& lead, Links& links) {
+  const auto apply = [&links](mobility::DriveState s) {
+    for (const auto& l : links) {
+      if (s != mobility::DriveState::kCruising) {
+        l->start();
+      } else {
+        l->stop();
+      }
+    }
+  };
+  lead.subscribe(apply);
+  env.scheduler().schedule_in(sim::Time::zero(), [apply, &lead] { apply(lead.state()); });
+}
 
 /// The Extended Brake Lights application for a whole platoon: the lead
 /// vehicle streams brake-status messages to every follower, and — per the
-/// paper's rule — "communication between the vehicles occurs only when
-/// the vehicles are braking or stopped". The class subscribes to the lead
-/// vehicle's drive state and starts/stops every link on the
-/// cruising/braking boundary.
+/// paper's rule (follow_lead_state) — "communication between the vehicles
+/// occurs only when the vehicles are braking or stopped".
 class PlatoonEbl {
  public:
   /// `nodes[i]` must be the network node of `platoon.vehicle(i)`.
@@ -88,8 +133,6 @@ class PlatoonEbl {
   std::uint64_t total_sink_bytes() const;
 
  private:
-  void on_lead_state(mobility::DriveState s);
-
   std::vector<std::unique_ptr<EblLink>> links_;
 };
 

@@ -24,8 +24,7 @@ Runner::Runner(unsigned jobs, std::size_t shards)
 
 std::vector<TrialResult> Runner::run_trials(std::span<const TrialSpec> specs) const {
   return map(specs.size(), [this, &specs](std::size_t i) {
-    return shards_ > 1 ? run_sharded_trial(specs[i].config, shards_, specs[i].name)
-                       : run_trial(specs[i].config, specs[i].name);
+    return run_sharded_trial(specs[i].config, shards_, specs[i].name);
   });
 }
 
@@ -39,17 +38,15 @@ Runner::AsyncTrials Runner::start_trials(std::vector<TrialSpec> specs) const {
   for (std::size_t i = 0; i < shared_specs->size(); ++i) {
     batch.futures.push_back(batch.pool->submit([shared_specs, i, shards = shards_] {
       const TrialSpec& s = (*shared_specs)[i];
-      return shards > 1 ? run_sharded_trial(s.config, shards, s.name)
-                        : run_trial(s.config, s.name);
+      return run_sharded_trial(s.config, shards, s.name);
     }));
   }
   return batch;
 }
 
 std::vector<TrialResult> Runner::run_trials(std::span<const ScenarioConfig> configs) const {
-  return map(configs.size(), [this, &configs](std::size_t i) {
-    return shards_ > 1 ? run_sharded_trial(configs[i], shards_) : run_trial(configs[i]);
-  });
+  return map(configs.size(),
+             [this, &configs](std::size_t i) { return run_sharded_trial(configs[i], shards_); });
 }
 
 }  // namespace eblnet::core

@@ -1,5 +1,6 @@
 #include "core/scenario.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "app/beacon.hpp"
@@ -59,28 +60,130 @@ app::Beacon& EblScenario::beacon(std::size_t i) {
   return *beacons_.at(i);
 }
 
+std::shared_ptr<phy::PropagationModel> make_propagation(const ScenarioConfig& config,
+                                                        sim::Rng& rng) {
+  std::shared_ptr<phy::PropagationModel> prop;
+  if (config.propagation == PropagationType::kNakagami) {
+    auto nakagami = std::make_shared<phy::NakagamiFading>(config.nakagami_m, rng);
+    if (config.nakagami_node_streams)
+      nakagami->enable_pair_streams(sim::mix_seed(config.seed, phy::kPairFadeSeedTag));
+    prop = std::move(nakagami);
+  } else {
+    prop = std::make_shared<phy::TwoRayGround>();
+  }
+  if (config.blockage.enabled) {
+    phy::IntersectionBlockageParams bp;
+    bp.half_width_m = config.blockage.half_width_m;
+    bp.corner_loss_db = config.blockage.corner_loss_db;
+    prop = std::make_shared<phy::IntersectionBlockage>(prop, bp);
+  }
+  return prop;
+}
+
+PlatoonPath platoon1_path(const ScenarioConfig& config) {
+  const double v = config.speed_mps;
+  const double cruise_dist = v * config.platoon1_brake_at.to_seconds();
+  const double brake_dist = mobility::Vehicle::stopping_distance(v, config.decel_mps2);
+  return {{0.0, -(cruise_dist + brake_dist)}, {0.0, 1.0}, cruise_dist + brake_dist};
+}
+
+PlatoonPath platoon2_path(const ScenarioConfig& config) {
+  const sim::Time moving = config.duration - config.resolved_platoon2_depart();
+  return {{-3.0, 0.0}, {1.0, 0.0}, config.speed_mps * std::max(0.0, moving.to_seconds())};
+}
+
+IntersectionPlatoons build_platoons(sim::Scheduler& sched, const ScenarioConfig& config) {
+  const double gap = config.vehicle_gap_m;
+  const double v = config.speed_mps;
+  const double a = config.decel_mps2;
+  const std::size_t n = config.platoon_size;
+
+  IntersectionPlatoons platoons;
+  const PlatoonPath path1 = platoon1_path(config);
+  platoons.p1 = std::make_unique<mobility::Platoon>(sched, n, path1.lead_start, path1.heading, gap);
+  if (config.reactive.enabled) {
+    platoons.p1->cruise(v);
+    sched.schedule_at(config.platoon1_brake_at,
+                      [p1 = platoons.p1.get(), a] { p1->lead()->brake(a); });
+  } else {
+    platoons.p1->drive_and_stop_at(mobility::Vec2{0.0, 0.0}, v, a);
+  }
+
+  const PlatoonPath path2 = platoon2_path(config);
+  platoons.p2 = std::make_unique<mobility::Platoon>(sched, n, path2.lead_start, path2.heading, gap);
+  sched.schedule_at(config.resolved_platoon2_depart(),
+                    [p2 = platoons.p2.get(), v] { p2->cruise(v); });
+  return platoons;
+}
+
+NodeStack build_node_stack(net::Env& env, phy::Channel& channel, const ScenarioConfig& config,
+                           net::NodeId id, const std::shared_ptr<mobility::Vehicle>& vehicle) {
+  NodeStack stack;
+  stack.node = std::make_unique<net::Node>(env, id);
+  stack.node->set_mobility(vehicle);
+  stack.phy = std::make_unique<phy::WirelessPhy>(
+      env, id, channel, [vehicle, &env] { return vehicle->position_at(env.now()); }, config.phy);
+
+  std::unique_ptr<net::PacketQueue> ifq;
+  if (config.use_red_queue) {
+    queue::RedParams red = config.red;
+    red.capacity = config.ifq_capacity;
+    ifq = std::make_unique<queue::RedQueue>(env.rng_for(id), red);
+  } else {
+    ifq = std::make_unique<queue::PriQueue>(config.ifq_capacity);
+  }
+  std::unique_ptr<net::MacLayer> mac_layer;
+  if (config.mac == MacType::kTdma) {
+    // The frame must at least fit every node; beyond that the configured
+    // slot count stands (NS-2 defaults to 64-slot frames regardless of
+    // the active population).
+    mac::TdmaParams tdma = config.tdma;
+    tdma.num_slots = std::max(tdma.num_slots, 2 * config.platoon_size);
+    mac_layer = std::make_unique<mac::MacTdma>(env, id, *stack.phy, std::move(ifq), tdma,
+                                               static_cast<unsigned>(id));
+  } else if (config.mac == MacType::kEdca) {
+    mac_layer = std::make_unique<mac::Edca>(env, id, *stack.phy, std::move(ifq), config.edca);
+  } else {
+    mac_layer =
+        std::make_unique<mac::Mac80211>(env, id, *stack.phy, std::move(ifq), config.mac80211);
+  }
+  if (config.use_arp) {
+    mac_layer = std::make_unique<mac::ArpLayer>(env, std::move(mac_layer), config.arp);
+  }
+
+  std::unique_ptr<net::RoutingAgent> agent;
+  switch (config.routing) {
+    case RoutingType::kAodv:
+      agent = std::make_unique<routing::Aodv>(env, id, config.aodv);
+      break;
+    case RoutingType::kDsdv:
+      agent = std::make_unique<routing::Dsdv>(env, id, config.dsdv);
+      break;
+    case RoutingType::kStatic:
+      // Every vehicle in this scenario is a single radio hop apart.
+      agent = std::make_unique<routing::StaticRouting>(env, id, /*direct_by_default=*/true);
+      break;
+  }
+  stack.node->set_mac(std::move(mac_layer));
+  stack.node->set_routing(std::move(agent));
+  return stack;
+}
+
+EblConfig ebl_config(const ScenarioConfig& config) {
+  EblConfig ebl = config.ebl;
+  ebl.packet_bytes = config.packet_bytes;
+  return ebl;
+}
+
 EblScenario::EblScenario(ScenarioConfig config) : config_{std::move(config)}, env_{config_.seed} {
   if (config_.platoon_size < 2)
     throw std::invalid_argument{"EblScenario: platoons need at least two vehicles"};
   if (config_.enable_trace) env_.set_trace_sink(&trace_);
   if (config_.node_rng_streams) env_.enable_node_rng_streams();
   env_.metrics().set_enabled(config_.enable_metrics);
-  if (config_.propagation == PropagationType::kNakagami) {
-    auto nakagami = std::make_shared<phy::NakagamiFading>(config_.nakagami_m, env_.rng());
-    if (config_.nakagami_node_streams)
-      nakagami->enable_pair_streams(sim::mix_seed(config_.seed, phy::kPairFadeSeedTag));
-    propagation_ = std::move(nakagami);
-  } else {
-    propagation_ = std::make_shared<phy::TwoRayGround>();
-  }
-  if (config_.blockage.enabled) {
-    phy::IntersectionBlockageParams bp;
-    bp.half_width_m = config_.blockage.half_width_m;
-    bp.corner_loss_db = config_.blockage.corner_loss_db;
-    propagation_ = std::make_shared<phy::IntersectionBlockage>(propagation_, bp);
-  }
-  channel_ = std::make_unique<phy::Channel>(env_, propagation_, config_.channel);
-  build_mobility();
+  channel_ = std::make_unique<phy::Channel>(env_, make_propagation(config_, env_.rng()),
+                                            config_.channel);
+  platoons_ = build_platoons(env_.scheduler(), config_);
   build_nodes();
   build_traffic();
   // Fault wiring: a node crash powers the radio off (detaching it from
@@ -96,107 +199,14 @@ EblScenario::EblScenario(ScenarioConfig config) : config_{std::move(config)}, en
 
 EblScenario::~EblScenario() = default;
 
-void EblScenario::build_mobility() {
-  const double gap = config_.vehicle_gap_m;
-  const double v = config_.speed_mps;
-  const double a = config_.decel_mps2;
-  const std::size_t n = config_.platoon_size;
-
-  // Platoon 1 approaches the intersection (origin) from the south so that
-  // braking starts exactly at platoon1_brake_at and the lead stops at the
-  // origin.
-  const double cruise_dist = v * config_.platoon1_brake_at.to_seconds();
-  const double brake_dist = mobility::Vehicle::stopping_distance(v, a);
-  const mobility::Vec2 p1_start{0.0, -(cruise_dist + brake_dist)};
-  platoon1_ = std::make_unique<mobility::Platoon>(env_.scheduler(), n, p1_start,
-                                                  mobility::Vec2{0.0, 1.0}, gap);
-  if (config_.reactive.enabled) {
-    // Closed loop: only the lead's brake is scripted (same instant and
-    // decel as the scripted scenario, so it still stops at the origin).
-    // Followers keep cruising until their reactor hears the EBL message.
-    platoon1_->cruise(v);
-    env_.scheduler().schedule_at(config_.platoon1_brake_at,
-                                 [this, a] { platoon1_->lead()->brake(a); });
-  } else {
-    platoon1_->drive_and_stop_at(mobility::Vec2{0.0, 0.0}, v, a);
-  }
-
-  // Platoon 2 waits on the cross street just west of the intersection and
-  // departs east at platoon2_depart.
-  platoon2_ = std::make_unique<mobility::Platoon>(env_.scheduler(), n,
-                                                  mobility::Vec2{-3.0, 0.0},
-                                                  mobility::Vec2{1.0, 0.0}, gap);
-  env_.scheduler().schedule_at(config_.resolved_platoon2_depart(),
-                               [this, v] { platoon2_->cruise(v); });
-}
-
 void EblScenario::build_nodes() {
-  const std::size_t n = config_.platoon_size;
-  const std::size_t total = 2 * n;
-
-  mac::TdmaParams tdma = config_.tdma;
-  // The frame must at least fit every node; beyond that the configured
-  // slot count stands (NS-2 defaults to 64-slot frames regardless of the
-  // active population).
-  if (tdma.num_slots < total) tdma.num_slots = total;
-
-  for (std::size_t i = 0; i < total; ++i) {
-    const auto id = static_cast<net::NodeId>(i);
-    auto node = std::make_unique<net::Node>(env_, id);
-
-    const auto& vehicle =
-        i < n ? platoon1_->vehicle(i) : platoon2_->vehicle(i - n);
-    node->set_mobility(vehicle);
-
-    auto phy = std::make_unique<phy::WirelessPhy>(
-        env_, id, *channel_,
-        [vehicle, this] { return vehicle->position_at(env_.now()); }, config_.phy);
-
-    std::unique_ptr<net::PacketQueue> ifq;
-    if (config_.use_red_queue) {
-      queue::RedParams red = config_.red;
-      red.capacity = config_.ifq_capacity;
-      ifq = std::make_unique<queue::RedQueue>(env_.rng_for(id), red);
-    } else {
-      ifq = std::make_unique<queue::PriQueue>(config_.ifq_capacity);
-    }
-    std::unique_ptr<net::MacLayer> mac_layer;
-    if (config_.mac == MacType::kTdma) {
-      mac_layer = std::make_unique<mac::MacTdma>(env_, id, *phy, std::move(ifq), tdma,
-                                                 static_cast<unsigned>(i));
-    } else if (config_.mac == MacType::kEdca) {
-      mac_layer = std::make_unique<mac::Edca>(env_, id, *phy, std::move(ifq), config_.edca);
-    } else {
-      mac_layer = std::make_unique<mac::Mac80211>(env_, id, *phy, std::move(ifq),
-                                                  config_.mac80211);
-    }
-
-    if (config_.use_arp) {
-      mac_layer = std::make_unique<mac::ArpLayer>(env_, std::move(mac_layer), config_.arp);
-    }
-
-    std::unique_ptr<net::RoutingAgent> agent;
-    switch (config_.routing) {
-      case RoutingType::kAodv: {
-        auto aodv = std::make_unique<routing::Aodv>(env_, id, config_.aodv);
-        aodvs_.push_back(aodv.get());
-        agent = std::move(aodv);
-        break;
-      }
-      case RoutingType::kDsdv:
-        agent = std::make_unique<routing::Dsdv>(env_, id, config_.dsdv);
-        break;
-      case RoutingType::kStatic:
-        // All six vehicles are a single radio hop apart in this scenario.
-        agent = std::make_unique<routing::StaticRouting>(env_, id, /*direct_by_default=*/true);
-        break;
-    }
-
-    node->set_mac(std::move(mac_layer));
-    node->set_routing(std::move(agent));
-
-    phys_.push_back(std::move(phy));
-    nodes_.push_back(std::move(node));
+  for (std::size_t i = 0; i < 2 * config_.platoon_size; ++i) {
+    NodeStack stack = build_node_stack(env_, *channel_, config_, static_cast<net::NodeId>(i),
+                                       platoons_.vehicle(i));
+    if (config_.routing == RoutingType::kAodv)
+      aodvs_.push_back(static_cast<routing::Aodv*>(stack.node->routing()));
+    phys_.push_back(std::move(stack.phy));
+    nodes_.push_back(std::move(stack.node));
   }
 }
 
@@ -206,11 +216,9 @@ void EblScenario::build_traffic() {
   for (std::size_t i = 0; i < n; ++i) p1_nodes.push_back(nodes_[i].get());
   for (std::size_t i = 0; i < n; ++i) p2_nodes.push_back(nodes_[n + i].get());
 
-  EblConfig ebl = config_.ebl;
-  ebl.packet_bytes = config_.packet_bytes;
-
-  ebl1_ = std::make_unique<PlatoonEbl>(env_, *platoon1_, p1_nodes, ebl, /*base_port=*/1000);
-  ebl2_ = std::make_unique<PlatoonEbl>(env_, *platoon2_, p2_nodes, ebl, /*base_port=*/3000);
+  const EblConfig ebl = ebl_config(config_);
+  ebl1_ = std::make_unique<PlatoonEbl>(env_, *platoons_.p1, p1_nodes, ebl, kEblBasePort1);
+  ebl2_ = std::make_unique<PlatoonEbl>(env_, *platoons_.p2, p2_nodes, ebl, kEblBasePort2);
 
   tput1_ = std::make_unique<trace::ThroughputMonitor>(
       env_, [this] { return ebl1_->total_sink_bytes(); }, config_.throughput_sample_interval);
@@ -238,11 +246,11 @@ void EblScenario::build_traffic() {
     // vehicle its link actually notifies.
     for (std::size_t i = 0; i + 1 < n; ++i) {
       reactors_.push_back(std::make_unique<EblBrakeReactor>(
-          env_, ebl1_->mutable_link(i).mutable_sink(), platoon1_->vehicle(i + 1),
+          env_, ebl1_->mutable_link(i).mutable_sink(), platoons_.p1->vehicle(i + 1),
           config_.reactive.decel_mps2, config_.reactive.reaction));
     }
     std::vector<std::shared_ptr<mobility::Vehicle>> column;
-    for (std::size_t i = 0; i < n; ++i) column.push_back(platoon1_->vehicle(i));
+    for (std::size_t i = 0; i < n; ++i) column.push_back(platoons_.p1->vehicle(i));
     collision_monitor_ =
         std::make_unique<CollisionMonitor>(env_, std::move(column), config_.reactive.min_gap_m);
     collision_monitor_->start();

@@ -180,6 +180,70 @@ struct ScenarioConfig {
   bool enable_metrics{false};
 };
 
+// --- Scenario assembly ------------------------------------------------
+// EblScenario and the sharded engine (core/sharded_scenario.hpp) build
+// their worlds with these functions, so each decision has one home.
+
+/// The channel model `config` selects: two-ray ground, or Nakagami
+/// fading over it (keyed per-pair streams with nakagami_node_streams,
+/// else draws from `rng`), wrapped in corner blockage when enabled.
+std::shared_ptr<phy::PropagationModel> make_propagation(const ScenarioConfig& config,
+                                                        sim::Rng& rng);
+
+/// One platoon's scripted path: where its lead starts, which way it
+/// heads, and how far it travels by config.duration. Followers trail
+/// the lead by vehicle_gap_m.
+struct PlatoonPath {
+  mobility::Vec2 lead_start;
+  mobility::Vec2 heading;
+  double travel_m{0.0};
+};
+
+/// Platoon 1 approaches the intersection (the origin) from the south so
+/// that braking starts exactly at platoon1_brake_at and the lead stops
+/// at the origin.
+PlatoonPath platoon1_path(const ScenarioConfig& config);
+/// Platoon 2 waits on the cross street just west of the intersection
+/// and departs east at resolved_platoon2_depart().
+PlatoonPath platoon2_path(const ScenarioConfig& config);
+
+/// The scenario's two platoons. Node i rides vehicle(i): platoon 1's
+/// members first, then platoon 2's.
+struct IntersectionPlatoons {
+  std::unique_ptr<mobility::Platoon> p1;
+  std::unique_ptr<mobility::Platoon> p2;
+
+  const std::shared_ptr<mobility::Vehicle>& vehicle(std::size_t node) const {
+    return node < p1->size() ? p1->vehicle(node) : p2->vehicle(node - p1->size());
+  }
+};
+
+/// Build both platoons on `sched` along their paths and schedule the
+/// motion script: platoon 1 drives to its stop (with reactive braking
+/// only its lead brakes on schedule, the followers keep cruising) and
+/// platoon 2 departs on time.
+IntersectionPlatoons build_platoons(sim::Scheduler& sched, const ScenarioConfig& config);
+
+/// One vehicle's network stack, as the paper fixes it.
+struct NodeStack {
+  std::unique_ptr<net::Node> node;
+  std::unique_ptr<phy::WirelessPhy> phy;
+};
+
+/// Node `id`'s stack: the interface queue (drop-tail PriQueue, or RED),
+/// the MAC (TDMA in a frame of at least one slot per node, 802.11 or
+/// EDCA), ARP below routing when enabled, and the routing agent. The
+/// phy joins `channel` and tracks `vehicle`.
+NodeStack build_node_stack(net::Env& env, phy::Channel& channel, const ScenarioConfig& config,
+                           net::NodeId id, const std::shared_ptr<mobility::Vehicle>& vehicle);
+
+/// The EBL traffic both platoons run: config.ebl at the run's packet
+/// size. Platoon 1's streams start at port kEblBasePort1, platoon 2's at
+/// kEblBasePort2 (see ebl_lead_port / ebl_sink_port).
+EblConfig ebl_config(const ScenarioConfig& config);
+inline constexpr net::Port kEblBasePort1 = 1000;
+inline constexpr net::Port kEblBasePort2 = 3000;
+
 /// The reference network model of the paper (§III.A): two platoons of
 /// three vehicles at an intersection. Platoon 1 (nodes 0–2) approaches
 /// from the south, brakes, stops, and communicates; platoon 2 (nodes 3–5)
@@ -208,8 +272,8 @@ class EblScenario {
   net::Node& node(std::size_t i) { return *nodes_.at(i); }
   std::size_t node_count() const noexcept { return nodes_.size(); }
 
-  mobility::Platoon& platoon1() noexcept { return *platoon1_; }
-  mobility::Platoon& platoon2() noexcept { return *platoon2_; }
+  mobility::Platoon& platoon1() noexcept { return *platoons_.p1; }
+  mobility::Platoon& platoon2() noexcept { return *platoons_.p2; }
   PlatoonEbl& ebl1() noexcept { return *ebl1_; }
   PlatoonEbl& ebl2() noexcept { return *ebl2_; }
   const trace::ThroughputMonitor& throughput1() const noexcept { return *tput1_; }
@@ -234,19 +298,16 @@ class EblScenario {
 
  private:
   void build_nodes();
-  void build_mobility();
   void build_traffic();
 
   ScenarioConfig config_;
   trace::TraceManager trace_;
   net::Env env_;
-  std::shared_ptr<phy::PropagationModel> propagation_;
   std::unique_ptr<phy::Channel> channel_;
   std::vector<std::unique_ptr<phy::WirelessPhy>> phys_;
   std::vector<std::unique_ptr<net::Node>> nodes_;
   std::vector<routing::Aodv*> aodvs_;  ///< non-owning views into nodes' agents
-  std::unique_ptr<mobility::Platoon> platoon1_;
-  std::unique_ptr<mobility::Platoon> platoon2_;
+  IntersectionPlatoons platoons_;
   std::unique_ptr<PlatoonEbl> ebl1_;
   std::unique_ptr<PlatoonEbl> ebl2_;
   std::unique_ptr<trace::ThroughputMonitor> tput1_;

@@ -89,8 +89,9 @@ class ScenarioBuilder {
   /// core::run_sharded_trial and DESIGN.md §3.9). k = 1 (the default) is
   /// the serial engine, bit-identical to a build without this knob; k > 1
   /// forces per-node RNG streams and rejects fault plans, reactive
-  /// braking and Nakagami fading. Sharded-run engine diagnostics land in
-  /// `diag` when provided.
+  /// braking, beaconing and shared-stream Nakagami fading (keyed
+  /// nakagami_node_streams shards). Sharded-run engine diagnostics land
+  /// in `diag` when provided.
   ScenarioBuilder& with_shards(std::size_t k, ShardRunDiagnostics* diag = nullptr) {
     shards_ = k;
     shard_diag_ = diag;
@@ -236,30 +237,26 @@ class ScenarioBuilder {
   /// Construct the closed-loop traffic scenario (requires
   /// with_traffic_flow). Seed defaults to the builder's seed.
   std::unique_ptr<TrafficScenario> build_traffic_scenario() const {
-    if (!traffic_.enabled)
-      throw std::logic_error{"ScenarioBuilder: call with_traffic_flow before build_traffic_scenario"};
-    TrafficConfig cfg = traffic_;
-    if (cfg.seed == 1) cfg.seed = config_.seed;
-    return std::make_unique<TrafficScenario>(std::move(cfg));
+    return std::make_unique<TrafficScenario>(traffic_run_config("build_traffic_scenario"));
   }
 
   /// Run the closed-loop traffic scenario and collect its sweep row.
   /// Honors with_shards(k > 1) via core::run_sharded_traffic.
   TrafficRunResult run_traffic(std::string name = {}) const {
-    if (shards_ > 1) {
-      if (!traffic_.enabled)
-        throw std::logic_error{"ScenarioBuilder: call with_traffic_flow before run_traffic"};
-      TrafficConfig cfg = traffic_;
-      if (cfg.seed == 1) cfg.seed = config_.seed;
-      return run_sharded_traffic(cfg, shards_, std::move(name), shard_diag_);
-    }
-    if (shard_diag_ != nullptr) *shard_diag_ = ShardRunDiagnostics{};
-    auto scenario = build_traffic_scenario();
-    scenario->run();
-    return scenario->result(std::move(name));
+    return run_sharded_traffic(traffic_run_config("run_traffic"), shards_, std::move(name),
+                               shard_diag_);
   }
 
  private:
+  TrafficConfig traffic_run_config(const char* what) const {
+    if (!traffic_.enabled)
+      throw std::logic_error{std::string{"ScenarioBuilder: call with_traffic_flow before "} +
+                             what};
+    TrafficConfig cfg = traffic_;
+    if (cfg.seed == 1) cfg.seed = config_.seed;
+    return cfg;
+  }
+
   void reject_traffic(const char* what) const {
     if (traffic_.enabled)
       throw std::logic_error{std::string{"ScenarioBuilder: "} + what +

@@ -1,30 +1,17 @@
 #include "core/sharded_scenario.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
-#include "app/traffic.hpp"
-#include "core/flood.hpp"
-#include "mac/edca.hpp"
-#include "mac/mac_80211.hpp"
-#include "mac/mac_tdma.hpp"
-#include "phy/intersection_blockage.hpp"
-#include "mobility/platoon.hpp"
-#include "queue/drop_tail.hpp"
-#include "queue/red.hpp"
-#include "routing/aodv.hpp"
-#include "routing/dsdv.hpp"
-#include "routing/static_routing.hpp"
 #include "sim/timer.hpp"
-#include "transport/tcp_sender.hpp"
 #include "transport/tcp_sink.hpp"
 
 namespace eblnet::core {
 namespace {
-
-constexpr net::Port kWarningPort = 7000;  // mirrors TrafficScenario
 
 /// Axis-aligned hull of everywhere a shard's owned radios can ever be.
 /// Soundness only requires containment — a generous pad just forwards a
@@ -68,8 +55,9 @@ struct Aabb {
   }
 };
 
-/// Owner shard of node `i`: contiguous equal ranges over the flat node
-/// order, which is contiguous in space for both scenario families.
+/// Owner shard of item `i` of `total`: contiguous equal ranges over the
+/// flat vehicle order (intersection) or flat lane order (traffic), which
+/// are contiguous in space for both scenario families.
 std::size_t shard_of(std::size_t i, std::size_t total, std::size_t k) {
   return i * k / total;
 }
@@ -107,44 +95,105 @@ trace::TraceStore merge_traces(const std::vector<const trace::TraceStore*>& stor
   return out;
 }
 
-transport::TcpParams link_tcp_params(const EblConfig& cfg) {
-  transport::TcpParams p = cfg.tcp;
-  p.packet_size = cfg.packet_bytes;
-  return p;
+// ---------------------------------------------------------------------------
+// Seam replay and the conservative engine (both families)
+// ---------------------------------------------------------------------------
+
+/// What sharding adds once a family's K worlds are built: the
+/// conservative engine over their schedulers, and seam replay between
+/// their channels. Every local transmit is posted to each other shard
+/// whose owned-region hull its sensing reach touches, and replayed there
+/// at its exact transmit time (Channel::inject_remote), where it goes
+/// through the identical candidate query and per-receiver filter against
+/// that shard's owned radios.
+class ShardLinks {
+ public:
+  ShardLinks(const std::vector<net::Env*>& envs, std::vector<phy::Channel*> channels,
+             std::vector<Aabb> boxes, const phy::PhyParams& phy, sim::Time horizon);
+
+  void run() { engine_.run(); }
+  void post(std::size_t src, std::size_t dst, sim::Time at, std::function<void()> fn) {
+    engine_.post(src, dst, at, std::move(fn));
+  }
+
+  /// Fill `diag` (when non-null); `events` is the scheduler total over
+  /// all shards.
+  void diagnose(ShardRunDiagnostics* diag, std::uint64_t events) const;
+
+ private:
+  static std::vector<sim::Scheduler*> schedulers(const std::vector<net::Env*>& envs) {
+    std::vector<sim::Scheduler*> out;
+    for (net::Env* env : envs) out.push_back(&env->scheduler());
+    return out;
+  }
+
+  std::vector<phy::Channel*> channels_;
+  std::vector<Aabb> boxes_;  ///< per-shard owned-region hulls
+  double reach_m_;
+  sim::ShardEngine engine_;
+};
+
+ShardLinks::ShardLinks(const std::vector<net::Env*>& envs, std::vector<phy::Channel*> channels,
+                       std::vector<Aabb> boxes, const phy::PhyParams& phy, sim::Time horizon)
+    : channels_{std::move(channels)},
+      boxes_{std::move(boxes)},
+      reach_m_{seam_reach_m(channels_[0]->propagation(), phy)},
+      engine_{schedulers(envs), horizon} {
+  for (std::size_t s = 0; s < channels_.size(); ++s) {
+    channels_[s]->set_seam_hook([this, s, env = envs[s]](const phy::WirelessPhy& sender,
+                                                        const net::Packet& p, mobility::Vec2 from,
+                                                        sim::Time duration) {
+      const sim::Time at = env->now();
+      for (std::size_t d = 0; d < channels_.size(); ++d) {
+        if (d == s || !boxes_[d].intersects_circle(from, reach_m_)) continue;
+        engine_.post(s, d, at,
+                     [ch = channels_[d], pkt = p, from, pw = sender.params().tx_power_w,
+                      cid = sender.channel_id(), duration, src = sender.owner()]() mutable {
+                       ch->inject_remote(std::move(pkt), from, pw, cid, duration, src);
+                     });
+      }
+    });
+  }
 }
 
-// Domain tags and the penetration roll, bit-compatible with
-// TrafficScenario (the sharded run must equip the same vehicles).
-constexpr std::uint64_t kFlowSeedTag = 0x5F10'77D0'0001ULL;
-constexpr std::uint64_t kEquipSeedTag = 0xE901'BAD6'0002ULL;
-
-double hash_unit(std::uint64_t h) { return static_cast<double>(h >> 11) * 0x1.0p-53; }
+void ShardLinks::diagnose(ShardRunDiagnostics* diag, std::uint64_t events) const {
+  if (diag == nullptr) return;
+  *diag = ShardRunDiagnostics{};
+  diag->shards = channels_.size();
+  diag->lookahead_us = engine_.lift().to_seconds() * 1e6;
+  diag->seam_messages = engine_.seam_messages();
+  diag->total_events = events;
+  for (std::size_t s = 0; s < channels_.size(); ++s) {
+    diag->per_shard.push_back(engine_.stats(s));
+    diag->stall_seconds_total += engine_.stats(s).stall_seconds;
+    diag->broadcasts += channels_[s]->broadcasts();
+    diag->remote_injects += channels_[s]->remote_injects();
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Sharded intersection scenario
 // ---------------------------------------------------------------------------
 
-/// The intersection scenario split over K conservative shards. Mobility
-/// (scripted platoons) is replicated in every shard — vehicle state is
-/// closed-form, so replicas are bit-identical and state-change events
-/// fire at identical simulation times everywhere. Radio stacks exist
-/// only in their owner shard; a broadcast near a seam is replayed into
-/// neighbouring shards at its exact transmit time (Channel::inject_remote),
-/// where it goes through the identical candidate query and per-receiver
-/// filter against that shard's owned radios.
+/// The intersection scenario split over K conservative shards, each
+/// built with EblScenario's assembly functions (core/scenario.hpp).
+/// Mobility (scripted platoons) is replicated in every shard — vehicle
+/// state is closed-form, so replicas are bit-identical and state-change
+/// events fire at identical simulation times everywhere. Radio stacks
+/// exist only in their owner shard, and each EBL stream is split: the
+/// sender half lives with the lead's owner, the sink with the
+/// follower's.
 class ShardedEblScenario {
  public:
   ShardedEblScenario(ScenarioConfig config, std::size_t shards);
 
-  void run() { engine_->run(); }
+  void run() { links_->run(); }
 
   TrialResult extract(std::string name, ShardRunDiagnostics* diag);
 
  private:
-  struct SenderHalf {
-    std::unique_ptr<transport::TcpSender> sender;
-    std::unique_ptr<app::TcpCbrFeeder> feeder;
-  };
+  using Senders = std::vector<std::unique_ptr<EblSender>>;
+  using Sinks = std::vector<std::unique_ptr<transport::TcpSink>>;
 
   /// One shard's world. Declaration order mirrors EblScenario for the
   /// same teardown-safety reasons (channel before phys, nodes before the
@@ -154,15 +203,13 @@ class ShardedEblScenario {
 
     trace::TraceManager trace;
     net::Env env;
-    std::shared_ptr<phy::PropagationModel> propagation;
     std::unique_ptr<phy::Channel> channel;
-    std::unique_ptr<mobility::Platoon> platoon1;
-    std::unique_ptr<mobility::Platoon> platoon2;
+    IntersectionPlatoons platoons;
     std::vector<std::unique_ptr<phy::WirelessPhy>> phys;
     std::vector<std::unique_ptr<net::Node>> nodes;
     std::vector<net::Node*> node_by_id;  ///< global id -> owned node (or null)
-    std::vector<SenderHalf> senders1, senders2;  ///< lead-owner shard only
-    std::vector<std::unique_ptr<transport::TcpSink>> sinks1, sinks2;
+    Senders senders1, senders2;          ///< lead-owner shard only
+    Sinks sinks1, sinks2;
 
     /// Raw cumulative sink bytes per platoon, sampled on the serial
     /// monitor's exact schedule. Kept as integers so the merged series
@@ -177,19 +224,14 @@ class ShardedEblScenario {
     return shard_of(gid, total_, shards_.size()) == s;
   }
   void build_shard(std::size_t s);
-  void build_links(std::size_t s, std::size_t base_gid, net::Port base_port,
-                   mobility::Platoon& platoon, std::vector<SenderHalf>& senders,
-                   std::vector<std::unique_ptr<transport::TcpSink>>& sinks);
-  void on_lead_state(std::vector<SenderHalf>& senders, mobility::DriveState st);
-  void compute_boxes(std::size_t shards);
-  void install_seam_hook(std::size_t s);
+  void build_ebl(std::size_t s, std::size_t lead, net::Port base_port, Senders& senders,
+                 Sinks& sinks);
+  std::vector<Aabb> compute_boxes() const;
 
   ScenarioConfig config_;
   std::size_t total_{0};  ///< 2 * platoon_size
-  double reach_m_{0.0};
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<Aabb> boxes_;  ///< per-shard owned-region hulls
-  std::unique_ptr<sim::ShardEngine> engine_;
+  std::unique_ptr<ShardLinks> links_;
 };
 
 ShardedEblScenario::ShardedEblScenario(ScenarioConfig config, std::size_t shards)
@@ -204,60 +246,46 @@ ShardedEblScenario::ShardedEblScenario(ScenarioConfig config, std::size_t shards
   if (config_.reactive.enabled)
     throw std::invalid_argument{
         "ShardedEblScenario: reactive braking is not supported with shards > 1"};
-  if (config_.propagation != PropagationType::kTwoRay &&
-      !(config_.propagation == PropagationType::kNakagami && config_.nakagami_node_streams))
+  if (config_.propagation == PropagationType::kNakagami && !config_.nakagami_node_streams)
     throw std::invalid_argument{
-        "ShardedEblScenario: only deterministic (two-ray) propagation shards"};
+        "ShardedEblScenario: Nakagami fading shards only with keyed pair streams "
+        "(nakagami_node_streams)"};
   if (config_.beacon.enabled)
     throw std::invalid_argument{
         "ShardedEblScenario: beaconing is not supported with shards > 1"};
   config_.node_rng_streams = true;  // interleaving-independent per-node draws
   total_ = 2 * config_.platoon_size;
 
-  compute_boxes(shards);
   // All Shard slots exist before any is built: ownership tests and the
   // uid stride read shards_.size(), which must already be final.
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) shards_.push_back(std::make_unique<Shard>(config_.seed));
   for (std::size_t s = 0; s < shards; ++s) build_shard(s);
-  reach_m_ = seam_reach_m(*shards_[0]->propagation, config_.phy);
 
-  std::vector<sim::Scheduler*> scheds;
-  for (auto& sh : shards_) scheds.push_back(&sh->env.scheduler());
-  engine_ = std::make_unique<sim::ShardEngine>(std::move(scheds), config_.duration);
-  for (std::size_t s = 0; s < shards; ++s) install_seam_hook(s);
+  std::vector<net::Env*> envs;
+  std::vector<phy::Channel*> channels;
+  for (auto& sh : shards_) {
+    envs.push_back(&sh->env);
+    channels.push_back(sh->channel.get());
+  }
+  links_ = std::make_unique<ShardLinks>(envs, std::move(channels), compute_boxes(), config_.phy,
+                                        config_.duration);
 }
 
-void ShardedEblScenario::compute_boxes(std::size_t shards) {
-  const double gap = config_.vehicle_gap_m;
-  const double v = config_.speed_mps;
-  const double a = config_.decel_mps2;
-  const std::size_t n = config_.platoon_size;
-  const double cruise_dist = v * config_.platoon1_brake_at.to_seconds();
-  const double brake_dist = mobility::Vehicle::stopping_distance(v, a);
-  const double p1_start_y = -(cruise_dist + brake_dist);
-  const double p2_travel =
-      v * std::max(0.0, (config_.duration - config_.resolved_platoon2_depart()).to_seconds());
-
-  boxes_.assign(shards, Aabb{});
+std::vector<Aabb> ShardedEblScenario::compute_boxes() const {
+  // Each vehicle's scripted motion is monotone along its platoon's
+  // heading (platoon 1 drives north to the origin, platoon 2 departs
+  // east), so covering where it starts and ends covers the whole path.
+  const PlatoonPath paths[2] = {platoon1_path(config_), platoon2_path(config_)};
+  std::vector<Aabb> boxes(shards_.size());
   for (std::size_t i = 0; i < total_; ++i) {
-    // Endpoint hull is exact: each vehicle's scripted motion is monotone
-    // along one axis (platoon 1 drives north to the origin, platoon 2
-    // departs east), so covering start and end covers the whole path.
-    double x0, y0, x1, y1;
-    if (i < n) {
-      x0 = x1 = 0.0;
-      y0 = p1_start_y - gap * static_cast<double>(i);
-      y1 = -gap * static_cast<double>(i);
-    } else {
-      const double j = static_cast<double>(i - n);
-      y0 = y1 = 0.0;
-      x0 = -3.0 - gap * j;
-      x1 = x0 + p2_travel;
-    }
-    boxes_[shard_of(i, total_, shards)].cover(x0, y0, x1, y1);
+    const PlatoonPath& path = paths[i / config_.platoon_size];
+    const mobility::Vec2 start = shards_[0]->platoons.vehicle(i)->position_at(sim::Time::zero());
+    const mobility::Vec2 end = start + path.heading * path.travel_m;
+    boxes[shard_of(i, total_, shards_.size())].cover(start.x, start.y, end.x, end.y);
   }
-  for (auto& b : boxes_) b.pad(5.0);
+  for (auto& b : boxes) b.pad(5.0);
+  return boxes;
 }
 
 void ShardedEblScenario::build_shard(std::size_t s) {
@@ -266,104 +294,26 @@ void ShardedEblScenario::build_shard(std::size_t s) {
   sh.env.enable_node_rng_streams();
   sh.env.set_uid_stride(shards_.size(), s);
   sh.env.metrics().set_enabled(config_.enable_metrics);
-  if (config_.propagation == PropagationType::kNakagami) {
-    // Admitted only with nakagami_node_streams: keyed per-pair fades are a
-    // pure function of (seed, tx, rx, transmit time), so every shard
-    // reproduces exactly the fades the serial oracle would draw. The
-    // shard-local Rng reference is never consumed in keyed mode.
-    auto nakagami = std::make_shared<phy::NakagamiFading>(config_.nakagami_m, sh.env.rng());
-    nakagami->enable_pair_streams(sim::mix_seed(config_.seed, phy::kPairFadeSeedTag));
-    sh.propagation = std::move(nakagami);
-  } else {
-    sh.propagation = std::make_shared<phy::TwoRayGround>();
-  }
-  if (config_.blockage.enabled) {
-    phy::IntersectionBlockageParams bp;
-    bp.half_width_m = config_.blockage.half_width_m;
-    bp.corner_loss_db = config_.blockage.corner_loss_db;
-    sh.propagation = std::make_shared<phy::IntersectionBlockage>(sh.propagation, bp);
-  }
-  sh.channel = std::make_unique<phy::Channel>(sh.env, sh.propagation, config_.channel);
+  // Nakagami is admitted only with keyed per-pair fades, a pure function
+  // of (seed, tx, rx, transmit time): every shard reproduces exactly the
+  // fades the serial oracle draws, and the shard-local Rng is never
+  // consumed.
+  sh.channel = std::make_unique<phy::Channel>(sh.env, make_propagation(config_, sh.env.rng()),
+                                              config_.channel);
+  sh.platoons = build_platoons(sh.env.scheduler(), config_);
 
-  // --- mobility replicas (identical to EblScenario::build_mobility) ---
-  const double gap = config_.vehicle_gap_m;
-  const double v = config_.speed_mps;
-  const double a = config_.decel_mps2;
-  const std::size_t n = config_.platoon_size;
-  const double cruise_dist = v * config_.platoon1_brake_at.to_seconds();
-  const double brake_dist = mobility::Vehicle::stopping_distance(v, a);
-  const mobility::Vec2 p1_start{0.0, -(cruise_dist + brake_dist)};
-  sh.platoon1 = std::make_unique<mobility::Platoon>(sh.env.scheduler(), n, p1_start,
-                                                    mobility::Vec2{0.0, 1.0}, gap);
-  sh.platoon1->drive_and_stop_at(mobility::Vec2{0.0, 0.0}, v, a);
-  sh.platoon2 = std::make_unique<mobility::Platoon>(
-      sh.env.scheduler(), n, mobility::Vec2{-3.0, 0.0}, mobility::Vec2{1.0, 0.0}, gap);
-  sh.env.scheduler().schedule_at(config_.resolved_platoon2_depart(),
-                                 [&sh, v] { sh.platoon2->cruise(v); });
-
-  // --- owned node stacks (identical to EblScenario::build_nodes) ---
-  mac::TdmaParams tdma = config_.tdma;
-  if (tdma.num_slots < total_) tdma.num_slots = total_;
   sh.node_by_id.assign(total_, nullptr);
-
   for (std::size_t i = 0; i < total_; ++i) {
     if (!owned(s, i)) continue;
-    const auto id = static_cast<net::NodeId>(i);
-    auto node = std::make_unique<net::Node>(sh.env, id);
-
-    const auto& vehicle = i < n ? sh.platoon1->vehicle(i) : sh.platoon2->vehicle(i - n);
-    node->set_mobility(vehicle);
-
-    auto phy = std::make_unique<phy::WirelessPhy>(
-        sh.env, id, *sh.channel,
-        [vehicle, &sh] { return vehicle->position_at(sh.env.now()); }, config_.phy);
-
-    std::unique_ptr<net::PacketQueue> ifq;
-    if (config_.use_red_queue) {
-      queue::RedParams red = config_.red;
-      red.capacity = config_.ifq_capacity;
-      ifq = std::make_unique<queue::RedQueue>(sh.env.rng_for(id), red);
-    } else {
-      ifq = std::make_unique<queue::PriQueue>(config_.ifq_capacity);
-    }
-    std::unique_ptr<net::MacLayer> mac_layer;
-    if (config_.mac == MacType::kTdma) {
-      mac_layer = std::make_unique<mac::MacTdma>(sh.env, id, *phy, std::move(ifq), tdma,
-                                                 static_cast<unsigned>(i));
-    } else if (config_.mac == MacType::kEdca) {
-      mac_layer = std::make_unique<mac::Edca>(sh.env, id, *phy, std::move(ifq), config_.edca);
-    } else {
-      mac_layer =
-          std::make_unique<mac::Mac80211>(sh.env, id, *phy, std::move(ifq), config_.mac80211);
-    }
-    if (config_.use_arp) {
-      mac_layer = std::make_unique<mac::ArpLayer>(sh.env, std::move(mac_layer), config_.arp);
-    }
-
-    std::unique_ptr<net::RoutingAgent> agent;
-    switch (config_.routing) {
-      case RoutingType::kAodv:
-        agent = std::make_unique<routing::Aodv>(sh.env, id, config_.aodv);
-        break;
-      case RoutingType::kDsdv:
-        agent = std::make_unique<routing::Dsdv>(sh.env, id, config_.dsdv);
-        break;
-      case RoutingType::kStatic:
-        agent = std::make_unique<routing::StaticRouting>(sh.env, id, /*direct_by_default=*/true);
-        break;
-    }
-
-    node->set_mac(std::move(mac_layer));
-    node->set_routing(std::move(agent));
-    sh.node_by_id[i] = node.get();
-    sh.phys.push_back(std::move(phy));
-    sh.nodes.push_back(std::move(node));
+    NodeStack stack = build_node_stack(sh.env, *sh.channel, config_,
+                                       static_cast<net::NodeId>(i), sh.platoons.vehicle(i));
+    sh.node_by_id[i] = stack.node.get();
+    sh.phys.push_back(std::move(stack.phy));
+    sh.nodes.push_back(std::move(stack.node));
   }
 
-  // --- application halves (split EblLink: sender side with the lead,
-  // sink side with each follower) ---
-  build_links(s, /*base_gid=*/0, /*base_port=*/1000, *sh.platoon1, sh.senders1, sh.sinks1);
-  build_links(s, /*base_gid=*/n, /*base_port=*/3000, *sh.platoon2, sh.senders2, sh.sinks2);
+  build_ebl(s, /*lead=*/0, kEblBasePort1, sh.senders1, sh.sinks1);
+  build_ebl(s, /*lead=*/config_.platoon_size, kEblBasePort2, sh.senders2, sh.sinks2);
 
   // --- throughput sampling on the serial monitor's schedule ---
   sh.sampler = std::make_unique<sim::Timer>(sh.env.scheduler(), [this, &sh] {
@@ -378,79 +328,28 @@ void ShardedEblScenario::build_shard(std::size_t s) {
   sh.sampler->schedule_in(config_.throughput_sample_interval);
 }
 
-void ShardedEblScenario::build_links(std::size_t s, std::size_t base_gid, net::Port base_port,
-                                     mobility::Platoon& platoon,
-                                     std::vector<SenderHalf>& senders,
-                                     std::vector<std::unique_ptr<transport::TcpSink>>& sinks) {
+void ShardedEblScenario::build_ebl(std::size_t s, std::size_t lead, net::Port base_port,
+                                   Senders& senders, Sinks& sinks) {
   Shard& sh = *shards_[s];
-  const std::size_t n = config_.platoon_size;
-  EblConfig ebl = config_.ebl;
-  ebl.packet_bytes = config_.packet_bytes;
-
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t lead_gid = base_gid;
-    const std::size_t fol_gid = base_gid + i;
-    if (owned(s, lead_gid)) {
-      auto sender = std::make_unique<transport::TcpSender>(
-          *sh.node_by_id[lead_gid], static_cast<net::Port>(base_port + i), link_tcp_params(ebl));
-      sender->connect(static_cast<net::NodeId>(fol_gid), static_cast<net::Port>(base_port + 100));
-      auto feeder = std::make_unique<app::TcpCbrFeeder>(
-          sh.env, *sender, ebl.packet_bytes,
-          app::CbrSource::interval_for_rate(ebl.packet_bytes, ebl.cbr_rate_bps));
-      senders.push_back(SenderHalf{std::move(sender), std::move(feeder)});
+  const EblConfig ebl = ebl_config(config_);
+  for (std::size_t i = 1; i < config_.platoon_size; ++i) {
+    const std::size_t follower = lead + i;
+    if (owned(s, lead)) {
+      senders.push_back(std::make_unique<EblSender>(
+          sh.env, *sh.node_by_id[lead], ebl_lead_port(base_port, i),
+          static_cast<net::NodeId>(follower), ebl_sink_port(base_port), ebl));
     }
-    if (owned(s, fol_gid)) {
-      sinks.push_back(std::make_unique<transport::TcpSink>(
-          *sh.node_by_id[fol_gid], static_cast<net::Port>(base_port + 100), ebl.sink));
+    if (owned(s, follower)) {
+      sinks.push_back(std::make_unique<transport::TcpSink>(*sh.node_by_id[follower],
+                                                           ebl_sink_port(base_port), ebl.sink));
     }
   }
-
-  // The EBL start/stop rule lives with the sender halves: only the lead's
-  // owner shard observes its (replicated, identically-timed) drive state.
-  if (owned(s, base_gid)) {
-    auto& lead_vehicle = *platoon.lead();
-    auto* sv = &senders;
-    lead_vehicle.subscribe(
-        [this, sv](mobility::DriveState st) { on_lead_state(*sv, st); });
-    sh.env.scheduler().schedule_in(sim::Time::zero(), [this, sv, &lead_vehicle] {
-      on_lead_state(*sv, lead_vehicle.state());
-    });
-  }
-}
-
-void ShardedEblScenario::on_lead_state(std::vector<SenderHalf>& senders,
-                                       mobility::DriveState st) {
-  const bool communicate = st != mobility::DriveState::kCruising;
-  for (auto& h : senders) {
-    if (communicate) {
-      h.feeder->start();
-    } else {
-      h.feeder->stop();
-      h.sender->truncate_backlog();
-    }
-  }
-}
-
-void ShardedEblScenario::install_seam_hook(std::size_t s) {
-  Shard& sh = *shards_[s];
-  sh.channel->set_seam_hook([this, s, &sh](const phy::WirelessPhy& sender, const net::Packet& p,
-                                           mobility::Vec2 from, sim::Time duration) {
-    const sim::Time at = sh.env.now();
-    for (std::size_t d = 0; d < shards_.size(); ++d) {
-      if (d == s || !boxes_[d].intersects_circle(from, reach_m_)) continue;
-      engine_->post(s, d, at,
-                    [this, d, pkt = p, from, pw = sender.params().tx_power_w,
-                     cid = sender.channel_id(), duration, src = sender.owner()]() mutable {
-                      shards_[d]->channel->inject_remote(std::move(pkt), from, pw, cid, duration,
-                                                         src);
-                    });
-    }
-  });
+  // Only the lead's owner observes its (replicated, identically-timed)
+  // drive state.
+  if (owned(s, lead)) follow_lead_state(sh.env, *sh.platoons.vehicle(lead), senders);
 }
 
 TrialResult ShardedEblScenario::extract(std::string name, ShardRunDiagnostics* diag) {
-  const std::size_t k = shards_.size();
-
   // Throughput: sum the raw per-shard byte counts (exact integers), then
   // apply the monitor's delta arithmetic once — bit-identical to the
   // serial monitor sampling the global sink sum.
@@ -474,16 +373,7 @@ TrialResult ShardedEblScenario::extract(std::string name, ShardRunDiagnostics* d
   TrialMetrics metrics;
   if (config_.enable_metrics) {
     for (auto& sh : shards_) {
-      // Fold residual IFQ occupancy exactly like run_trial, per owner.
-      for (std::size_t i = 0; i < total_; ++i) {
-        const net::Node* node = sh->node_by_id[i];
-        const net::MacLayer* mac = node ? node->mac() : nullptr;
-        const net::PacketQueue* ifq = mac ? mac->interface_queue() : nullptr;
-        if (ifq && ifq->length() > 0) {
-          sh->env.metrics().add(static_cast<std::uint32_t>(i), sim::Counter::kIfqResidual,
-                                ifq->length());
-        }
-      }
+      for (const auto& node : sh->nodes) fold_ifq_residual(sh->env.metrics(), *node);
       metrics.merge(sh->env.metrics().snapshot());
     }
   }
@@ -495,23 +385,7 @@ TrialResult ShardedEblScenario::extract(std::string name, ShardRunDiagnostics* d
     stores.push_back(&sh->trace.records());
   }
   const trace::TraceStore merged = merge_traces(stores);
-
-  if (diag != nullptr) {
-    diag->shards = k;
-    diag->lookahead_us = engine_->lift().to_seconds() * 1e6;
-    diag->per_shard.clear();
-    diag->seam_messages = engine_->seam_messages();
-    diag->broadcasts = 0;
-    diag->remote_injects = 0;
-    diag->total_events = events;
-    diag->stall_seconds_total = 0.0;
-    for (std::size_t s = 0; s < k; ++s) {
-      diag->per_shard.push_back(engine_->stats(s));
-      diag->stall_seconds_total += engine_->stats(s).stall_seconds;
-      diag->broadcasts += shards_[s]->channel->broadcasts();
-      diag->remote_injects += shards_[s]->channel->remote_injects();
-    }
-  }
+  links_->diagnose(diag, events);
 
   return extract_trial_result(config_, std::move(name), merged, std::move(tput1),
                               std::move(tput2), std::move(metrics), events, nullptr);
@@ -521,319 +395,94 @@ TrialResult ShardedEblScenario::extract(std::string name, ShardRunDiagnostics* d
 // Sharded closed-loop traffic scenario
 // ---------------------------------------------------------------------------
 
-/// TrafficScenario split over K shards. The IDM flow is fully replicated
-/// (synchronous fixed-tick integration is deterministic, so replicas
-/// stay bit-identical as long as every state mutation is mirrored);
-/// radio stacks are partitioned by (road, lane) at spawn. The only
-/// cross-shard state mutations are warned-policy installations and they
-/// are mirrored through the seam mailboxes at their exact apply time.
+/// TrafficScenario replicated over K shards. The IDM flow is fully
+/// replicated (synchronous fixed-tick integration is deterministic, so
+/// replicas stay bit-identical as long as every state mutation is
+/// mirrored); radio stacks are partitioned by (road, lane) at spawn. The
+/// only cross-shard state mutations are warned-policy installations,
+/// mirrored through the seam mailboxes at their exact apply time.
 class ShardedTrafficScenario {
  public:
   ShardedTrafficScenario(TrafficConfig config, std::size_t shards);
 
-  void run() { engine_->run(); }
+  void run() { links_->run(); }
 
   TrafficRunResult result(std::string name, ShardRunDiagnostics* diag);
 
  private:
-  using VehicleId = mobility::TrafficFlow::VehicleId;
-
-  struct Equipped {
-    std::unique_ptr<phy::WirelessPhy> phy;
-    std::unique_ptr<net::Node> node;
-    std::unique_ptr<WarningFlood> flood;
-    std::unique_ptr<EblBrakeReactor> reactor;
-  };
-
-  struct Shard {
-    explicit Shard(std::uint64_t seed) : env{seed} {}
-
-    net::Env env;
-    std::shared_ptr<phy::PropagationModel> propagation;
-    std::unique_ptr<phy::Channel> channel;
-    std::unique_ptr<mobility::TrafficFlow> flow;
-    std::vector<std::unique_ptr<Equipped>> equipped;  ///< by vehicle id; sparse
-    std::uint64_t equipped_count{0};
-    std::uint64_t warning_counter{0};
-    std::uint64_t warnings_originated{0};
-    std::uint64_t warning_receptions{0};
-    std::uint64_t reactions{0};
-    VehicleId incident_vehicle{mobility::TrafficFlow::kNoVehicle};
-    double incident_pos{-1.0};
-    sim::Time incident_time{};
-  };
+  using VehicleId = TrafficScenario::VehicleId;
 
   std::size_t owner_of(const mobility::TrafficFlow& flow, VehicleId v) const {
-    const std::size_t flat = lane_base_[flow.road_of(v)] + flow.lane_of(v);
-    return flat * shards_.size() / total_lanes_;
+    return shard_of(lane_base_[flow.road_of(v)] + flow.lane_of(v), total_lanes_,
+                    replicas_.size());
   }
-  void build_shard(std::size_t s);
-  void on_spawn(std::size_t s, VehicleId v);
-  void on_hard_brake(std::size_t s, VehicleId v);
-  void on_warning(std::size_t s, VehicleId receiver, std::uint64_t warning_id);
-  void trigger_incident(std::size_t s);
-  void install_seam_hook(std::size_t s);
 
-  TrafficConfig config_;
-  std::uint64_t equip_seed_{0};
   std::vector<std::size_t> lane_base_;  ///< flat lane index base per road
   std::size_t total_lanes_{0};
-  double reach_m_{0.0};
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<Aabb> boxes_;
-  std::unique_ptr<sim::ShardEngine> engine_;
+  std::vector<std::unique_ptr<TrafficScenario>> replicas_;
+  std::unique_ptr<ShardLinks> links_;
 };
 
-ShardedTrafficScenario::ShardedTrafficScenario(TrafficConfig config, std::size_t shards)
-    : config_{std::move(config)} {
+ShardedTrafficScenario::ShardedTrafficScenario(TrafficConfig config, std::size_t shards) {
   if (shards < 2 || shards > sim::ShardEngine::kMaxShards)
     throw std::invalid_argument{"ShardedTrafficScenario: shards must be in [2, 64]"};
-  if (!(config_.penetration >= 0.0 && config_.penetration <= 1.0))
-    throw std::invalid_argument{"ShardedTrafficScenario: penetration must be in [0, 1]"};
-  if (config_.warn_range_m < 0.0)
-    throw std::invalid_argument{"ShardedTrafficScenario: warn range must be >= 0"};
-  config_.node_rng_streams = true;
-  equip_seed_ = sim::mix_seed(config_.seed, kEquipSeedTag);
+  config.node_rng_streams = true;
 
   // Flat lane indexing and per-shard spatial hulls from the road network.
-  total_lanes_ = 0;
-  lane_base_.clear();
-  for (const auto& road : config_.flow.roads) {
+  for (const auto& road : config.flow.roads) {
     lane_base_.push_back(total_lanes_);
     total_lanes_ += static_cast<std::size_t>(road.lanes);
   }
   if (total_lanes_ == 0)
     throw std::invalid_argument{"ShardedTrafficScenario: road network has no lanes"};
 
-  boxes_.assign(shards, Aabb{});
-  for (std::size_t r = 0; r < config_.flow.roads.size(); ++r) {
-    const auto& road = config_.flow.roads[r];
+  std::vector<Aabb> boxes(shards);
+  for (std::size_t r = 0; r < config.flow.roads.size(); ++r) {
+    const auto& road = config.flow.roads[r];
+    const mobility::Vec2 end{road.origin.x + road.direction.x * road.length_m,
+                             road.origin.y + road.direction.y * road.length_m};
     for (int lane = 0; lane < road.lanes; ++lane) {
       const std::size_t flat = lane_base_[r] + static_cast<std::size_t>(lane);
-      const std::size_t s = flat * shards / total_lanes_;
-      const mobility::Vec2 end{road.origin.x + road.direction.x * road.length_m,
-                               road.origin.y + road.direction.y * road.length_m};
-      boxes_[s].cover(road.origin.x, road.origin.y, end.x, end.y);
+      boxes[shard_of(flat, total_lanes_, shards)].cover(road.origin.x, road.origin.y, end.x,
+                                                       end.y);
     }
   }
   // Lateral lane offsets plus vehicle extent: pad by the full carriageway.
   double max_lateral = 5.0;
-  for (const auto& road : config_.flow.roads)
+  for (const auto& road : config.flow.roads)
     max_lateral = std::max(max_lateral, road.lanes * road.lane_width_m + 5.0);
-  for (auto& b : boxes_) b.pad(max_lateral);
+  for (auto& b : boxes) b.pad(max_lateral);
 
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) shards_.push_back(std::make_unique<Shard>(config_.seed));
-  for (std::size_t s = 0; s < shards; ++s) build_shard(s);
-  reach_m_ = seam_reach_m(*shards_[0]->propagation, config_.phy);
-
-  std::vector<sim::Scheduler*> scheds;
-  for (auto& sh : shards_) scheds.push_back(&sh->env.scheduler());
-  engine_ = std::make_unique<sim::ShardEngine>(std::move(scheds), config_.duration);
-  for (std::size_t s = 0; s < shards; ++s) install_seam_hook(s);
-}
-
-void ShardedTrafficScenario::build_shard(std::size_t s) {
-  Shard& sh = *shards_[s];
-  sh.env.enable_node_rng_streams();
-  sh.env.set_uid_stride(shards_.size(), s);
-  sh.propagation = std::make_shared<phy::TwoRayGround>();
-  sh.channel = std::make_unique<phy::Channel>(sh.env, sh.propagation, config_.channel);
-
-  mobility::TrafficFlowParams fp = config_.flow;
-  if (fp.end > config_.duration) fp.end = config_.duration;
-  sh.flow = std::make_unique<mobility::TrafficFlow>(std::move(fp),
-                                                    sim::mix_seed(config_.seed, kFlowSeedTag));
-  sh.channel->raise_speed_bound(sh.flow->max_speed_bound_mps());
-
-  sh.flow->set_on_spawn([this, s](VehicleId v) { on_spawn(s, v); });
-  sh.flow->set_on_despawn([this, s](VehicleId v) {
-    Shard& h = *shards_[s];
-    if (v >= h.equipped.size() || !h.equipped[v]) return;
-    h.equipped[v]->phy->set_down(true);
-    h.equipped[v]->node->set_up(false);
-  });
-  sh.flow->set_on_hard_brake([this, s](VehicleId v) { on_hard_brake(s, v); });
-
-  if (!config_.incident_at.is_zero()) {
-    sh.env.scheduler().schedule_at(config_.incident_at, [this, s] { trigger_incident(s); });
+  replicas_.reserve(shards);
+  std::vector<net::Env*> envs;
+  std::vector<phy::Channel*> channels;
+  for (std::size_t s = 0; s < shards; ++s) {
+    replicas_.push_back(std::make_unique<TrafficScenario>(
+        config, [this, s](VehicleId v) { return owner_of(replicas_[s]->flow(), v) == s; },
+        [this, s](VehicleId v, sim::Time until) {
+          // Mirror the (only) cross-shard state mutation into every
+          // replica at its exact apply time, in deterministic seam order.
+          for (std::size_t d = 0; d < replicas_.size(); ++d) {
+            if (d == s) continue;
+            links_->post(s, d, replicas_[s]->env().now(),
+                         [this, d, v, until] { replicas_[d]->apply_warned_policy(v, until); });
+          }
+        }));
+    TrafficScenario& replica = *replicas_.back();
+    replica.env().set_uid_stride(shards, s);
+    envs.push_back(&replica.env());
+    channels.push_back(&replica.channel());
   }
-  sh.flow->start(sh.env.scheduler());
-}
-
-void ShardedTrafficScenario::on_spawn(std::size_t s, VehicleId v) {
-  Shard& sh = *shards_[s];
-  if (sh.equipped.size() <= v) sh.equipped.resize(v + 1);
-  if (owner_of(*sh.flow, v) != s) return;
-  // Stateless penetration roll (pure hash of seed and vehicle id), so
-  // non-owner shards skipping it cannot shift anyone else's membership.
-  if (config_.penetration <= 0.0) return;
-  if (config_.penetration < 1.0 &&
-      hash_unit(sim::mix_seed(equip_seed_, v)) >= config_.penetration)
-    return;
-
-  auto eq = std::make_unique<Equipped>();
-  const auto id = static_cast<net::NodeId>(v);
-  eq->node = std::make_unique<net::Node>(sh.env, id);
-  eq->node->set_mobility(sh.flow->make_mobility(v));
-  eq->phy = std::make_unique<phy::WirelessPhy>(
-      sh.env, id, *sh.channel,
-      [&sh, v] { return sh.flow->position_of(v, sh.env.now()); }, config_.phy);
-  auto ifq = std::make_unique<queue::PriQueue>(config_.ifq_capacity);
-  eq->node->set_mac(
-      std::make_unique<mac::Mac80211>(sh.env, id, *eq->phy, std::move(ifq), config_.mac80211));
-  eq->node->set_routing(
-      std::make_unique<routing::StaticRouting>(sh.env, id, /*direct_by_default=*/true));
-  eq->flood = std::make_unique<WarningFlood>(sh.env, *eq->node, kWarningPort, config_.flood);
-  eq->flood->set_on_warning(
-      [this, s, v](std::uint64_t warning_id, unsigned) { on_warning(s, v, warning_id); });
-  eq->reactor = std::make_unique<EblBrakeReactor>(
-      sh.env,
-      [this, s, v] {
-        Shard& h = *shards_[s];
-        ++h.reactions;
-        const sim::Time now = h.env.now();
-        const sim::Time until = now + config_.policy_hold;
-        h.flow->apply_policy(v, config_.warned_policy, until);
-        // Mirror the (only) cross-shard state mutation into every
-        // replica at its exact apply time, in deterministic seam order.
-        for (std::size_t d = 0; d < shards_.size(); ++d) {
-          if (d == s) continue;
-          engine_->post(s, d, now, [this, d, v, until] {
-            shards_[d]->flow->apply_policy(v, config_.warned_policy, until);
-          });
-        }
-      },
-      config_.reaction);
-
-  sh.equipped[v] = std::move(eq);
-  ++sh.equipped_count;
-}
-
-void ShardedTrafficScenario::on_hard_brake(std::size_t s, VehicleId v) {
-  Shard& sh = *shards_[s];
-  if (v >= sh.equipped.size() || !sh.equipped[v] || !sh.equipped[v]->node->up()) return;
-  const std::uint64_t warning_id =
-      (static_cast<std::uint64_t>(v) << 32) | sh.warning_counter++;
-  sh.equipped[v]->flood->originate(warning_id);
-  ++sh.warnings_originated;
-}
-
-void ShardedTrafficScenario::on_warning(std::size_t s, VehicleId receiver,
-                                        std::uint64_t warning_id) {
-  Shard& sh = *shards_[s];
-  ++sh.warning_receptions;
-  const auto origin = static_cast<VehicleId>(warning_id >> 32);
-  if (origin >= sh.flow->spawned_total() || !sh.flow->active(origin)) return;
-  if (!sh.flow->active(receiver)) return;
-  if (sh.flow->road_of(origin) != sh.flow->road_of(receiver)) return;
-  const double ahead = sh.flow->longitudinal_pos(origin) - sh.flow->longitudinal_pos(receiver);
-  if (ahead <= 0.0 || ahead > config_.warn_range_m) return;
-  sh.equipped[receiver]->reactor->notify();
-}
-
-void ShardedTrafficScenario::trigger_incident(std::size_t s) {
-  Shard& sh = *shards_[s];
-  const mobility::RoadSpec& road = sh.flow->params().roads.at(0);
-  const double target =
-      config_.incident_pos_m < 0.0 ? road.length_m / 2.0 : config_.incident_pos_m;
-  VehicleId best = mobility::TrafficFlow::kNoVehicle;
-  double best_dist = 1e300;
-  for (VehicleId v = 0; v < sh.flow->spawned_total(); ++v) {
-    if (!sh.flow->active(v) || sh.flow->road_of(v) != 0 || sh.flow->lane_of(v) != 0) continue;
-    const double d = std::abs(sh.flow->longitudinal_pos(v) - target);
-    if (d < best_dist) {
-      best_dist = d;
-      best = v;
-    }
-  }
-  if (best == mobility::TrafficFlow::kNoVehicle) return;
-  // Replicas are bit-identical, so every shard picks the same vehicle and
-  // applies the same forced stop — no seam message needed.
-  sh.incident_vehicle = best;
-  sh.incident_pos = sh.flow->longitudinal_pos(best);
-  sh.incident_time = sh.env.now();
-  sh.flow->arm_slow_stats();
-  sh.flow->force_stop(best, config_.incident_decel_mps2,
-                      sh.env.now() + config_.incident_hold);
-}
-
-void ShardedTrafficScenario::install_seam_hook(std::size_t s) {
-  Shard& sh = *shards_[s];
-  sh.channel->set_seam_hook([this, s, &sh](const phy::WirelessPhy& sender, const net::Packet& p,
-                                           mobility::Vec2 from, sim::Time duration) {
-    const sim::Time at = sh.env.now();
-    for (std::size_t d = 0; d < shards_.size(); ++d) {
-      if (d == s || !boxes_[d].intersects_circle(from, reach_m_)) continue;
-      engine_->post(s, d, at,
-                    [this, d, pkt = p, from, pw = sender.params().tx_power_w,
-                     cid = sender.channel_id(), duration, src = sender.owner()]() mutable {
-                      shards_[d]->channel->inject_remote(std::move(pkt), from, pw, cid, duration,
-                                                         src);
-                    });
-    }
-  });
+  links_ = std::make_unique<ShardLinks>(envs, std::move(channels), std::move(boxes), config.phy,
+                                        config.duration);
 }
 
 TrafficRunResult ShardedTrafficScenario::result(std::string name, ShardRunDiagnostics* diag) {
-  const Shard& s0 = *shards_[0];
-  TrafficRunResult r;
-  r.name = std::move(name);
-  r.penetration = config_.penetration;
-  r.vehicles_spawned = s0.flow->spawned_total();
-  for (const auto& sh : shards_) {
-    r.equipped += sh->equipped_count;
-    r.warnings_originated += sh->warnings_originated;
-    r.warning_receptions += sh->warning_receptions;
-    r.reactions += sh->reactions;
-    r.events_executed += sh->env.scheduler().executed_count();
-  }
-
   // Flow-derived statistics come from shard 0's replica (all replicas are
-  // identical); the incident bookkeeping likewise.
-  double sum_t = 0.0, sum_p = 0.0, sum_tt = 0.0, sum_tp = 0.0;
-  std::uint64_t n = 0;
-  for (const auto& e : s0.flow->slow_events()) {
-    if (e.road != 0) continue;
-    if (s0.incident_pos >= 0.0 && e.pos_m > s0.incident_pos) continue;
-    if (e.vehicle == s0.incident_vehicle) continue;
-    sum_t += e.t_s;
-    sum_p += e.pos_m;
-    sum_tt += e.t_s * e.t_s;
-    sum_tp += e.t_s * e.pos_m;
-    ++n;
-  }
-  r.shockwave_points = n;
-  const double det = static_cast<double>(n) * sum_tt - sum_t * sum_t;
-  if (n >= 2 && det != 0.0) r.shockwave_speed_mps = (n * sum_tp - sum_t * sum_p) / det;
-  r.slowed_vehicles = s0.flow->slow_events().size();
-
-  const double incident_s = s0.incident_time.to_seconds();
-  for (const auto& sample : s0.flow->speed_series()) {
-    if (s0.incident_vehicle != mobility::TrafficFlow::kNoVehicle && sample.t_s >= incident_s &&
-        sample.active > 0 && sample.mean_speed_mps < config_.congestion_speed_mps &&
-        r.congestion_onset_s < 0.0) {
-      r.congestion_onset_s = sample.t_s;
-    }
-    if (sample.active > 0) r.final_mean_speed_mps = sample.mean_speed_mps;
-  }
-
-  if (diag != nullptr) {
-    diag->shards = shards_.size();
-    diag->lookahead_us = engine_->lift().to_seconds() * 1e6;
-    diag->per_shard.clear();
-    diag->seam_messages = engine_->seam_messages();
-    diag->broadcasts = 0;
-    diag->remote_injects = 0;
-    diag->total_events = r.events_executed;
-    diag->stall_seconds_total = 0.0;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      diag->per_shard.push_back(engine_->stats(s));
-      diag->stall_seconds_total += engine_->stats(s).stall_seconds;
-      diag->broadcasts += shards_[s]->channel->broadcasts();
-      diag->remote_injects += shards_[s]->channel->remote_injects();
-    }
-  }
+  // identical); the tallies sum over shards.
+  TrafficRunResult r = replicas_[0]->result(std::move(name));
+  for (std::size_t s = 1; s < replicas_.size(); ++s) replicas_[s]->add_tallies(r);
+  links_->diagnose(diag, r.events_executed);
   return r;
 }
 

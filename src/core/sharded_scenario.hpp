@@ -39,16 +39,21 @@ struct ShardRunDiagnostics {
 /// same flag; compare against run_trial with node_rng_streams = true.
 ///
 /// Rejected with shards > 1 (throws std::invalid_argument): fault plans,
-/// reactive braking, and Nakagami fading — each couples shards through
-/// state the seam protocol does not replicate.
+/// reactive braking, beaconing, and Nakagami fading on the shared stream
+/// (without nakagami_node_streams) — each couples shards through state
+/// the seam protocol does not replicate. Keyed pair-stream Nakagami
+/// shards.
+///
+/// Each shard's world is built with EblScenario's assembly functions
+/// (core/scenario.hpp).
 TrialResult run_sharded_trial(const ScenarioConfig& config, std::size_t shards,
                               std::string name = {}, ShardRunDiagnostics* diag = nullptr);
 
-/// Sharded counterpart of a TrafficScenario run: the IDM flow is
-/// replicated per shard (bit-identical dynamics everywhere), radio
-/// stacks are partitioned by lane, and warned-policy installations are
-/// mirrored across seams. `shards <= 1` runs the serial TrafficScenario
-/// unchanged.
+/// Sharded counterpart of a TrafficScenario run: one TrafficScenario per
+/// shard replicates the IDM flow (bit-identical dynamics everywhere),
+/// radio stacks are partitioned by lane, and warned-policy installations
+/// are mirrored across seams. `shards <= 1` runs the serial
+/// TrafficScenario unchanged.
 TrafficRunResult run_sharded_traffic(const TrafficConfig& config, std::size_t shards,
                                      std::string name = {}, ShardRunDiagnostics* diag = nullptr);
 

@@ -12,13 +12,6 @@ namespace {
 
 constexpr net::Port kWarningPort = 7000;
 
-std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t z = a ^ (b + 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// Uniform [0, 1) from a hash — the penetration roll.
 double hash_unit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
@@ -26,8 +19,11 @@ double hash_unit(std::uint64_t h) {
 
 }  // namespace
 
-TrafficScenario::TrafficScenario(TrafficConfig config)
-    : config_{std::move(config)}, env_{config_.seed} {
+TrafficScenario::TrafficScenario(TrafficConfig config, HostFn hosts, PolicyFn on_policy)
+    : config_{std::move(config)},
+      hosts_{std::move(hosts)},
+      on_policy_{std::move(on_policy)},
+      env_{config_.seed} {
   if (!(config_.penetration >= 0.0 && config_.penetration <= 1.0))
     throw std::invalid_argument{"TrafficScenario: penetration must be in [0, 1]"};
   if (config_.warn_range_m < 0.0)
@@ -41,9 +37,9 @@ TrafficScenario::TrafficScenario(TrafficConfig config)
   if (fp.end > config_.duration) fp.end = config_.duration;
   // The spawn stream gets its own domain tag; the equip roll gets
   // another, so membership never perturbs arrivals (and vice versa).
-  flow_ = std::make_unique<mobility::TrafficFlow>(std::move(fp),
-                                                  mix_seed(config_.seed, 0x5F10'77D0'0001ULL));
-  equip_seed_ = mix_seed(config_.seed, 0xE901'BAD6'0002ULL);
+  flow_ = std::make_unique<mobility::TrafficFlow>(
+      std::move(fp), sim::mix_seed(config_.seed, 0x5F10'77D0'0001ULL));
+  equip_seed_ = sim::mix_seed(config_.seed, 0xE901'BAD6'0002ULL);
 
   // Declare the dynamics side's speed bound before anything moves: the
   // grid bakes cull radii from it, so this must precede the first
@@ -65,12 +61,14 @@ TrafficScenario::~TrafficScenario() = default;
 bool TrafficScenario::equip_roll(VehicleId v) const {
   if (config_.penetration <= 0.0) return false;
   if (config_.penetration >= 1.0) return true;
-  return hash_unit(mix_seed(equip_seed_, v)) < config_.penetration;
+  return hash_unit(sim::mix_seed(equip_seed_, v)) < config_.penetration;
 }
 
 void TrafficScenario::on_spawn(VehicleId v) {
   if (equipped_.size() <= v) equipped_.resize(v + 1);
-  if (!equip_roll(v)) return;
+  // The roll is a pure hash of (seed, vehicle id), so a replica skipping
+  // vehicles it does not host cannot shift anyone else's membership.
+  if ((hosts_ && !hosts_(v)) || !equip_roll(v)) return;
 
   auto eq = std::make_unique<Equipped>();
   const auto id = static_cast<net::NodeId>(v);
@@ -98,7 +96,9 @@ void TrafficScenario::on_spawn(VehicleId v) {
       env_,
       [this, v] {
         ++reactions_;
-        flow_->apply_policy(v, config_.warned_policy, env_.now() + config_.policy_hold);
+        const sim::Time until = env_.now() + config_.policy_hold;
+        apply_warned_policy(v, until);
+        if (on_policy_) on_policy_(v, until);
       },
       config_.reaction);
 
@@ -134,6 +134,10 @@ void TrafficScenario::on_warning(VehicleId receiver, std::uint64_t warning_id) {
   equipped_[receiver]->reactor->notify();
 }
 
+void TrafficScenario::apply_warned_policy(VehicleId v, sim::Time until) {
+  flow_->apply_policy(v, config_.warned_policy, until);
+}
+
 void TrafficScenario::trigger_incident() {
   const mobility::RoadSpec& road = flow_->params().roads.at(0);
   const double target = config_.incident_pos_m < 0.0 ? road.length_m / 2.0 : config_.incident_pos_m;
@@ -148,6 +152,8 @@ void TrafficScenario::trigger_incident() {
     }
   }
   if (best == mobility::TrafficFlow::kNoVehicle) return;  // road empty: no incident
+  // Replicas are bit-identical, so every shard picks the same vehicle
+  // and applies the same forced stop: no seam message is needed.
   incident_vehicle_ = best;
   incident_pos_ = flow_->longitudinal_pos(best);
   incident_time_ = env_.now();
@@ -159,16 +165,20 @@ void TrafficScenario::run() { run_until(config_.duration); }
 
 void TrafficScenario::run_until(sim::Time t) { env_.scheduler().run_until(t); }
 
+void TrafficScenario::add_tallies(TrafficRunResult& r) {
+  r.equipped += equipped_count_;
+  r.warnings_originated += warnings_originated_;
+  r.warning_receptions += warning_receptions_;
+  r.reactions += reactions_;
+  r.events_executed += env_.scheduler().executed_count();
+}
+
 TrafficRunResult TrafficScenario::result(std::string name) {
   TrafficRunResult r;
   r.name = std::move(name);
   r.penetration = config_.penetration;
   r.vehicles_spawned = flow_->spawned_total();
-  r.equipped = equipped_count_;
-  r.warnings_originated = warnings_originated_;
-  r.warning_receptions = warning_receptions_;
-  r.reactions = reactions_;
-  r.events_executed = env_.scheduler().executed_count();
+  add_tallies(r);
 
   // Shockwave front: least-squares fit of first-slow position vs. time
   // for vehicles upstream of the incident on the incident road.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,9 +97,22 @@ struct TrafficRunResult {
 /// down as they leave; the channel's spatial grid learns the dynamics
 /// side's speed bound before anything moves, so accelerating IDM
 /// vehicles never outrun their cull radius.
+///
+/// The sharded engine (core/sharded_scenario.hpp) runs one scenario per
+/// shard, each a replica of the whole flow: `hosts` restricts a replica
+/// to the radios its shard owns, and `on_policy` lets it mirror each
+/// installed policy into the other replicas.
 class TrafficScenario {
  public:
-  explicit TrafficScenario(TrafficConfig config);
+  using VehicleId = mobility::TrafficFlow::VehicleId;
+  /// Whether this scenario hosts `v`'s radio (the penetration roll still
+  /// applies). Empty: every vehicle.
+  using HostFn = std::function<bool(VehicleId)>;
+  /// Called after a warned vehicle installs the cautious policy, with
+  /// the policy's expiry.
+  using PolicyFn = std::function<void(VehicleId, sim::Time until)>;
+
+  explicit TrafficScenario(TrafficConfig config, HostFn hosts = {}, PolicyFn on_policy = {});
   ~TrafficScenario();
 
   TrafficScenario(const TrafficScenario&) = delete;
@@ -110,6 +124,12 @@ class TrafficScenario {
 
   /// Collect the sweep-row metrics (valid any time; final after run()).
   TrafficRunResult result(std::string name = {});
+  /// Add this scenario's tallies (equipped, warnings, reactions, events)
+  /// to `r`: how a sharded run sums its replicas.
+  void add_tallies(TrafficRunResult& r);
+
+  /// Install config.warned_policy on `v` until `until`.
+  void apply_warned_policy(VehicleId v, sim::Time until);
 
   const TrafficConfig& config() const noexcept { return config_; }
   net::Env& env() noexcept { return env_; }
@@ -118,8 +138,6 @@ class TrafficScenario {
   std::uint64_t equipped_count() const noexcept { return equipped_count_; }
 
  private:
-  using VehicleId = mobility::TrafficFlow::VehicleId;
-
   /// Radio stack of one equipped vehicle. Declaration order matters:
   /// the flood unbinds its port from the node on destruction.
   struct Equipped {
@@ -137,6 +155,8 @@ class TrafficScenario {
   void trigger_incident();
 
   TrafficConfig config_;
+  HostFn hosts_;
+  PolicyFn on_policy_;
   net::Env env_;
   std::shared_ptr<phy::PropagationModel> propagation_;
   std::unique_ptr<phy::Channel> channel_;

@@ -199,6 +199,12 @@ TrialResult extract_trial_result(const ScenarioConfig& config, std::string name,
   return r;
 }
 
+void fold_ifq_residual(sim::MetricsRegistry& metrics, const net::Node& node) {
+  const net::MacLayer* mac = node.mac();
+  const net::PacketQueue* ifq = mac ? mac->interface_queue() : nullptr;
+  if (ifq && ifq->length() > 0) metrics.add(node.id(), sim::Counter::kIfqResidual, ifq->length());
+}
+
 TrialResult run_trial(const ScenarioConfig& config, std::string name,
                       const std::function<void(EblScenario&)>& after_run) {
   EblScenario scenario{config};
@@ -207,16 +213,9 @@ TrialResult run_trial(const ScenarioConfig& config, std::string name,
 
   TrialMetrics snapshot;
   if (config.enable_metrics) {
-    // Fold residual queue occupancy into the registry so the conservation
-    // identity enqueued == dequeued + dropped + removed + residual closes.
     auto& metrics = scenario.env().metrics();
-    for (std::size_t i = 0; i < scenario.node_count(); ++i) {
-      const net::MacLayer* mac = scenario.node(i).mac();
-      const net::PacketQueue* ifq = mac ? mac->interface_queue() : nullptr;
-      if (ifq && ifq->length() > 0) {
-        metrics.add(static_cast<std::uint32_t>(i), sim::Counter::kIfqResidual, ifq->length());
-      }
-    }
+    for (std::size_t i = 0; i < scenario.node_count(); ++i)
+      fold_ifq_residual(metrics, scenario.node(i));
     snapshot = metrics.snapshot();
   }
 

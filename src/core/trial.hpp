@@ -131,6 +131,12 @@ ScenarioConfig make_trial_config(std::size_t packet_bytes, MacType mac);
 TrialResult run_trial(const ScenarioConfig& config, std::string name = {},
                       const std::function<void(EblScenario&)>& after_run = {});
 
+/// Fold `node`'s residual interface-queue occupancy into `metrics`
+/// (Counter::kIfqResidual), so the queue conservation identity
+/// enqueued == dequeued + dropped + removed + residual closes at the end
+/// of a run.
+void fold_ifq_residual(sim::MetricsRegistry& metrics, const net::Node& node);
+
 /// Build a TrialResult from the raw artefacts of a finished run — the
 /// shared back half of run_trial, also fed by the sharded runner with a
 /// k-way-merged trace and pointwise-summed throughput series. `faults`

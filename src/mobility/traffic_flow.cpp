@@ -14,15 +14,6 @@ namespace {
 // detector and the integrator alike.
 constexpr double kMaxPhysicalDecel = 9.0;
 
-std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
-  // splitmix64 finalizer over the xor — decorrelates nearby seeds (same
-  // recipe as the fault controller's dedicated stream).
-  std::uint64_t z = a ^ (b + 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 TrafficFlowParams TrafficFlowParams::highway(int lanes, double length_m,
@@ -80,7 +71,7 @@ TrafficFlow::TrafficFlow(TrafficFlowParams params, std::uint64_t seed)
 
   // Dedicated spawn stream, decorrelated from the env's main stream by a
   // fixed domain tag so network-side draws never perturb arrivals.
-  sim::Rng master{mix_seed(seed, 0xEB17'AFF1'C000'0001ULL)};
+  sim::Rng master{sim::mix_seed(seed, 0xEB17'AFF1'C000'0001ULL)};
   std::size_t total_lanes = 0;
   for (auto& r : params_.roads) {
     if (r.lanes <= 0) bad("road must have >= 1 lane");

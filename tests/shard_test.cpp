@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "core/sharded_scenario.hpp"
 #include "core/traffic_scenario.hpp"
 #include "core/trial.hpp"
+#include "queue/red.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
@@ -275,6 +277,69 @@ TEST(ShardedTrialTest, NakagamiKeyedPairStreamsMatchSerialOracle) {
   }
 }
 
+// Every branch of the shared node-stack, propagation and platoon
+// assembly the sharded engine builds its worlds with: TDMA, the routing
+// baselines, RED + ARP, EDCA and the corner-blockage wrap.
+struct BranchCase {
+  const char* name;
+  core::ScenarioConfig config;
+};
+
+// ctest lists each case under its name.
+void PrintTo(const BranchCase& c, std::ostream* os) { *os << c.name; }
+
+core::ScenarioConfig branch_config(core::ScenarioBuilder builder) {
+  return builder.platoon_size(4)
+      .duration(Time::seconds(std::int64_t{6}))
+      .seed(5)
+      .mutate([](core::ScenarioConfig& c) { c.node_rng_streams = true; })
+      .build();
+}
+
+// Early drops within the short run (the default RED never leaves its
+// drop-free region here, so it would not tell RED from drop-tail).
+// Static routing leaves ARP's first-packet resolution visible: AODV's
+// broadcasts would resolve every neighbour passively.
+queue::RedParams eager_red() {
+  queue::RedParams red;
+  red.min_thresh = 1.0;
+  red.max_thresh = 3.0;
+  red.max_p = 0.5;
+  red.weight = 0.5;
+  return red;
+}
+
+std::vector<BranchCase> branch_cases() {
+  using core::ScenarioBuilder;
+  return {
+      {"Trial1Tdma", branch_config(ScenarioBuilder::trial1())},
+      {"Dsdv", branch_config(ScenarioBuilder::trial3().routing(core::RoutingType::kDsdv))},
+      {"StaticRouting",
+       branch_config(ScenarioBuilder::trial3().routing(core::RoutingType::kStatic))},
+      {"RedQueueWithArp", branch_config(ScenarioBuilder::trial1()
+                                            .routing(core::RoutingType::kStatic)
+                                            .red_queue(eager_red())
+                                            .arp())},
+      {"Edca", branch_config(ScenarioBuilder::trial3().with_edca())},
+      {"CornerBlockage", branch_config(ScenarioBuilder::trial3().with_intersection_blockage())},
+  };
+}
+
+class ShardedTrialBranchTest : public ::testing::TestWithParam<BranchCase> {};
+
+TEST_P(ShardedTrialBranchTest, MatchesSerialOracle) {
+  const core::ScenarioConfig& cfg = GetParam().config;
+  const core::TrialResult serial = core::run_trial(cfg);
+  ASSERT_FALSE(serial.p1_middle.empty()) << "oracle produced no traffic — test is vacuous";
+
+  for (const std::size_t k : {std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE("shards = " + std::to_string(k));
+    expect_equivalent(serial, core::run_sharded_trial(cfg, k));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Branches, ShardedTrialBranchTest, ::testing::ValuesIn(branch_cases()));
+
 TEST(ShardedTrialTest, WithShardsOneIsBitIdenticalToTheSerialEngine) {
   // No forced RNG streams here: k = 1 must be the untouched legacy path.
   const core::ScenarioConfig cfg = core::ScenarioBuilder::trial3()
@@ -317,7 +382,7 @@ TEST(ShardedTrialTest, RejectsConfigsTheSeamProtocolCannotReplicate) {
   EXPECT_THROW(core::run_sharded_trial(base, 65), std::invalid_argument);
 }
 
-TEST(ShardedTrafficTest, MatchesSerialOracle) {
+void expect_traffic_matches_serial(double penetration, std::size_t k) {
   core::TrafficConfig cfg;
   cfg.enabled = true;
   cfg.flow = mobility::TrafficFlowParams::highway(2, /*length_m=*/2000.0,
@@ -326,7 +391,7 @@ TEST(ShardedTrafficTest, MatchesSerialOracle) {
   cfg.duration = Time::seconds(std::int64_t{120});
   cfg.incident_at = Time::seconds(std::int64_t{40});
   cfg.incident_hold = Time::seconds(std::int64_t{30});
-  cfg.penetration = 1.0;
+  cfg.penetration = penetration;
   cfg.seed = 3;
   cfg.node_rng_streams = true;
 
@@ -337,7 +402,7 @@ TEST(ShardedTrafficTest, MatchesSerialOracle) {
   ASSERT_GT(want.warnings_originated, 0u) << "incident produced no warnings — test is vacuous";
 
   core::ShardRunDiagnostics diag;
-  const core::TrafficRunResult got = core::run_sharded_traffic(cfg, 2, "sharded", &diag);
+  const core::TrafficRunResult got = core::run_sharded_traffic(cfg, k, "sharded", &diag);
   EXPECT_EQ(got.vehicles_spawned, want.vehicles_spawned);
   EXPECT_EQ(got.equipped, want.equipped);
   EXPECT_EQ(got.warnings_originated, want.warnings_originated);
@@ -348,7 +413,13 @@ TEST(ShardedTrafficTest, MatchesSerialOracle) {
   EXPECT_EQ(got.congestion_onset_s, want.congestion_onset_s);
   EXPECT_EQ(got.slowed_vehicles, want.slowed_vehicles);
   EXPECT_EQ(got.final_mean_speed_mps, want.final_mean_speed_mps);
-  EXPECT_EQ(diag.shards, 2u);
+  EXPECT_EQ(diag.shards, k);
+}
+
+TEST(ShardedTrafficTest, MatchesSerialOracle) { expect_traffic_matches_serial(1.0, 2); }
+
+TEST(ShardedTrafficTest, PartialPenetrationMatchesSerialOracleAtThreeShards) {
+  expect_traffic_matches_serial(0.5, 3);
 }
 
 }  // namespace
