@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                        v.label});
     }
   }
-  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs, opts.shards}.run_trials(specs);
+  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs}.run_trials(specs);
 
   std::ostream& os = opts.out();
   core::report::print_header({os, 4, ""}, "Ablation — ARP link layer (NS-2 LL stage)");

@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
   for (const Setup setup : {Setup::k80211, Setup::kTdma, Setup::kTdmaFhss}) {
     for (const double duty : {0.0, 0.3, 0.6, 0.9}) grid.emplace_back(setup, duty);
   }
-  const std::vector<Result> results = core::Runner{opts.jobs, opts.shards}.map(
+  const std::vector<Result> results = core::Runner{opts.jobs}.map(
       grid.size(), [&grid](std::size_t i) { return run(grid[i].first, grid[i].second); });
 
   std::ostream& os = opts.out();

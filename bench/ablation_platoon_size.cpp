@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   }
   // TrialResult's platoon-1 flows (lead -> nodes 1 and 2) remain the
   // representative metric at every size.
-  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs, opts.shards}.run_trials(configs);
+  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs}.run_trials(configs);
 
   std::ostream& os = opts.out();
   core::report::print_header({os, 4, ""}, "Ablation — platoon size sweep (future work, §IV)");

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
                           })
                           .build());
   }
-  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs, opts.shards}.run_trials(configs);
+  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs}.run_trials(configs);
 
   std::ostream& os = opts.out();
   core::report::print_header({os, 4, ""}, "Ablation — RTS/CTS (trial 3 setup)");

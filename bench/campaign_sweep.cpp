@@ -91,7 +91,7 @@ campaign::SweepSpec make_spec(bool full, std::uint64_t seeds) {
 Phase run_phase(const std::filesystem::path& store, const campaign::SweepSpec& spec,
                 const bench::Options& opts) {
   campaign::RunCache cache{store};
-  campaign::Runner runner{cache, opts.jobs, opts.shards};
+  campaign::Runner runner{cache, opts.jobs};
   std::ostringstream manifest;
   const auto t0 = std::chrono::steady_clock::now();
   const campaign::CampaignOutcome out = runner.run(spec, &manifest);
@@ -187,7 +187,6 @@ int main(int argc, char** argv) {
     w.field("kind", "eblnet.campaign");
     w.field("sweep", spec.name);
     w.field("jobs", std::uint64_t{opts.jobs});
-    w.field("shards", std::uint64_t{opts.shards});
     w.key("cold");
     write_phase(w, cold, cells);
     w.key("warm");

@@ -1,7 +1,10 @@
 #include "bench/options.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string_view>
 
 #include "core/campaign/campaign.hpp"
@@ -26,7 +29,6 @@ std::ostream null_stream{&null_buffer};
       << "  --json <path>   write a JSON run manifest (enables metrics collection)\n"
       << "  --seed <n>      override the scenario seed(s)\n"
       << "  --jobs <n>      worker threads for sweeps (0 = auto)\n"
-      << "  --shards <k>    space-sharded engine shards per trial (1 = serial)\n"
       << "  --cache         serve repeated runs from the content-addressed run cache\n"
       << "  --cache-dir <d> cache directory (default results/cache)\n"
       << "  --quiet         suppress the text report\n"
@@ -34,10 +36,16 @@ std::ostream null_stream{&null_buffer};
   std::exit(status);
 }
 
-std::uint64_t parse_u64(const std::string& program, std::string_view flag, const char* text) {
+/// `text` as a decimal integer in [0, max]. strtoull alone would accept
+/// a sign (negating "-1" into 2^64 - 1) and saturate on overflow, so the
+/// first character must be a digit and ERANGE is an error.
+std::uint64_t parse_u64(const std::string& program, std::string_view flag, const char* text,
+                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno == ERANGE ||
+      v > max) {
     std::cerr << program << ": " << flag << " expects a non-negative integer, got '" << text
               << "'\n";
     usage(program, 2);
@@ -65,13 +73,8 @@ Options Options::parse(int argc, char** argv) {
       opt.seed = parse_u64(opt.program, arg, next(arg));
       opt.seed_set = true;
     } else if (arg == "--jobs") {
-      opt.jobs = static_cast<unsigned>(parse_u64(opt.program, arg, next(arg)));
-    } else if (arg == "--shards") {
-      opt.shards = static_cast<std::size_t>(parse_u64(opt.program, arg, next(arg)));
-      if (opt.shards == 0) {
-        std::cerr << opt.program << ": --shards expects k >= 1\n";
-        usage(opt.program, 2);
-      }
+      opt.jobs = static_cast<unsigned>(
+          parse_u64(opt.program, arg, next(arg), std::numeric_limits<unsigned>::max()));
     } else if (arg == "--cache") {
       opt.cache = true;
     } else if (arg == "--cache-dir") {
@@ -93,9 +96,9 @@ Options Options::parse(int argc, char** argv) {
 std::ostream& Options::out() const { return quiet ? null_stream : std::cout; }
 
 std::vector<core::TrialResult> run(std::span<const core::TrialSpec> specs, const Options& opts) {
-  if (!opts.cache) return core::Runner{opts.jobs, opts.shards}.run_trials(specs);
+  if (!opts.cache) return core::Runner{opts.jobs}.run_trials(specs);
   core::campaign::RunCache cache{opts.cache_dir};
-  return core::campaign::run_cached_trials(cache, specs, opts.jobs, opts.shards);
+  return core::campaign::run_cached_trials(cache, specs, opts.jobs);
 }
 
 }  // namespace eblnet::bench

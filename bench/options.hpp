@@ -16,7 +16,6 @@ namespace eblnet::bench {
 ///   --json <path>   write a versioned JSON run manifest (enables metrics)
 ///   --seed <n>      override the scenario seed(s)
 ///   --jobs <n>      worker threads for sweep benches (0 = auto)
-///   --shards <k>    space-sharded engine shards per trial (1 = serial)
 ///   --quiet         suppress the text report (JSON still written)
 ///   --help          usage
 ///
@@ -28,12 +27,6 @@ struct Options {
   std::uint64_t seed{0};
   bool seed_set{false};
   unsigned jobs{0};  ///< 0 = EBLNET_JOBS / hardware_concurrency
-  /// Space-sharded conservative engine shards per trial (DESIGN.md §3.9).
-  /// 1 (the default) is the serial engine — every bench stays
-  /// bit-identical to a build without the flag. Benches whose runs the
-  /// sharded engine rejects (fault plans, reactive braking, beaconing,
-  /// shared-stream Nakagami) accept the flag but keep those runs serial.
-  std::size_t shards{1};
   bool quiet{false};
   /// Route trial execution through the content-addressed run cache
   /// (core::campaign::RunCache): hits load from disk, misses simulate
@@ -45,8 +38,10 @@ struct Options {
   std::vector<std::string> positional;  ///< non-flag arguments, in order
 
   /// Parse argv. Prints usage and exits on --help (status 0) or on a
-  /// malformed/unknown flag (status 2); positional arguments are
-  /// collected for benches that keep a legacy positional interface.
+  /// malformed/unknown flag (status 2) — including a --seed or --jobs
+  /// value that is not a plain decimal integer in range; positional
+  /// arguments are collected for benches that keep a legacy positional
+  /// interface.
   static Options parse(int argc, char** argv);
 
   bool want_json() const noexcept { return !json_path.empty(); }
@@ -64,8 +59,8 @@ struct Options {
 
 /// Run `specs` the way the flags ask: through the content-addressed run
 /// cache under --cache (hits load from disk, misses simulate and commit),
-/// otherwise on core::Runner. Both honor --jobs and --shards and return
-/// results in spec order, byte-identical either way.
+/// otherwise on core::Runner. Both honor --jobs and return results in
+/// spec order, byte-identical either way.
 std::vector<core::TrialResult> run(std::span<const core::TrialSpec> specs, const Options& opts);
 
 }  // namespace eblnet::bench

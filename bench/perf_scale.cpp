@@ -44,28 +44,17 @@
 // batched-vs-grid wall ratio at N >= 10k is the acceptance number for
 // the SoA pipeline.
 //
-// Usage: perf_scale [--json out.json] [--quiet] [full] [shards]
+// Usage: perf_scale [--json out.json] [--quiet] [full]
 //
 //   The positional `full` adds N ∈ {1000, 10000, 50000, 100000} to both
 //   tables (the acceptance run; `scripts/bench.sh --scale` passes it).
 //   Without it the quick sizes ({6, 50, 200} end-to-end, 1000 for the
 //   drive) keep reproduce.sh's unoptimised sweep fast.
 //
-//   The positional `shards` switches to the space-sharded engine sweep
-//   instead: the same highway scenario (two-ray, per-node RNG streams)
-//   run at shard counts {1, 2, 4} (quick, N = 200) or {1, 2, 4, 8}
-//   (full, N ∈ {10000, 50000, 100000}), reporting wall time, speedup
-//   over the serial engine, per-shard event counts, the seam-crossing
-//   ratio and lookahead-stall time (DESIGN.md §3.9). Its JSON manifest
-//   carries kind "eblnet.perf_shard"; every leg's physical results are
-//   fingerprint-checked against the shards = 1 run, so the sweep doubles
-//   as the determinism check at scale.
-//
 // Wall-clock numbers are only meaningful in a Release build; use
 // scripts/bench.sh --scale, which configures -O2 -DNDEBUG before timing.
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -81,7 +70,6 @@
 #include "core/json_writer.hpp"
 #include "core/report.hpp"
 #include "core/scenario_builder.hpp"
-#include "core/sharded_scenario.hpp"
 #include "net/env.hpp"
 #include "net/packet.hpp"
 #include "phy/propagation.hpp"
@@ -318,193 +306,6 @@ ModelPoint run_drive_model(std::size_t n, std::uint64_t k_broadcasts, core::Prop
   return p;
 }
 
-// ---- shard sweep: the space-sharded conservative engine ----------------
-
-/// The end-to-end highway scenario under the §3.9 engine. Per-node RNG
-/// streams are forced on the shards = 1 baseline too, so every leg runs
-/// the *same* simulation and wall-clock ratios are pure engine cost.
-core::ScenarioConfig shard_config(std::size_t n_vehicles, const bench::Options& opts) {
-  core::ScenarioConfig cfg =
-      scale_config(n_vehicles, opts, phy::ChannelParams{}, core::PropagationType::kTwoRay);
-  cfg.node_rng_streams = true;
-  return cfg;
-}
-
-/// FNV-1a over every physical observable of the run: the delay samples
-/// (flow sizes, send/receive stamps) and both throughput series. Equal
-/// fingerprints across shard counts means equal simulations; scheduler
-/// event totals are excluded on purpose — seam replays are extra events
-/// by design.
-std::uint64_t result_fingerprint(const core::TrialResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  for (const std::vector<trace::DelaySample>* flow :
-       {&r.p1_middle, &r.p1_trailing, &r.p2_middle, &r.p2_trailing}) {
-    mix(flow->size());
-    for (const trace::DelaySample& s : *flow) {
-      mix(s.seq);
-      mix(std::bit_cast<std::uint64_t>(s.sent.to_seconds()));
-      mix(std::bit_cast<std::uint64_t>(s.received.to_seconds()));
-    }
-  }
-  for (const stats::TimeSeries* ts : {&r.p1_throughput, &r.p2_throughput}) {
-    mix(ts->size());
-    for (const stats::TimeSeries::Point& p : ts->points()) {
-      mix(std::bit_cast<std::uint64_t>(p.t.to_seconds()));
-      mix(std::bit_cast<std::uint64_t>(p.value));
-    }
-  }
-  return h;
-}
-
-struct ShardLeg {
-  std::size_t shards{1};
-  double wall_s{0.0};
-  std::uint64_t events{0};  ///< scheduler events summed over shards
-  std::uint64_t fingerprint{0};
-  core::ShardRunDiagnostics diag;
-
-  double events_per_sec() const {
-    return wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
-  }
-  /// Simulated seconds per wall second (> 1 = faster than real time).
-  double realtime_factor() const {
-    return wall_s > 0.0 ? static_cast<double>(kDurationS) / wall_s : 0.0;
-  }
-};
-
-struct ShardSweepPoint {
-  std::size_t n{0};
-  std::vector<ShardLeg> legs;  ///< legs[0] is shards = 1 (serial engine)
-};
-
-ShardLeg run_shard_leg(const core::ScenarioConfig& cfg, std::size_t shards) {
-  ShardLeg leg;
-  leg.shards = shards;
-  const auto start = std::chrono::steady_clock::now();
-  const core::TrialResult r = core::run_sharded_trial(cfg, shards, {}, &leg.diag);
-  const auto stop = std::chrono::steady_clock::now();
-  leg.wall_s = std::chrono::duration<double>(stop - start).count();
-  leg.events = shards > 1 ? leg.diag.total_events : r.events_executed;
-  leg.fingerprint = result_fingerprint(r);
-  return leg;
-}
-
-void print_shard_row(std::ostream& os, std::size_t n, const ShardLeg& leg, double serial_wall,
-                     std::uint64_t serial_fp) {
-  std::uint64_t min_ev = leg.events;
-  std::uint64_t max_ev = leg.events;
-  if (!leg.diag.per_shard.empty()) {
-    min_ev = max_ev = leg.diag.per_shard.front().events;
-    for (const sim::ShardStats& s : leg.diag.per_shard) {
-      min_ev = std::min(min_ev, s.events);
-      max_ev = std::max(max_ev, s.events);
-    }
-  }
-  os << std::left << std::setw(8) << n << std::right << std::setw(7) << leg.shards << std::fixed
-     << std::setprecision(3) << std::setw(10) << leg.wall_s << std::setprecision(2) << std::setw(8)
-     << (leg.wall_s > 0.0 ? serial_wall / leg.wall_s : 0.0) << 'x' << std::setw(7)
-     << leg.realtime_factor() << 'x' << std::setprecision(0) << std::setw(12)
-     << leg.events_per_sec() << std::setw(10) << leg.diag.seam_messages << std::setprecision(4)
-     << std::setw(9) << leg.diag.seam_crossing_ratio() << std::setprecision(3) << std::setw(9)
-     << leg.diag.stall_seconds_total << std::setw(11) << min_ev << std::setw(11) << max_ev
-     << "  " << (leg.fingerprint == serial_fp ? "ok" : "DIVERGED") << '\n';
-}
-
-bool write_shard_json(const std::string& path, const std::vector<ShardSweepPoint>& points) {
-  std::ofstream out{path};
-  if (!out) return false;
-  core::JsonWriter w{out};
-  w.begin_object();
-  w.field("schema_version", std::uint64_t{core::report::kManifestSchemaVersion});
-  w.field("kind", "eblnet.perf_shard");
-  w.field("scenario",
-          "highway platoons, 802.11 EBL, 100 m headway, 16 s, two-ray, "
-          "per-node RNG streams; space-sharded conservative engine (DESIGN.md 3.9)");
-  w.field("sim_seconds", static_cast<double>(kDurationS));
-  w.key("points");
-  w.begin_array();
-  for (const ShardSweepPoint& p : points) {
-    w.begin_object();
-    w.field("n_vehicles", std::uint64_t{p.n});
-    const double serial_wall = p.legs.empty() ? 0.0 : p.legs.front().wall_s;
-    const std::uint64_t serial_fp = p.legs.empty() ? 0 : p.legs.front().fingerprint;
-    w.key("legs");
-    w.begin_array();
-    for (const ShardLeg& leg : p.legs) {
-      w.begin_object();
-      w.field("shards", std::uint64_t{leg.shards});
-      w.field("wall_s", leg.wall_s);
-      w.field("events", leg.events);
-      w.field("events_per_sec", leg.events_per_sec());
-      w.field("speedup_vs_serial", leg.wall_s > 0.0 ? serial_wall / leg.wall_s : 0.0);
-      w.field("realtime_factor", leg.realtime_factor());
-      w.field("seam_messages", leg.diag.seam_messages);
-      w.field("broadcasts", leg.diag.broadcasts);
-      w.field("remote_injects", leg.diag.remote_injects);
-      w.field("seam_crossing_ratio", leg.diag.seam_crossing_ratio());
-      w.field("stall_seconds_total", leg.diag.stall_seconds_total);
-      w.field("lookahead_us", leg.diag.lookahead_us);
-      w.key("per_shard_events");
-      w.begin_array();
-      for (const sim::ShardStats& s : leg.diag.per_shard) w.value(s.events);
-      w.end_array();
-      w.field("matches_serial", leg.fingerprint == serial_fp);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  out << '\n';
-  return out.good();
-}
-
-int run_shard_sweep(const bench::Options& opts, bool full) {
-  const std::vector<std::size_t> sizes =
-      full ? std::vector<std::size_t>{10000, 50000, 100000} : std::vector<std::size_t>{200};
-  const std::vector<std::size_t> counts =
-      full ? std::vector<std::size_t>{1, 2, 4, 8} : std::vector<std::size_t>{1, 2, 4};
-
-  std::ostream& os = opts.out();
-  core::report::print_header(
-      {os, 4, ""}, "perf_scale shards — space-sharded conservative engine (two-ray highway)");
-  os << std::left << std::setw(8) << "N" << std::right << std::setw(7) << "shards" << std::setw(10)
-     << "wall (s)" << std::setw(9) << "speedup" << std::setw(8) << "rt-x" << std::setw(12)
-     << "events/s" << std::setw(10) << "seam-msg" << std::setw(9) << "seam-r" << std::setw(9)
-     << "stall(s)" << std::setw(11) << "min-ev" << std::setw(11) << "max-ev"
-     << "  result" << '\n';
-
-  bool diverged = false;
-  std::vector<ShardSweepPoint> points;
-  for (const std::size_t n : sizes) {
-    ShardSweepPoint p;
-    p.n = n;
-    const core::ScenarioConfig cfg = shard_config(n, opts);
-    for (const std::size_t k : counts) {
-      p.legs.push_back(run_shard_leg(cfg, k));
-      print_shard_row(os, n, p.legs.back(), p.legs.front().wall_s, p.legs.front().fingerprint);
-      if (p.legs.back().fingerprint != p.legs.front().fingerprint) diverged = true;
-    }
-    points.push_back(std::move(p));
-  }
-  if (diverged) {
-    std::cerr << "warning: a sharded run diverged from the serial engine — "
-                 "determinism bug?\n";
-  }
-
-  if (opts.want_json() && !write_shard_json(opts.json_path, points)) {
-    std::cerr << "error: could not write " << opts.json_path << '\n';
-    return 1;
-  }
-  if (opts.want_json()) os << "wrote " << opts.json_path << '\n';
-  return diverged ? 1 : 0;
-}
-
 void print_row(std::ostream& os, std::size_t n, const char* model, const ModelPoint& p) {
   os << std::left << std::setw(8) << n << std::setw(10) << model << std::right << std::fixed
      << std::setprecision(3);
@@ -606,10 +407,6 @@ int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
   const bool full = std::find(opts.positional.begin(), opts.positional.end(), "full") !=
                     opts.positional.end();
-  if (std::find(opts.positional.begin(), opts.positional.end(), "shards") !=
-      opts.positional.end()) {
-    return run_shard_sweep(opts, full);
-  }
 
   std::vector<std::size_t> sizes{6, 50, 200};
   if (full) {

@@ -118,17 +118,16 @@ int main(int argc, char** argv) {
   std::vector<core::TrialResult> results;
   if (opts.cache) {
     // --cache: the same baseline + fault cells as content-addressed
-    // specs. Fault plans run on the serial engine regardless of --shards
-    // (the sharded engine rejects them), matching the uncached path.
+    // specs, matching the uncached path.
     std::vector<core::TrialSpec> specs;
     specs.reserve(n_base + cells.size());
     for (std::size_t i = 0; i < n_base; ++i)
       specs.push_back({baseline_cfgs[i], "trial" + std::to_string(i + 1) + "/baseline"});
     for (const Cell& c : cells) specs.push_back({c.config, "trial3/" + c.label});
     core::campaign::RunCache cache{opts.cache_dir};
-    results = core::campaign::run_cached_trials(cache, specs, opts.jobs, /*shards=*/1);
+    results = core::campaign::run_cached_trials(cache, specs, opts.jobs);
   } else {
-    results = core::Runner{opts.jobs, opts.shards}.map(n_base + cells.size(), [&](std::size_t i) {
+    results = core::Runner{opts.jobs}.map(n_base + cells.size(), [&](std::size_t i) {
       if (i < n_base)
         return core::run_trial(baseline_cfgs[i], "trial" + std::to_string(i + 1) + "/baseline");
       const Cell& c = cells[i - n_base];

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const std::vector<core::TrialSpec> specs{spec(core::ScenarioBuilder::trial1(), "Trial 1"),
                                            spec(core::ScenarioBuilder::trial2(), "Trial 2"),
                                            spec(core::ScenarioBuilder::trial3(), "Trial 3")};
-  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs, opts.shards}.run_trials(specs);
+  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs}.run_trials(specs);
   const core::TrialResult& t1 = runs[0];
   const core::TrialResult& t2 = runs[1];
   const core::TrialResult& t3 = runs[2];

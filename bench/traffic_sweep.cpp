@@ -78,12 +78,11 @@ int main(int argc, char** argv) {
            : std::vector<double>{0.0, 0.1, 0.5, 1.0};
 
   const std::vector<core::TrafficRunResult> rows =
-      core::Runner{opts.jobs, opts.shards}.map(penetrations.size(), [&](std::size_t i) {
+      core::Runner{opts.jobs}.map(penetrations.size(), [&](std::size_t i) {
         core::TrafficConfig cfg = base;
         cfg.penetration = penetrations[i];
         return core::ScenarioBuilder()
             .seed(seed)
-            .with_shards(opts.shards)
             .with_traffic_flow(cfg)
             .run_traffic("p=" + fmt(penetrations[i], 2));
       });

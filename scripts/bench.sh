@@ -28,12 +28,10 @@
 # shell stamps it with the run date and the host's core count — the C++
 # harness stays deterministic), so the perf trajectory across PRs stays
 # visible in one file. Entries are distinguished by their "kind" field
-# ("eblnet.perf", "eblnet.perf_scale", "eblnet.perf_shard",
-# "eblnet.resilience", "eblnet.traffic", "eblnet.campaign",
-# "eblnet.beacon"). A legacy
+# ("eblnet.perf", "eblnet.perf_scale", "eblnet.resilience",
+# "eblnet.traffic", "eblnet.campaign", "eblnet.beacon"). A legacy
 # single-object BENCH_sweep.json is wrapped into a one-entry array on
-# first contact. --scale appends two entries: the flat-vs-grid sweep and
-# the sharded-engine sweep. After each append the newest entry's median
+# first contact. After each append the newest entry's median
 # events/s is compared against the most recent previous entry of the
 # same kind taken on the SAME host core count with the SAME benchmark
 # configuration (a fingerprint of the entry minus its volatile timing
@@ -187,9 +185,6 @@ EOF
 if [ "$MODE" = "scale" ]; then
   echo "== perf_scale (spatial-grid channel vs flat broadcast loop) =="
   "$BUILD"/bench/perf_scale full --json "$RUN"
-  append_run "$RUN"
-  echo "== perf_scale shards (space-sharded conservative engine) =="
-  "$BUILD"/bench/perf_scale shards full --json "$RUN"
   append_run "$RUN"
 elif [ "$MODE" = "resilience" ]; then
   echo "== resilience_sweep (paper trials under crash/blackout/PER faults) =="

@@ -16,13 +16,14 @@ ctest --test-dir "$BUILD" --output-on-failure
 # trace-arena lifetime code is exactly what sanitizers are for. The
 # fault-injection suite (label "fault"), the grid/batched-cull
 # equivalence and per-node container suites (label "perf"), the
-# car-following dynamics suite (label "mobility"), the space-sharded
-# engine suite (label "shard"), the run-cache / campaign suite (label
-# "campaign"), and the V2X beaconing suite (label "v2x") run as explicit
-# passes: crash / flush / mid-flight-detach paths, the SoA swap-remove
-# bookkeeping, the queue-ring growth and channel detach compaction, the
-# spawn/despawn vehicle lifecycle with its closed-loop callbacks, the
-# seam-mailbox handoff, the cache's parse/evict/reconstruct path over
+# car-following dynamics suite (label "mobility"), the thread-pool and
+# parallel-runner suite (label "parallel"), the run-cache / campaign
+# suite (label "campaign"), and the V2X beaconing suite (label "v2x") run
+# as explicit passes: crash / flush / mid-flight-detach paths, the SoA
+# swap-remove bookkeeping, the queue-ring growth and channel detach
+# compaction, the spawn/despawn vehicle lifecycle with its closed-loop
+# callbacks, the task handoff between pool threads, the cache's
+# parse/evict/reconstruct path over
 # real (including deliberately corrupted) files, and the EDCA internal
 # queues / beacon callback / blockage-wrapper indirection are the
 # likeliest places for lifetime bugs, so their sanitizer runs must not
@@ -30,21 +31,21 @@ ctest --test-dir "$BUILD" --output-on-failure
 SAN_BUILD=build-asan
 cmake -B "$SAN_BUILD" -G Ninja -DEBLNET_SANITIZE=ON
 cmake --build "$SAN_BUILD"
-ctest --test-dir "$SAN_BUILD" -LE "fault|perf|mobility|shard|campaign|v2x" --output-on-failure
+ctest --test-dir "$SAN_BUILD" -LE "fault|perf|mobility|parallel|campaign|v2x" --output-on-failure
 ctest --test-dir "$SAN_BUILD" -L fault --output-on-failure
 ctest --test-dir "$SAN_BUILD" -L perf --output-on-failure
 ctest --test-dir "$SAN_BUILD" -L mobility --output-on-failure
-ctest --test-dir "$SAN_BUILD" -L shard --output-on-failure
+ctest --test-dir "$SAN_BUILD" -L parallel --output-on-failure
 ctest --test-dir "$SAN_BUILD" -L campaign --output-on-failure
 ctest --test-dir "$SAN_BUILD" -L v2x --output-on-failure
 
-# The concurrent suites again under ThreadSanitizer: the sharded engine's
-# promise/bound protocol and the broadcast pipeline's thread-pool fan-out
-# are lock-free/atomic-ordering code, which only TSan can vet.
+# The concurrent suites again under ThreadSanitizer: ThreadPool's queue
+# handoff and the Runner's trial fan-out are the code that runs on
+# several threads, which only TSan can vet.
 TSAN_BUILD=build-tsan
 cmake -B "$TSAN_BUILD" -G Ninja -DEBLNET_TSAN=ON
 cmake --build "$TSAN_BUILD"
-ctest --test-dir "$TSAN_BUILD" -L shard --output-on-failure
+ctest --test-dir "$TSAN_BUILD" -L parallel --output-on-failure
 ctest --test-dir "$TSAN_BUILD" -L perf --output-on-failure
 
 mkdir -p "$RESULTS"

@@ -72,8 +72,7 @@ std::vector<Cell> SweepSpec::sample(std::size_t n, std::uint64_t seed) const {
   return cells;
 }
 
-Runner::Runner(RunCache& cache, unsigned jobs, std::size_t shards)
-    : cache_{cache}, runner_{jobs, shards} {}
+Runner::Runner(RunCache& cache, unsigned jobs) : cache_{cache}, runner_{jobs} {}
 
 CampaignOutcome Runner::run(const SweepSpec& spec, std::ostream* manifest) {
   const std::vector<Cell> cells = spec.grid();
@@ -82,8 +81,6 @@ CampaignOutcome Runner::run(const SweepSpec& spec, std::ostream* manifest) {
 
 CampaignOutcome Runner::run_cells(const std::string& name, std::span<const Cell> cells,
                                   std::ostream* manifest) {
-  const std::size_t shards = runner_.shards();
-
   // Partition: one cache probe per cell, in order. Hits come back
   // reconstructed; misses are queued for the pool.
   CampaignOutcome out;
@@ -92,7 +89,7 @@ CampaignOutcome Runner::run_cells(const std::string& name, std::span<const Cell>
   std::vector<std::size_t> miss_index;  // cell index of the i-th miss
   std::vector<TrialSpec> miss_specs;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (auto cached = cache_.load(cells[i].config, shards, cells[i].label)) {
+    if (auto cached = cache_.load(cells[i].config, cells[i].label)) {
       out.results[i] = std::move(*cached);
       is_hit[i] = true;
       ++out.hits;
@@ -119,7 +116,6 @@ CampaignOutcome Runner::run_cells(const std::string& name, std::span<const Cell>
     wp->field("kind", "eblnet.campaign");
     wp->field("name", name);
     wp->field("fingerprint", cache_.fingerprint());
-    wp->field("shards", static_cast<std::uint64_t>(shards));
     wp->field("cell_count", static_cast<std::uint64_t>(cells.size()));
     wp->key("cells");
     wp->begin_array();
@@ -130,13 +126,13 @@ CampaignOutcome Runner::run_cells(const std::string& name, std::span<const Cell>
     if (!is_hit[i]) {
       TrialResult r = batch.futures[next_miss].get();
       ++next_miss;
-      cache_.store(cells[i].config, shards, r);
+      cache_.store(cells[i].config, r);
       out.results[i] = std::move(r);
     }
     if (wp != nullptr) {
       wp->begin_object();
       wp->field("label", cells[i].label);
-      wp->field("key", cache_.key_for(cells[i].config, shards).hex());
+      wp->field("key", cache_.key_for(cells[i].config).hex());
       wp->key("trial");
       report::write_trial_json(*wp, out.results[i]);
       wp->end_object();
@@ -166,11 +162,11 @@ CampaignOutcome Runner::run_cells(const std::string& name, std::span<const Cell>
 }
 
 std::vector<TrialResult> run_cached_trials(RunCache& cache, std::span<const TrialSpec> specs,
-                                           unsigned jobs, std::size_t shards) {
+                                           unsigned jobs) {
   std::vector<Cell> cells;
   cells.reserve(specs.size());
   for (const TrialSpec& s : specs) cells.push_back(Cell{s.name, s.config});
-  Runner runner{cache, jobs, shards};
+  Runner runner{cache, jobs};
   return std::move(runner.run_cells("", cells, nullptr).results);
 }
 

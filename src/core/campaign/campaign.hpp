@@ -78,8 +78,8 @@ struct CampaignOutcome {
 /// the cold run's.
 class Runner {
  public:
-  /// `jobs`/`shards` resolve exactly as in core::Runner.
-  explicit Runner(RunCache& cache, unsigned jobs = 0, std::size_t shards = 1);
+  /// `jobs` resolves exactly as in core::Runner.
+  explicit Runner(RunCache& cache, unsigned jobs = 0);
 
   CampaignOutcome run(const SweepSpec& spec, std::ostream* manifest = nullptr);
   CampaignOutcome run_cells(const std::string& name, std::span<const Cell> cells,
@@ -92,12 +92,12 @@ class Runner {
   core::Runner runner_;
 };
 
-/// Drop-in cached equivalent of core::Runner{jobs, shards}.run_trials:
+/// Drop-in cached equivalent of core::Runner{jobs}.run_trials:
 /// serve hits, simulate and commit misses, return results in spec order.
 /// Existing sweep benches route through this behind their --cache flag;
 /// the results (and therefore their reports) are byte-identical to the
 /// uncached path.
 std::vector<TrialResult> run_cached_trials(RunCache& cache, std::span<const TrialSpec> specs,
-                                           unsigned jobs = 0, std::size_t shards = 1);
+                                           unsigned jobs = 0);
 
 }  // namespace eblnet::core::campaign

@@ -56,7 +56,7 @@ void write_ci(JsonWriter& w, const stats::ConfidenceInterval& ci) {
 }
 
 std::string serialize_entry(const Key& key, const Key& scenario, std::string_view fingerprint,
-                            std::size_t shards, const TrialResult& r) {
+                            const TrialResult& r) {
   std::ostringstream os;
   JsonWriter w{os};
   w.begin_object();
@@ -66,7 +66,6 @@ std::string serialize_entry(const Key& key, const Key& scenario, std::string_vie
   w.field("key", key.hex());
   w.field("scenario_key", scenario.hex());
   w.field("fingerprint", fingerprint);
-  w.field("shards", static_cast<std::uint64_t>(shards));
   w.field("seed", r.config.seed);
 
   // The human/tooling view: the ordinary schema-v4 trial manifest.
@@ -309,8 +308,8 @@ RunCache::RunCache(std::filesystem::path root)
   metrics_.set_enabled(true);
 }
 
-Key RunCache::key_for(const ScenarioConfig& cfg, std::size_t shards) const {
-  return mix_fingerprint(scenario_key(cfg, shards), fingerprint_);
+Key RunCache::key_for(const ScenarioConfig& cfg) const {
+  return mix_fingerprint(scenario_key(cfg), fingerprint_);
 }
 
 std::filesystem::path RunCache::entry_path(const Key& key) const {
@@ -318,9 +317,8 @@ std::filesystem::path RunCache::entry_path(const Key& key) const {
   return root_ / hex.substr(0, 4) / (hex + ".json");
 }
 
-std::optional<TrialResult> RunCache::load(const ScenarioConfig& cfg, std::size_t shards,
-                                          std::string name) {
-  const Key key = key_for(cfg, shards);
+std::optional<TrialResult> RunCache::load(const ScenarioConfig& cfg, std::string name) {
+  const Key key = key_for(cfg);
   const std::filesystem::path path = entry_path(key);
 
   std::string text;
@@ -371,13 +369,13 @@ std::optional<TrialResult> RunCache::load(const ScenarioConfig& cfg, std::size_t
   return r;
 }
 
-void RunCache::store(const ScenarioConfig& cfg, std::size_t shards, const TrialResult& r) {
-  const Key scenario = scenario_key(cfg, shards);
+void RunCache::store(const ScenarioConfig& cfg, const TrialResult& r) {
+  const Key scenario = scenario_key(cfg);
   const Key key = mix_fingerprint(scenario, fingerprint_);
   const std::filesystem::path path = entry_path(key);
   std::filesystem::create_directories(path.parent_path());
 
-  const std::string text = serialize_entry(key, scenario, fingerprint_, shards, r);
+  const std::string text = serialize_entry(key, scenario, fingerprint_, r);
 
   // Write-to-temp + rename: a reader never observes a half-written
   // entry under the final name.

@@ -13,12 +13,12 @@ namespace eblnet::core::campaign {
 
 /// On-disk content-addressed store of finished trial results:
 /// `<root>/<4-hex prefix>/<32-hex key>.json`, one immutable entry per
-/// (canonical scenario, shard count, binary fingerprint). Determinism
-/// makes a result a pure function of that triple, so an entry never
+/// (canonical scenario, binary fingerprint). Determinism makes a result
+/// a pure function of that pair, so an entry never
 /// needs updating — only creating (atomically) or evicting (when
 /// corrupt).
 ///
-/// Each entry holds an index header (key, fingerprint, shards, seed),
+/// Each entry holds an index header (key, fingerprint, seed),
 /// the schema-v4 trial manifest for humans and tooling, and a `raw`
 /// block with the exact samples, counters and series needed to
 /// reconstruct the TrialResult bit-identically: summaries recomputed
@@ -53,23 +53,22 @@ class RunCache {
   void set_fingerprint(std::string fp) { fingerprint_ = std::move(fp); }
   const std::string& fingerprint() const noexcept { return fingerprint_; }
 
-  /// The on-disk key for (cfg, shards) under the current fingerprint.
-  Key key_for(const ScenarioConfig& cfg, std::size_t shards) const;
+  /// The on-disk key for `cfg` under the current fingerprint.
+  Key key_for(const ScenarioConfig& cfg) const;
   std::filesystem::path entry_path(const Key& key) const;
 
-  /// Look up (cfg, shards). On a hit, returns the reconstructed
+  /// Look up `cfg`. On a hit, returns the reconstructed
   /// TrialResult carrying `name` (the name is caller context, not part
   /// of the key). On a miss — absent, torn, corrupt or foreign entry —
   /// returns nullopt; invalid files are evicted (unlinked) first so the
   /// recomputed result can be stored cleanly.
-  std::optional<TrialResult> load(const ScenarioConfig& cfg, std::size_t shards,
-                                  std::string name);
+  std::optional<TrialResult> load(const ScenarioConfig& cfg, std::string name);
 
-  /// Atomically commit a finished trial for (cfg, shards). `r` must be
+  /// Atomically commit a finished trial for `cfg`. `r` must be
   /// the result of running exactly `cfg` (the caller's config is
   /// re-serialized on load, so a mismatched result would be served under
   /// the wrong config).
-  void store(const ScenarioConfig& cfg, std::size_t shards, const TrialResult& r);
+  void store(const ScenarioConfig& cfg, const TrialResult& r);
 
   // --- counters (sim::Counter::kCampaignCache*) ---
   std::uint64_t hits() const noexcept;

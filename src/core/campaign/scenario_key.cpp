@@ -63,10 +63,9 @@ std::string Key::hex() const {
   return buf;
 }
 
-std::string canonical_scenario_text(const ScenarioConfig& cfg, std::size_t shards) {
+std::string canonical_scenario_text(const ScenarioConfig& cfg) {
   Canon c;
-  c.str("format", "eblnet.scenario/1");
-  c.u64("shards", static_cast<std::uint64_t>(shards));
+  c.str("format", "eblnet.scenario/2");
 
   // --- the paper's variable parameters ---
   c.u64("packet_bytes", static_cast<std::uint64_t>(cfg.packet_bytes));
@@ -237,7 +236,6 @@ std::string canonical_scenario_text(const ScenarioConfig& cfg, std::size_t shard
   // --- determinism knobs ---
   c.u64("seed", cfg.seed);
   c.boolean("enable_trace", cfg.enable_trace);
-  c.boolean("node_rng_streams", cfg.node_rng_streams);
 
   // --- fault plan (an empty plan is bit-identity, so it contributes
   // nothing — not even its rng_seed) ---
@@ -265,8 +263,8 @@ std::string canonical_scenario_text(const ScenarioConfig& cfg, std::size_t shard
   return c.take();
 }
 
-Key scenario_key(const ScenarioConfig& cfg, std::size_t shards) {
-  const std::string text = canonical_scenario_text(cfg, shards);
+Key scenario_key(const ScenarioConfig& cfg) {
+  const std::string text = canonical_scenario_text(cfg);
   return Key{fnv1a(kFnvBasisHi, text), fnv1a(kFnvBasisLo, text)};
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -39,14 +38,11 @@ struct Key {
 ///    dormant knob cannot split the cache;
 ///  - times are nanosecond integers and doubles are printed with 17
 ///    significant digits, both exact.
-///
-/// `shards` is part of the text: a sharded run's events_executed differs
-/// from the serial engine's, so shard counts address distinct entries.
-std::string canonical_scenario_text(const ScenarioConfig& cfg, std::size_t shards = 1);
+std::string canonical_scenario_text(const ScenarioConfig& cfg);
 
 /// Hash of canonical_scenario_text — the binary-independent half of a
 /// cache key (golden-tested; see tests/data/scenario_key.golden).
-Key scenario_key(const ScenarioConfig& cfg, std::size_t shards = 1);
+Key scenario_key(const ScenarioConfig& cfg);
 
 /// Fold a binary fingerprint (campaign::build_id(), or a fixed string in
 /// tests) into a scenario key, yielding the on-disk cache key.

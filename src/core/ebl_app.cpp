@@ -11,21 +11,36 @@ transport::TcpParams link_tcp_params(const EblConfig& cfg) {
   return p;
 }
 
-}  // namespace
-
-EblSender::EblSender(net::Env& env, net::Node& lead, net::Port lead_port, net::NodeId follower,
-                     net::Port follower_port, const EblConfig& cfg)
-    : sender_{lead, lead_port, link_tcp_params(cfg)},
-      feeder_{env, sender_, cfg.packet_bytes,
-              app::CbrSource::interval_for_rate(cfg.packet_bytes, cfg.cbr_rate_bps)} {
-  sender_.connect(follower, follower_port);
+/// The paper's rule: start every link while `lead` brakes or is stopped
+/// and stop them while it cruises — on each drive-state change, and once
+/// when the simulation starts (a platoon may already be stopped, like the
+/// paper's platoon 2). `links` must outlive the simulation.
+void follow_lead_state(net::Env& env, mobility::Vehicle& lead,
+                       const std::vector<std::unique_ptr<EblLink>>& links) {
+  const auto apply = [&links](mobility::DriveState s) {
+    for (const auto& l : links) {
+      if (s != mobility::DriveState::kCruising) {
+        l->start();
+      } else {
+        l->stop();
+      }
+    }
+  };
+  lead.subscribe(apply);
+  env.scheduler().schedule_in(sim::Time::zero(), [apply, &lead] { apply(lead.state()); });
 }
+
+}  // namespace
 
 EblLink::EblLink(net::Env& env, net::Node& lead, net::Node& follower, net::Port lead_port,
                  net::Port follower_port, const EblConfig& cfg)
     : follower_{follower},
-      sender_{env, lead, lead_port, follower.id(), follower_port, cfg},
-      sink_{follower, follower_port, cfg.sink} {}
+      sender_{lead, lead_port, link_tcp_params(cfg)},
+      feeder_{env, sender_, cfg.packet_bytes,
+              app::CbrSource::interval_for_rate(cfg.packet_bytes, cfg.cbr_rate_bps)},
+      sink_{follower, follower_port, cfg.sink} {
+  sender_.connect(follower.id(), follower_port);
+}
 
 PlatoonEbl::PlatoonEbl(net::Env& env, mobility::Platoon& platoon,
                        const std::vector<net::Node*>& nodes, EblConfig cfg, net::Port base_port) {
@@ -35,8 +50,8 @@ PlatoonEbl::PlatoonEbl(net::Env& env, mobility::Platoon& platoon,
 
   for (std::size_t i = 1; i < nodes.size(); ++i) {
     links_.push_back(std::make_unique<EblLink>(env, *nodes[0], *nodes[i],
-                                               ebl_lead_port(base_port, i),
-                                               ebl_sink_port(base_port), cfg));
+                                               static_cast<net::Port>(base_port + i),
+                                               static_cast<net::Port>(base_port + 100), cfg));
   }
 
   follow_lead_state(env, *platoon.lead(), links_);

@@ -36,19 +36,13 @@ struct EblConfig {
   transport::TcpSinkParams sink{};
 };
 
-/// Port layout of a platoon's EBL streams: follower i's stream leaves the
-/// lead from `base + i` and arrives at `base + 100` on the follower.
-constexpr net::Port ebl_lead_port(net::Port base, std::size_t follower) {
-  return static_cast<net::Port>(base + follower);
-}
-constexpr net::Port ebl_sink_port(net::Port base) { return static_cast<net::Port>(base + 100); }
-
-/// The lead-vehicle half of one EBL stream: a TcpSender connected to the
-/// follower's sink port, fed CBR by a TcpCbrFeeder.
-class EblSender {
+/// One Extended-Brake-Lights stream: brake-status messages from the lead
+/// vehicle to a single follower, carried as CBR over a TCP connection
+/// (lead-side TcpSender fed by a TcpCbrFeeder, follower-side TcpSink).
+class EblLink {
  public:
-  EblSender(net::Env& env, net::Node& lead, net::Port lead_port, net::NodeId follower,
-            net::Port follower_port, const EblConfig& cfg);
+  EblLink(net::Env& env, net::Node& lead, net::Node& follower, net::Port lead_port,
+          net::Port follower_port, const EblConfig& cfg);
 
   void start() { feeder_.start(); }
   /// Stop feeding and drop the unsent backlog, so a restart carries fresh
@@ -59,62 +53,25 @@ class EblSender {
   }
   bool running() const noexcept { return feeder_.running(); }
 
-  const transport::TcpSender& sender() const noexcept { return sender_; }
-
- private:
-  transport::TcpSender sender_;
-  app::TcpCbrFeeder feeder_;
-};
-
-/// One Extended-Brake-Lights stream: brake-status messages from the lead
-/// vehicle to a single follower, carried as CBR over a TCP connection
-/// (lead-side EblSender, follower-side TcpSink).
-class EblLink {
- public:
-  EblLink(net::Env& env, net::Node& lead, net::Node& follower, net::Port lead_port,
-          net::Port follower_port, const EblConfig& cfg);
-
-  void start() { sender_.start(); }
-  void stop() { sender_.stop(); }
-  bool running() const noexcept { return sender_.running(); }
-
   const transport::TcpSink& sink() const noexcept { return sink_; }
   /// Mutable access for composition (e.g. attaching an EblBrakeReactor).
   transport::TcpSink& mutable_sink() noexcept { return sink_; }
-  const transport::TcpSender& sender() const noexcept { return sender_.sender(); }
+  const transport::TcpSender& sender() const noexcept { return sender_; }
   net::NodeId follower_id() const noexcept { return follower_.id(); }
 
  private:
   net::Node& follower_;
-  EblSender sender_;
+  transport::TcpSender sender_;
+  app::TcpCbrFeeder feeder_;
   transport::TcpSink sink_;
 };
 
-/// The paper's rule: "communication between the vehicles occurs only when
-/// the vehicles are braking or stopped". Starts every element of `links`
-/// (pointers to EblLink or EblSender) while `lead` brakes or is stopped
-/// and stops them while it cruises: on each drive-state change, and once
-/// when the simulation starts (a platoon may already be stopped, like the
-/// paper's platoon 2). `links` must outlive the simulation.
-template <typename Links>
-void follow_lead_state(net::Env& env, mobility::Vehicle& lead, Links& links) {
-  const auto apply = [&links](mobility::DriveState s) {
-    for (const auto& l : links) {
-      if (s != mobility::DriveState::kCruising) {
-        l->start();
-      } else {
-        l->stop();
-      }
-    }
-  };
-  lead.subscribe(apply);
-  env.scheduler().schedule_in(sim::Time::zero(), [apply, &lead] { apply(lead.state()); });
-}
-
 /// The Extended Brake Lights application for a whole platoon: the lead
 /// vehicle streams brake-status messages to every follower, and — per the
-/// paper's rule (follow_lead_state) — "communication between the vehicles
-/// occurs only when the vehicles are braking or stopped".
+/// paper's rule — "communication between the vehicles occurs only when
+/// the vehicles are braking or stopped". Follower i's stream leaves the
+/// lead from `base_port + i` and arrives at `base_port + 100` on the
+/// follower.
 class PlatoonEbl {
  public:
   /// `nodes[i]` must be the network node of `platoon.vehicle(i)`.

@@ -29,7 +29,7 @@ void WarningFlood::recv(net::Packet p) {
     ++rebroadcasts_;
     const std::uint8_t ttl = static_cast<std::uint8_t>(p.ip->ttl - 1);
     const sim::Time jitter =
-        env_.rng_for(node_.id()).uniform_time(sim::Time::zero(), params_.rebroadcast_jitter);
+        env_.rng().uniform_time(sim::Time::zero(), params_.rebroadcast_jitter);
     env_.scheduler().schedule_in(jitter, [this, id, ttl] { broadcast(id, ttl); });
   }
 }

@@ -67,7 +67,9 @@ void print_header(const ReportContext& ctx, const std::string& title);
 /// "nakagami_node_streams" flag; the metrics block gained the beacon
 /// app counters/gauges (CBR, BRR, inter-reception time) and
 /// "eblnet.beacon" joined the manifest kinds.
-inline constexpr int kManifestSchemaVersion = 5;
+/// v6: the "eblnet.campaign" manifest lost the engine-partition count
+/// it recorded; every run now takes the one serial path.
+inline constexpr int kManifestSchemaVersion = 6;
 
 /// Write the versioned JSON run manifest for one finished trial:
 /// config, seed, per-layer metric counters, delay/throughput summaries

@@ -36,24 +36,13 @@ struct TrialSpec {
 ///   3. std::thread::hardware_concurrency().
 /// One job means "run serially on the calling thread" (no worker thread
 /// is spawned), which is also the fallback on single-core hosts.
-///
-/// `shards` > 1 switches run_trials() to the space-sharded conservative
-/// engine (core::run_sharded_trial, DESIGN.md §3.9): each trial runs
-/// k-way parallel *within* itself instead of only across trials. The two
-/// axes multiply (jobs x shards threads), so the auto-resolved job count
-/// is divided by the shard count; an explicit `jobs` is honored as given.
 class Runner {
  public:
   /// `jobs` = 0 resolves via EBLNET_JOBS / hardware_concurrency().
-  /// `shards` = 1 keeps trials on the serial engine (bit-identical to a
-  /// build without the knob).
-  explicit Runner(unsigned jobs = 0, std::size_t shards = 1);
+  explicit Runner(unsigned jobs = 0);
 
   /// The resolved worker count (>= 1).
   unsigned jobs() const noexcept { return jobs_; }
-
-  /// Shards per trial (>= 1; 1 = serial engine).
-  std::size_t shards() const noexcept { return shards_; }
 
   /// Run every spec and return results in input order. A trial that
   /// throws aborts the batch: the first failing trial's exception (in
@@ -107,7 +96,6 @@ class Runner {
 
  private:
   unsigned jobs_;
-  std::size_t shards_;
 };
 
 }  // namespace eblnet::core

@@ -80,18 +80,6 @@ std::shared_ptr<phy::PropagationModel> make_propagation(const ScenarioConfig& co
   return prop;
 }
 
-PlatoonPath platoon1_path(const ScenarioConfig& config) {
-  const double v = config.speed_mps;
-  const double cruise_dist = v * config.platoon1_brake_at.to_seconds();
-  const double brake_dist = mobility::Vehicle::stopping_distance(v, config.decel_mps2);
-  return {{0.0, -(cruise_dist + brake_dist)}, {0.0, 1.0}, cruise_dist + brake_dist};
-}
-
-PlatoonPath platoon2_path(const ScenarioConfig& config) {
-  const sim::Time moving = config.duration - config.resolved_platoon2_depart();
-  return {{-3.0, 0.0}, {1.0, 0.0}, config.speed_mps * std::max(0.0, moving.to_seconds())};
-}
-
 IntersectionPlatoons build_platoons(sim::Scheduler& sched, const ScenarioConfig& config) {
   const double gap = config.vehicle_gap_m;
   const double v = config.speed_mps;
@@ -99,8 +87,10 @@ IntersectionPlatoons build_platoons(sim::Scheduler& sched, const ScenarioConfig&
   const std::size_t n = config.platoon_size;
 
   IntersectionPlatoons platoons;
-  const PlatoonPath path1 = platoon1_path(config);
-  platoons.p1 = std::make_unique<mobility::Platoon>(sched, n, path1.lead_start, path1.heading, gap);
+  const double cruise_dist = v * config.platoon1_brake_at.to_seconds();
+  const double brake_dist = mobility::Vehicle::stopping_distance(v, a);
+  platoons.p1 = std::make_unique<mobility::Platoon>(
+      sched, n, mobility::Vec2{0.0, -(cruise_dist + brake_dist)}, mobility::Vec2{0.0, 1.0}, gap);
   if (config.reactive.enabled) {
     platoons.p1->cruise(v);
     sched.schedule_at(config.platoon1_brake_at,
@@ -109,8 +99,8 @@ IntersectionPlatoons build_platoons(sim::Scheduler& sched, const ScenarioConfig&
     platoons.p1->drive_and_stop_at(mobility::Vec2{0.0, 0.0}, v, a);
   }
 
-  const PlatoonPath path2 = platoon2_path(config);
-  platoons.p2 = std::make_unique<mobility::Platoon>(sched, n, path2.lead_start, path2.heading, gap);
+  platoons.p2 = std::make_unique<mobility::Platoon>(sched, n, mobility::Vec2{-3.0, 0.0},
+                                                    mobility::Vec2{1.0, 0.0}, gap);
   sched.schedule_at(config.resolved_platoon2_depart(),
                     [p2 = platoons.p2.get(), v] { p2->cruise(v); });
   return platoons;
@@ -128,7 +118,7 @@ NodeStack build_node_stack(net::Env& env, phy::Channel& channel, const ScenarioC
   if (config.use_red_queue) {
     queue::RedParams red = config.red;
     red.capacity = config.ifq_capacity;
-    ifq = std::make_unique<queue::RedQueue>(env.rng_for(id), red);
+    ifq = std::make_unique<queue::RedQueue>(env.rng(), red);
   } else {
     ifq = std::make_unique<queue::PriQueue>(config.ifq_capacity);
   }
@@ -169,17 +159,10 @@ NodeStack build_node_stack(net::Env& env, phy::Channel& channel, const ScenarioC
   return stack;
 }
 
-EblConfig ebl_config(const ScenarioConfig& config) {
-  EblConfig ebl = config.ebl;
-  ebl.packet_bytes = config.packet_bytes;
-  return ebl;
-}
-
 EblScenario::EblScenario(ScenarioConfig config) : config_{std::move(config)}, env_{config_.seed} {
   if (config_.platoon_size < 2)
     throw std::invalid_argument{"EblScenario: platoons need at least two vehicles"};
   if (config_.enable_trace) env_.set_trace_sink(&trace_);
-  if (config_.node_rng_streams) env_.enable_node_rng_streams();
   env_.metrics().set_enabled(config_.enable_metrics);
   channel_ = std::make_unique<phy::Channel>(env_, make_propagation(config_, env_.rng()),
                                             config_.channel);
@@ -216,9 +199,11 @@ void EblScenario::build_traffic() {
   for (std::size_t i = 0; i < n; ++i) p1_nodes.push_back(nodes_[i].get());
   for (std::size_t i = 0; i < n; ++i) p2_nodes.push_back(nodes_[n + i].get());
 
-  const EblConfig ebl = ebl_config(config_);
-  ebl1_ = std::make_unique<PlatoonEbl>(env_, *platoons_.p1, p1_nodes, ebl, kEblBasePort1);
-  ebl2_ = std::make_unique<PlatoonEbl>(env_, *platoons_.p2, p2_nodes, ebl, kEblBasePort2);
+  EblConfig ebl = config_.ebl;
+  ebl.packet_bytes = config_.packet_bytes;
+
+  ebl1_ = std::make_unique<PlatoonEbl>(env_, *platoons_.p1, p1_nodes, ebl, /*base_port=*/1000);
+  ebl2_ = std::make_unique<PlatoonEbl>(env_, *platoons_.p2, p2_nodes, ebl, /*base_port=*/3000);
 
   tput1_ = std::make_unique<trace::ThroughputMonitor>(
       env_, [this] { return ebl1_->total_sink_bytes(); }, config_.throughput_sample_interval);

@@ -142,10 +142,9 @@ struct ScenarioConfig {
   double nakagami_m{3.0};
   /// Keyed per-pair Nakagami fade streams: each (tx, rx, transmit-time)
   /// evaluation reseeds a scratch Rng from a pure hash of the scenario
-  /// seed, so fades are independent of evaluation order — the property
-  /// that lets the sharded engine run Nakagami scenarios bit-identically
-  /// to the serial oracle. Off by default: the shared-stream draws are
-  /// the historical behaviour and stay bit-identical.
+  /// seed, so fades do not depend on delivery order. Off by default: the
+  /// shared-stream draws are the historical behaviour and stay
+  /// bit-identical.
   bool nakagami_node_streams{false};
   /// Corner-building NLOS wrapping (off: pure line-of-sight model).
   BlockageConfig blockage{};
@@ -160,14 +159,6 @@ struct ScenarioConfig {
   std::uint64_t seed{1};
   bool enable_trace{true};
 
-  /// Give every node its own counter-based RNG stream (seeded from
-  /// mix_seed(seed, node id)) instead of the shared Env stream. Draw
-  /// results then depend only on (seed, node, draw index), never on the
-  /// interleaving of draws across nodes — the property the sharded engine
-  /// needs for serial/parallel equivalence. Off by default: the shared
-  /// stream is the historical behaviour and stays bit-identical.
-  bool node_rng_streams{false};
-
   /// Deterministic fault schedule (sim::FaultPlan). Empty by default —
   /// and an empty plan is guaranteed not to perturb the simulation in any
   /// way (bit-identical traces), so the paper's failure-free trials are
@@ -181,31 +172,13 @@ struct ScenarioConfig {
 };
 
 // --- Scenario assembly ------------------------------------------------
-// EblScenario and the sharded engine (core/sharded_scenario.hpp) build
-// their worlds with these functions, so each decision has one home.
+// The steps EblScenario builds its world from.
 
 /// The channel model `config` selects: two-ray ground, or Nakagami
 /// fading over it (keyed per-pair streams with nakagami_node_streams,
 /// else draws from `rng`), wrapped in corner blockage when enabled.
 std::shared_ptr<phy::PropagationModel> make_propagation(const ScenarioConfig& config,
                                                         sim::Rng& rng);
-
-/// One platoon's scripted path: where its lead starts, which way it
-/// heads, and how far it travels by config.duration. Followers trail
-/// the lead by vehicle_gap_m.
-struct PlatoonPath {
-  mobility::Vec2 lead_start;
-  mobility::Vec2 heading;
-  double travel_m{0.0};
-};
-
-/// Platoon 1 approaches the intersection (the origin) from the south so
-/// that braking starts exactly at platoon1_brake_at and the lead stops
-/// at the origin.
-PlatoonPath platoon1_path(const ScenarioConfig& config);
-/// Platoon 2 waits on the cross street just west of the intersection
-/// and departs east at resolved_platoon2_depart().
-PlatoonPath platoon2_path(const ScenarioConfig& config);
 
 /// The scenario's two platoons. Node i rides vehicle(i): platoon 1's
 /// members first, then platoon 2's.
@@ -218,10 +191,13 @@ struct IntersectionPlatoons {
   }
 };
 
-/// Build both platoons on `sched` along their paths and schedule the
-/// motion script: platoon 1 drives to its stop (with reactive braking
-/// only its lead brakes on schedule, the followers keep cruising) and
-/// platoon 2 departs on time.
+/// Build both platoons on `sched` and schedule the motion script.
+/// Platoon 1 approaches the intersection (the origin) from the south so
+/// that braking starts exactly at platoon1_brake_at and the lead stops
+/// at the origin (with reactive braking only its lead brakes on
+/// schedule, the followers keep cruising). Platoon 2 waits on the cross
+/// street just west of the intersection and departs east at
+/// resolved_platoon2_depart().
 IntersectionPlatoons build_platoons(sim::Scheduler& sched, const ScenarioConfig& config);
 
 /// One vehicle's network stack, as the paper fixes it.
@@ -236,13 +212,6 @@ struct NodeStack {
 /// phy joins `channel` and tracks `vehicle`.
 NodeStack build_node_stack(net::Env& env, phy::Channel& channel, const ScenarioConfig& config,
                            net::NodeId id, const std::shared_ptr<mobility::Vehicle>& vehicle);
-
-/// The EBL traffic both platoons run: config.ebl at the run's packet
-/// size. Platoon 1's streams start at port kEblBasePort1, platoon 2's at
-/// kEblBasePort2 (see ebl_lead_port / ebl_sink_port).
-EblConfig ebl_config(const ScenarioConfig& config);
-inline constexpr net::Port kEblBasePort1 = 1000;
-inline constexpr net::Port kEblBasePort2 = 3000;
 
 /// The reference network model of the paper (§III.A): two platoons of
 /// three vehicles at an intersection. Platoon 1 (nodes 0–2) approaches

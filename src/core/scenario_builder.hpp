@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/scenario.hpp"
-#include "core/sharded_scenario.hpp"
 #include "core/traffic_scenario.hpp"
 #include "core/trial.hpp"
 
@@ -85,20 +84,6 @@ class ScenarioBuilder {
     return *this;
   }
 
-  /// Execute the run space-sharded over `k` conservative shards (see
-  /// core::run_sharded_trial and DESIGN.md §3.9). k = 1 (the default) is
-  /// the serial engine, bit-identical to a build without this knob; k > 1
-  /// forces per-node RNG streams and rejects fault plans, reactive
-  /// braking, beaconing and shared-stream Nakagami fading (keyed
-  /// nakagami_node_streams shards). Sharded-run engine diagnostics land
-  /// in `diag` when provided.
-  ScenarioBuilder& with_shards(std::size_t k, ShardRunDiagnostics* diag = nullptr) {
-    shards_ = k;
-    shard_diag_ = diag;
-    return *this;
-  }
-  std::size_t shards() const noexcept { return shards_; }
-
   // --- channel / phy ---
   /// Broadcast-delivery tuning (spatial-grid threshold, re-bucket bounds).
   ScenarioBuilder& channel_params(const phy::ChannelParams& p) {
@@ -113,8 +98,8 @@ class ScenarioBuilder {
     return *this;
   }
   /// Keyed per-pair Nakagami fade streams — fades become a pure function
-  /// of (seed, tx, rx, transmit time), which is what lets with_shards(k)
-  /// run Nakagami scenarios bit-identically to the serial oracle.
+  /// of (seed, tx, rx, transmit time), so they do not depend on delivery
+  /// order.
   ScenarioBuilder& nakagami_node_streams(bool on = true) {
     config_.nakagami_node_streams = on;
     return *this;
@@ -220,17 +205,9 @@ class ScenarioBuilder {
   }
 
   /// Run to completion and extract the TrialResult (see core::run_trial).
-  /// With with_shards(k > 1) the run executes on the sharded engine
-  /// (after_run is unsupported there: no single EblScenario exists).
   TrialResult run(std::string name = {},
                   const std::function<void(EblScenario&)>& after_run = {}) const {
     reject_traffic("run");
-    if (shards_ > 1) {
-      if (after_run)
-        throw std::logic_error{"ScenarioBuilder: after_run is not supported with shards > 1"};
-      return run_sharded_trial(config_, shards_, std::move(name), shard_diag_);
-    }
-    if (shard_diag_ != nullptr) *shard_diag_ = ShardRunDiagnostics{};
     return run_trial(config_, std::move(name), after_run);
   }
 
@@ -241,10 +218,10 @@ class ScenarioBuilder {
   }
 
   /// Run the closed-loop traffic scenario and collect its sweep row.
-  /// Honors with_shards(k > 1) via core::run_sharded_traffic.
   TrafficRunResult run_traffic(std::string name = {}) const {
-    return run_sharded_traffic(traffic_run_config("run_traffic"), shards_, std::move(name),
-                               shard_diag_);
+    TrafficScenario scenario{traffic_run_config("run_traffic")};
+    scenario.run();
+    return scenario.result(std::move(name));
   }
 
  private:
@@ -266,8 +243,6 @@ class ScenarioBuilder {
 
   ScenarioConfig config_;
   TrafficConfig traffic_;
-  std::size_t shards_{1};
-  ShardRunDiagnostics* shard_diag_{nullptr};
 };
 
 }  // namespace eblnet::core

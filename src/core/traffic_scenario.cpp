@@ -19,16 +19,12 @@ double hash_unit(std::uint64_t h) {
 
 }  // namespace
 
-TrafficScenario::TrafficScenario(TrafficConfig config, HostFn hosts, PolicyFn on_policy)
-    : config_{std::move(config)},
-      hosts_{std::move(hosts)},
-      on_policy_{std::move(on_policy)},
-      env_{config_.seed} {
+TrafficScenario::TrafficScenario(TrafficConfig config)
+    : config_{std::move(config)}, env_{config_.seed} {
   if (!(config_.penetration >= 0.0 && config_.penetration <= 1.0))
     throw std::invalid_argument{"TrafficScenario: penetration must be in [0, 1]"};
   if (config_.warn_range_m < 0.0)
     throw std::invalid_argument{"TrafficScenario: warn range must be >= 0"};
-  if (config_.node_rng_streams) env_.enable_node_rng_streams();
 
   propagation_ = std::make_shared<phy::TwoRayGround>();
   channel_ = std::make_unique<phy::Channel>(env_, propagation_, config_.channel);
@@ -66,9 +62,7 @@ bool TrafficScenario::equip_roll(VehicleId v) const {
 
 void TrafficScenario::on_spawn(VehicleId v) {
   if (equipped_.size() <= v) equipped_.resize(v + 1);
-  // The roll is a pure hash of (seed, vehicle id), so a replica skipping
-  // vehicles it does not host cannot shift anyone else's membership.
-  if ((hosts_ && !hosts_(v)) || !equip_roll(v)) return;
+  if (!equip_roll(v)) return;
 
   auto eq = std::make_unique<Equipped>();
   const auto id = static_cast<net::NodeId>(v);
@@ -96,9 +90,7 @@ void TrafficScenario::on_spawn(VehicleId v) {
       env_,
       [this, v] {
         ++reactions_;
-        const sim::Time until = env_.now() + config_.policy_hold;
-        apply_warned_policy(v, until);
-        if (on_policy_) on_policy_(v, until);
+        flow_->apply_policy(v, config_.warned_policy, env_.now() + config_.policy_hold);
       },
       config_.reaction);
 
@@ -134,10 +126,6 @@ void TrafficScenario::on_warning(VehicleId receiver, std::uint64_t warning_id) {
   equipped_[receiver]->reactor->notify();
 }
 
-void TrafficScenario::apply_warned_policy(VehicleId v, sim::Time until) {
-  flow_->apply_policy(v, config_.warned_policy, until);
-}
-
 void TrafficScenario::trigger_incident() {
   const mobility::RoadSpec& road = flow_->params().roads.at(0);
   const double target = config_.incident_pos_m < 0.0 ? road.length_m / 2.0 : config_.incident_pos_m;
@@ -152,8 +140,6 @@ void TrafficScenario::trigger_incident() {
     }
   }
   if (best == mobility::TrafficFlow::kNoVehicle) return;  // road empty: no incident
-  // Replicas are bit-identical, so every shard picks the same vehicle
-  // and applies the same forced stop: no seam message is needed.
   incident_vehicle_ = best;
   incident_pos_ = flow_->longitudinal_pos(best);
   incident_time_ = env_.now();
@@ -165,20 +151,16 @@ void TrafficScenario::run() { run_until(config_.duration); }
 
 void TrafficScenario::run_until(sim::Time t) { env_.scheduler().run_until(t); }
 
-void TrafficScenario::add_tallies(TrafficRunResult& r) {
-  r.equipped += equipped_count_;
-  r.warnings_originated += warnings_originated_;
-  r.warning_receptions += warning_receptions_;
-  r.reactions += reactions_;
-  r.events_executed += env_.scheduler().executed_count();
-}
-
 TrafficRunResult TrafficScenario::result(std::string name) {
   TrafficRunResult r;
   r.name = std::move(name);
   r.penetration = config_.penetration;
   r.vehicles_spawned = flow_->spawned_total();
-  add_tallies(r);
+  r.equipped = equipped_count_;
+  r.warnings_originated = warnings_originated_;
+  r.warning_receptions = warning_receptions_;
+  r.reactions = reactions_;
+  r.events_executed = env_.scheduler().executed_count();
 
   // Shockwave front: least-squares fit of first-slow position vs. time
   // for vehicles upstream of the incident on the incident road.

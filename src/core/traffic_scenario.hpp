@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,10 +61,6 @@ struct TrafficConfig {
 
   sim::Time duration{sim::Time::seconds(std::int64_t{120})};
   std::uint64_t seed{1};
-
-  /// Per-node RNG streams (see ScenarioConfig::node_rng_streams). Required
-  /// by the sharded runner so per-node draws are interleaving-independent.
-  bool node_rng_streams{false};
 };
 
 /// Outcome of one closed-loop traffic run — the row a market-penetration
@@ -97,22 +92,9 @@ struct TrafficRunResult {
 /// down as they leave; the channel's spatial grid learns the dynamics
 /// side's speed bound before anything moves, so accelerating IDM
 /// vehicles never outrun their cull radius.
-///
-/// The sharded engine (core/sharded_scenario.hpp) runs one scenario per
-/// shard, each a replica of the whole flow: `hosts` restricts a replica
-/// to the radios its shard owns, and `on_policy` lets it mirror each
-/// installed policy into the other replicas.
 class TrafficScenario {
  public:
-  using VehicleId = mobility::TrafficFlow::VehicleId;
-  /// Whether this scenario hosts `v`'s radio (the penetration roll still
-  /// applies). Empty: every vehicle.
-  using HostFn = std::function<bool(VehicleId)>;
-  /// Called after a warned vehicle installs the cautious policy, with
-  /// the policy's expiry.
-  using PolicyFn = std::function<void(VehicleId, sim::Time until)>;
-
-  explicit TrafficScenario(TrafficConfig config, HostFn hosts = {}, PolicyFn on_policy = {});
+  explicit TrafficScenario(TrafficConfig config);
   ~TrafficScenario();
 
   TrafficScenario(const TrafficScenario&) = delete;
@@ -124,12 +106,6 @@ class TrafficScenario {
 
   /// Collect the sweep-row metrics (valid any time; final after run()).
   TrafficRunResult result(std::string name = {});
-  /// Add this scenario's tallies (equipped, warnings, reactions, events)
-  /// to `r`: how a sharded run sums its replicas.
-  void add_tallies(TrafficRunResult& r);
-
-  /// Install config.warned_policy on `v` until `until`.
-  void apply_warned_policy(VehicleId v, sim::Time until);
 
   const TrafficConfig& config() const noexcept { return config_; }
   net::Env& env() noexcept { return env_; }
@@ -138,6 +114,8 @@ class TrafficScenario {
   std::uint64_t equipped_count() const noexcept { return equipped_count_; }
 
  private:
+  using VehicleId = mobility::TrafficFlow::VehicleId;
+
   /// Radio stack of one equipped vehicle. Declaration order matters:
   /// the flood unbinds its port from the node on destruction.
   struct Equipped {
@@ -155,8 +133,6 @@ class TrafficScenario {
   void trigger_incident();
 
   TrafficConfig config_;
-  HostFn hosts_;
-  PolicyFn on_policy_;
   net::Env env_;
   std::shared_ptr<phy::PropagationModel> propagation_;
   std::unique_ptr<phy::Channel> channel_;

@@ -138,10 +138,8 @@ TrialResult run_trial(const ScenarioConfig& config, std::string name = {},
 void fold_ifq_residual(sim::MetricsRegistry& metrics, const net::Node& node);
 
 /// Build a TrialResult from the raw artefacts of a finished run — the
-/// shared back half of run_trial, also fed by the sharded runner with a
-/// k-way-merged trace and pointwise-summed throughput series. `faults`
-/// may be null (e.g. merged runs, which reject fault plans); the
-/// controller-sourced counters then stay zero.
+/// back half of run_trial. `faults` may be null; the controller-sourced
+/// counters then stay zero.
 TrialResult extract_trial_result(const ScenarioConfig& config, std::string name,
                                  const trace::TraceStore& records,
                                  stats::TimeSeries p1_throughput, stats::TimeSeries p2_throughput,

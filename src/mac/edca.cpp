@@ -235,7 +235,7 @@ void Edca::on_access_timer() {
 void Edca::draw_backoff(AccessCategory c) {
   AcState& a = st(c);
   a.slots = static_cast<int>(
-      env_.rng_for(address_).uniform_int(static_cast<std::uint64_t>(a.cw) + 1));
+      env_.rng().uniform_int(static_cast<std::uint64_t>(a.cw) + 1));
   env_.metrics().add(address_, sim::Counter::kMacBackoffSlots,
                      static_cast<std::uint64_t>(a.slots));
 }

@@ -114,7 +114,7 @@ void Mac80211::access_granted() {
 
 void Mac80211::draw_backoff() {
   pending_backoff_slots_ =
-      static_cast<int>(env_.rng_for(address_).uniform_int(static_cast<std::uint64_t>(cw_) + 1));
+      static_cast<int>(env_.rng().uniform_int(static_cast<std::uint64_t>(cw_) + 1));
   env_.metrics().add(address_, sim::Counter::kMacBackoffSlots,
                      static_cast<std::uint64_t>(pending_backoff_slots_));
 }

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "net/packet_pool.hpp"
 #include "net/trace_sink.hpp"
@@ -27,28 +25,6 @@ class Env {
 
   sim::Scheduler& scheduler() noexcept { return scheduler_; }
   sim::Rng& rng() noexcept { return rng_; }
-
-  /// Switch per-node draws (MAC backoff, routing jitter, flood jitter,
-  /// RED) from the shared run stream to independent per-node streams
-  /// seeded mix_seed(seed, node). Off by default: rng_for then returns
-  /// the shared stream and the simulation is bit-identical to a build
-  /// without this feature. The sharded runner forces it on — per-node
-  /// streams make a node's draw sequence independent of global event
-  /// interleaving, which is what lets a space-sharded run reproduce the
-  /// serial one exactly. Must be enabled before the first rng_for draw.
-  void enable_node_rng_streams() { node_streams_ = true; }
-  bool node_rng_streams() const noexcept { return node_streams_; }
-
-  /// The random stream a node's layers should draw from: the shared run
-  /// stream, or the node's own stream (stable address) when per-node
-  /// streams are enabled.
-  sim::Rng& rng_for(NodeId node) {
-    if (!node_streams_) return rng_;
-    if (node_rngs_.size() <= node) node_rngs_.resize(static_cast<std::size_t>(node) + 1);
-    auto& slot = node_rngs_[node];
-    if (!slot) slot = std::make_unique<sim::Rng>(sim::mix_seed(seed_, node));
-    return *slot;
-  }
   sim::Time now() const noexcept { return scheduler_.now(); }
   std::uint64_t seed() const noexcept { return seed_; }
 
@@ -72,21 +48,7 @@ class Env {
   /// scheduled closure that would otherwise capture a Packet by value.
   PacketPool& packet_pool() noexcept { return pool_; }
 
-  std::uint64_t alloc_uid() noexcept {
-    const std::uint64_t uid = next_uid_;
-    next_uid_ += uid_stride_;
-    return uid;
-  }
-
-  /// Stride the uid allocator over `stride` interleaved lanes, taking
-  /// lane `offset`: shard s of K allocates s+1, s+1+K, s+1+2K, ... so
-  /// uids stay globally unique across per-shard Envs (a packet cloned
-  /// over a seam keeps its uid, and trace analyzers match send/recv
-  /// records by uid). The default (stride 1, offset 0) is today's 1,2,3.
-  void set_uid_stride(std::uint64_t stride, std::uint64_t offset) {
-    next_uid_ = 1 + offset;
-    uid_stride_ = stride;
-  }
+  std::uint64_t alloc_uid() noexcept { return next_uid_++; }
 
   void set_trace_sink(TraceSink* sink) noexcept { trace_ = sink; }
   TraceSink* trace_sink() const noexcept { return trace_; }
@@ -126,10 +88,7 @@ class Env {
   sim::FaultController faults_;
   TraceSink* trace_{nullptr};
   std::uint64_t next_uid_{1};
-  std::uint64_t uid_stride_{1};
   std::uint64_t seed_{1};
-  bool node_streams_{false};
-  std::vector<std::unique_ptr<sim::Rng>> node_rngs_;  ///< lazily built, stable addresses
 };
 
 }  // namespace eblnet::net

@@ -12,8 +12,8 @@
 namespace eblnet::phy {
 
 /// Domain tag mixed with the scenario seed into the base key of the keyed
-/// per-pair fade streams (NakagamiFading::enable_pair_streams). Serial and
-/// sharded builds must derive the base the same way to stay bit-identical.
+/// per-pair fade streams (NakagamiFading::enable_pair_streams), so they
+/// never share a seed with the run's other streams.
 inline constexpr std::uint64_t kPairFadeSeedTag = 0x5F10'77D0'0004ULL;
 
 /// Radio propagation model: received signal power as a function of
@@ -65,10 +65,10 @@ class PropagationModel {
 
   /// True when the model's random draws come from per-pair keyed streams
   /// (select_pair_stream) rather than one shared stream. Keyed draws are
-  /// a pure function of (key, pair, transmit time), so a sharded run that
-  /// evaluates only its owned pairs — or a grid path that culls a
-  /// different candidate set than the flat loop — still produces the
-  /// identical fade for every pair it does evaluate.
+  /// a pure function of (key, pair, transmit time), so their fades do not
+  /// depend on delivery order: a grid path that culls a different
+  /// candidate set than the flat loop still produces the identical fade
+  /// for every pair it does evaluate.
   virtual bool pair_fade_streams() const noexcept { return false; }
 
   /// Rekey the stream feeding the next rx_power evaluation(s): called by
@@ -156,9 +156,8 @@ class NakagamiFading : public PropagationModel {
 
   /// Switch fade draws to stateless keyed streams: each pair evaluation
   /// reseeds a scratch generator from (base_seed, tx node, rx node,
-  /// transmit time), making every fade independent of evaluation order.
-  /// This is what lets the sharded engine (which only evaluates owned
-  /// pairs) reproduce the serial run's fades bit-for-bit.
+  /// transmit time), making every fade independent of evaluation and
+  /// delivery order.
   void enable_pair_streams(std::uint64_t base_seed) noexcept {
     keyed_ = true;
     pair_seed_base_ = base_seed;

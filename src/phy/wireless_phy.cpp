@@ -327,24 +327,11 @@ void Channel::phy_channel_changed(WirelessPhy* phy) {
 
 void Channel::transmit(WirelessPhy& sender, net::Packet p, sim::Time duration) {
   ++broadcast_count_;
-  const mobility::Vec2 from = sender.position();
-  if (seam_hook_) seam_hook_(sender, p, from, duration);
-  collect_receivers(from, sender.params().tx_power_w, sender.channel_id(), &sender,
-                    sender.owner());
+  collect_receivers(sender);
   schedule_deliveries(sender.owner(), std::move(p), duration);
 }
 
-void Channel::inject_remote(net::Packet p, mobility::Vec2 from, double tx_power_w,
-                            std::uint32_t sender_channel_id, sim::Time duration,
-                            net::NodeId src) {
-  ++remote_inject_count_;
-  collect_receivers(from, tx_power_w, sender_channel_id, /*exclude=*/nullptr, src);
-  schedule_deliveries(src, std::move(p), duration);
-}
-
-void Channel::collect_receivers(mobility::Vec2 from, double tx_power_w,
-                                std::uint32_t channel_id, WirelessPhy* exclude,
-                                net::NodeId metrics_owner) {
+void Channel::collect_receivers(WirelessPhy& sender) {
   scratch_.clear();
 
   // One virtual query per broadcast (not per pair) keeps the default
@@ -352,16 +339,19 @@ void Channel::collect_receivers(mobility::Vec2 from, double tx_power_w,
   const bool position_aware = propagation_->position_aware();
   const bool pair_streams = propagation_->pair_fade_streams();
   const sim::Time now = env_.now();
+  const mobility::Vec2 from = sender.position();
+  const double tx_power_w = sender.params().tx_power_w;
+  const std::uint32_t channel_id = sender.channel_id();
 
   const auto pair_power = [&](const WirelessPhy& rx, double d,
                               mobility::Vec2 to) {
-    if (pair_streams) propagation_->select_pair_stream(metrics_owner, rx.owner(), now);
+    if (pair_streams) propagation_->select_pair_stream(sender.owner(), rx.owner(), now);
     return position_aware ? propagation_->rx_power_between(tx_power_w, from, to, d)
                           : propagation_->rx_power(tx_power_w, d);
   };
 
   const auto consider = [&](WirelessPhy* rx) {
-    if (rx == nullptr || rx == exclude) return;  // detach hole, or the sender
+    if (rx == nullptr || rx == &sender) return;  // detach hole, or the sender
     ++pair_evaluations_;
     if (rx->channel_id() != channel_id) return;  // different frequency
     const mobility::Vec2 to = rx->position();
@@ -393,15 +383,13 @@ void Channel::collect_receivers(mobility::Vec2 from, double tx_power_w,
     } else if (env_.now() - last_rebucket_ >= params_.grid_rebucket_period) {
       rebucket_all();
     }
-    // The local sender's position is exact and free; a remote sender is
-    // not attached here, so there is nothing to update.
-    if (exclude != nullptr) grid_.update(exclude, from);
+    grid_.update(&sender, from);  // the sender's position is exact and free
     if (params_.batch_cull) {
       // Phase 1: branch-free SoA sweep (range² against per-phy envelope
       // radii + frequency channel), then one batched envelope refinement
       // at the sender's actual tx power.
       const std::uint64_t lanes =
-          grid_.cull(from, query_radius(), channel_id, exclude, candidates_);
+          grid_.cull(from, query_radius(), channel_id, &sender, candidates_);
       // Phase 1b only helps when the sender is weaker than the channel
       // maximum the cull radii were computed for; at full power the
       // envelope bound keeps every phase-1a survivor (the cull radius IS
@@ -410,11 +398,11 @@ void Channel::collect_receivers(mobility::Vec2 from, double tx_power_w,
       if (tx_power_w < max_tx_power_w_) envelope_cull(tx_power_w);
       batch_lane_count_ += lanes;
       batch_culled_count_ += lanes - candidates_.size();
-      env_.metrics().add(metrics_owner, sim::Counter::kPhyBatchCulled,
+      env_.metrics().add(sender.owner(), sim::Counter::kPhyBatchCulled,
                          lanes - candidates_.size());
-      env_.metrics().add(metrics_owner, sim::Counter::kPhyBatchSurvivors, candidates_.size());
+      env_.metrics().add(sender.owner(), sim::Counter::kPhyBatchSurvivors, candidates_.size());
     } else {
-      grid_.collect(from, query_radius(), exclude, candidates_);
+      grid_.collect(from, query_radius(), &sender, candidates_);
     }
     // One post-cull sort over survivors (both grid legs): attach-sequence
     // order is exactly the flat loop's iteration order. The sort key

@@ -235,26 +235,6 @@ class Channel {
   /// zero allocations once the pool is warm.
   void transmit(WirelessPhy& sender, net::Packet p, sim::Time duration);
 
-  /// Observer for the sharded engine: called once per transmit with the
-  /// sender, the packet, the sender's exact position and the airtime,
-  /// before any delivery is scheduled. The sharded glue forwards the
-  /// broadcast across seams from here; a serial run never sets it, so
-  /// the hot path pays one predicted branch.
-  using SeamHook = std::function<void(const WirelessPhy& sender, const net::Packet& p,
-                                      mobility::Vec2 from, sim::Time duration)>;
-  void set_seam_hook(SeamHook hook) { seam_hook_ = std::move(hook); }
-
-  /// Replay of a broadcast that originated on another shard: fan `p` out
-  /// to the *locally attached* receivers exactly as transmit() would —
-  /// identical candidate query, identical exact per-receiver filter,
-  /// identical per-receiver propagation delay — except the sender is not
-  /// attached here, so its position, power and frequency channel arrive
-  /// by value. Must be called with env.now() equal to the original
-  /// transmit time. Does not count as a local broadcast (see
-  /// remote_injects()).
-  void inject_remote(net::Packet p, mobility::Vec2 from, double tx_power_w,
-                     std::uint32_t sender_channel_id, sim::Time duration, net::NodeId src);
-
   const PropagationModel& propagation() const noexcept { return *propagation_; }
   const ChannelParams& params() const noexcept { return params_; }
   /// Phys currently attached.
@@ -293,8 +273,6 @@ class Channel {
   std::uint64_t batch_culled() const noexcept { return batch_culled_count_; }
   /// Full O(N) re-bucket passes performed.
   std::uint64_t grid_rebuckets() const noexcept { return grid_rebucket_count_; }
-  /// Cross-shard broadcasts replayed into this channel via inject_remote.
-  std::uint64_t remote_injects() const noexcept { return remote_inject_count_; }
 
   /// One receiver of the most recent transmit (diagnostic/test hook).
   struct Reachable {
@@ -331,11 +309,9 @@ class Channel {
                net::PooledPacket p, double power_w, sim::Time duration);
   void schedule_deliveries(net::NodeId tx, net::Packet p, sim::Time duration);
 
-  /// Shared grid/flat candidate selection + exact filter for transmit and
-  /// inject_remote. `exclude` is the locally attached sender (null for a
-  /// remote replay, whose sender is attached elsewhere).
-  void collect_receivers(mobility::Vec2 from, double tx_power_w, std::uint32_t channel_id,
-                         WirelessPhy* exclude, net::NodeId metrics_owner);
+  /// Grid/flat candidate selection + exact filter: fills scratch_ with
+  /// `sender`'s receivers, in delivery order.
+  void collect_receivers(WirelessPhy& sender);
 
   net::Env& env_;
   std::shared_ptr<PropagationModel> propagation_;
@@ -347,7 +323,6 @@ class Channel {
   std::vector<WirelessPhy*> phys_;
   std::size_t phy_holes_{0};
   std::vector<Reachable> scratch_;  ///< per-transmit receiver list, reused
-  SeamHook seam_hook_;
 
   // Delivery liveness: slots_[phy->chan_slot_] == phy while attached.
   // Detach clears the slot; re-attach into a recycled slot bumps its
@@ -375,7 +350,6 @@ class Channel {
   std::vector<double> cull_power_;         ///< phase-1b envelope scratch
 
   std::uint64_t broadcast_count_{0};
-  std::uint64_t remote_inject_count_{0};
   std::uint64_t pair_evaluations_{0};
   std::uint64_t batch_lane_count_{0};
   std::uint64_t batch_culled_count_{0};

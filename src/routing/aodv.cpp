@@ -433,7 +433,7 @@ void Aodv::send_rerr(const std::vector<net::AodvRerrHeader::Unreachable>& list) 
 
 void Aodv::start_hello() {
   hello_timer_.schedule_in(
-      env_.rng_for(self_).uniform_time(sim::Time::zero(), params_.hello_interval));
+      env_.rng().uniform_time(sim::Time::zero(), params_.hello_interval));
 }
 
 void Aodv::on_hello_tick() {
@@ -483,7 +483,7 @@ void Aodv::broadcast_jittered(net::Packet p) {
   if (!p.mac) p.mac.emplace();
   p.mac->dst = net::kBroadcastAddress;
   const sim::Time jitter =
-      env_.rng_for(self_).uniform_time(sim::Time::zero(), params_.broadcast_jitter);
+      env_.rng().uniform_time(sim::Time::zero(), params_.broadcast_jitter);
   // Park the packet in the pool while it waits out the jitter: the
   // capture is a 16-byte handle, not a by-value Packet.
   env_.scheduler().schedule_in(

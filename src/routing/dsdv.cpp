@@ -14,7 +14,7 @@ Dsdv::Dsdv(net::Env& env, net::NodeId self, DsdvParams params)
   table_[self_] = Entry{self_, own_seqno_, 0, env_.now()};
   // Desynchronised start so co-located nodes don't dump simultaneously.
   periodic_timer_.schedule_in(
-      env_.rng_for(self_).uniform_time(sim::Time::zero(), params_.periodic_update_interval));
+      env_.rng().uniform_time(sim::Time::zero(), params_.periodic_update_interval));
 }
 
 void Dsdv::attach_mac(net::MacLayer* mac) {
@@ -126,7 +126,7 @@ void Dsdv::broadcast_update(bool /*full*/) {
   env_.trace(net::TraceAction::kSend, net::TraceLayer::kRouter, self_, p);
 
   const sim::Time jitter =
-      env_.rng_for(self_).uniform_time(sim::Time::zero(), params_.broadcast_jitter);
+      env_.rng().uniform_time(sim::Time::zero(), params_.broadcast_jitter);
   // Park the packet in the pool while it waits out the jitter: the
   // capture is a 16-byte handle, not a by-value Packet.
   env_.scheduler().schedule_in(

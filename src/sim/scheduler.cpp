@@ -21,17 +21,6 @@ const Scheduler::Slot* Scheduler::resolve(EventId id) const noexcept {
 EventId Scheduler::schedule_at(Time at, Callback cb) {
   if (at < now_) throw std::invalid_argument{"Scheduler: event scheduled in the past"};
   if (!cb) throw std::invalid_argument{"Scheduler: empty callback"};
-  return push_entry(at, next_seq_++, std::move(cb));
-}
-
-EventId Scheduler::schedule_tagged(Time at, std::uint64_t seq, Callback cb) {
-  if (at < now_) throw std::invalid_argument{"Scheduler: tagged event scheduled in the past"};
-  if (!cb) throw std::invalid_argument{"Scheduler: empty callback"};
-  return push_entry(at, seq, std::move(cb));
-}
-
-EventId Scheduler::push_entry(Time at, std::uint64_t seq, Callback cb) {
-  ++heap_version_;
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -44,7 +33,7 @@ EventId Scheduler::push_entry(Time at, std::uint64_t seq, Callback cb) {
   s.in_use = true;
   s.cancelled = false;
   s.cb = std::move(cb);
-  heap_.push_back(Entry{at, seq, slot});
+  heap_.push_back(Entry{at, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
   return make_id(slot, s.gen);
@@ -58,7 +47,6 @@ void Scheduler::cancel(EventId id) {
   // stays behind as a tombstone and is discarded when it reaches the top.
   s->cb.reset();
   --live_;
-  ++heap_version_;
 }
 
 bool Scheduler::is_pending(EventId id) const {
@@ -67,9 +55,6 @@ bool Scheduler::is_pending(EventId id) const {
 }
 
 void Scheduler::release_slot(std::uint32_t slot) {
-  // Slots release only when their heap entry pops (or on clear), so this
-  // also versions every removal from the heap.
-  ++heap_version_;
   Slot& s = slots_[slot];
   s.in_use = false;
   s.cancelled = false;
@@ -124,60 +109,6 @@ std::uint64_t Scheduler::run_until(Time until) {
   }
   if (now_ < until) now_ = until;
   return n;
-}
-
-std::uint64_t Scheduler::run_below(Time bound_at, std::uint64_t bound_seq) {
-  std::uint64_t n = 0;
-  while (!heap_.empty()) {
-    if (slots_[heap_.front().slot].cancelled) {
-      release_slot(pop_top().slot);
-      continue;
-    }
-    const Entry& top = heap_.front();
-    if (top.at > bound_at || (top.at == bound_at && top.seq >= bound_seq)) break;
-    const Entry e = pop_top();
-    Callback cb = std::move(slots_[e.slot].cb);
-    release_slot(e.slot);
-    --live_;
-    now_ = e.at;
-    ++executed_;
-    ++n;
-    cb();
-  }
-  return n;
-}
-
-bool Scheduler::peek_next_key(Time& at, std::uint64_t& seq) {
-  while (!heap_.empty()) {
-    if (slots_[heap_.front().slot].cancelled) {
-      release_slot(pop_top().slot);
-      continue;
-    }
-    at = heap_.front().at;
-    seq = heap_.front().seq;
-    return true;
-  }
-  return false;
-}
-
-bool Scheduler::peek_next_local_time(std::uint64_t remote_seq_floor, Time& at) {
-  if (local_scan_version_ != heap_version_ || local_scan_floor_ != remote_seq_floor) {
-    local_scan_version_ = heap_version_;
-    local_scan_floor_ = remote_seq_floor;
-    local_scan_found_ = false;
-    // A heap entry's slot is released only when the entry itself pops,
-    // so every in-heap entry still names its own occupancy: liveness is
-    // just the cancelled flag.
-    for (const Entry& e : heap_) {
-      if (e.seq >= remote_seq_floor || slots_[e.slot].cancelled) continue;
-      if (!local_scan_found_ || e.at < local_scan_at_) {
-        local_scan_found_ = true;
-        local_scan_at_ = e.at;
-      }
-    }
-  }
-  if (local_scan_found_) at = local_scan_at_;
-  return local_scan_found_;
 }
 
 std::uint64_t Scheduler::run(std::uint64_t max_events) {

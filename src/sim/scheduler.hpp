@@ -64,14 +64,6 @@ class Scheduler {
   /// Schedule `cb` to run at absolute time `at`. `at` must be >= now().
   EventId schedule_at(Time at, Callback cb);
 
-  /// Schedule `cb` with an explicit tie-break sequence instead of the
-  /// FIFO counter. The sharded engine tags cross-shard replays with
-  /// source-shard keys well above the FIFO range, so the (time, seq)
-  /// merge order is deterministic no matter when a message physically
-  /// arrives. Does not consume (or interact with) the FIFO counter —
-  /// local seq allocation stays independent of message arrival timing.
-  EventId schedule_tagged(Time at, std::uint64_t seq, Callback cb);
-
   /// Schedule `cb` to run `delay` after now(). `delay` must be >= 0.
   EventId schedule_in(Time delay, Callback cb) { return schedule_at(now_ + delay, std::move(cb)); }
 
@@ -91,29 +83,6 @@ class Scheduler {
   /// Run all events to quiescence. `max_events` guards against runaway
   /// simulations. Returns the number of events executed.
   std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
-
-  /// Run events whose key (at, seq) is lexicographically *strictly*
-  /// below (bound_at, bound_seq). Unlike run_until, the clock is left at
-  /// the last executed event — never advanced to the bound — so a shard
-  /// can resume from a later, larger bound without losing events that
-  /// land between its clock and the old bound. Returns events executed.
-  std::uint64_t run_below(Time bound_at, std::uint64_t bound_seq);
-
-  /// Key (time, seq) of the next live event without executing it;
-  /// cancelled tombstones at the heap top are discarded as a side
-  /// effect. False when no live event is pending.
-  bool peek_next_key(Time& at, std::uint64_t& seq);
-
-  /// Time of the earliest live event whose seq is below
-  /// `remote_seq_floor` — i.e. the earliest *locally scheduled* event,
-  /// skipping seam replays tagged into the remote seq bands. False when
-  /// none is pending. The sharded engine's promise computation needs
-  /// this (DESIGN.md §3.9): cross-seam posts only originate from local
-  /// events, so when the heap top is a replay the promise may pass it,
-  /// but never past the earliest local event hiding behind it. Costs one
-  /// O(pending) sweep after a heap mutation and O(1) until the next one,
-  /// so a shard spinning on a peer's promise pays nothing per spin.
-  bool peek_next_local_time(std::uint64_t remote_seq_floor, Time& at);
 
   /// Drop every pending event (does not reset the clock).
   void clear();
@@ -154,7 +123,6 @@ class Scheduler {
   /// The Slot for `id` iff `id` names its current occupant; else nullptr.
   const Slot* resolve(EventId id) const noexcept;
 
-  EventId push_entry(Time at, std::uint64_t seq, Callback cb);
   void release_slot(std::uint32_t slot);
   /// Pops the next live entry into `out`, moving its callback out of the
   /// slot into `cb` (the slot is released); false when the queue is empty.
@@ -169,14 +137,6 @@ class Scheduler {
   std::uint64_t next_seq_{1};
   std::uint64_t executed_{0};
   std::size_t live_{0};  ///< scheduled, not yet fired, not cancelled
-
-  /// Bumped on every heap/liveness mutation; lets peek_next_local_time
-  /// cache its sweep between mutations.
-  std::uint64_t heap_version_{0};
-  std::uint64_t local_scan_version_{~std::uint64_t{0}};
-  std::uint64_t local_scan_floor_{0};
-  bool local_scan_found_{false};
-  Time local_scan_at_{};
 };
 
 }  // namespace eblnet::sim

@@ -1,6 +1,7 @@
 #include "sim/thread_pool.hpp"
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 namespace eblnet::sim {
@@ -37,7 +38,10 @@ unsigned ThreadPool::default_concurrency() {
   if (const char* env = std::getenv("EBLNET_JOBS"); env != nullptr) {
     char* end = nullptr;
     const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) return static_cast<unsigned>(parsed);
+    // Values past UINT_MAX count as garbage rather than wrapping.
+    if (end != env && *end == '\0' && parsed > 0 &&
+        static_cast<unsigned long>(parsed) <= std::numeric_limits<unsigned>::max())
+      return static_cast<unsigned>(parsed);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

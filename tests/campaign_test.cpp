@@ -75,9 +75,9 @@ TEST(RunCacheTest, StoreThenLoadReconstructsByteIdentically) {
   const core::ScenarioConfig cfg = quick_config();
 
   const core::TrialResult fresh = core::run_trial(cfg, "round-trip");
-  EXPECT_FALSE(cache.load(cfg, 1, "round-trip"));  // cold
-  cache.store(cfg, 1, fresh);
-  const auto cached = cache.load(cfg, 1, "round-trip");
+  EXPECT_FALSE(cache.load(cfg, "round-trip"));  // cold
+  cache.store(cfg, fresh);
+  const auto cached = cache.load(cfg, "round-trip");
   ASSERT_TRUE(cached);
 
   // The strongest equivalence we can ask for: the full trial manifest —
@@ -92,8 +92,8 @@ TEST(RunCacheTest, NameIsCallerContextNotPartOfTheKey) {
   eblnet::testing::TempDir tmp;
   campaign::RunCache cache{tmp.path()};
   const core::ScenarioConfig cfg = quick_config();
-  cache.store(cfg, 1, core::run_trial(cfg, "first-name"));
-  const auto renamed = cache.load(cfg, 1, "second-name");
+  cache.store(cfg, core::run_trial(cfg, "first-name"));
+  const auto renamed = cache.load(cfg, "second-name");
   ASSERT_TRUE(renamed);
   EXPECT_EQ(renamed->name, "second-name");
 }
@@ -103,15 +103,15 @@ TEST(RunCacheTest, CountersTrackHitsMissesAndBytes) {
   campaign::RunCache cache{tmp.path()};
   const core::ScenarioConfig cfg = quick_config();
 
-  EXPECT_FALSE(cache.load(cfg, 1, "t"));
+  EXPECT_FALSE(cache.load(cfg, "t"));
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
 
-  cache.store(cfg, 1, core::run_trial(cfg, "t"));
+  cache.store(cfg, core::run_trial(cfg, "t"));
   const sim::MetricsSnapshot after_store = cache.metrics();
   EXPECT_GT(after_store.node_counter(0, sim::Counter::kCampaignCacheBytesWritten), 0u);
 
-  ASSERT_TRUE(cache.load(cfg, 1, "t"));
+  ASSERT_TRUE(cache.load(cfg, "t"));
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   const sim::MetricsSnapshot after_load = cache.metrics();
@@ -126,7 +126,7 @@ TEST(RunCacheTest, TruncatedEntryIsEvictedAndRecomputed) {
   const core::TrialResult fresh = core::run_trial(cfg, "torn");
   {
     campaign::RunCache cache{tmp.path()};
-    cache.store(cfg, 1, fresh);
+    cache.store(cfg, fresh);
   }
 
   // Simulate a kill mid-write that somehow landed at the final path
@@ -136,14 +136,14 @@ TEST(RunCacheTest, TruncatedEntryIsEvictedAndRecomputed) {
   fs::resize_file(entry, full_size / 2);
 
   campaign::RunCache cache{tmp.path()};
-  EXPECT_FALSE(cache.load(cfg, 1, "torn"));  // detected, not served
+  EXPECT_FALSE(cache.load(cfg, "torn"));  // detected, not served
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_FALSE(fs::exists(entry)) << "corrupt entry must be unlinked";
 
   // Recompute and commit cleanly; the second load is a real hit again.
-  cache.store(cfg, 1, fresh);
-  const auto reloaded = cache.load(cfg, 1, "torn");
+  cache.store(cfg, fresh);
+  const auto reloaded = cache.load(cfg, "torn");
   ASSERT_TRUE(reloaded);
   EXPECT_EQ(trial_manifest(*reloaded), trial_manifest(fresh));
 }
@@ -154,11 +154,11 @@ TEST(RunCacheTest, InProgressTempFileIsInvisible) {
   eblnet::testing::TempDir tmp;
   campaign::RunCache cache{tmp.path()};
   const core::ScenarioConfig cfg = quick_config();
-  const fs::path entry = cache.entry_path(cache.key_for(cfg, 1));
+  const fs::path entry = cache.entry_path(cache.key_for(cfg));
   fs::create_directories(entry.parent_path());
   std::ofstream{entry.string() + ".tmp.9999"} << "{ \"partial\": ";
 
-  EXPECT_FALSE(cache.load(cfg, 1, "t"));
+  EXPECT_FALSE(cache.load(cfg, "t"));
   EXPECT_EQ(cache.evictions(), 0u);  // a temp file is absence, not corruption
 }
 
@@ -171,16 +171,16 @@ TEST(RunCacheTest, ForeignFingerprintEntryIsEvicted) {
 
   campaign::RunCache theirs{tmp.path()};
   theirs.set_fingerprint("build-a");
-  theirs.store(cfg, 1, core::run_trial(cfg, "foreign"));
+  theirs.store(cfg, core::run_trial(cfg, "foreign"));
 
   campaign::RunCache ours{tmp.path()};
   ours.set_fingerprint("build-b");
   // Plant their entry at our address.
-  const fs::path ours_path = ours.entry_path(ours.key_for(cfg, 1));
+  const fs::path ours_path = ours.entry_path(ours.key_for(cfg));
   fs::create_directories(ours_path.parent_path());
-  fs::copy_file(theirs.entry_path(theirs.key_for(cfg, 1)), ours_path);
+  fs::copy_file(theirs.entry_path(theirs.key_for(cfg)), ours_path);
 
-  EXPECT_FALSE(ours.load(cfg, 1, "foreign"));
+  EXPECT_FALSE(ours.load(cfg, "foreign"));
   EXPECT_EQ(ours.evictions(), 1u);
   EXPECT_FALSE(fs::exists(ours_path));
 }
@@ -190,7 +190,7 @@ TEST(RunCacheTest, TamperedCompletionMarkerIsEvicted) {
   const core::ScenarioConfig cfg = quick_config();
   {
     campaign::RunCache cache{tmp.path()};
-    cache.store(cfg, 1, core::run_trial(cfg, "tamper"));
+    cache.store(cfg, core::run_trial(cfg, "tamper"));
   }
   const fs::path entry = only_entry(tmp.path());
   std::string text;
@@ -206,7 +206,7 @@ TEST(RunCacheTest, TamperedCompletionMarkerIsEvicted) {
   std::ofstream{entry} << text;
 
   campaign::RunCache cache{tmp.path()};
-  EXPECT_FALSE(cache.load(cfg, 1, "tamper"));
+  EXPECT_FALSE(cache.load(cfg, "tamper"));
   EXPECT_EQ(cache.evictions(), 1u);
 }
 
@@ -215,9 +215,9 @@ TEST(RunCacheTest, DifferentSeedsGetDifferentEntries) {
   campaign::RunCache cache{tmp.path()};
   const core::ScenarioConfig one = quick_config(1);
   const core::ScenarioConfig two = quick_config(2);
-  cache.store(one, 1, core::run_trial(one, "s1"));
-  EXPECT_FALSE(cache.load(two, 1, "s2")) << "seed 2 must not hit seed 1's entry";
-  const auto hit = cache.load(one, 1, "s1");
+  cache.store(one, core::run_trial(one, "s1"));
+  EXPECT_FALSE(cache.load(two, "s2")) << "seed 2 must not hit seed 1's entry";
+  const auto hit = cache.load(one, "s1");
   ASSERT_TRUE(hit);
   EXPECT_EQ(hit->config.seed, 1u);
 }

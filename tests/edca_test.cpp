@@ -213,13 +213,13 @@ TEST_F(EdcaTest, EdcaParamsDoNotPerturbNonEdcaScenarioKeys) {
   core::ScenarioConfig mutated = dcf;
   mutated.edca.ac[3] = {1, 0, 3};
   mutated.edca.data_rate_bps = 27e6;
-  EXPECT_EQ(core::campaign::canonical_scenario_text(dcf, 1),
-            core::campaign::canonical_scenario_text(mutated, 1));
+  EXPECT_EQ(core::campaign::canonical_scenario_text(dcf),
+            core::campaign::canonical_scenario_text(mutated));
 
   core::ScenarioConfig edca = dcf;
   edca.mac = core::MacType::kEdca;
-  EXPECT_NE(core::campaign::canonical_scenario_text(dcf, 1),
-            core::campaign::canonical_scenario_text(edca, 1));
+  EXPECT_NE(core::campaign::canonical_scenario_text(dcf),
+            core::campaign::canonical_scenario_text(edca));
 }
 
 }  // namespace

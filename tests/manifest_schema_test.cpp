@@ -187,7 +187,7 @@ core::TrialResult quick_faulted_trial() {
 TEST(ManifestSchemaTest, TrialManifestMatchesGolden) {
   std::ostringstream ss;
   core::report::write_json(ss, quick_trial());
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_trial_v5.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_trial_v6.keys");
 }
 
 TEST(ManifestSchemaTest, SweepManifestMatchesGolden) {
@@ -195,7 +195,7 @@ TEST(ManifestSchemaTest, SweepManifestMatchesGolden) {
   const core::TrialResult trials[] = {r, r};
   std::ostringstream ss;
   core::report::write_sweep_json(ss, "schema-sweep", trials);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_sweep_v5.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_sweep_v6.keys");
 }
 
 TEST(ManifestSchemaTest, ResilienceManifestMatchesGolden) {
@@ -209,7 +209,7 @@ TEST(ManifestSchemaTest, ResilienceManifestMatchesGolden) {
   const core::report::ResilienceCell cells[] = {cell};
   std::ostringstream ss;
   core::report::write_resilience_json(ss, "schema-resilience", baselines, cells);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_resilience_v5.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_resilience_v6.keys");
 }
 
 TEST(ManifestSchemaTest, TrafficManifestMatchesGolden) {
@@ -225,7 +225,7 @@ TEST(ManifestSchemaTest, TrafficManifestMatchesGolden) {
       core::ScenarioBuilder().with_traffic_flow(cfg).run_traffic("p=1.00")};
   std::ostringstream ss;
   core::report::write_traffic_json(ss, "schema-traffic", cfg, cells);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_traffic_v5.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_traffic_v6.keys");
 }
 
 TEST(ManifestSchemaTest, CampaignManifestMatchesGolden) {
@@ -245,7 +245,7 @@ TEST(ManifestSchemaTest, CampaignManifestMatchesGolden) {
       .point("2", [](core::ScenarioBuilder& b) { b.seed(2); });
   std::ostringstream ss;
   core::campaign::Runner{cache}.run(spec, &ss);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_campaign_v5.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_campaign_v6.keys");
 }
 
 TEST(ManifestSchemaTest, SchemaVersionIsDeclared) {

@@ -115,7 +115,6 @@ TEST(ScenarioKeyTest, EveryKnobChangesKey) {
              c.throughput_sample_interval + sim::Time::milliseconds(std::int64_t{1});
        }},
       {"enable_trace", [](auto& c) { c.enable_trace = !c.enable_trace; }},
-      {"node_rng_streams", [](auto& c) { c.node_rng_streams = !c.node_rng_streams; }},
       {"enable_metrics", [](auto& c) { c.enable_metrics = !c.enable_metrics; }},
       {"faults",
        [](auto& c) {
@@ -166,13 +165,6 @@ TEST(ScenarioKeyTest, EveryKnobChangesKey) {
   }
 }
 
-TEST(ScenarioKeyTest, ShardCountIsPartOfKey) {
-  // Sharded runs are bit-identical to serial by construction, but the
-  // engines differ; a cache entry records which one produced it.
-  const core::ScenarioConfig cfg = base_config();
-  EXPECT_NE(scenario_key(cfg, 1), scenario_key(cfg, 2));
-}
-
 TEST(ScenarioKeyTest, FingerprintExtendsTheKey) {
   const Key k = scenario_key(base_config());
   const Key a = mix_fingerprint(k, "build-a");
@@ -219,7 +211,6 @@ TEST(ScenarioKeyTest, GoldenKeysUnchanged) {
       {"trial1", scenario_key(core::trial1_config())},
       {"trial2", scenario_key(core::trial2_config())},
       {"trial3", scenario_key(core::trial3_config())},
-      {"trial3_shards2", scenario_key(core::trial3_config(), 2)},
   };
   ASSERT_EQ(golden.size(), actual.size()) << "golden " << path << " out of date";
   for (const auto& [key_name, key] : actual) {

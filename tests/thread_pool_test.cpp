@@ -81,8 +81,8 @@ TEST(ThreadPoolTest, ManyTinyTasksYieldStableResultOrder) {
   // Contention determinism: thousands of sub-microsecond tasks racing
   // over the queue lock must still hand every future the value of *its*
   // submission, so collecting futures in submission order reproduces the
-  // serial computation exactly — the property both the Runner and the
-  // ShardEngine build on. Two passes over a fixed seed must agree.
+  // serial computation exactly — the property the Runner builds on. Two
+  // passes over a fixed seed must agree.
   constexpr std::size_t kTasks = 10000;
   constexpr std::uint64_t kSeed = 42;
   const auto sweep = [&] {
@@ -131,12 +131,19 @@ TEST(ThreadPoolTest, ConcurrentSubmittersEachSeeTheirOwnResults) {
 }
 
 TEST(ThreadPoolTest, DefaultConcurrencyHonoursEnvOverride) {
+  ::unsetenv("EBLNET_JOBS");
+  const unsigned fallback = ThreadPool::default_concurrency();
   ::setenv("EBLNET_JOBS", "3", 1);
   EXPECT_EQ(ThreadPool::default_concurrency(), 3u);
   ::setenv("EBLNET_JOBS", "garbage", 1);
   EXPECT_GE(ThreadPool::default_concurrency(), 1u);
   ::setenv("EBLNET_JOBS", "-2", 1);
   EXPECT_GE(ThreadPool::default_concurrency(), 1u);
+  // Past UINT_MAX is garbage too, not a wrapped count (1 and 705,032,704).
+  ::setenv("EBLNET_JOBS", "4294967297", 1);
+  EXPECT_EQ(ThreadPool::default_concurrency(), fallback);
+  ::setenv("EBLNET_JOBS", "5000000000", 1);
+  EXPECT_EQ(ThreadPool::default_concurrency(), fallback);
   ::unsetenv("EBLNET_JOBS");
   EXPECT_GE(ThreadPool::default_concurrency(), 1u);
 }
