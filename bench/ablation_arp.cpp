@@ -25,18 +25,17 @@ int main(int argc, char** argv) {
   for (const core::MacType mac : {core::MacType::kTdma, core::MacType::k80211}) {
     for (const Variant v : {Variant{"off", false, true}, Variant{"passive", true, true},
                             Variant{"ns2", true, false}}) {
-      specs.push_back({core::ScenarioBuilder::trial(1000, mac)
-                           .arp(v.use_arp)
-                           .duration(sim::Time::seconds(std::int64_t{32}))
-                           .mutate([&](core::ScenarioConfig& c) {
-                             c.arp.passive_learning = v.passive;
-                             opts.apply(c);
-                           })
-                           .build(),
-                       v.label});
+      specs.push_back(opts.spec(core::ScenarioBuilder::trial(1000, mac)
+                                    .arp(v.use_arp)
+                                    .duration(sim::Time::seconds(std::int64_t{32}))
+                                    .mutate([&](core::ScenarioConfig& c) {
+                                      c.arp.passive_learning = v.passive;
+                                    })
+                                    .build(),
+                                v.label));
     }
   }
-  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs}.run_trials(specs);
+  const std::vector<core::TrialResult> runs = bench::run(specs, opts);
 
   std::ostream& os = opts.out();
   core::report::print_header({os, 4, ""}, "Ablation — ARP link layer (NS-2 LL stage)");

@@ -16,19 +16,18 @@ using namespace eblnet;
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  std::vector<core::ScenarioConfig> configs;
+  std::vector<core::TrialSpec> specs;
   for (const core::MacType mac : {core::MacType::kTdma, core::MacType::k80211}) {
     for (const bool delack : {false, true}) {
-      configs.push_back(core::ScenarioBuilder::trial(1000, mac)
-                            .duration(sim::Time::seconds(std::int64_t{32}))
-                            .mutate([&](core::ScenarioConfig& c) {
-                              c.ebl.sink.delayed_ack = delack;
-                              opts.apply(c);
-                            })
-                            .build());
+      specs.push_back(opts.spec(core::ScenarioBuilder::trial(1000, mac)
+                                    .duration(sim::Time::seconds(std::int64_t{32}))
+                                    .mutate([&](core::ScenarioConfig& c) {
+                                      c.ebl.sink.delayed_ack = delack;
+                                    })
+                                    .build()));
     }
   }
-  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs}.run_trials(configs);
+  const std::vector<core::TrialResult> runs = bench::run(specs, opts);
 
   std::ostream& os = opts.out();
   core::report::print_header({os, 4, ""}, "Ablation — delayed ACKs at the EBL sinks");

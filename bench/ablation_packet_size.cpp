@@ -17,17 +17,12 @@ using namespace eblnet;
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  // Unnamed TrialSpecs: identical to the config-only overload (a config
-  // run carries an empty name), so the cached and uncached paths produce
-  // the same bytes.
   std::vector<core::TrialSpec> specs;
   for (const core::MacType mac : {core::MacType::kTdma, core::MacType::k80211}) {
     for (const std::size_t bytes : {100, 250, 500, 1000, 1500}) {
-      core::ScenarioConfig cfg = core::ScenarioBuilder::trial(bytes, mac)
-                                     .duration(sim::Time::seconds(std::int64_t{32}))
-                                     .build();
-      opts.apply(cfg);
-      specs.push_back({cfg, {}});
+      specs.push_back(opts.spec(core::ScenarioBuilder::trial(bytes, mac)
+                                    .duration(sim::Time::seconds(std::int64_t{32}))
+                                    .build()));
     }
   }
   const std::vector<core::TrialResult> runs = bench::run(specs, opts);

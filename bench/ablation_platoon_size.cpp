@@ -22,19 +22,18 @@ using namespace eblnet;
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  std::vector<core::ScenarioConfig> configs;
+  std::vector<core::TrialSpec> specs;
   for (const core::MacType mac : {core::MacType::kTdma, core::MacType::k80211}) {
     for (const std::size_t size : {2, 3, 5, 8, 16, 32}) {
-      configs.push_back(core::ScenarioBuilder::trial(1000, mac)
-                            .platoon_size(size)
-                            .duration(sim::Time::seconds(std::int64_t{32}))
-                            .mutate([&](core::ScenarioConfig& c) { opts.apply(c); })
-                            .build());
+      specs.push_back(opts.spec(core::ScenarioBuilder::trial(1000, mac)
+                                    .platoon_size(size)
+                                    .duration(sim::Time::seconds(std::int64_t{32}))
+                                    .build()));
     }
   }
   // TrialResult's platoon-1 flows (lead -> nodes 1 and 2) remain the
   // representative metric at every size.
-  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs}.run_trials(configs);
+  const std::vector<core::TrialResult> runs = bench::run(specs, opts);
 
   std::ostream& os = opts.out();
   core::report::print_header({os, 4, ""}, "Ablation — platoon size sweep (future work, §IV)");

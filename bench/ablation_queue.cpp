@@ -22,17 +22,16 @@ int main(int argc, char** argv) {
   std::vector<core::TrialSpec> specs;
   for (const double window : {5.0, 60.0}) {
     for (const bool red : {false, true}) {
-      core::ScenarioConfig cfg = core::ScenarioBuilder::trial1()
-                                     .duration(sim::Time::seconds(std::int64_t{42}))
-                                     .red_queue(red)
-                                     .mutate([&](core::ScenarioConfig& c) {
-                                       c.ebl.tcp.max_window = window;
-                                       c.ebl.tcp.initial_ssthresh = window;
-                                       if (red) c.ifq_capacity = 50;
-                                       opts.apply(c);
-                                     })
-                                     .build();
-      specs.push_back({cfg, red ? "RED" : "drop-tail"});
+      specs.push_back(opts.spec(core::ScenarioBuilder::trial1()
+                                    .duration(sim::Time::seconds(std::int64_t{42}))
+                                    .red_queue(red)
+                                    .mutate([&](core::ScenarioConfig& c) {
+                                      c.ebl.tcp.max_window = window;
+                                      c.ebl.tcp.initial_ssthresh = window;
+                                      if (red) c.ifq_capacity = 50;
+                                    })
+                                    .build(),
+                                red ? "RED" : "drop-tail"));
     }
   }
   const std::vector<core::TrialResult> runs = bench::run(specs, opts);

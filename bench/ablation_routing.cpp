@@ -31,24 +31,23 @@ void print_row(std::ostream& os, const core::TrialResult& r) {
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  std::vector<core::ScenarioConfig> configs;
+  std::vector<core::TrialSpec> specs;
   for (const core::MacType mac : {core::MacType::kTdma, core::MacType::k80211}) {
     for (const core::RoutingType routing :
          {core::RoutingType::kAodv, core::RoutingType::kDsdv, core::RoutingType::kStatic}) {
-      configs.push_back(core::ScenarioBuilder::trial(1000, mac)
-                            .routing(routing)
-                            .duration(sim::Time::seconds(std::int64_t{32}))
-                            .mutate([&](core::ScenarioConfig& c) {
-                              if (routing == core::RoutingType::kDsdv) {
-                                c.dsdv.periodic_update_interval =
-                                    sim::Time::seconds(std::int64_t{1});
-                              }
-                              opts.apply(c);
-                            })
-                            .build());
+      specs.push_back(opts.spec(core::ScenarioBuilder::trial(1000, mac)
+                                    .routing(routing)
+                                    .duration(sim::Time::seconds(std::int64_t{32}))
+                                    .mutate([&](core::ScenarioConfig& c) {
+                                      if (routing == core::RoutingType::kDsdv) {
+                                        c.dsdv.periodic_update_interval =
+                                            sim::Time::seconds(std::int64_t{1});
+                                      }
+                                    })
+                                    .build()));
     }
   }
-  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs}.run_trials(configs);
+  const std::vector<core::TrialResult> runs = bench::run(specs, opts);
 
   std::ostream& os = opts.out();
   core::report::print_header({os, 4, ""}, "Ablation — routing agent (initial-packet delay decomposition)");

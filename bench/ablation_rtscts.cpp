@@ -17,17 +17,16 @@ using namespace eblnet;
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  std::vector<core::ScenarioConfig> configs;
+  std::vector<core::TrialSpec> specs;
   for (const std::size_t threshold : {std::size_t{0}, std::size_t{SIZE_MAX}}) {
-    configs.push_back(core::ScenarioBuilder::trial3()
-                          .duration(sim::Time::seconds(std::int64_t{32}))
-                          .mutate([&](core::ScenarioConfig& c) {
-                            c.mac80211.rts_threshold = threshold;
-                            opts.apply(c);
-                          })
-                          .build());
+    specs.push_back(opts.spec(core::ScenarioBuilder::trial3()
+                                  .duration(sim::Time::seconds(std::int64_t{32}))
+                                  .mutate([&](core::ScenarioConfig& c) {
+                                    c.mac80211.rts_threshold = threshold;
+                                  })
+                                  .build()));
   }
-  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs}.run_trials(configs);
+  const std::vector<core::TrialResult> runs = bench::run(specs, opts);
 
   std::ostream& os = opts.out();
   core::report::print_header({os, 4, ""}, "Ablation — RTS/CTS (trial 3 setup)");

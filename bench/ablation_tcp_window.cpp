@@ -17,18 +17,17 @@ using namespace eblnet;
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  std::vector<core::ScenarioConfig> configs;
+  std::vector<core::TrialSpec> specs;
   for (const double window : {1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0}) {
-    configs.push_back(core::ScenarioBuilder::trial1()
-                          .duration(sim::Time::seconds(std::int64_t{42}))
-                          .mutate([&](core::ScenarioConfig& c) {
-                            c.ebl.tcp.max_window = window;
-                            c.ebl.tcp.initial_ssthresh = window;
-                            opts.apply(c);
-                          })
-                          .build());
+    specs.push_back(opts.spec(core::ScenarioBuilder::trial1()
+                                  .duration(sim::Time::seconds(std::int64_t{42}))
+                                  .mutate([&](core::ScenarioConfig& c) {
+                                    c.ebl.tcp.max_window = window;
+                                    c.ebl.tcp.initial_ssthresh = window;
+                                  })
+                                  .build()));
   }
-  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs}.run_trials(configs);
+  const std::vector<core::TrialResult> runs = bench::run(specs, opts);
 
   std::ostream& os = opts.out();
   core::report::print_header({os, 4, ""}, "Ablation — TCP max window sweep (trial 1 setup)");

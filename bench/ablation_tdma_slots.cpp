@@ -21,19 +21,14 @@ using namespace eblnet;
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  // Unnamed TrialSpecs: identical to the config-only overload (a config
-  // run carries an empty name), so the cached and uncached paths produce
-  // the same bytes.
   std::vector<core::TrialSpec> specs;
   for (const std::size_t slots : {6, 8, 16, 32, 64, 128}) {
-    core::ScenarioConfig cfg = core::ScenarioBuilder::trial1()
-                                   .duration(sim::Time::seconds(std::int64_t{42}))
-                                   .mutate([&](core::ScenarioConfig& c) {
-                                     c.tdma.num_slots = slots;
-                                     opts.apply(c);
-                                   })
-                                   .build();
-    specs.push_back({cfg, {}});
+    specs.push_back(opts.spec(core::ScenarioBuilder::trial1()
+                                  .duration(sim::Time::seconds(std::int64_t{42}))
+                                  .mutate([&](core::ScenarioConfig& c) {
+                                    c.tdma.num_slots = slots;
+                                  })
+                                  .build()));
   }
   const std::vector<core::TrialResult> runs = bench::run(specs, opts);
 

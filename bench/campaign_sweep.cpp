@@ -2,11 +2,13 @@
 // sweep three ways — cold (empty cache: every cell simulated), warm
 // (every cell served from disk), and partially warm (a superset sweep
 // where only the new cells are simulated) — and checks the headline
-// property the cache is built on: the warm manifest is byte-for-byte the
-// cold one, because a cached result reconstructs bit-identically.
+// property the cache is built on: the warm sweep manifest
+// (write_sweep_json) is byte-for-byte the cold one, because a cached
+// result reconstructs bit-identically.
 //
 // Modes:
-//   campaign_sweep           quick 4-cell grid over trial 1 (CI-sized)
+//   campaign_sweep           quick 4-cell grid over trial 1 (CI-sized);
+//                            the superset adds a seed (6 cells, 4 warm)
 //   campaign_sweep full      64-cell grid over trial 3 (seed x packet
 //                            size x platoon size x propagation), the
 //                            acceptance configuration; the superset adds
@@ -27,10 +29,10 @@
 #include <vector>
 
 #include "bench/options.hpp"
-#include "core/campaign/campaign.hpp"
+#include "core/campaign/run_cache.hpp"
 #include "core/json_writer.hpp"
 #include "core/report.hpp"
-#include "core/scenario_builder.hpp"
+#include "core/trial.hpp"
 
 using namespace eblnet;
 namespace campaign = core::campaign;
@@ -38,7 +40,7 @@ namespace campaign = core::campaign;
 namespace {
 
 struct Phase {
-  std::string manifest;  ///< the streamed campaign manifest
+  std::string manifest;  ///< write_sweep_json of the run's results
   double wall_s{0.0};
   std::uint64_t events{0};  ///< sum over the run's results (hits included)
   std::uint64_t hits{0};
@@ -51,61 +53,59 @@ struct Phase {
   }
 };
 
-/// The sweep: `seeds` x packet size x (full: platoon size x propagation)
-/// over the base trial. Durations are shortened — the cache does not care
-/// how long a cell runs, and the bench's point is the hit path.
-campaign::SweepSpec make_spec(bool full, std::uint64_t seeds) {
-  campaign::SweepSpec spec;
-  spec.name = full ? "campaign_sweep/full" : "campaign_sweep/quick";
-  spec.base = (full ? core::ScenarioBuilder::trial3() : core::ScenarioBuilder::trial1())
-                  .duration(sim::Time::seconds(std::int64_t{full ? 8 : 6}))
-                  .metrics(true)
-                  .build();
-  auto& seed_axis = spec.axis("seed");
-  for (std::uint64_t s = 1; s <= seeds; ++s)
-    seed_axis.point(std::to_string(s), [s](core::ScenarioBuilder& b) { b.seed(s); });
-  spec.axis("packet_bytes")
-      .point("500", [](core::ScenarioBuilder& b) { b.packet_bytes(500); })
-      .point("1000", [](core::ScenarioBuilder& b) { b.packet_bytes(1000); });
-  if (full) {
-    spec.axis("platoon")
-        .point("3", [](core::ScenarioBuilder& b) { b.platoon_size(3); })
-        .point("4", [](core::ScenarioBuilder& b) { b.platoon_size(4); });
-    spec.axis("propagation")
-        .point("two_ray",
-               [](core::ScenarioBuilder& b) {
-                 b.mutate([](core::ScenarioConfig& c) {
-                   c.propagation = core::PropagationType::kTwoRay;
-                 });
-               })
-        .point("nakagami", [](core::ScenarioBuilder& b) {
-          b.mutate(
-              [](core::ScenarioConfig& c) { c.propagation = core::PropagationType::kNakagami; });
-        });
+/// The sweep, row-major with the last axis fastest: `seeds` x packet
+/// size (full: x platoon size x propagation) over the base trial.
+/// Durations are shortened — the cache does not care how long a cell
+/// runs, and the bench's point is the hit path.
+std::vector<core::TrialSpec> make_grid(bool full, std::uint64_t seeds) {
+  core::ScenarioConfig cfg = full ? core::trial3_config() : core::trial1_config();
+  cfg.duration = sim::Time::seconds(std::int64_t{full ? 8 : 6});
+  cfg.enable_metrics = true;
+  std::vector<core::TrialSpec> grid;
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    for (const std::size_t bytes : {500, 1000}) {
+      cfg.seed = seed;
+      cfg.packet_bytes = bytes;
+      const std::string label =
+          "seed=" + std::to_string(seed) + "/packet_bytes=" + std::to_string(bytes);
+      if (!full) {
+        grid.push_back({cfg, label});
+        continue;
+      }
+      for (const std::size_t platoon : {3, 4}) {
+        for (const core::PropagationType p :
+             {core::PropagationType::kTwoRay, core::PropagationType::kNakagami}) {
+          cfg.platoon_size = platoon;
+          cfg.propagation = p;
+          grid.push_back({cfg, label + "/platoon=" + std::to_string(platoon) +
+                                   "/propagation=" + core::to_string(p)});
+        }
+      }
+    }
   }
-  return spec;
+  return grid;
 }
 
-/// One timed campaign run with a fresh RunCache (fresh counters) over a
+/// One timed run of `grid` with a fresh RunCache (fresh counters) over a
 /// shared on-disk store.
-Phase run_phase(const std::filesystem::path& store, const campaign::SweepSpec& spec,
-                const bench::Options& opts) {
+Phase run_phase(const std::filesystem::path& store, const std::string& name,
+                const std::vector<core::TrialSpec>& grid, const bench::Options& opts) {
   campaign::RunCache cache{store};
-  campaign::Runner runner{cache, opts.jobs};
   std::ostringstream manifest;
   const auto t0 = std::chrono::steady_clock::now();
-  const campaign::CampaignOutcome out = runner.run(spec, &manifest);
+  const std::vector<core::TrialResult> results =
+      campaign::run_cached_trials(cache, grid, opts.jobs);
+  core::report::write_sweep_json(manifest, name, results);
   const auto t1 = std::chrono::steady_clock::now();
 
   Phase p;
   p.manifest = manifest.str();
   p.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  for (const core::TrialResult& r : out.results) p.events += r.events_executed;
-  p.hits = out.hits;
-  p.misses = out.misses;
-  const sim::MetricsSnapshot m = cache.metrics();
-  p.bytes_read = m.node_counter(0, sim::Counter::kCampaignCacheBytesRead);
-  p.bytes_written = m.node_counter(0, sim::Counter::kCampaignCacheBytesWritten);
+  for (const core::TrialResult& r : results) p.events += r.events_executed;
+  p.hits = cache.hits();
+  p.misses = cache.misses();
+  p.bytes_read = cache.bytes_read();
+  p.bytes_written = cache.bytes_written();
   return p;
 }
 
@@ -135,26 +135,31 @@ int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
   const bool full = !opts.positional.empty() && opts.positional.front() == "full";
 
-  const campaign::SweepSpec spec = make_spec(full, full ? 8 : 2);
-  const campaign::SweepSpec superset = make_spec(full, full ? 12 : 3);
-  const std::size_t cells = spec.grid().size();
-  const std::size_t super_cells = superset.grid().size();
+  const std::string name = full ? "campaign_sweep/full" : "campaign_sweep/quick";
+  const std::vector<core::TrialSpec> grid = make_grid(full, full ? 8 : 2);
+  const std::vector<core::TrialSpec> superset = make_grid(full, full ? 12 : 3);
+  const std::size_t cells = grid.size();
+  const std::size_t super_cells = superset.size();
 
+  opts.create_cache_dir();
   // A dedicated store under the cache dir, wiped so cold means cold.
-  const std::filesystem::path store =
-      std::filesystem::path{opts.cache_dir} / "campaign_sweep";
-  std::filesystem::remove_all(store);
-
-  const Phase cold = run_phase(store, spec, opts);
-  const Phase warm = run_phase(store, spec, opts);
-  const Phase partial = run_phase(store, superset, opts);
+  const std::filesystem::path store = std::filesystem::path{opts.cache_dir} / "campaign_sweep";
+  Phase cold, warm, partial;
+  try {
+    std::filesystem::remove_all(store);
+    cold = run_phase(store, name, grid, opts);
+    warm = run_phase(store, name, grid, opts);
+    partial = run_phase(store, name, superset, opts);
+  } catch (const std::exception& e) {
+    std::cerr << opts.program << ": " << e.what() << '\n';
+    return 1;
+  }
 
   const bool identical = cold.manifest == warm.manifest;
   const double speedup = warm.wall_s > 0.0 ? cold.wall_s / warm.wall_s : 0.0;
 
   std::ostream& os = opts.out();
-  core::report::print_header({os, 4, ""},
-                             std::string{"Campaign cache sweep — "} + spec.name);
+  core::report::print_header({os, 4, ""}, "Campaign cache sweep — " + name);
   os << std::left << std::setw(10) << "phase" << std::right << std::setw(7) << "cells"
      << std::setw(7) << "hits" << std::setw(8) << "misses" << std::setw(10) << "wall_s"
      << std::setw(14) << "events/s" << '\n';
@@ -185,7 +190,7 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.field("schema_version", std::uint64_t{core::report::kManifestSchemaVersion});
     w.field("kind", "eblnet.campaign");
-    w.field("sweep", spec.name);
+    w.field("sweep", name);
     w.field("jobs", std::uint64_t{opts.jobs});
     w.key("cold");
     write_phase(w, cold, cells);

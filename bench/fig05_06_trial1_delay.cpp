@@ -8,15 +8,14 @@
 
 #include "bench/options.hpp"
 #include "core/report.hpp"
-#include "core/scenario_builder.hpp"
+#include "core/trial.hpp"
 
 using namespace eblnet;
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  const core::TrialResult r = core::ScenarioBuilder::trial1()
-                                  .mutate([&](core::ScenarioConfig& c) { opts.apply(c); })
-                                  .run("Trial 1");
+  const core::TrialSpec specs[] = {opts.spec(core::trial1_config(), "Trial 1")};
+  const core::TrialResult r = bench::run(specs, opts).front();
 
   const core::report::ReportContext ctx{opts.out(), 6, "s"};
   core::report::print_delay_series(

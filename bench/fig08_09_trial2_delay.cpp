@@ -7,15 +7,14 @@
 
 #include "bench/options.hpp"
 #include "core/report.hpp"
-#include "core/scenario_builder.hpp"
+#include "core/trial.hpp"
 
 using namespace eblnet;
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  const core::TrialResult r = core::ScenarioBuilder::trial2()
-                                  .mutate([&](core::ScenarioConfig& c) { opts.apply(c); })
-                                  .run("Trial 2");
+  const core::TrialSpec specs[] = {opts.spec(core::trial2_config(), "Trial 2")};
+  const core::TrialResult r = bench::run(specs, opts).front();
 
   const core::report::ReportContext ctx{opts.out(), 6, "s"};
   core::report::print_delay_series(

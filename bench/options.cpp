@@ -3,11 +3,13 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <exception>
+#include <filesystem>
 #include <iostream>
 #include <limits>
 #include <string_view>
 
-#include "core/campaign/campaign.hpp"
+#include "core/campaign/run_cache.hpp"
 
 namespace eblnet::bench {
 
@@ -28,8 +30,8 @@ std::ostream null_stream{&null_buffer};
       << "usage: " << program << " [options] [args]\n"
       << "  --json <path>   write a JSON run manifest (enables metrics collection)\n"
       << "  --seed <n>      override the scenario seed(s)\n"
-      << "  --jobs <n>      worker threads for sweeps (0 = auto)\n"
-      << "  --cache         serve repeated runs from the content-addressed run cache\n"
+      << "  --jobs <n>      worker threads for the trials (0 = auto)\n"
+      << "  --cache         serve paper-scenario trials from the run cache\n"
       << "  --cache-dir <d> cache directory (default results/cache)\n"
       << "  --quiet         suppress the text report\n"
       << "  --help          this message\n";
@@ -95,10 +97,25 @@ Options Options::parse(int argc, char** argv) {
 
 std::ostream& Options::out() const { return quiet ? null_stream : std::cout; }
 
+void Options::create_cache_dir() const {
+  std::error_code ec;
+  std::filesystem::create_directories(cache_dir, ec);
+  if (ec) {
+    std::cerr << program << ": --cache-dir " << cache_dir << ": " << ec.message() << '\n';
+    std::exit(2);
+  }
+}
+
 std::vector<core::TrialResult> run(std::span<const core::TrialSpec> specs, const Options& opts) {
   if (!opts.cache) return core::Runner{opts.jobs}.run_trials(specs);
+  opts.create_cache_dir();
   core::campaign::RunCache cache{opts.cache_dir};
-  return core::campaign::run_cached_trials(cache, specs, opts.jobs);
+  try {
+    return core::campaign::run_cached_trials(cache, specs, opts.jobs);
+  } catch (const std::exception& e) {
+    std::cerr << opts.program << ": " << e.what() << '\n';
+    std::exit(1);
+  }
 }
 
 }  // namespace eblnet::bench

@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/runner.hpp"
@@ -13,11 +14,13 @@ namespace eblnet::bench {
 
 /// Command-line options shared by every scenario bench:
 ///
-///   --json <path>   write a versioned JSON run manifest (enables metrics)
-///   --seed <n>      override the scenario seed(s)
-///   --jobs <n>      worker threads for sweep benches (0 = auto)
-///   --quiet         suppress the text report (JSON still written)
-///   --help          usage
+///   --json <path>     write a versioned JSON run manifest (enables metrics)
+///   --seed <n>        override the scenario seed(s)
+///   --jobs <n>        worker threads for the trials (0 = auto)
+///   --cache           serve paper-scenario trials from the run cache
+///   --cache-dir <d>   run-cache directory (default results/cache)
+///   --quiet           suppress the text report (JSON still written)
+///   --help            usage
 ///
 /// With no flags a bench behaves exactly as it always has: text to
 /// stdout, no JSON, default seeds and job count.
@@ -28,11 +31,12 @@ struct Options {
   bool seed_set{false};
   unsigned jobs{0};  ///< 0 = EBLNET_JOBS / hardware_concurrency
   bool quiet{false};
-  /// Route trial execution through the content-addressed run cache
-  /// (core::campaign::RunCache): hits load from disk, misses simulate
-  /// and commit. Off by default — the uncached path stays byte-identical
-  /// to a build without the flag, and the cached path produces the same
-  /// bytes anyway (that equivalence is what tests/campaign_test pins).
+  /// Route the bench's paper-scenario trials (everything run() runs)
+  /// through the content-addressed run cache (core::campaign::RunCache):
+  /// hits load from disk, misses simulate and commit. Benches whose
+  /// experiment unit is not a trial ignore it. Off by default; the cached
+  /// path produces the same bytes as the uncached one (tests/campaign_test
+  /// and tests/bench_options_test pin that).
   bool cache{false};
   std::string cache_dir{"results/cache"};  ///< --cache-dir override
   std::vector<std::string> positional;  ///< non-flag arguments, in order
@@ -55,12 +59,26 @@ struct Options {
     if (seed_set) cfg.seed = seed;
     if (want_json()) cfg.enable_metrics = true;
   }
+
+  /// `cfg` with the flags folded in (apply), as a trial spec named `name`.
+  core::TrialSpec spec(core::ScenarioConfig cfg, std::string name = {}) const {
+    apply(cfg);
+    return {std::move(cfg), std::move(name)};
+  }
+
+  /// Create the --cache-dir directory before anything is simulated. When
+  /// that fails, print `<program>: --cache-dir <d>: <reason>` and exit 2,
+  /// like a bad flag.
+  void create_cache_dir() const;
 };
 
-/// Run `specs` the way the flags ask: through the content-addressed run
-/// cache under --cache (hits load from disk, misses simulate and commit),
-/// otherwise on core::Runner. Both honor --jobs and return results in
-/// spec order, byte-identical either way.
+/// The one way a bench runs trials. Under --cache the specs go through
+/// the content-addressed run cache in --cache-dir (hits load from disk,
+/// misses simulate and commit); otherwise they run on core::Runner. Both
+/// honor --jobs and return results in spec order, byte-identical either
+/// way. --seed is not applied here: the specs carry it (see spec()). A
+/// cache directory that cannot be created exits 2 (create_cache_dir); a
+/// store that fails later prints the RunCache error and exits 1.
 std::vector<core::TrialResult> run(std::span<const core::TrialSpec> specs, const Options& opts);
 
 }  // namespace eblnet::bench

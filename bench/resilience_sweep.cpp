@@ -14,11 +14,9 @@
 #include <vector>
 
 #include "bench/options.hpp"
-#include "core/campaign/campaign.hpp"
 #include "core/report.hpp"
 #include "core/runner.hpp"
 #include "core/safety.hpp"
-#include "core/scenario_builder.hpp"
 #include "core/trial.hpp"
 #include "sim/fault.hpp"
 
@@ -102,38 +100,20 @@ int main(int argc, char** argv) {
 
   // Fault-free baselines: the paper's three trials, metrics on so the
   // resilience blocks (and the reroute gauge) are populated either way.
-  std::vector<core::ScenarioConfig> baseline_cfgs{core::trial1_config(), core::trial2_config(),
-                                                  core::trial3_config()};
-  for (auto& cfg : baseline_cfgs) {
-    opts.apply(cfg);
+  std::vector<core::TrialSpec> specs;
+  for (core::ScenarioConfig cfg :
+       {core::trial1_config(), core::trial2_config(), core::trial3_config()}) {
     cfg.enable_metrics = true;
+    specs.push_back(opts.spec(cfg, "trial" + std::to_string(specs.size() + 1) + "/baseline"));
   }
+  const std::size_t n_base = specs.size();
 
   // The fault grid runs over trial 3 (802.11): the contended MAC is where
   // failures bite hardest, and its baseline already sails closest to the
   // stopping-distance limit.
-  std::vector<Cell> cells = make_grid(baseline_cfgs.back());
-
-  const std::size_t n_base = baseline_cfgs.size();
-  std::vector<core::TrialResult> results;
-  if (opts.cache) {
-    // --cache: the same baseline + fault cells as content-addressed
-    // specs, matching the uncached path.
-    std::vector<core::TrialSpec> specs;
-    specs.reserve(n_base + cells.size());
-    for (std::size_t i = 0; i < n_base; ++i)
-      specs.push_back({baseline_cfgs[i], "trial" + std::to_string(i + 1) + "/baseline"});
-    for (const Cell& c : cells) specs.push_back({c.config, "trial3/" + c.label});
-    core::campaign::RunCache cache{opts.cache_dir};
-    results = core::campaign::run_cached_trials(cache, specs, opts.jobs);
-  } else {
-    results = core::Runner{opts.jobs}.map(n_base + cells.size(), [&](std::size_t i) {
-      if (i < n_base)
-        return core::run_trial(baseline_cfgs[i], "trial" + std::to_string(i + 1) + "/baseline");
-      const Cell& c = cells[i - n_base];
-      return core::run_trial(c.config, "trial3/" + c.label);
-    });
-  }
+  const std::vector<Cell> cells = make_grid(specs.back().config);
+  for (const Cell& c : cells) specs.push_back({c.config, "trial3/" + c.label});
+  const std::vector<core::TrialResult> results = bench::run(specs, opts);
 
   const std::vector<core::TrialResult> baselines{results.begin(),
                                                  results.begin() + static_cast<long>(n_base)};

@@ -11,21 +11,16 @@
 
 #include "bench/options.hpp"
 #include "core/report.hpp"
-#include "core/runner.hpp"
-#include "core/scenario_builder.hpp"
+#include "core/trial.hpp"
 
 using namespace eblnet;
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  const auto spec = [&](core::ScenarioBuilder b, const char* name) {
-    return core::TrialSpec{b.mutate([&](core::ScenarioConfig& c) { opts.apply(c); }).build(),
-                           name};
-  };
-  const std::vector<core::TrialSpec> specs{spec(core::ScenarioBuilder::trial1(), "Trial 1"),
-                                           spec(core::ScenarioBuilder::trial2(), "Trial 2"),
-                                           spec(core::ScenarioBuilder::trial3(), "Trial 3")};
-  const std::vector<core::TrialResult> runs = core::Runner{opts.jobs}.run_trials(specs);
+  const core::TrialSpec specs[] = {opts.spec(core::trial1_config(), "Trial 1"),
+                                   opts.spec(core::trial2_config(), "Trial 2"),
+                                   opts.spec(core::trial3_config(), "Trial 3")};
+  const std::vector<core::TrialResult> runs = bench::run(specs, opts);
   const core::TrialResult& t1 = runs[0];
   const core::TrialResult& t2 = runs[1];
   const core::TrialResult& t3 = runs[2];

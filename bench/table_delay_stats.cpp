@@ -8,7 +8,7 @@
 
 #include "bench/options.hpp"
 #include "core/report.hpp"
-#include "core/scenario_builder.hpp"
+#include "core/trial.hpp"
 #include "stats/histogram.hpp"
 
 using namespace eblnet;
@@ -57,12 +57,10 @@ void print_trial(const ReportContext& ctx, const core::TrialResult& r) {
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  const auto run = [&](core::ScenarioBuilder b, const char* name) {
-    return b.mutate([&](core::ScenarioConfig& c) { opts.apply(c); }).run(name);
-  };
-  const std::vector<core::TrialResult> runs{run(core::ScenarioBuilder::trial1(), "Trial 1"),
-                                            run(core::ScenarioBuilder::trial2(), "Trial 2"),
-                                            run(core::ScenarioBuilder::trial3(), "Trial 3")};
+  const core::TrialSpec specs[] = {opts.spec(core::trial1_config(), "Trial 1"),
+                                   opts.spec(core::trial2_config(), "Trial 2"),
+                                   opts.spec(core::trial3_config(), "Trial 3")};
+  const std::vector<core::TrialResult> runs = bench::run(specs, opts);
 
   const ReportContext ctx{opts.out(), 4, "s"};
   for (const auto& r : runs) print_trial(ctx, r);

@@ -11,18 +11,19 @@
 #include "bench/options.hpp"
 #include "core/report.hpp"
 #include "core/safety.hpp"
-#include "core/scenario_builder.hpp"
+#include "core/trial.hpp"
 
 using namespace eblnet;
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  const auto run = [&](core::ScenarioBuilder b, const char* name) {
-    return b.mutate([&](core::ScenarioConfig& c) { opts.apply(c); }).run(name);
-  };
-  const core::TrialResult t1 = run(core::ScenarioBuilder::trial1(), "Trial 1");
-  const core::TrialResult t2 = run(core::ScenarioBuilder::trial2(), "Trial 2");
-  const core::TrialResult t3 = run(core::ScenarioBuilder::trial3(), "Trial 3");
+  const core::TrialSpec specs[] = {opts.spec(core::trial1_config(), "Trial 1"),
+                                   opts.spec(core::trial2_config(), "Trial 2"),
+                                   opts.spec(core::trial3_config(), "Trial 3")};
+  const std::vector<core::TrialResult> runs = bench::run(specs, opts);
+  const core::TrialResult& t1 = runs[0];
+  const core::TrialResult& t2 = runs[1];
+  const core::TrialResult& t3 = runs[2];
 
   std::ostream& os = opts.out();
   core::report::print_header({os, 4, ""}, "§III.E — stopping-distance analysis");
@@ -67,9 +68,7 @@ int main(int argc, char** argv) {
             .max_tolerable_delay(0.1)
      << " s\n";
 
-  if (opts.want_json()) {
-    const core::TrialResult all[] = {t1, t2, t3};
-    core::report::write_sweep_json_file(opts.json_path, "table_stopping_distance", all);
-  }
+  if (opts.want_json())
+    core::report::write_sweep_json_file(opts.json_path, "table_stopping_distance", runs);
   return 0;
 }

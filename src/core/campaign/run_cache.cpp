@@ -304,9 +304,7 @@ bool reconstruct(const JsonValue& entry, const ScenarioConfig& cfg, std::string 
 }  // namespace
 
 RunCache::RunCache(std::filesystem::path root)
-    : root_{std::move(root)}, fingerprint_{build_id()} {
-  metrics_.set_enabled(true);
-}
+    : root_{std::move(root)}, fingerprint_{build_id()} {}
 
 Key RunCache::key_for(const ScenarioConfig& cfg) const {
   return mix_fingerprint(scenario_key(cfg), fingerprint_);
@@ -325,7 +323,7 @@ std::optional<TrialResult> RunCache::load(const ScenarioConfig& cfg, std::string
   {
     std::ifstream in{path, std::ios::binary};
     if (!in) {
-      metrics_.add(0, sim::Counter::kCampaignCacheMisses);
+      ++misses_;
       return std::nullopt;
     }
     std::ostringstream ss;
@@ -336,8 +334,8 @@ std::optional<TrialResult> RunCache::load(const ScenarioConfig& cfg, std::string
   const auto evict = [&] {
     std::error_code ec;
     std::filesystem::remove(path, ec);  // best effort; a locked file just stays
-    metrics_.add(0, sim::Counter::kCampaignCacheEvictions);
-    metrics_.add(0, sim::Counter::kCampaignCacheMisses);
+    ++evictions_;
+    ++misses_;
   };
 
   const std::optional<JsonValue> doc = parse_json(text);
@@ -364,8 +362,8 @@ std::optional<TrialResult> RunCache::load(const ScenarioConfig& cfg, std::string
     evict();
     return std::nullopt;
   }
-  metrics_.add(0, sim::Counter::kCampaignCacheHits);
-  metrics_.add(0, sim::Counter::kCampaignCacheBytesRead, text.size());
+  ++hits_;
+  bytes_read_ += text.size();
   return r;
 }
 
@@ -373,7 +371,12 @@ void RunCache::store(const ScenarioConfig& cfg, const TrialResult& r) {
   const Key scenario = scenario_key(cfg);
   const Key key = mix_fingerprint(scenario, fingerprint_);
   const std::filesystem::path path = entry_path(key);
-  std::filesystem::create_directories(path.parent_path());
+  std::error_code ec;
+  std::filesystem::create_directories(path.parent_path(), ec);
+  if (ec) {
+    throw std::runtime_error{"RunCache: cannot create " + path.parent_path().string() + ": " +
+                             ec.message()};
+  }
 
   const std::string text = serialize_entry(key, scenario, fingerprint_, r);
 
@@ -387,23 +390,40 @@ void RunCache::store(const ScenarioConfig& cfg, const TrialResult& r) {
     out << text;
     out.flush();
     if (!out) {
-      std::error_code ec;
       std::filesystem::remove(tmp, ec);
       throw std::runtime_error{"RunCache: write failed for " + tmp.string()};
     }
   }
-  std::filesystem::rename(tmp, path);
-  metrics_.add(0, sim::Counter::kCampaignCacheBytesWritten, text.size());
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    throw std::runtime_error{"RunCache: cannot commit " + path.string() + ": " + ec.message()};
+  }
+  bytes_written_ += text.size();
 }
 
-std::uint64_t RunCache::hits() const noexcept {
-  return metrics_.node_counter(0, sim::Counter::kCampaignCacheHits);
-}
-std::uint64_t RunCache::misses() const noexcept {
-  return metrics_.node_counter(0, sim::Counter::kCampaignCacheMisses);
-}
-std::uint64_t RunCache::evictions() const noexcept {
-  return metrics_.node_counter(0, sim::Counter::kCampaignCacheEvictions);
+std::vector<TrialResult> run_cached_trials(RunCache& cache, std::span<const TrialSpec> specs,
+                                           unsigned jobs) {
+  // Partition: one cache probe per spec, in order. Hits come back
+  // reconstructed; only the misses touch the thread pool.
+  std::vector<TrialResult> results(specs.size());
+  std::vector<std::size_t> miss_index;  // spec index of the i-th miss
+  std::vector<TrialSpec> misses;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (std::optional<TrialResult> hit = cache.load(specs[i].config, specs[i].name)) {
+      results[i] = std::move(*hit);
+    } else {
+      miss_index.push_back(i);
+      misses.push_back(specs[i]);
+    }
+  }
+
+  Runner::AsyncTrials batch = Runner{jobs}.start_trials(std::move(misses));
+  for (std::size_t m = 0; m < miss_index.size(); ++m) {
+    const std::size_t i = miss_index[m];
+    results[i] = batch.futures[m].get();
+    cache.store(specs[i].config, results[i]);
+  }
+  return results;
 }
 
 }  // namespace eblnet::core::campaign

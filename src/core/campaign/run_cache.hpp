@@ -3,11 +3,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/campaign/scenario_key.hpp"
+#include "core/runner.hpp"
 #include "core/trial.hpp"
-#include "sim/metrics.hpp"
 
 namespace eblnet::core::campaign {
 
@@ -32,14 +34,9 @@ namespace eblnet::core::campaign {
 /// write, full disk) is detected, counted as an eviction, unlinked, and
 /// the cell recomputed.
 ///
-/// Hit/miss/eviction/byte counters are kept in a sim::MetricsRegistry
-/// ("node" 0 = the cache itself, layer "campaign") so campaign runs
-/// surface cache behaviour through the same manifest machinery as every
-/// other subsystem.
-///
-/// Not thread-safe: one RunCache per orchestrating thread (the campaign
-/// runner does all cache I/O from the coordinating thread; only the
-/// simulations themselves fan out).
+/// Not thread-safe: one RunCache per orchestrating thread
+/// (run_cached_trials does all cache I/O from the calling thread; only
+/// the simulations themselves fan out).
 class RunCache {
  public:
   /// `root` is created lazily on the first store.
@@ -51,7 +48,6 @@ class RunCache {
   /// campaign::build_id()). Tests pin a fixed string so goldens and
   /// fixtures survive rebuilds.
   void set_fingerprint(std::string fp) { fingerprint_ = std::move(fp); }
-  const std::string& fingerprint() const noexcept { return fingerprint_; }
 
   /// The on-disk key for `cfg` under the current fingerprint.
   Key key_for(const ScenarioConfig& cfg) const;
@@ -67,19 +63,33 @@ class RunCache {
   /// Atomically commit a finished trial for `cfg`. `r` must be
   /// the result of running exactly `cfg` (the caller's config is
   /// re-serialized on load, so a mismatched result would be served under
-  /// the wrong config).
+  /// the wrong config). Throws std::runtime_error, its message prefixed
+  /// "RunCache: ", when the entry cannot be written.
   void store(const ScenarioConfig& cfg, const TrialResult& r);
 
-  // --- counters (sim::Counter::kCampaignCache*) ---
-  std::uint64_t hits() const noexcept;
-  std::uint64_t misses() const noexcept;
-  std::uint64_t evictions() const noexcept;
-  sim::MetricsSnapshot metrics() const { return metrics_.snapshot(); }
+  // --- counters over this instance's lifetime ---
+  std::uint64_t hits() const noexcept { return hits_; }
+  std::uint64_t misses() const noexcept { return misses_; }
+  std::uint64_t evictions() const noexcept { return evictions_; }
+  std::uint64_t bytes_read() const noexcept { return bytes_read_; }
+  std::uint64_t bytes_written() const noexcept { return bytes_written_; }
 
  private:
   std::filesystem::path root_;
   std::string fingerprint_;
-  sim::MetricsRegistry metrics_;
+  std::uint64_t hits_{0};           ///< lookups served from the on-disk store
+  std::uint64_t misses_{0};         ///< lookups that had to simulate
+  std::uint64_t evictions_{0};      ///< corrupt/partial/foreign entries removed
+  std::uint64_t bytes_read_{0};     ///< entry bytes deserialized on hits
+  std::uint64_t bytes_written_{0};  ///< entry bytes committed on stores
 };
+
+/// Cached equivalent of core::Runner{jobs}.run_trials: serve hits, run
+/// only the misses on the runner's pool, and return results in spec
+/// order — byte-identical to the uncached call. Each miss is committed
+/// in spec order as soon as its trial finishes, so an interrupted batch
+/// keeps its finished prefix. A failed store propagates.
+std::vector<TrialResult> run_cached_trials(RunCache& cache, std::span<const TrialSpec> specs,
+                                           unsigned jobs = 0);
 
 }  // namespace eblnet::core::campaign

@@ -330,8 +330,6 @@ void write_json(std::ostream& os, const TrialResult& r) {
 
 void write_trial_json(JsonWriter& w, const TrialResult& r) { write_trial_object(w, r); }
 
-void write_metrics_json(JsonWriter& w, const sim::MetricsSnapshot& m) { write_metrics(w, m); }
-
 void write_sweep_json(std::ostream& os, const std::string& name,
                       std::span<const TrialResult> results) {
   JsonWriter w{os};

@@ -69,7 +69,11 @@ void print_header(const ReportContext& ctx, const std::string& title);
 /// "eblnet.beacon" joined the manifest kinds.
 /// v6: the "eblnet.campaign" manifest lost the engine-partition count
 /// it recorded; every run now takes the one serial path.
-inline constexpr int kManifestSchemaVersion = 6;
+/// v7: the metrics block lost the always-zero "campaign" run-cache
+/// counter layer (the run cache counts in plain members now), and the
+/// streamed "eblnet.campaign" trial manifest is gone; the kind survives
+/// only on bench/campaign_sweep's timing JSON.
+inline constexpr int kManifestSchemaVersion = 7;
 
 /// Write the versioned JSON run manifest for one finished trial:
 /// config, seed, per-layer metric counters, delay/throughput summaries
@@ -79,14 +83,9 @@ inline constexpr int kManifestSchemaVersion = 6;
 void write_json(std::ostream& os, const TrialResult& r);
 
 /// Emit one trial's manifest object through an existing JsonWriter (the
-/// exact object write_json wraps) — campaign manifests and cache entries
-/// embed trial objects inside their own documents with this.
+/// exact object write_json wraps) — run-cache entries embed trial
+/// objects inside their own documents with this.
 void write_trial_json(JsonWriter& w, const TrialResult& r);
-
-/// Emit a metrics block (the exact object the trial manifest's "metrics"
-/// key carries) — campaign manifests reuse it for their merged
-/// aggregate, keeping the per-layer grouping identical everywhere.
-void write_metrics_json(JsonWriter& w, const sim::MetricsSnapshot& m);
 
 /// Write a sweep manifest: every trial's manifest plus an aggregate block
 /// (summed events and per-layer counters merged across trials).

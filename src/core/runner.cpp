@@ -25,8 +25,4 @@ Runner::AsyncTrials Runner::start_trials(std::vector<TrialSpec> specs) const {
   return batch;
 }
 
-std::vector<TrialResult> Runner::run_trials(std::span<const ScenarioConfig> configs) const {
-  return map(configs.size(), [&configs](std::size_t i) { return run_trial(configs[i]); });
-}
-
 }  // namespace eblnet::core

@@ -49,13 +49,6 @@ class Runner {
   /// input order) is rethrown after all in-flight trials finish.
   std::vector<TrialResult> run_trials(std::span<const TrialSpec> specs) const;
 
-  /// Convenience: unnamed configs.
-  std::vector<TrialResult> run_trials(std::span<const ScenarioConfig> configs) const;
-
-  std::vector<TrialResult> run_trials(const std::vector<TrialSpec>& specs) const {
-    return run_trials(std::span<const TrialSpec>{specs});
-  }
-
   /// An in-flight asynchronous batch: `futures[i]` resolves to spec i's
   /// result; the pool (and the specs it references) stay alive as long
   /// as the handle does.
@@ -65,18 +58,16 @@ class Runner {
   };
 
   /// Asynchronous variant of run_trials: submit every spec and return a
-  /// future per spec immediately instead of blocking for the batch. The
-  /// campaign runner streams its manifest in spec order with this while
-  /// later cells are still executing; exceptions surface from get().
+  /// future per spec immediately instead of blocking for the batch.
+  /// campaign::run_cached_trials commits each miss in spec order with
+  /// this while later misses are still executing; exceptions surface
+  /// from get().
   AsyncTrials start_trials(std::vector<TrialSpec> specs) const;
-  std::vector<TrialResult> run_trials(const std::vector<ScenarioConfig>& configs) const {
-    return run_trials(std::span<const ScenarioConfig>{configs});
-  }
 
   /// Generic parallel map: evaluate `fn(0) ... fn(n-1)` across the pool
   /// and return the results indexed by input. This is the primitive
   /// run_trials() is built on; benches whose experiment unit is not a
-  /// ScenarioConfig (custom topologies, jammer setups, ...) use it
+  /// TrialSpec (custom topologies, jammer setups, ...) use it
   /// directly. `fn` must be safe to call concurrently from `jobs()`
   /// threads — in this codebase that means each invocation builds its own
   /// net::Env / scenario and touches no shared mutable state.

@@ -72,12 +72,6 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"fault_corruptions", "fault"},
     {"fault_reorders", "fault"},
     {"fault_tx_suppressed", "fault"},
-
-    {"cache_hits", "campaign"},
-    {"cache_misses", "campaign"},
-    {"cache_evictions", "campaign"},
-    {"cache_bytes_read", "campaign"},
-    {"cache_bytes_written", "campaign"},
 };
 
 constexpr const char* kGaugeNames[kGaugeCount] = {

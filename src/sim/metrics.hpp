@@ -82,14 +82,6 @@ enum class Counter : std::uint16_t {
   kFaultReorders,      ///< queue-chaos packets pushed to the queue head
   kFaultTxSuppressed,  ///< app sends swallowed while the node was down
 
-  // --- campaign run cache (core::campaign::RunCache; "node" 0 is the
-  // cache itself — these never tick inside a simulation) ---
-  kCampaignCacheHits,         ///< lookups served from the on-disk store
-  kCampaignCacheMisses,       ///< lookups that had to simulate
-  kCampaignCacheEvictions,    ///< corrupt/partial/foreign entries removed
-  kCampaignCacheBytesRead,    ///< entry bytes deserialized on hits
-  kCampaignCacheBytesWritten, ///< entry bytes committed on stores
-
   kCount
 };
 

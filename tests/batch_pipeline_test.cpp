@@ -79,8 +79,8 @@ TEST(BatchPipelineSmoke, GridForcedScenarioIsBitIdenticalSerialVsParallel) {
   cfg.channel.grid_min_phys = 0;  // every broadcast through the batched pipeline
 
   const core::TrialResult serial = core::run_trial(cfg);
-  const std::vector<core::TrialResult> parallel =
-      core::Runner{2}.run_trials(std::vector<core::ScenarioConfig>{cfg, cfg});
+  const core::TrialSpec specs[] = {{cfg, {}}, {cfg, {}}};
+  const std::vector<core::TrialResult> parallel = core::Runner{2}.run_trials(specs);
 
   ASSERT_EQ(parallel.size(), 2u);
   for (const core::TrialResult& r : parallel) {

@@ -1,12 +1,12 @@
-// The content-addressed run cache and campaign orchestrator
-// (core::campaign). The load-bearing property is byte-identity: a cached
-// TrialResult must reconstruct so exactly that every downstream artifact
-// — trial manifests, sweep manifests, campaign manifests — is
-// byte-for-byte what a fresh simulation produces. On top of that sit the
-// orchestration contracts (hit/miss partition of a sweep, superset
-// sweeps simulating only new cells) and the corruption story (torn
-// writes and foreign entries are detected, evicted and recomputed, never
-// served).
+// The content-addressed run cache and its batch call
+// (core::campaign::RunCache, run_cached_trials). The load-bearing
+// property is byte-identity: a cached TrialResult must reconstruct so
+// exactly that every downstream artifact — trial manifests, sweep
+// manifests — is byte-for-byte what a fresh simulation produces. On top
+// of that sit the batch contracts (hit/miss partition of a sweep,
+// superset sweeps simulating only new cells) and the corruption story
+// (torn writes and foreign entries are detected, evicted and recomputed,
+// never served).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/campaign/campaign.hpp"
+#include "core/campaign/run_cache.hpp"
 #include "core/report.hpp"
 #include "core/runner.hpp"
 #include "core/scenario_builder.hpp"
@@ -54,17 +54,17 @@ fs::path only_entry(const fs::path& root) {
   return files.empty() ? fs::path{} : files.front();
 }
 
-campaign::SweepSpec seed_sweep(std::uint64_t seeds) {
-  campaign::SweepSpec spec;
-  spec.name = "campaign-test";
-  spec.base = quick_config();
-  auto& axis = spec.axis("seed");
-  for (std::uint64_t s = 1; s <= seeds; ++s)
-    axis.point(std::to_string(s), [s](core::ScenarioBuilder& b) { b.seed(s); });
-  spec.axis("packet_bytes")
-      .point("500", [](core::ScenarioBuilder& b) { b.packet_bytes(500); })
-      .point("1000", [](core::ScenarioBuilder& b) { b.packet_bytes(1000); });
-  return spec;
+/// `seeds` x {500, 1000} B over quick_config(), seed slowest.
+std::vector<core::TrialSpec> seed_sweep(std::uint64_t seeds) {
+  std::vector<core::TrialSpec> specs;
+  for (std::uint64_t s = 1; s <= seeds; ++s) {
+    for (const std::size_t bytes : {500, 1000}) {
+      core::ScenarioConfig cfg = quick_config(s);
+      cfg.packet_bytes = bytes;
+      specs.push_back({cfg, "seed=" + std::to_string(s) + "/bytes=" + std::to_string(bytes)});
+    }
+  }
+  return specs;
 }
 
 }  // namespace
@@ -108,15 +108,13 @@ TEST(RunCacheTest, CountersTrackHitsMissesAndBytes) {
   EXPECT_EQ(cache.hits(), 0u);
 
   cache.store(cfg, core::run_trial(cfg, "t"));
-  const sim::MetricsSnapshot after_store = cache.metrics();
-  EXPECT_GT(after_store.node_counter(0, sim::Counter::kCampaignCacheBytesWritten), 0u);
+  EXPECT_GT(cache.bytes_written(), 0u);
+  EXPECT_EQ(cache.bytes_read(), 0u);
 
   ASSERT_TRUE(cache.load(cfg, "t"));
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
-  const sim::MetricsSnapshot after_load = cache.metrics();
-  EXPECT_EQ(after_load.node_counter(0, sim::Counter::kCampaignCacheBytesRead),
-            after_store.node_counter(0, sim::Counter::kCampaignCacheBytesWritten));
+  EXPECT_EQ(cache.bytes_read(), cache.bytes_written());
   EXPECT_EQ(cache.evictions(), 0u);
 }
 
@@ -256,68 +254,23 @@ TEST(CampaignRunnerTest, SupersetSweepSimulatesOnlyNewCells) {
 
   {
     campaign::RunCache cache{tmp.path()};
-    const campaign::CampaignOutcome cold = campaign::Runner{cache}.run(seed_sweep(2));
-    EXPECT_EQ(cold.hits, 0u);
-    EXPECT_EQ(cold.misses, 4u);  // 2 seeds x 2 packet sizes
+    campaign::run_cached_trials(cache, seed_sweep(2));
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 4u);  // 2 seeds x 2 packet sizes
   }
   {
     // The superset adds one seed: of its 6 cells, exactly the 2 new ones
     // are simulated.
     campaign::RunCache cache{tmp.path()};
-    const campaign::CampaignOutcome partial = campaign::Runner{cache}.run(seed_sweep(3));
-    EXPECT_EQ(partial.hits, 4u);
-    EXPECT_EQ(partial.misses, 2u);
+    campaign::run_cached_trials(cache, seed_sweep(3));
     EXPECT_EQ(cache.hits(), 4u);
     EXPECT_EQ(cache.misses(), 2u);
   }
   {
     // Fully warm now.
     campaign::RunCache cache{tmp.path()};
-    const campaign::CampaignOutcome warm = campaign::Runner{cache}.run(seed_sweep(3));
-    EXPECT_EQ(warm.hits, 6u);
-    EXPECT_EQ(warm.misses, 0u);
+    campaign::run_cached_trials(cache, seed_sweep(3));
+    EXPECT_EQ(cache.hits(), 6u);
+    EXPECT_EQ(cache.misses(), 0u);
   }
-}
-
-TEST(CampaignRunnerTest, ColdAndWarmManifestsAreByteIdentical) {
-  eblnet::testing::TempDir tmp;
-  const campaign::SweepSpec spec = seed_sweep(2);
-
-  std::ostringstream cold_ss, warm_ss;
-  {
-    campaign::RunCache cache{tmp.path()};
-    campaign::Runner{cache}.run(spec, &cold_ss);
-  }
-  {
-    campaign::RunCache cache{tmp.path()};
-    campaign::Runner{cache}.run(spec, &warm_ss);
-  }
-  EXPECT_FALSE(cold_ss.str().empty());
-  EXPECT_EQ(cold_ss.str(), warm_ss.str());
-  EXPECT_NE(cold_ss.str().find("\"kind\": \"eblnet.campaign\""), std::string::npos);
-}
-
-TEST(SweepSpecTest, GridIsRowMajorWithLastAxisFastest) {
-  const campaign::SweepSpec spec = seed_sweep(2);
-  const std::vector<campaign::Cell> cells = spec.grid();
-  ASSERT_EQ(cells.size(), 4u);
-  EXPECT_EQ(cells[0].label, "seed=1/packet_bytes=500");
-  EXPECT_EQ(cells[1].label, "seed=1/packet_bytes=1000");
-  EXPECT_EQ(cells[2].label, "seed=2/packet_bytes=500");
-  EXPECT_EQ(cells[3].label, "seed=2/packet_bytes=1000");
-  EXPECT_EQ(cells[0].config.packet_bytes, 500u);
-  EXPECT_EQ(cells[3].config.seed, 2u);
-  EXPECT_EQ(cells[3].config.packet_bytes, 1000u);
-}
-
-TEST(SweepSpecTest, SampleIsDeterministicInSeed) {
-  const campaign::SweepSpec spec = seed_sweep(4);
-  const auto a = spec.sample(5, 42);
-  const auto b = spec.sample(5, 42);
-  const auto c = spec.sample(5, 43);
-  ASSERT_EQ(a.size(), 5u);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].label, b[i].label);
-  bool any_different = false;
-  for (std::size_t i = 0; i < a.size(); ++i) any_different |= a[i].label != c[i].label;
-  EXPECT_TRUE(any_different) << "different sample seeds drew identical cell sequences";
 }

@@ -19,11 +19,9 @@
 #include <string_view>
 #include <vector>
 
-#include "core/campaign/campaign.hpp"
 #include "core/json_writer.hpp"
 #include "core/report.hpp"
 #include "core/scenario_builder.hpp"
-#include "temp_dir.hpp"
 
 using namespace eblnet;
 
@@ -187,7 +185,7 @@ core::TrialResult quick_faulted_trial() {
 TEST(ManifestSchemaTest, TrialManifestMatchesGolden) {
   std::ostringstream ss;
   core::report::write_json(ss, quick_trial());
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_trial_v6.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_trial_v7.keys");
 }
 
 TEST(ManifestSchemaTest, SweepManifestMatchesGolden) {
@@ -195,7 +193,7 @@ TEST(ManifestSchemaTest, SweepManifestMatchesGolden) {
   const core::TrialResult trials[] = {r, r};
   std::ostringstream ss;
   core::report::write_sweep_json(ss, "schema-sweep", trials);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_sweep_v6.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_sweep_v7.keys");
 }
 
 TEST(ManifestSchemaTest, ResilienceManifestMatchesGolden) {
@@ -209,7 +207,7 @@ TEST(ManifestSchemaTest, ResilienceManifestMatchesGolden) {
   const core::report::ResilienceCell cells[] = {cell};
   std::ostringstream ss;
   core::report::write_resilience_json(ss, "schema-resilience", baselines, cells);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_resilience_v6.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_resilience_v7.keys");
 }
 
 TEST(ManifestSchemaTest, TrafficManifestMatchesGolden) {
@@ -225,27 +223,7 @@ TEST(ManifestSchemaTest, TrafficManifestMatchesGolden) {
       core::ScenarioBuilder().with_traffic_flow(cfg).run_traffic("p=1.00")};
   std::ostringstream ss;
   core::report::write_traffic_json(ss, "schema-traffic", cfg, cells);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_traffic_v6.keys");
-}
-
-TEST(ManifestSchemaTest, CampaignManifestMatchesGolden) {
-  // A 2-cell sweep through the run cache produces the "eblnet.campaign"
-  // manifest; the schema is identical cold and warm, so one cold pass
-  // pins it.
-  eblnet::testing::TempDir tmp;
-  core::campaign::RunCache cache{tmp.path()};
-  core::campaign::SweepSpec spec;
-  spec.name = "schema-campaign";
-  spec.base = core::ScenarioBuilder::trial1()
-                  .metrics()
-                  .duration(sim::Time::seconds(std::int64_t{16}))
-                  .build();
-  spec.axis("seed")
-      .point("1", [](core::ScenarioBuilder& b) { b.seed(1); })
-      .point("2", [](core::ScenarioBuilder& b) { b.seed(2); });
-  std::ostringstream ss;
-  core::campaign::Runner{cache}.run(spec, &ss);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_campaign_v6.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_traffic_v7.keys");
 }
 
 TEST(ManifestSchemaTest, SchemaVersionIsDeclared) {

@@ -159,8 +159,8 @@ TEST(MetricsSnapshotTest, MergeAccumulatesAcrossDifferentNodeCounts) {
 }
 
 TEST(MetricsTablesTest, EveryCounterHasAUniqueNameAndKnownLayer) {
-  const std::set<std::string> layers{"phy",       "mac", "ifq",   "routing",
-                                     "transport", "app", "fault", "campaign"};
+  const std::set<std::string> layers{"phy",       "mac", "ifq",  "routing",
+                                     "transport", "app", "fault"};
   std::set<std::string> names;
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     const auto c = static_cast<Counter>(i);
