@@ -133,7 +133,7 @@ void write_phase(core::JsonWriter& w, const Phase& p, std::size_t cells) {
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  const bool full = !opts.positional.empty() && opts.positional.front() == "full";
+  const bool full = opts.full;
 
   const std::string name = full ? "campaign_sweep/full" : "campaign_sweep/quick";
   const std::vector<core::TrialSpec> grid = make_grid(full, full ? 8 : 2);

@@ -27,14 +27,15 @@ std::ostream null_stream{&null_buffer};
 
 [[noreturn]] void usage(const std::string& program, int status) {
   (status == 0 ? std::cout : std::cerr)
-      << "usage: " << program << " [options] [args]\n"
+      << "usage: " << program << " [options] [full]\n"
       << "  --json <path>   write a JSON run manifest (enables metrics collection)\n"
       << "  --seed <n>      override the scenario seed(s)\n"
       << "  --jobs <n>      worker threads for the trials (0 = auto)\n"
       << "  --cache         serve paper-scenario trials from the run cache\n"
       << "  --cache-dir <d> cache directory (default results/cache)\n"
       << "  --quiet         suppress the text report\n"
-      << "  --help          this message\n";
+      << "  --help          this message\n"
+      << "  full            full mode (campaign_sweep, perf_scale, traffic_sweep)\n";
   std::exit(status);
 }
 
@@ -85,11 +86,14 @@ Options Options::parse(int argc, char** argv) {
       opt.quiet = true;
     } else if (arg == "--help" || arg == "-h") {
       usage(opt.program, 0);
+    } else if (arg == "full") {
+      opt.full = true;
     } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
       std::cerr << opt.program << ": unknown flag " << arg << '\n';
       usage(opt.program, 2);
     } else {
-      opt.positional.emplace_back(arg);
+      std::cerr << opt.program << ": unexpected argument '" << arg << "'\n";
+      usage(opt.program, 2);
     }
   }
   return opt;

@@ -21,6 +21,8 @@ namespace eblnet::bench {
 ///   --cache-dir <d>   run-cache directory (default results/cache)
 ///   --quiet           suppress the text report (JSON still written)
 ///   --help            usage
+///   full              the bench's full mode (campaign_sweep, perf_scale,
+///                     traffic_sweep; the others ignore it)
 ///
 /// With no flags a bench behaves exactly as it always has: text to
 /// stdout, no JSON, default seeds and job count.
@@ -39,13 +41,12 @@ struct Options {
   /// and tests/bench_options_test pin that).
   bool cache{false};
   std::string cache_dir{"results/cache"};  ///< --cache-dir override
-  std::vector<std::string> positional;  ///< non-flag arguments, in order
+  bool full{false};  ///< the argument `full` was given
 
   /// Parse argv. Prints usage and exits on --help (status 0) or on a
-  /// malformed/unknown flag (status 2) — including a --seed or --jobs
-  /// value that is not a plain decimal integer in range; positional
-  /// arguments are collected for benches that keep a legacy positional
-  /// interface.
+  /// malformed/unknown flag or an argument other than `full` (status 2)
+  /// — including a --seed or --jobs value that is not a plain decimal
+  /// integer in range.
   static Options parse(int argc, char** argv);
 
   bool want_json() const noexcept { return !json_path.empty(); }

@@ -1,52 +1,48 @@
 // Large-N highway scaling harness: an N-vehicle platoon pair running EBL
 // traffic over 802.11 (multi-hop TCP forwarding plus AODV route-discovery
-// flooding), timed with three channel legs:
+// flooding), timed with two channel legs:
 //
 //  - flat: the O(N)-per-broadcast attach-order loop (the pre-grid
 //    baseline; capped at N <= 1000 — beyond that it only proves O(N²)
 //    is slow);
-//  - grid: the spatial-grid candidate index with the exact per-candidate
-//    filter over the whole 3x3 neighbourhood (DESIGN.md §3.5);
-//  - batched: the grid with the two-phase SoA cull pipeline — branch-free
-//    range²/channel sweep plus batched envelope refinement, exact filter
-//    on survivors only (DESIGN.md §3.7).
+//  - batched: the spatial grid (DESIGN.md §3.5) with the two-phase SoA
+//    cull pipeline — branch-free range²/channel sweep plus batched
+//    envelope refinement, exact filter on survivors only (DESIGN.md §3.7).
 //
 // Each population is measured under both channel models:
 //
-//  - two-ray ground (the paper's deterministic channel): all legs must
-//    execute the *same* event sequence, so the trio doubles as a
-//    determinism check; speedups are the pure candidate-walk cost.
+//  - two-ray ground (the paper's deterministic channel): both legs must
+//    execute the *same* event sequence, so the pair doubles as a
+//    determinism check — a divergence fails the run (exit 1, after the
+//    tables); speedups are the pure candidate-walk cost.
 //  - Nakagami-m fading (the de facto VANET channel): the flat loop draws
-//    a gamma fade for every one of the N-1 pairs per broadcast, the grid
-//    legs cull geometrically against the deterministic fade envelope
-//    first — and the batched leg's phase 1 never dereferences a phy at
-//    all. Fading legs draw different Rng streams, so their event counts
-//    are statistically equivalent, not identical.
+//    a gamma fade for every one of the N-1 pairs per broadcast, the
+//    batched leg culls geometrically against the deterministic fade
+//    envelope first, and its phase 1 never dereferences a phy at all.
+//    Fading legs draw different Rng streams, so their event counts are
+//    statistically equivalent, not identical.
 //
 // Reported per leg: wall time, events/s, pair evaluations per broadcast
 // and ns per pair evaluation; the batched leg adds the phase-1 survivor
-// ratio (survivors / lanes scanned). Grid evals/tx tracking neighbourhood
-// density (not N) is the O(neighbours) evidence.
+// ratio (survivors / lanes scanned). Batched evals/tx tracking
+// neighbourhood density (not N) is the O(neighbours) evidence.
 //
 // In the full-stack scenario the candidate walk is a few percent of wall
 // time (every broadcast fans out into MAC timers and per-receiver signal
-// events that all legs pay identically), so the end-to-end table mostly
-// demonstrates parity plus the determinism check. The SoA payoff is
-// measured by the second table — the *broadcast drive* — which times the
-// channel transmit path in isolation: N stationary radios on a square
-// urban grid (100 m pitch), every 16th a roadside receiver whose carrier
-// sense is 20 dB more sensitive (a mixed fleet). The sensitive listeners
-// stretch the grid cell to their ~1.7 km envelope, so the exact leg must
-// sort and per-candidate-filter every phy in the 3x3 neighbourhood
-// (~29x the receiver count in 2-D) while the batched leg rejects
-// out-of-radius lanes in the branch-free phase-1 sweep — the
-// heterogeneous-radii case the per-lane cull_r2 exists for. The drive's
-// batched-vs-grid wall ratio at N >= 10k is the acceptance number for
-// the SoA pipeline.
+// events that both legs pay identically), so the end-to-end table mostly
+// demonstrates parity plus the determinism check. The second table — the
+// *broadcast drive* — times the channel transmit path in isolation: N
+// stationary radios on a square urban grid (100 m pitch), every 16th a
+// roadside receiver whose carrier sense is 20 dB more sensitive (a mixed
+// fleet). The sensitive listeners stretch the grid cell to their ~1.7 km
+// envelope, so the 3x3 neighbourhood holds ~29x the receiver count in
+// 2-D, and the batched leg rejects the out-of-radius lanes in the
+// branch-free phase-1 sweep — the heterogeneous-radii case the per-lane
+// cull_r2 exists for.
 //
 // Usage: perf_scale [--json out.json] [--quiet] [full]
 //
-//   The positional `full` adds N ∈ {1000, 10000, 50000, 100000} to both
+//   The argument `full` adds N ∈ {1000, 10000, 50000, 100000} to both
 //   tables (the acceptance run; `scripts/bench.sh --scale` passes it).
 //   Without it the quick sizes ({6, 50, 200} end-to-end, 1000 for the
 //   drive) keep reproduce.sh's unoptimised sweep fast.
@@ -54,7 +50,6 @@
 // Wall-clock numbers are only meaningful in a Release build; use
 // scripts/bench.sh --scale, which configures -O2 -DNDEBUG before timing.
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -82,7 +77,7 @@ namespace {
 
 constexpr std::int64_t kDurationS = 16;
 /// The flat leg exists to calibrate the baseline, not to heat the room:
-/// past this population it is skipped and speedups are grid-relative.
+/// past this population it is skipped and no speedup is reported.
 constexpr std::size_t kFlatCap = 1000;
 
 struct LegTiming {
@@ -118,18 +113,10 @@ struct LegTiming {
 
 struct ModelPoint {
   LegTiming flat;     ///< run == false past kFlatCap
-  LegTiming grid;     ///< exact leg (batch_cull = false)
-  LegTiming batched;  ///< two-phase SoA pipeline (the default)
+  LegTiming batched;  ///< spatial grid with the two-phase SoA pipeline
 
-  static double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
-  double grid_speedup() const { return ratio(flat.wall_s, grid.wall_s); }
-  double batched_speedup() const { return ratio(flat.wall_s, batched.wall_s); }
-  double batched_vs_grid() const { return ratio(grid.wall_s, batched.wall_s); }
-  /// Wall time normalised by executed events — the fair ratio when the
-  /// legs' stochastic workloads diverge (fading legs only; two-ray legs
-  /// execute identical event sequences, making both ratios agree).
-  double batched_vs_grid_per_event() const {
-    return ratio(grid.ns_per_event(), batched.ns_per_event());
+  double batched_speedup() const {
+    return batched.wall_s > 0.0 ? flat.wall_s / batched.wall_s : 0.0;
   }
 };
 
@@ -183,31 +170,30 @@ LegTiming run_leg(const core::ScenarioConfig& cfg) {
   return t;
 }
 
+/// The flat loop's channel parameters: never use the grid.
+phy::ChannelParams flat_channel() {
+  phy::ChannelParams params;
+  params.grid_min_phys = static_cast<std::size_t>(-1);
+  return params;
+}
+
 ModelPoint run_model(std::size_t n, const bench::Options& opts, core::PropagationType prop) {
   ModelPoint p;
-  if (n <= kFlatCap) {
-    phy::ChannelParams flat_params;
-    flat_params.grid_min_phys = static_cast<std::size_t>(-1);  // never use the grid
-    p.flat = run_leg(scale_config(n, opts, flat_params, prop));
-  }
-  phy::ChannelParams exact_params;
-  exact_params.batch_cull = false;  // the §3.5 exact leg
-  p.grid = run_leg(scale_config(n, opts, exact_params, prop));
+  if (n <= kFlatCap) p.flat = run_leg(scale_config(n, opts, flat_channel(), prop));
   p.batched = run_leg(scale_config(n, opts, phy::ChannelParams{}, prop));
-
-  // Deterministic propagation ⇒ the index must not change the simulation,
-  // only its cost. (Fading legs draw different Rng streams by design.)
-  if (prop == core::PropagationType::kTwoRay) {
-    if (p.grid.events != p.batched.events) {
-      std::cerr << "warning: exact and batched legs executed different event counts at N = " << n
-                << " (" << p.grid.events << " vs " << p.batched.events << ") — determinism bug?\n";
-    }
-    if (p.flat.run && p.flat.events != p.batched.events) {
-      std::cerr << "warning: flat and batched legs executed different event counts at N = " << n
-                << " (" << p.flat.events << " vs " << p.batched.events << ") — determinism bug?\n";
-    }
-  }
   return p;
+}
+
+/// Deterministic propagation ⇒ the index must not change the simulation,
+/// only its cost, so two-ray flat and batched legs execute the same
+/// events. (Fading legs draw different Rng streams by design.) False,
+/// with a message on stderr, when they diverge.
+bool legs_agree(const char* table, std::size_t n, const ModelPoint& two_ray) {
+  if (!two_ray.flat.run || two_ray.flat.events == two_ray.batched.events) return true;
+  std::cerr << "perf_scale: " << table
+            << ": flat and batched two-ray legs executed different event counts at N = " << n
+            << " (" << two_ray.flat.events << " vs " << two_ray.batched.events << ")\n";
+  return false;
 }
 
 // ---- broadcast drive: the channel transmit path in isolation ----------
@@ -224,12 +210,12 @@ constexpr double kDriveRoadsideCsFactor = 1e-2;
 struct DrivePoint {
   std::size_t n{0};
   std::uint64_t broadcasts{0};
-  ModelPoint two_ray;   ///< flat leg never run; grid vs batched only
+  ModelPoint two_ray;
   ModelPoint nakagami;
 };
 
 LegTiming run_drive_leg(std::size_t n, std::uint64_t k_broadcasts, core::PropagationType prop,
-                        bool batched) {
+                        phy::ChannelParams params) {
   net::Env env{1};
   sim::Rng fade_rng{20260808};
   std::shared_ptr<phy::PropagationModel> model;
@@ -238,9 +224,6 @@ LegTiming run_drive_leg(std::size_t n, std::uint64_t k_broadcasts, core::Propaga
   } else {
     model = std::make_shared<phy::NakagamiFading>(3.0, fade_rng);
   }
-  phy::ChannelParams params;
-  params.grid_min_phys = 0;
-  params.batch_cull = batched;
   phy::Channel channel{env, model, params};
 
   // Square urban grid, one radio per intersection.
@@ -296,29 +279,31 @@ LegTiming run_drive_leg(std::size_t n, std::uint64_t k_broadcasts, core::Propaga
 
 ModelPoint run_drive_model(std::size_t n, std::uint64_t k_broadcasts, core::PropagationType prop) {
   ModelPoint p;
-  p.grid = run_drive_leg(n, k_broadcasts, prop, false);
-  p.batched = run_drive_leg(n, k_broadcasts, prop, true);
-  if (prop == core::PropagationType::kTwoRay && p.grid.events != p.batched.events) {
-    std::cerr << "warning: exact and batched drive legs executed different event counts at N = "
-              << n << " (" << p.grid.events << " vs " << p.batched.events
-              << ") — determinism bug?\n";
-  }
+  if (n <= kFlatCap) p.flat = run_drive_leg(n, k_broadcasts, prop, flat_channel());
+  phy::ChannelParams grid;
+  grid.grid_min_phys = 0;
+  p.batched = run_drive_leg(n, k_broadcasts, prop, grid);
   return p;
+}
+
+void print_columns(std::ostream& os) {
+  os << std::left << std::setw(8) << "N" << std::setw(10) << "channel" << std::right
+     << std::setw(10) << "flat (s)" << std::setw(10) << "batch (s)" << std::setw(9) << "f/b-x"
+     << std::setw(7) << "surv" << std::setw(10) << "evals/tx" << std::setw(10) << "ns/pe" << '\n';
 }
 
 void print_row(std::ostream& os, std::size_t n, const char* model, const ModelPoint& p) {
   os << std::left << std::setw(8) << n << std::setw(10) << model << std::right << std::fixed
      << std::setprecision(3);
   if (p.flat.run) {
-    os << std::setw(10) << p.flat.wall_s;
+    os << std::setw(10) << p.flat.wall_s << std::setw(10) << p.batched.wall_s
+       << std::setprecision(2) << std::setw(8) << p.batched_speedup() << 'x';
   } else {
-    os << std::setw(10) << "-";
+    os << std::setw(10) << "-" << std::setw(10) << p.batched.wall_s << std::setw(9) << "-";
   }
-  os << std::setw(10) << p.grid.wall_s << std::setw(10) << p.batched.wall_s
-     << std::setprecision(2) << std::setw(8) << p.batched_vs_grid() << 'x' << std::setw(8)
-     << p.batched_vs_grid_per_event() << 'x' << std::setprecision(3) << std::setw(7)
-     << p.batched.survivor_ratio() << std::setprecision(1) << std::setw(10)
-     << p.batched.pair_evals_per_tx() << std::setw(10) << p.batched.ns_per_pair_eval() << '\n';
+  os << std::setprecision(3) << std::setw(7) << p.batched.survivor_ratio()
+     << std::setprecision(1) << std::setw(10) << p.batched.pair_evals_per_tx() << std::setw(10)
+     << p.batched.ns_per_pair_eval() << '\n';
 }
 
 void write_leg(core::JsonWriter& w, const LegTiming& t, bool batched) {
@@ -346,16 +331,9 @@ void write_model(core::JsonWriter& w, const ModelPoint& p) {
     w.key("flat");
     write_leg(w, p.flat, false);
   }
-  w.key("grid");
-  write_leg(w, p.grid, false);
   w.key("batched");
   write_leg(w, p.batched, true);
-  if (p.flat.run) {
-    w.field("speedup_grid", p.grid_speedup());
-    w.field("speedup_batched", p.batched_speedup());
-  }
-  w.field("speedup_batched_vs_grid", p.batched_vs_grid());
-  w.field("speedup_batched_vs_grid_per_event", p.batched_vs_grid_per_event());
+  if (p.flat.run) w.field("speedup_batched", p.batched_speedup());
   w.end_object();
 }
 
@@ -405,11 +383,9 @@ bool write_json(const std::string& path, const std::vector<ScalePoint>& points,
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  const bool full = std::find(opts.positional.begin(), opts.positional.end(), "full") !=
-                    opts.positional.end();
 
   std::vector<std::size_t> sizes{6, 50, 200};
-  if (full) {
+  if (opts.full) {
     sizes.push_back(1000);
     sizes.push_back(10000);
     sizes.push_back(50000);
@@ -417,39 +393,35 @@ int main(int argc, char** argv) {
   }
 
   std::ostream& os = opts.out();
-  core::report::print_header({os, 4, ""}, "perf_scale — flat vs exact-grid vs batched-SoA channel");
-  os << std::left << std::setw(8) << "N" << std::setw(10) << "channel" << std::right
-     << std::setw(10) << "flat (s)" << std::setw(10) << "grid (s)" << std::setw(10) << "batch (s)"
-     << std::setw(9) << "b/g-x" << std::setw(9) << "b/g-ev-x" << std::setw(7) << "surv"
-     << std::setw(10) << "evals/tx" << std::setw(10) << "ns/pe" << '\n';
+  core::report::print_header({os, 4, ""}, "perf_scale — flat vs batched-SoA grid channel");
+  print_columns(os);
 
+  bool agree = true;
   std::vector<ScalePoint> points;
   for (const std::size_t n : sizes) {
     ScalePoint p;
     p.n = n;
     p.two_ray = run_model(n, opts, core::PropagationType::kTwoRay);
     print_row(os, n, "two-ray", p.two_ray);
+    agree = legs_agree("end-to-end", n, p.two_ray) && agree;
     p.nakagami = run_model(n, opts, core::PropagationType::kNakagami);
     print_row(os, n, "nakagami", p.nakagami);
     points.push_back(p);
   }
 
   std::vector<std::size_t> drive_sizes{1000};
-  if (full) {
+  if (opts.full) {
     drive_sizes.push_back(10000);
     drive_sizes.push_back(50000);
     drive_sizes.push_back(100000);
   }
-  const std::uint64_t k_broadcasts = full ? 20000 : 1000;
+  const std::uint64_t k_broadcasts = opts.full ? 20000 : 1000;
 
   os << '\n';
   core::report::print_header({os, 4, ""},
                              "broadcast drive — channel transmit path, mixed fleet "
                              "(urban grid, 100 m pitch, 1/16 roadside @ -20 dB CS)");
-  os << std::left << std::setw(8) << "N" << std::setw(10) << "channel" << std::right
-     << std::setw(10) << "flat (s)" << std::setw(10) << "grid (s)" << std::setw(10) << "batch (s)"
-     << std::setw(9) << "b/g-x" << std::setw(9) << "b/g-ev-x" << std::setw(7) << "surv"
-     << std::setw(10) << "evals/tx" << std::setw(10) << "ns/pe" << '\n';
+  print_columns(os);
 
   std::vector<DrivePoint> drive;
   for (const std::size_t n : drive_sizes) {
@@ -458,6 +430,7 @@ int main(int argc, char** argv) {
     p.broadcasts = k_broadcasts;
     p.two_ray = run_drive_model(n, k_broadcasts, core::PropagationType::kTwoRay);
     print_row(os, n, "two-ray", p.two_ray);
+    agree = legs_agree("drive", n, p.two_ray) && agree;
     p.nakagami = run_drive_model(n, k_broadcasts, core::PropagationType::kNakagami);
     print_row(os, n, "nakagami", p.nakagami);
     drive.push_back(p);
@@ -468,5 +441,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (opts.want_json()) os << "wrote " << opts.json_path << '\n';
-  return 0;
+  return agree ? 0 : 1;
 }

@@ -19,10 +19,9 @@
 // Usage: traffic_sweep [--json out.json] [--seed n] [--jobs n] [--quiet] [full]
 //
 //   Default (quick) mode caps the stream at 5,000 vehicles; the
-//   positional `full` raises the cap to 50,000 on a longer, wider
+//   argument `full` raises the cap to 50,000 on a longer, wider
 //   highway.
 
-#include <algorithm>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -68,8 +67,7 @@ core::TrafficConfig make_base(bool full, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   const bench::Options opts = bench::Options::parse(argc, argv);
-  const bool full = std::find(opts.positional.begin(), opts.positional.end(), "full") !=
-                    opts.positional.end();
+  const bool full = opts.full;
   const std::uint64_t seed = opts.seed_set ? opts.seed : 1;
 
   const core::TrafficConfig base = make_base(full, seed);

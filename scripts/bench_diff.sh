@@ -23,8 +23,8 @@
 #   DIFFERENT    bytes differ (the first differing lines follow)
 #   FAILED       a run exited non-zero
 #   MISSING      the change tree has no such bench
-#   skipped      perf_sweep, perf_scale, campaign_sweep, micro_components:
-#                their output carries host timings, so bytes never match
+#   skipped      perf_scale, campaign_sweep, micro_components: their
+#                output carries host timings, so bytes never match
 #
 # Each run starts in its own empty scratch directory, so nothing a bench
 # writes lands in the caller's tree. Exit status: 0 when every compared
@@ -79,7 +79,7 @@ for bin in "$base"/bench/*; do
   [ -f "$bin" ] && [ -x "$bin" ] || continue
   name=$(basename "$bin")
   case "$name" in
-    perf_sweep | perf_scale | campaign_sweep | micro_components)
+    perf_scale | campaign_sweep | micro_components)
       printf '%-12s %s (output carries host timings)\n' skipped "$name"
       continue
       ;;

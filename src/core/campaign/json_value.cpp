@@ -21,7 +21,11 @@ std::uint64_t JsonValue::as_u64() const noexcept {
   switch (kind_) {
     case Kind::kU64: return u_;
     case Kind::kI64: return i_ >= 0 ? static_cast<std::uint64_t>(i_) : 0;
-    case Kind::kDouble: return d_ >= 0.0 ? static_cast<std::uint64_t>(d_) : 0;
+    case Kind::kDouble:
+      // Casting a double outside the target range is undefined: saturate.
+      if (!(d_ > 0.0)) return 0;  // NaN and negatives too
+      if (d_ >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
+      return static_cast<std::uint64_t>(d_);
     default: return 0;
   }
 }
@@ -33,7 +37,11 @@ std::int64_t JsonValue::as_i64() const noexcept {
                  ? static_cast<std::int64_t>(u_)
                  : std::numeric_limits<std::int64_t>::max();
     case Kind::kI64: return i_;
-    case Kind::kDouble: return static_cast<std::int64_t>(d_);
+    case Kind::kDouble:
+      if (std::isnan(d_)) return 0;
+      if (d_ >= 0x1p63) return std::numeric_limits<std::int64_t>::max();
+      if (d_ < -0x1p63) return std::numeric_limits<std::int64_t>::min();
+      return static_cast<std::int64_t>(d_);
     default: return 0;
   }
 }

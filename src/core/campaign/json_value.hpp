@@ -44,6 +44,9 @@ class JsonValue {
   bool as_bool() const noexcept { return b_; }
   /// Numeric views. as_double() on null returns NaN — the writer emits
   /// non-finite doubles as null, so null *is* the non-finite encoding.
+  /// The integer views saturate at their type's range (an exponent
+  /// literal such as 1e300 reads as the maximum); NaN reads 0, and so
+  /// does a negative number in as_u64().
   double as_double() const noexcept;
   std::uint64_t as_u64() const noexcept;
   std::int64_t as_i64() const noexcept;

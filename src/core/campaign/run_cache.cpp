@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -68,7 +69,8 @@ std::string serialize_entry(const Key& key, const Key& scenario, std::string_vie
   w.field("fingerprint", fingerprint);
   w.field("seed", r.config.seed);
 
-  // The human/tooling view: the ordinary schema-v4 trial manifest.
+  // The human/tooling view: the ordinary trial manifest, at
+  // report::kManifestSchemaVersion.
   w.key("trial");
   report::write_trial_json(w, r);
 
@@ -154,6 +156,34 @@ std::string serialize_entry(const Key& key, const Key& scenario, std::string_vie
   return std::move(os).str();
 }
 
+// Integer fields must hold integer tokens in their type's range. Anything
+// else (a fraction, an exponent literal such as 1e300, a number past the
+// range, a negative count) marks the entry corrupt, so it is evicted
+// instead of read through a saturating conversion.
+bool read_u64(const JsonValue* v, std::uint64_t& out) {
+  if (v == nullptr || v->kind() != JsonValue::Kind::kU64) return false;
+  out = v->as_u64();
+  return true;
+}
+
+bool read_i64(const JsonValue* v, std::int64_t& out) {
+  if (v == nullptr) return false;
+  const bool fits =
+      v->kind() == JsonValue::Kind::kI64 ||
+      (v->kind() == JsonValue::Kind::kU64 &&
+       v->as_u64() <= static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()));
+  if (!fits) return false;
+  out = v->as_i64();
+  return true;
+}
+
+bool read_time(const JsonValue* v, sim::Time& out) {
+  std::int64_t ns = 0;
+  if (!read_i64(v, ns)) return false;
+  out = sim::Time::nanoseconds(ns);
+  return true;
+}
+
 bool read_samples(const JsonValue* v, std::vector<trace::DelaySample>& out) {
   if (v == nullptr || !v->is_array()) return false;
   out.clear();
@@ -162,11 +192,12 @@ bool read_samples(const JsonValue* v, std::vector<trace::DelaySample>& out) {
     if (!row.is_array() || row.as_array().size() != 5) return false;
     const auto& f = row.as_array();
     trace::DelaySample s;
-    s.src = static_cast<net::NodeId>(f[0].as_u64());
-    s.dst = static_cast<net::NodeId>(f[1].as_u64());
-    s.seq = f[2].as_u64();
-    s.sent = sim::Time::nanoseconds(f[3].as_i64());
-    s.received = sim::Time::nanoseconds(f[4].as_i64());
+    std::uint64_t src = 0, dst = 0;
+    if (!read_u64(&f[0], src) || !read_u64(&f[1], dst) || !read_u64(&f[2], s.seq) ||
+        !read_time(&f[3], s.sent) || !read_time(&f[4], s.received))
+      return false;
+    s.src = static_cast<net::NodeId>(src);
+    s.dst = static_cast<net::NodeId>(dst);
     out.push_back(s);
   }
   return true;
@@ -178,7 +209,9 @@ bool read_series(const JsonValue* v, stats::TimeSeries& out) {
   for (const JsonValue& row : v->as_array()) {
     if (!row.is_array() || row.as_array().size() != 2) return false;
     const auto& f = row.as_array();
-    out.add(sim::Time::nanoseconds(f[0].as_i64()), f[1].as_double());
+    sim::Time t;
+    if (!read_time(&f[0], t)) return false;
+    out.add(t, f[1].as_double());
   }
   return true;
 }
@@ -188,13 +221,11 @@ bool read_ci(const JsonValue* v, stats::ConfidenceInterval& ci) {
   const JsonValue* mean = v->find("mean");
   const JsonValue* hw = v->find("half_width");
   const JsonValue* conf = v->find("confidence");
-  const JsonValue* n = v->find("samples");
-  if (mean == nullptr || hw == nullptr || conf == nullptr || n == nullptr) return false;
+  if (mean == nullptr || hw == nullptr || conf == nullptr) return false;
   ci.mean = mean->as_double();
   ci.half_width = hw->as_double();
   ci.confidence = conf->as_double();
-  ci.samples = n->as_u64();
-  return true;
+  return read_u64(v->find("samples"), ci.samples);
 }
 
 /// Reconstruct the TrialResult from a parsed, validated entry. Returns
@@ -209,10 +240,7 @@ bool reconstruct(const JsonValue& entry, const ScenarioConfig& cfg, std::string 
   out.config = cfg;
 
   const auto u64_field = [&](const char* key, std::uint64_t& dst) {
-    const JsonValue* v = raw->find(key);
-    if (v == nullptr || !v->is_number()) return false;
-    dst = v->as_u64();
-    return true;
+    return read_u64(raw->find(key), dst);
   };
   if (!u64_field("events_executed", out.events_executed)) return false;
   if (!u64_field("ifq_drops", out.ifq_drops)) return false;
@@ -257,26 +285,23 @@ bool reconstruct(const JsonValue& entry, const ScenarioConfig& cfg, std::string 
     return false;
   if (!dbl("outage_start_s", out.resilience.outage_start_s)) return false;
   if (!dbl("outage_end_s", out.resilience.outage_end_s)) return false;
-  const JsonValue* crashes = rz->find("crashes");
-  const JsonValue* drops = rz->find("injected_drops");
-  const JsonValue* jams = rz->find("jam_bursts");
-  if (crashes == nullptr || drops == nullptr || jams == nullptr) return false;
-  out.resilience.crashes = crashes->as_u64();
-  out.resilience.injected_drops = drops->as_u64();
-  out.resilience.jam_bursts = jams->as_u64();
+  if (!read_u64(rz->find("crashes"), out.resilience.crashes) ||
+      !read_u64(rz->find("injected_drops"), out.resilience.injected_drops) ||
+      !read_u64(rz->find("jam_bursts"), out.resilience.jam_bursts))
+    return false;
 
   const JsonValue* m = raw->find("metrics");
   if (m == nullptr || !m->is_object()) return false;
   const JsonValue* enabled = m->find("enabled");
-  const JsonValue* nodes = m->find("nodes");
   const JsonValue* counters = m->find("counters");
   const JsonValue* gauges = m->find("gauges");
-  if (enabled == nullptr || !enabled->is_bool() || nodes == nullptr || counters == nullptr ||
-      !counters->is_array() || gauges == nullptr || !gauges->is_array())
+  std::uint64_t nodes = 0;
+  if (enabled == nullptr || !enabled->is_bool() || !read_u64(m->find("nodes"), nodes) ||
+      counters == nullptr || !counters->is_array() || gauges == nullptr || !gauges->is_array())
     return false;
   sim::MetricsSnapshot& ms = out.metrics;
   ms.enabled = enabled->as_bool();
-  ms.nodes = static_cast<std::uint32_t>(nodes->as_u64());
+  ms.nodes = static_cast<std::uint32_t>(nodes);
   // A counter-table shape mismatch means the entry predates a schema
   // change that slipped past the fingerprint (hand-copied directory);
   // reject it rather than serve shifted counters.
@@ -284,15 +309,16 @@ bool reconstruct(const JsonValue& entry, const ScenarioConfig& cfg, std::string 
   if (gauges->as_array().size() != ms.nodes * sim::kGaugeCount) return false;
   ms.counters.reserve(counters->as_array().size());
   for (const JsonValue& v : counters->as_array()) {
-    if (!v.is_number()) return false;
-    ms.counters.push_back(v.as_u64());
+    std::uint64_t count = 0;
+    if (!read_u64(&v, count)) return false;
+    ms.counters.push_back(count);
   }
   ms.gauges.reserve(gauges->as_array().size());
   for (const JsonValue& g : gauges->as_array()) {
     if (!g.is_array() || g.as_array().size() != 4) return false;
     const auto& f = g.as_array();
     sim::GaugeStat stat;
-    stat.count = f[0].as_u64();
+    if (!read_u64(&f[0], stat.count)) return false;
     stat.sum = f[1].as_double();
     stat.min = f[2].as_double();
     stat.max = f[3].as_double();
@@ -345,12 +371,12 @@ std::optional<TrialResult> RunCache::load(const ScenarioConfig& cfg, std::string
   }
   const JsonValue* complete = doc->find("complete");
   const JsonValue* kind = doc->find("kind");
-  const JsonValue* schema = doc->find("cache_schema");
   const JsonValue* stored_key = doc->find("key");
   const JsonValue* fp = doc->find("fingerprint");
+  std::int64_t schema = 0;
   if (complete == nullptr || !complete->is_bool() || !complete->as_bool() ||  //
       kind == nullptr || !kind->is_string() || kind->as_string() != "eblnet.cache_entry" ||
-      schema == nullptr || schema->as_i64() != kCacheSchemaVersion ||  //
+      !read_i64(doc->find("cache_schema"), schema) || schema != kCacheSchemaVersion ||  //
       stored_key == nullptr || !stored_key->is_string() || stored_key->as_string() != key.hex() ||
       fp == nullptr || !fp->is_string() || fp->as_string() != fingerprint_) {
     evict();

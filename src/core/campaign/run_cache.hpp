@@ -20,9 +20,9 @@ namespace eblnet::core::campaign {
 /// needs updating — only creating (atomically) or evicting (when
 /// corrupt).
 ///
-/// Each entry holds an index header (key, fingerprint, seed),
-/// the schema-v4 trial manifest for humans and tooling, and a `raw`
-/// block with the exact samples, counters and series needed to
+/// Each entry holds an index header (key, fingerprint, seed), the trial
+/// manifest (at report::kManifestSchemaVersion) for humans and tooling,
+/// and a `raw` block with the exact samples, counters and series needed to
 /// reconstruct the TrialResult bit-identically: summaries recomputed
 /// from the restored samples, and manifests re-rendered from the
 /// restored result, are byte-for-byte what the original run produced.

@@ -65,7 +65,7 @@ std::string Key::hex() const {
 
 std::string canonical_scenario_text(const ScenarioConfig& cfg) {
   Canon c;
-  c.str("format", "eblnet.scenario/2");
+  c.str("format", "eblnet.scenario/3");
 
   // --- the paper's variable parameters ---
   c.u64("packet_bytes", static_cast<std::uint64_t>(cfg.packet_bytes));
@@ -202,7 +202,6 @@ std::string canonical_scenario_text(const ScenarioConfig& cfg) {
   c.u64("channel.grid_min_phys", static_cast<std::uint64_t>(cfg.channel.grid_min_phys));
   c.real("channel.grid_max_speed_mps", cfg.channel.grid_max_speed_mps);
   c.time_ns("channel.grid_rebucket_period_ns", cfg.channel.grid_rebucket_period);
-  c.boolean("channel.batch_cull", cfg.channel.batch_cull);
 
   // --- the chosen routing protocol's parameters only (static routes
   // have none) ---

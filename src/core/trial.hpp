@@ -56,8 +56,7 @@ struct TrialResult {
   std::uint64_t routing_control_sends{0};
   /// Data frames radiated (including MAC retransmissions).
   std::uint64_t data_frame_sends{0};
-  /// Scheduler events executed over the whole run — the denominator of
-  /// the events/sec figure the perf harness (bench/perf_sweep) reports.
+  /// Scheduler events executed over the whole run.
   std::uint64_t events_executed{0};
 
   /// Resilience under injected faults (sim::FaultPlan). `faults_enabled`

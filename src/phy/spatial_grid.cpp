@@ -105,27 +105,6 @@ void SpatialGrid::set_channel(WirelessPhy* phy, std::uint32_t channel_id) {
   cells_.at(key(phy->grid_cx_, phy->grid_cy_)).chan[phy->grid_idx_] = channel_id;
 }
 
-void SpatialGrid::collect(mobility::Vec2 center, double radius_m, const WirelessPhy* exclude,
-                          std::vector<GridCandidate>& out) const {
-  out.clear();
-  const std::int32_t cx = coord(center.x);
-  const std::int32_t cy = coord(center.y);
-  const auto span = static_cast<std::int32_t>(std::ceil(radius_m * inv_cell_));
-  for (std::int32_t dx = -span; dx <= span; ++dx) {
-    for (std::int32_t dy = -span; dy <= span; ++dy) {
-      const auto it = cells_.find(key(cx + dx, cy + dy));
-      if (it == cells_.end()) continue;
-      const Bucket& b = it->second;
-      for (std::size_t i = 0; i < b.count(); ++i) {
-        if (b.phys[i] == exclude) continue;
-        const double ddx = b.x[i] - center.x;
-        const double ddy = b.y[i] - center.y;
-        out.push_back({b.seq[i], b.slot[i], b.phys[i], b.cs_w[i], ddx * ddx + ddy * ddy});
-      }
-    }
-  }
-}
-
 std::uint64_t SpatialGrid::cull(mobility::Vec2 center, double radius_m, std::uint32_t tx_channel,
                                 const WirelessPhy* exclude,
                                 std::vector<GridCandidate>& out) const {

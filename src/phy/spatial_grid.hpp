@@ -36,9 +36,8 @@ struct GridCandidate {
 /// slot, frequency channel, phy pointer), kept in sync by swap-remove on
 /// insert/update/remove. `cull` sweeps those contiguous arrays with a
 /// branch-free range² test — no pointer chasing, no virtual calls — so
-/// the phase-1 inner loop auto-vectorizes; `collect` is the exact-leg
-/// superset query over the same storage. Neither sorts: the channel runs
-/// one post-cull sort over the surviving candidates for both legs.
+/// the phase-1 inner loop auto-vectorizes. It does not sort: the channel
+/// runs one post-cull sort over the surviving candidates.
 ///
 /// The grid stores its per-phy bookkeeping (cached cell, index within the
 /// bucket, cull radius) inside WirelessPhy itself, so insert/update/
@@ -71,13 +70,6 @@ class SpatialGrid {
   /// Refresh the bucketed frequency-channel lane after a retune (no-op if
   /// `phy` is not bucketed).
   void set_channel(WirelessPhy* phy, std::uint32_t channel_id);
-
-  /// Exact-leg superset query: clear `out` and append a candidate for
-  /// every phy (except `exclude`) bucketed in a cell overlapping the disc
-  /// (`center`, `radius_m`) — unsorted; the channel sorts survivors by
-  /// attach sequence once, after culling.
-  void collect(mobility::Vec2 center, double radius_m, const WirelessPhy* exclude,
-               std::vector<GridCandidate>& out) const;
 
   /// Phase-1 batched cull: clear `out` and append a candidate for every
   /// phy in the neighbourhood whose bucketed position lies within its own

@@ -384,29 +384,25 @@ void Channel::collect_receivers(WirelessPhy& sender) {
       rebucket_all();
     }
     grid_.update(&sender, from);  // the sender's position is exact and free
-    if (params_.batch_cull) {
-      // Phase 1: branch-free SoA sweep (range² against per-phy envelope
-      // radii + frequency channel), then one batched envelope refinement
-      // at the sender's actual tx power.
-      const std::uint64_t lanes =
-          grid_.cull(from, query_radius(), channel_id, &sender, candidates_);
-      // Phase 1b only helps when the sender is weaker than the channel
-      // maximum the cull radii were computed for; at full power the
-      // envelope bound keeps every phase-1a survivor (the cull radius IS
-      // the envelope range plus slack), so the refinement is a no-op by
-      // construction and skipping it changes nothing.
-      if (tx_power_w < max_tx_power_w_) envelope_cull(tx_power_w);
-      batch_lane_count_ += lanes;
-      batch_culled_count_ += lanes - candidates_.size();
-      env_.metrics().add(sender.owner(), sim::Counter::kPhyBatchCulled,
-                         lanes - candidates_.size());
-      env_.metrics().add(sender.owner(), sim::Counter::kPhyBatchSurvivors, candidates_.size());
-    } else {
-      grid_.collect(from, query_radius(), &sender, candidates_);
-    }
-    // One post-cull sort over survivors (both grid legs): attach-sequence
-    // order is exactly the flat loop's iteration order. The sort key
-    // lives in the candidate record, so comparisons chase no pointers.
+    // Phase 1: branch-free SoA sweep (range² against per-phy envelope
+    // radii + frequency channel), then one batched envelope refinement
+    // at the sender's actual tx power.
+    const std::uint64_t lanes =
+        grid_.cull(from, query_radius(), channel_id, &sender, candidates_);
+    // Phase 1b only helps when the sender is weaker than the channel
+    // maximum the cull radii were computed for; at full power the
+    // envelope bound keeps every phase-1a survivor (the cull radius IS
+    // the envelope range plus slack), so the refinement is a no-op by
+    // construction and skipping it changes nothing.
+    if (tx_power_w < max_tx_power_w_) envelope_cull(tx_power_w);
+    batch_lane_count_ += lanes;
+    batch_culled_count_ += lanes - candidates_.size();
+    env_.metrics().add(sender.owner(), sim::Counter::kPhyBatchCulled,
+                       lanes - candidates_.size());
+    env_.metrics().add(sender.owner(), sim::Counter::kPhyBatchSurvivors, candidates_.size());
+    // One post-cull sort over survivors: attach-sequence order is exactly
+    // the flat loop's iteration order. The sort key lives in the
+    // candidate record, so comparisons chase no pointers.
     std::sort(candidates_.begin(), candidates_.end(),
               [](const GridCandidate& a, const GridCandidate& b) { return a.seq < b.seq; });
     for (const GridCandidate& c : candidates_) consider_candidate(c);

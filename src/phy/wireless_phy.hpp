@@ -186,18 +186,6 @@ struct ChannelParams {
   /// after the previous full re-bucket first re-buckets every phy (an
   /// O(N) pass amortised over all transmits within the period).
   sim::Time grid_rebucket_period{sim::Time::milliseconds(500)};
-  /// Grid-path delivery pipeline. `true` (the default) runs the two-phase
-  /// batched pipeline: a branch-free SoA sweep over the 3x3 cell
-  /// neighbourhood (per-phy envelope-range² + frequency-channel cull,
-  /// then a batched-envelope refinement against the sender's actual tx
-  /// power) feeds the exact per-candidate filter with survivors only.
-  /// `false` keeps the PR-4 exact leg: every phy in the neighbourhood
-  /// goes through the exact filter. Both legs sort survivors by attach
-  /// sequence and apply the identical exact test, so with deterministic
-  /// propagation flat, grid and batched runs are all bit-identical; with
-  /// fading models the batched leg draws strictly fewer fades (culled
-  /// pairs never touch the Rng), making it statistically equivalent.
-  bool batch_cull{true};
 };
 
 /// The shared broadcast medium: fans a transmission out to every other
@@ -263,8 +251,7 @@ class Channel {
   /// Transmissions fanned out.
   std::uint64_t broadcasts() const noexcept { return broadcast_count_; }
   /// Candidate receivers put through the exact per-receiver filter (flat:
-  /// N-1 per transmit; grid: the cell-neighbourhood candidates; batched:
-  /// phase-1 survivors only).
+  /// N-1 per transmit; grid: phase-1 survivors only).
   std::uint64_t pair_evaluations() const noexcept { return pair_evaluations_; }
   /// SoA lanes swept by the phase-1 batched cull across all broadcasts.
   std::uint64_t batch_lanes() const noexcept { return batch_lane_count_; }

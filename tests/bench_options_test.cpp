@@ -3,7 +3,9 @@
 // (strtoull negates "-1" into 2^64 - 1), a value past 2^64 - 1 (strtoull
 // saturates with ERANGE) and a --jobs count past UINT_MAX (the cast to
 // unsigned truncates). Each exits with the usage status 2 and the
-// "expects a non-negative integer" message.
+// "expects a non-negative integer" message. The only argument that is not
+// a flag is `full`; any other word (a typo of it, a deleted mode) exits 2
+// too instead of silently running the quick mode.
 //
 // bench::run, the one way a bench runs trials, must give the same bytes
 // with and without --cache, and must reject an unusable --cache-dir the
@@ -78,6 +80,11 @@ TEST_F(BenchOptionsDeathTest, JobsPastUintMaxIsRejected) {
   EXPECT_EXIT(parse({"--jobs", "4294967296"}), ::testing::ExitedWithCode(2), kRejected);
 }
 
+TEST_F(BenchOptionsDeathTest, UnexpectedArgumentIsRejected) {
+  EXPECT_EXIT(parse({"ful"}), ::testing::ExitedWithCode(2),
+              "bench: unexpected argument 'ful'\n(.|\n)*full");
+}
+
 // The default "fast" style forks after the temp file exists, so the
 // child sees it and the parent alone removes it.
 TEST(BenchRunDeathTest, CacheDirUnderARegularFileExitsWithUsageStatus) {
@@ -108,6 +115,11 @@ TEST(BenchRunTest, CachedRunsMatchTheUncachedRunByteForByte) {
 
   EXPECT_EQ(warm, cold);
   EXPECT_EQ(warm, uncached);
+}
+
+TEST(BenchOptionsTest, FullSetsTheFullMode) {
+  EXPECT_FALSE(parse({"--quiet"}).full);
+  EXPECT_TRUE(parse({"--quiet", "full"}).full);
 }
 
 TEST(BenchOptionsTest, LargestRepresentableValuesAreAccepted) {

@@ -208,6 +208,58 @@ TEST(RunCacheTest, TamperedCompletionMarkerIsEvicted) {
   EXPECT_EQ(cache.evictions(), 1u);
 }
 
+namespace {
+
+// An entry whose integer field holds a number that is not an integer
+// token (here an exponent literal) is corrupt: evicted and re-simulated,
+// never read through a conversion. Set `key`'s value, at its first
+// occurrence after `anchor`, to `value`. (At -O2 a plain cast read 1e20
+// events as 0 and served the entry.)
+void expect_edit_is_evicted(const std::string& anchor, const std::string& key,
+                            const std::string& value) {
+  eblnet::testing::TempDir tmp;
+  const core::ScenarioConfig cfg = quick_config();
+  const core::TrialResult fresh = core::run_trial(cfg, "edited");
+  {
+    campaign::RunCache cache{tmp.path()};
+    cache.store(cfg, fresh);
+  }
+  const fs::path entry = only_entry(tmp.path());
+  std::string text;
+  {
+    std::ifstream in{entry};
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    text = ss.str();
+  }
+  const std::string field = "\"" + key + "\": ";
+  const auto pos = text.find(field, text.find(anchor));
+  ASSERT_NE(pos, std::string::npos) << key;
+  const auto begin = pos + field.size();
+  text.replace(begin, text.find_first_of(",\n", begin) - begin, value);
+  std::ofstream{entry} << text;
+
+  campaign::RunCache cache{tmp.path()};
+  EXPECT_FALSE(cache.load(cfg, "edited")) << key << " = " << value;
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_FALSE(fs::exists(entry));
+  const std::vector<core::TrialResult> rerun =
+      campaign::run_cached_trials(cache, std::vector<core::TrialSpec>{{cfg, "edited"}});
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(rerun.front().events_executed, fresh.events_executed);
+  EXPECT_TRUE(fs::exists(entry));
+}
+
+}  // namespace
+
+TEST(RunCacheTest, ExponentCacheSchemaIsEvicted) {
+  expect_edit_is_evicted("{", "cache_schema", "1e300");
+}
+
+TEST(RunCacheTest, ExponentRawEventCountIsEvicted) {
+  expect_edit_is_evicted("\"raw\": {", "events_executed", "1e20");
+}
+
 TEST(RunCacheTest, DifferentSeedsGetDifferentEntries) {
   eblnet::testing::TempDir tmp;
   campaign::RunCache cache{tmp.path()};

@@ -129,6 +129,24 @@ TEST(JsonRoundTripTest, IntegersKeepExactIdentity) {
   EXPECT_EQ(doc->find("zero")->as_u64(), 0u);
 }
 
+TEST(JsonRoundTripTest, OutOfRangeNumbersSaturate) {
+  // Numbers past the integer range parse as doubles; casting such a
+  // double to an integer type is undefined, so the views saturate.
+  const auto doc = parse_json(
+      R"({"huge": 1e300, "tiny": -1e300, "past_u64": 18446744073709551616, "neg": -2.5})");
+  ASSERT_TRUE(doc);
+  EXPECT_EQ(doc->find("huge")->as_i64(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(doc->find("huge")->as_u64(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(doc->find("tiny")->as_i64(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(doc->find("tiny")->as_u64(), 0u);
+  EXPECT_EQ(doc->find("past_u64")->kind(), JsonValue::Kind::kDouble);
+  EXPECT_EQ(doc->find("past_u64")->as_u64(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(doc->find("neg")->as_u64(), 0u);
+  EXPECT_EQ(doc->find("neg")->as_i64(), -2);
+  EXPECT_EQ(JsonValue::number(std::numeric_limits<double>::quiet_NaN()).as_u64(), 0u);
+  EXPECT_EQ(JsonValue::number(std::numeric_limits<double>::quiet_NaN()).as_i64(), 0);
+}
+
 TEST(JsonRoundTripTest, StringsWithEscapesRoundTrip) {
   const std::vector<std::string> cases{
       "plain",

@@ -23,13 +23,6 @@ ChannelParams grid_forced() {
   return p;
 }
 
-ChannelParams grid_exact() {
-  ChannelParams p;
-  p.grid_min_phys = 0;
-  p.batch_cull = false;  // the PR-4 exact grid leg, no SoA phase 1
-  return p;
-}
-
 ChannelParams grid_disabled() {
   ChannelParams p;
   p.grid_min_phys = static_cast<std::size_t>(-1);  // flat loop forever
@@ -63,13 +56,12 @@ void expect_same_reachable(const Channel& grid, const Channel& flat, const char*
 // ---------------------------------------------------------------------------
 
 TEST(SpatialGridEquivalence, RandomizedPositionsChannelsAndThresholds) {
-  // Three identical populations — batched-cull grid, exact grid, flat
-  // loop; every transmit must produce the identical reachable sequence
-  // across all three. Positions span several cells (cell ~585 m),
-  // include co-located pairs, and nodes pinned to exact cell-boundary
-  // multiples; cs thresholds and frequency channels vary per node.
+  // Two identical populations — batched-cull grid and flat loop; every
+  // transmit must produce the identical reachable sequence on both.
+  // Positions span several cells (cell ~585 m), include co-located pairs,
+  // and nodes pinned to exact cell-boundary multiples; cs thresholds and
+  // frequency channels vary per node.
   eblnet::testing::TestNet grid_net{1, nullptr, grid_forced()};
-  eblnet::testing::TestNet exact_net{1, nullptr, grid_exact()};
   eblnet::testing::TestNet flat_net{1, nullptr, grid_disabled()};
 
   const TwoRayGround ranges;
@@ -101,33 +93,25 @@ TEST(SpatialGridEquivalence, RandomizedPositionsChannelsAndThresholds) {
 
   for (std::size_t i = 0; i < positions.size(); ++i) {
     grid_net.add_node(positions[i], params[i]);
-    exact_net.add_node(positions[i], params[i]);
     flat_net.add_node(positions[i], params[i]);
     grid_net.phy(i).set_channel_id(channels[i]);
-    exact_net.phy(i).set_channel_id(channels[i]);
     flat_net.phy(i).set_channel_id(channels[i]);
   }
 
   ASSERT_TRUE(grid_net.channel().grid_active());
-  ASSERT_TRUE(exact_net.channel().grid_active());
   ASSERT_FALSE(flat_net.channel().grid_active());
 
   for (std::size_t i = 0; i < positions.size(); ++i) {
     grid_net.channel().transmit(grid_net.phy(i), make_packet(i + 1), 1_ms);
-    exact_net.channel().transmit(exact_net.phy(i), make_packet(i + 1), 1_ms);
     flat_net.channel().transmit(flat_net.phy(i), make_packet(i + 1), 1_ms);
     expect_same_reachable(grid_net.channel(), flat_net.channel(), "batched vs flat");
-    expect_same_reachable(exact_net.channel(), flat_net.channel(), "exact vs flat");
     // Drain the scheduled deliveries so pending events don't pile up.
     grid_net.run_for(10_ms);
-    exact_net.run_for(10_ms);
     flat_net.run_for(10_ms);
   }
-  // Both grid legs examined strictly fewer candidate pairs for the same
-  // answer, and the batched phase-1 cull examined no more than the exact
-  // leg (phase 2 only sees phase-1 survivors).
+  // The grid examined strictly fewer candidate pairs for the same answer
+  // (phase 2 only sees phase-1 survivors).
   EXPECT_LT(grid_net.channel().pair_evaluations(), flat_net.channel().pair_evaluations());
-  EXPECT_LE(grid_net.channel().pair_evaluations(), exact_net.channel().pair_evaluations());
   // The batched leg actually culled something, and the counters balance.
   EXPECT_GT(grid_net.channel().batch_culled(), 0u);
   EXPECT_GT(grid_net.channel().batch_lanes(), grid_net.channel().batch_culled());
@@ -296,25 +280,20 @@ TEST(SpatialGridFaults, CrashedNodeNeverHearsInFlightDeliveries) {
 // SoA bucket edge cases (batched-cull pipeline)
 // ---------------------------------------------------------------------------
 
-// Run the same static population through batched / exact / flat channels
-// and require identical reachable sequences from every sender.
-void expect_three_way_equivalence(const std::vector<mobility::Vec2>& positions) {
+// Run the same static population through batched and flat channels and
+// require identical reachable sequences from every sender.
+void expect_batched_matches_flat(const std::vector<mobility::Vec2>& positions) {
   eblnet::testing::TestNet batched{1, nullptr, grid_forced()};
-  eblnet::testing::TestNet exact{1, nullptr, grid_exact()};
   eblnet::testing::TestNet flat{1, nullptr, grid_disabled()};
   for (const mobility::Vec2& pos : positions) {
     batched.add_node(pos);
-    exact.add_node(pos);
     flat.add_node(pos);
   }
   for (std::size_t i = 0; i < positions.size(); ++i) {
     batched.channel().transmit(batched.phy(i), make_packet(i + 1), 1_ms);
-    exact.channel().transmit(exact.phy(i), make_packet(i + 1), 1_ms);
     flat.channel().transmit(flat.phy(i), make_packet(i + 1), 1_ms);
     expect_same_reachable(batched.channel(), flat.channel(), "batched vs flat");
-    expect_same_reachable(exact.channel(), flat.channel(), "exact vs flat");
     batched.run_for(10_ms);
-    exact.run_for(10_ms);
     flat.run_for(10_ms);
   }
 }
@@ -334,7 +313,7 @@ TEST(SpatialGridSoA, PhysExactlyOnCellBoundaries) {
     positions.push_back({i * cell + 100.0, 50.0}); // plus in-range off-boundary peers
   }
   positions.push_back({0.0, 0.0});  // co-located with a boundary phy
-  expect_three_way_equivalence(positions);
+  expect_batched_matches_flat(positions);
 }
 
 TEST(SpatialGridSoA, NegativeCoordinatesAroundTheKeyFold) {
@@ -347,7 +326,7 @@ TEST(SpatialGridSoA, NegativeCoordinatesAroundTheKeyFold) {
     positions.push_back({-150.0 + i * 60.0, 80.0 - i * 40.0});  // origin-straddling
     positions.push_back({1.5e6, -2.5e6 + i * 90.0});        // mixed-sign quadrant
   }
-  expect_three_way_equivalence(positions);
+  expect_batched_matches_flat(positions);
 }
 
 TEST(SpatialGridSoA, ResetUnhooksLiveBucketedPhys) {
@@ -388,16 +367,14 @@ TEST(SpatialGridSoA, ResetUnhooksLiveBucketedPhys) {
   }
   EXPECT_EQ(grid.size(), phys.size());
   std::vector<GridCandidate> out;
-  grid.collect({0.0, 0.0}, 1000.0, phys[0].get(), out);
-  EXPECT_EQ(out.size(), phys.size() - 1);
   const std::uint64_t lanes = grid.cull({0.0, 0.0}, 1000.0, 0, phys[0].get(), out);
   EXPECT_EQ(lanes, phys.size());  // every lane in the neighbourhood scanned
 }
 
-TEST(SpatialGridSoA, CrashedNodeCulledIdenticallyInBatchedAndExactLegs) {
-  // A FaultPlan crash detaches the phy (removing its SoA lanes); both grid
-  // legs must agree with each other — and with the flat loop — before the
-  // crash, during the outage, and after the reboot re-attaches it.
+TEST(SpatialGridSoA, CrashedNodeCulledIdenticallyInBatchedAndFlatLegs) {
+  // A FaultPlan crash detaches the phy (removing its SoA lanes); the
+  // batched grid must agree with the flat loop before the crash, during
+  // the outage, and after the reboot re-attaches it.
   struct Leg {
     explicit Leg(ChannelParams params)
         : env{1}, channel{env, std::make_shared<TwoRayGround>(), params} {
@@ -416,14 +393,13 @@ TEST(SpatialGridSoA, CrashedNodeCulledIdenticallyInBatchedAndExactLegs) {
     std::vector<std::unique_ptr<WirelessPhy>> phys;
   };
 
-  Leg batched{grid_forced()}, exact{grid_exact()}, flat{grid_disabled()};
+  Leg batched{grid_forced()}, flat{grid_disabled()};
   const auto step = [&](Time until, std::size_t sender, const char* context) {
-    for (Leg* leg : {&batched, &exact, &flat}) {
+    for (Leg* leg : {&batched, &flat}) {
       leg->env.scheduler().run_until(until);
       leg->channel.transmit(*leg->phys[sender], make_packet(sender + 1), 1_ms);
     }
     expect_same_reachable(batched.channel, flat.channel, context);
-    expect_same_reachable(exact.channel, flat.channel, context);
   };
 
   step(Time::milliseconds(1), 6, "before crash");  // node 7 up and heard
