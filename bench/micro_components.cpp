@@ -16,6 +16,7 @@
 #include "routing/routing_table.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 #include "stats/summary.hpp"
 #include "trace/trace_io.hpp"
 
@@ -58,10 +59,11 @@ BENCHMARK(BM_SchedulerCancelHeavy)->Arg(10000);
 
 void BM_SchedulerChurn(benchmark::State& state) {
   // Steady-state schedule/cancel/pop mix with a bounded pending set —
-  // the shape of a long simulation run (timers constantly armed,
-  // rescheduled, and fired) rather than a one-shot bulk load. Exercises
+  // the shape of a long simulation run (events constantly armed,
+  // cancelled, and fired) rather than a one-shot bulk load. Exercises
   // slot recycling: with `window` pending events the slot table stays
-  // small and ids are reused continuously.
+  // small and ids are reused continuously. A Timer re-armed later takes
+  // the postpone path instead; BM_SchedulerTimerRearm times that.
   const auto window = static_cast<std::size_t>(state.range(0));
   sim::Scheduler sched;
   std::vector<sim::EventId> pending(window, sim::kInvalidEventId);
@@ -72,8 +74,8 @@ void BM_SchedulerChurn(benchmark::State& state) {
   std::size_t cursor = 0;
   std::uint64_t ops = 0;
   for (auto _ : state) {
-    // Cancel one armed timer (reschedule pattern), arm a replacement,
-    // then run the scheduler forward one event.
+    // Cancel one pending event, arm a replacement, then run the
+    // scheduler forward one event.
     sched.cancel(pending[cursor]);
     pending[cursor] = sched.schedule_at(sim::Time::microseconds(++t_us), [] {});
     sched.run(1);
@@ -83,6 +85,31 @@ void BM_SchedulerChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_SchedulerChurn)->Arg(64)->Arg(1024);
+
+void BM_SchedulerTimerRearm(benchmark::State& state) {
+  // The TCP RTO shape: every event pushes one Timer later (each new ACK
+  // restarts the RTO) among `window` other pending events. The timer is
+  // due eight windows out, so cancel + push would leave about eight dead
+  // heap entries per live one, near the paper sweep's RTO ratio (about
+  // 163 entries for 21 live).
+  const auto window = static_cast<std::size_t>(state.range(0));
+  const auto horizon = static_cast<std::int64_t>(8 * window);
+  sim::Scheduler sched;
+  sim::Timer rto{sched, [] {}};
+  std::int64_t t_us = 0;
+  for (std::size_t i = 0; i < window; ++i) {
+    sched.schedule_at(sim::Time::microseconds(++t_us), [] {});
+  }
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    rto.schedule_at(sim::Time::microseconds(t_us + horizon));
+    sched.schedule_at(sim::Time::microseconds(++t_us), [] {});
+    benchmark::DoNotOptimize(sched.run(1));
+    ops += 3;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+BENCHMARK(BM_SchedulerTimerRearm)->Arg(16)->Arg(64);
 
 void BM_PacketCopy(benchmark::State& state) {
   net::Packet p;

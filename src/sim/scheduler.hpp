@@ -19,7 +19,12 @@ inline constexpr EventId kInvalidEventId = 0;
 /// instant fire in the order they were scheduled (FIFO tie-break via a
 /// monotonically increasing sequence number), which keeps simulations
 /// deterministic. Cancellation is O(1) lazy: a cancelled entry stays in
-/// the heap and is discarded when it reaches the top.
+/// the heap and is discarded when it reaches the top. Postponing is lazy
+/// too: `postpone` records the event's new (time, seq) key on its slot
+/// and leaves the heap entry where it is. The old key is earlier than the
+/// new one, so the entry surfaces before the event is due and is re-keyed
+/// in place with one sift-down; the event fires at the key a cancel + a
+/// fresh schedule would have given it.
 ///
 /// Hot-path design: every simulated packet turns into several schedule/
 /// pop pairs, so neither operation hashes. An EventId encodes an index
@@ -71,6 +76,13 @@ class Scheduler {
   /// already cancelled, or `id` is kInvalidEventId.
   void cancel(EventId id);
 
+  /// Move a pending event to the later (or equal) time `at`, keeping its
+  /// callback and `id`. The event takes a fresh sequence number, so it
+  /// fires exactly where `cancel(id)` followed by `schedule_at(at, cb)`
+  /// would put it. Returns false, changing nothing, when `id` is not
+  /// pending or `at` is earlier than its current due time.
+  bool postpone(EventId id, Time at);
+
   /// True if `id` refers to an event that is still pending.
   bool is_pending(EventId id) const;
 
@@ -88,6 +100,9 @@ class Scheduler {
   void clear();
 
   std::size_t pending_count() const noexcept { return live_; }
+  /// Heap entries, including those of cancelled and postponed events that
+  /// have not yet surfaced.
+  std::size_t queued_entries() const noexcept { return heap_.size(); }
   std::uint64_t executed_count() const noexcept { return executed_; }
 
  private:
@@ -108,12 +123,20 @@ class Scheduler {
   /// lives here rather than in the heap entry: heap sifts move 24-byte
   /// entries, and releasing a slot back to the free list reuses the same
   /// inline callback storage for the next event.
+  ///
+  /// (key_at, key_seq) is the event's live key. The heap entry is current
+  /// only while its seq equals key_seq; key_seq == 0 marks a cancelled
+  /// event, and any other mismatch a postponed one.
   struct Slot {
     std::uint32_t gen{0};
     bool in_use{false};
-    bool cancelled{false};
+    Time key_at{};
+    std::uint64_t key_seq{0};
     Callback cb;
   };
+  // The live key does not fit in the padding before the 16-byte-aligned
+  // callback, so it costs a full 16 bytes per slot.
+  static_assert(sizeof(Slot) <= 112);
 
   static constexpr std::size_t kInitialHeapCapacity = 1024;
 
@@ -129,6 +152,9 @@ class Scheduler {
   bool pop_next(Entry& out, Callback& cb);
   /// Removes the heap top (cancelled entries included) into `out`.
   Entry pop_top();
+  /// Handles a heap top whose seq is not its slot's key_seq: releases a
+  /// cancelled event's slot, or re-keys a postponed event's entry in place.
+  void drop_or_rekey_top();
 
   std::vector<Entry> heap_;  ///< binary heap via std::push_heap/pop_heap
   std::vector<Slot> slots_;

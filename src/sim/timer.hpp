@@ -7,7 +7,11 @@
 namespace eblnet::sim {
 
 /// A restartable one-shot timer bound to a fixed callback. Owns at most
-/// one pending event at a time; restarting cancels the previous one.
+/// one pending event at a time. Re-arming a pending timer to the same or a
+/// later time postpones that event in place (Scheduler::postpone); an
+/// earlier re-arm cancels it and schedules a new one. Either way the shot
+/// fires at the (time, seq) key a fresh schedule would give it, so event
+/// order does not depend on which path ran.
 /// Protocol state machines (MAC backoff, TCP RTO, AODV route expiry, ...)
 /// are built out of these.
 ///
@@ -47,8 +51,9 @@ class Timer {
 
   /// (Re)arm the timer to fire at absolute time `at`.
   void schedule_at(Time at) {
-    cancel();
     expires_at_ = at;
+    if (sched_->postpone(id_, at)) return;
+    cancel();
     id_ = sched_->schedule_at(at, [this] { fire(); });
   }
 

@@ -14,6 +14,20 @@ TcpSender::TcpSender(net::Node& node, net::Port local_port, TcpParams params)
       ssthresh_{params.initial_ssthresh},
       rto_timer_{node.env().scheduler(), [this] { on_rto_timeout(); }} {
   if (params_.packet_size == 0) throw std::invalid_argument{"TcpSender: packet size must be > 0"};
+  // The window truncates to whole packets: below 1 nothing is ever sent.
+  if (!(params_.initial_window >= 1.0))
+    throw std::invalid_argument{"TcpSender: initial_window must be >= 1"};
+  if (!(params_.max_window >= 1.0))
+    throw std::invalid_argument{"TcpSender: max_window must be >= 1"};
+  if (params_.min_rto <= sim::Time::zero())
+    throw std::invalid_argument{"TcpSender: min_rto must be > 0"};
+  // current_rto() clamps into [min_rto, max_rto], which must not be empty.
+  if (params_.min_rto > params_.max_rto)
+    throw std::invalid_argument{"TcpSender: min_rto must be <= max_rto"};
+  // A zero cap turns the first doubled backoff into a zero RTO that
+  // re-arms at now() forever.
+  if (params_.max_backoff == 0)
+    throw std::invalid_argument{"TcpSender: max_backoff must be >= 1"};
   node_.bind_port(local_port_, this);
 }
 

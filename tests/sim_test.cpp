@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -272,6 +273,40 @@ TEST(SchedulerTest, SameTimeFifoSurvivesSlotRecycling) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
+TEST(SchedulerTest, PostponeMovesOnlyPendingEventsLater) {
+  Scheduler s;
+  std::vector<int> order;
+  const EventId a = s.schedule_at(1_s, [&] { order.push_back(0); });
+  s.schedule_at(2_s, [&] { order.push_back(1); });
+  EXPECT_FALSE(s.postpone(a, 500_ms));  // earlier: refused, nothing moves
+  EXPECT_TRUE(s.postpone(a, 2_s));      // fresh seq: after the event already at 2 s
+  EXPECT_TRUE(s.is_pending(a));
+  EXPECT_EQ(s.pending_count(), 2u);
+  EXPECT_FALSE(s.postpone(kInvalidEventId, 3_s));
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+  EXPECT_EQ(s.now(), 2_s);
+  EXPECT_FALSE(s.postpone(a, 3_s));  // already fired
+
+  const EventId b = s.schedule_at(3_s, [] { FAIL(); });
+  s.cancel(b);
+  EXPECT_FALSE(s.postpone(b, 4_s));  // cancelled events stay cancelled
+  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_EQ(s.run_until(5_s), 0u);
+}
+
+TEST(SchedulerTest, RunUntilStopsBeforeAPostponedEvent) {
+  Scheduler s;
+  bool ran = false;
+  const EventId id = s.schedule_at(1_s, [&] { ran = true; });
+  ASSERT_TRUE(s.postpone(id, 3_s));
+  EXPECT_EQ(s.run_until(2_s), 0u);  // the entry surfaced at 1 s and was re-keyed
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(s.now(), 2_s);
+  EXPECT_EQ(s.run_until(3_s), 1u);
+  EXPECT_TRUE(ran);
+}
+
 // ---------------------------------------------------------------------------
 // Timer
 // ---------------------------------------------------------------------------
@@ -324,6 +359,21 @@ TEST(TimerTest, CanRescheduleItselfFromCallback) {
   EXPECT_EQ(s.now(), 5_s);
 }
 
+TEST(TimerTest, LaterRearmsKeepOneHeapEntry) {
+  Scheduler s;
+  int fired = 0;
+  Timer t{s, [&] { ++fired; }};
+  t.schedule_at(1_ms);
+  for (std::int64_t i = 1; i <= 1000; ++i) t.schedule_at(1_ms + Time::microseconds(i));
+  EXPECT_EQ(s.queued_entries(), 1u);
+  EXPECT_EQ(s.pending_count(), 1u);
+  s.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(s.now(), 2_ms);
+  EXPECT_EQ(s.executed_count(), 1u);
+  EXPECT_EQ(s.queued_entries(), 0u);
+}
+
 TEST(TimerTest, DestroyingOwnerFromCallbackIsSafe) {
   Scheduler s;
   auto t = std::make_unique<Timer>(s, [] {});
@@ -332,6 +382,229 @@ TEST(TimerTest, DestroyingOwnerFromCallbackIsSafe) {
   killer->schedule_in(1_s);
   s.run();
   EXPECT_EQ(t, nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Scheduler + Timer vs a cancel-and-push reference model
+// ---------------------------------------------------------------------------
+
+/// What a firing event does next: re-arm timer `timer` (none when < 0) to
+/// `delta` after the firing time.
+struct Rearm {
+  int timer{-1};
+  Time delta{};
+};
+
+/// Reference semantics in a few lines: a flat list of pending events, and
+/// every schedule or timer re-arm takes a fresh seq (cancel + push).
+class ReferenceQueue {
+ public:
+  struct Fired {
+    int tag;
+    Time at;
+    bool operator==(const Fired&) const = default;
+  };
+
+  void schedule(int tag, Time at, Rearm then) { pending_.push_back({tag, at, next_seq_++, then}); }
+  void cancel(int tag) {
+    std::erase_if(pending_, [tag](const Event& e) { return e.tag == tag; });
+  }
+  void arm_timer(int k, Time at, Rearm then) {
+    cancel(timer_tag(k));
+    schedule(timer_tag(k), at, then);
+  }
+  const Time* timer_expiry(int k) const {
+    for (const Event& e : pending_) {
+      if (e.tag == timer_tag(k)) return &e.at;
+    }
+    return nullptr;
+  }
+  bool is_pending(int tag) const {
+    return std::any_of(pending_.begin(), pending_.end(),
+                       [tag](const Event& e) { return e.tag == tag; });
+  }
+
+  void run_until(Time until) {
+    while (!pending_.empty() && next().at <= until) fire_next();
+    if (now_ < until) now_ = until;
+  }
+  void run(std::uint64_t max_events) {
+    for (std::uint64_t n = 0; n < max_events && !pending_.empty(); ++n) fire_next();
+  }
+
+  static int timer_tag(int k) { return -1 - k; }
+
+  Time now() const { return now_; }
+  std::uint64_t executed() const { return executed_; }
+  std::size_t pending_count() const { return pending_.size(); }
+  const std::vector<Fired>& log() const { return log_; }
+
+ private:
+  struct Event {
+    int tag;
+    Time at;
+    std::uint64_t seq;
+    Rearm then;
+  };
+  const Event& next() const {
+    return *std::min_element(pending_.begin(), pending_.end(), [](const Event& a, const Event& b) {
+      return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+    });
+  }
+  void fire_next() {
+    const Event e = next();
+    cancel(e.tag);
+    now_ = e.at;
+    ++executed_;
+    log_.push_back({e.tag, e.at});
+    if (e.then.timer >= 0) arm_timer(e.then.timer, now_ + e.then.delta, Rearm{});
+  }
+
+  std::vector<Event> pending_;
+  std::vector<Fired> log_;
+  std::uint64_t next_seq_{1};
+  Time now_{};
+  std::uint64_t executed_{0};
+};
+
+/// The real Scheduler and Timers driven through the same operations.
+class RealQueue {
+ public:
+  explicit RealQueue(int timers) : timer_then_(static_cast<std::size_t>(timers)) {
+    for (int k = 0; k < timers; ++k) {
+      timers_.push_back(std::make_unique<Timer>(sched_, [this, k] { on_timer(k); }));
+    }
+  }
+
+  void schedule(int tag, Time at, Rearm then) {
+    ids_.push_back(sched_.schedule_at(at, [this, tag, then] {
+      log_.push_back({tag, sched_.now()});
+      apply(then);
+    }));
+  }
+  void cancel(int tag) { sched_.cancel(ids_[static_cast<std::size_t>(tag)]); }
+  void arm_timer(int k, Time at, Rearm then) {
+    timer_then_[static_cast<std::size_t>(k)] = then;
+    timers_[static_cast<std::size_t>(k)]->schedule_at(at);
+  }
+  void cancel_timer(int k) { timers_[static_cast<std::size_t>(k)]->cancel(); }
+  bool is_pending(int tag) const { return sched_.is_pending(ids_[static_cast<std::size_t>(tag)]); }
+  bool timer_pending(int k) const { return timers_[static_cast<std::size_t>(k)]->pending(); }
+  Time timer_expiry(int k) const { return timers_[static_cast<std::size_t>(k)]->expires_at(); }
+
+  Scheduler& sched() { return sched_; }
+  const std::vector<ReferenceQueue::Fired>& log() const { return log_; }
+
+ private:
+  void on_timer(int k) {
+    log_.push_back({ReferenceQueue::timer_tag(k), sched_.now()});
+    apply(timer_then_[static_cast<std::size_t>(k)]);
+  }
+  void apply(Rearm then) {
+    if (then.timer >= 0) arm_timer(then.timer, sched_.now() + then.delta, Rearm{});
+  }
+
+  Scheduler sched_;
+  std::vector<std::unique_ptr<Timer>> timers_;
+  std::vector<Rearm> timer_then_;
+  std::vector<EventId> ids_;
+  std::vector<ReferenceQueue::Fired> log_;
+};
+
+/// One seeded run of random operations; stops at the first divergence.
+void run_differential(std::uint64_t seed) {
+  constexpr int kTimers = 4;
+  constexpr int kSteps = 300;
+  Rng rng{seed};
+  ReferenceQueue ref;
+  RealQueue real{kTimers};
+  Scheduler& s = real.sched();
+  int raw_events = 0;
+  std::size_t checked = 0;  // firings already compared
+  // A coarse 1 ms grid makes same-time ties, where only seq orders events.
+  const auto ms = [&](std::int64_t lo, std::int64_t hi) {
+    return Time::milliseconds(rng.uniform_int(lo, hi));
+  };
+  const auto random_rearm = [&] {
+    if (!rng.chance(0.5)) return Rearm{};
+    return Rearm{static_cast<int>(rng.uniform_int(std::uint64_t{kTimers})), ms(0, 6)};
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    const std::uint64_t op = rng.uniform_int(std::uint64_t{100});
+    if (op < 25) {
+      const Time at = s.now() + ms(0, 6);
+      const Rearm then = random_rearm();
+      ref.schedule(raw_events, at, then);
+      real.schedule(raw_events, at, then);
+      ++raw_events;
+    } else if (op < 35) {
+      if (raw_events == 0) continue;
+      const int tag = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(raw_events)));
+      ref.cancel(tag);
+      real.cancel(tag);
+    } else if (op < 65) {
+      const int k = static_cast<int>(rng.uniform_int(std::uint64_t{kTimers}));
+      Time at = s.now() + ms(0, 6);
+      if (const Time* due = ref.timer_expiry(k)) {
+        // Later, the same time, or earlier (never before now()).
+        const std::uint64_t shape = rng.uniform_int(std::uint64_t{3});
+        if (shape == 0) at = *due + ms(1, 5);
+        if (shape == 1) at = *due;
+        if (shape == 2) at = std::max(s.now(), *due - ms(1, 5));
+      }
+      const Rearm then = random_rearm();
+      ref.arm_timer(k, at, then);
+      real.arm_timer(k, at, then);
+    } else if (op < 72) {
+      const int k = static_cast<int>(rng.uniform_int(std::uint64_t{kTimers}));
+      ref.cancel(ReferenceQueue::timer_tag(k));
+      real.cancel_timer(k);
+    } else if (op < 88) {
+      const Time until = s.now() + ms(0, 4);
+      ref.run_until(until);
+      s.run_until(until);
+    } else {
+      const std::uint64_t k = rng.uniform_int(std::uint64_t{6});
+      ref.run(k);
+      s.run(k);
+    }
+
+    ASSERT_EQ(real.log().size(), ref.log().size());
+    for (; checked < ref.log().size(); ++checked) {
+      const auto& got = real.log()[checked];
+      const auto& want = ref.log()[checked];
+      if (!(got == want)) {
+        FAIL() << "firing " << checked << ": tag " << got.tag << " at " << got.at.to_string()
+               << ", reference tag " << want.tag << " at " << want.at.to_string();
+      }
+    }
+    ASSERT_EQ(s.now(), ref.now());
+    ASSERT_EQ(s.executed_count(), ref.executed());
+    ASSERT_EQ(s.pending_count(), ref.pending_count());
+    ASSERT_GE(s.queued_entries(), s.pending_count());
+    for (int k = 0; k < kTimers; ++k) {
+      const Time* due = ref.timer_expiry(k);
+      ASSERT_EQ(real.timer_pending(k), due != nullptr) << "timer " << k;
+      if (due != nullptr) {
+        ASSERT_EQ(real.timer_expiry(k), *due) << "timer " << k;
+      }
+    }
+    for (int tag = 0; tag < raw_events; ++tag) {
+      if (real.is_pending(tag) != ref.is_pending(tag)) {
+        FAIL() << "raw event " << tag;
+      }
+    }
+  }
+}
+
+TEST(SchedulerDifferential, MatchesCancelAndPushReference) {
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    run_differential(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -268,9 +268,30 @@ TEST_F(TcpFixture, TwoParallelConnectionsShareTheLink) {
 
 TEST_F(TcpFixture, SenderValidatesParameters) {
   build_pair();
-  TcpParams bad;
-  bad.packet_size = 0;
-  EXPECT_THROW(TcpSender(net.node(0), 100, bad), std::invalid_argument);
+  const auto rejects = [&](const char* field, auto&& spoil) {
+    TcpParams bad;
+    spoil(bad);
+    try {
+      TcpSender sender(net.node(0), 100, bad);
+      ADD_FAILURE() << field << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos) << e.what();
+    }
+  };
+  rejects("packet size", [](TcpParams& p) { p.packet_size = 0; });
+  rejects("max_backoff", [](TcpParams& p) { p.max_backoff = 0; });
+  rejects("min_rto", [](TcpParams& p) { p.min_rto = Time::zero(); });
+  rejects("min_rto", [](TcpParams& p) { p.min_rto = Time::zero() - 1_ms; });
+  rejects("min_rto", [](TcpParams& p) { p.min_rto = p.max_rto + 1_ns; });
+  rejects("initial_window", [](TcpParams& p) { p.initial_window = 0.5; });
+  rejects("max_window", [](TcpParams& p) { p.max_window = 0.0; });
+  // The smallest valid values still build a sender.
+  TcpParams edge;
+  edge.max_backoff = 1;
+  edge.min_rto = edge.max_rto;
+  edge.initial_window = 1.0;
+  edge.max_window = 1.0;
+  EXPECT_NO_THROW(TcpSender(net.node(0), 100, edge));
 }
 
 }  // namespace
