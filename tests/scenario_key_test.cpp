@@ -19,6 +19,7 @@
 
 #include "core/campaign/scenario_key.hpp"
 #include "core/scenario_builder.hpp"
+#include "gated_configs.hpp"
 #include "sim/fault.hpp"
 
 using namespace eblnet;
@@ -189,8 +190,9 @@ TEST(ScenarioKeyTest, FaultPlanEventsAreKeyed) {
   EXPECT_NE(scenario_key(a), scenario_key(c));
 }
 
-// The golden: the three paper trials' keys, pinned. A mismatch means the
-// canonicalisation changed — every existing cache entry would be
+// The golden: the three paper trials' keys, plus configs that switch on
+// every gate between them (gated_configs.hpp), pinned. A mismatch means
+// the canonicalisation changed — every existing cache entry would be
 // orphaned, so the change must be deliberate (regenerate with the hexes
 // this test prints, and mention the invalidation in the PR).
 TEST(ScenarioKeyTest, GoldenKeysUnchanged) {
@@ -207,11 +209,13 @@ TEST(ScenarioKeyTest, GoldenKeysUnchanged) {
     golden[name] = hex;
   }
 
-  const std::map<std::string, Key> actual{
+  std::map<std::string, Key> actual{
       {"trial1", scenario_key(core::trial1_config())},
       {"trial2", scenario_key(core::trial2_config())},
       {"trial3", scenario_key(core::trial3_config())},
   };
+  for (const auto& [name, cfg] : eblnet::testing::gated_configs())
+    actual.emplace(name, scenario_key(cfg));
   ASSERT_EQ(golden.size(), actual.size()) << "golden " << path << " out of date";
   for (const auto& [key_name, key] : actual) {
     ASSERT_TRUE(golden.count(key_name)) << "golden missing entry " << key_name;
