@@ -1,5 +1,7 @@
 #include "app/beacon.hpp"
 
+#include <stdexcept>
+
 #include "sim/rng.hpp"
 
 namespace eblnet::app {
@@ -22,6 +24,9 @@ Beacon::Beacon(net::Env& env, net::Node& node, phy::WirelessPhy* phy, BeaconPara
       phy_{phy},
       params_{params},
       timer_{env.scheduler(), [this] { tick(); }} {
+  // A zero interval re-arms tick() at now() forever.
+  if (params_.interval <= sim::Time::zero())
+    throw std::invalid_argument{"Beacon: interval must be > 0"};
   node_.bind_port(params_.port, this);
 }
 

@@ -1,6 +1,7 @@
 #include "mac/edca.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace eblnet::mac {
@@ -30,6 +31,14 @@ Edca::Edca(net::Env& env, net::NodeId address, phy::WirelessPhy& phy,
       nav_timer_{env.scheduler(), [this] { medium_changed(); }},
       response_tx_timer_{env.scheduler(), [this] { send_scheduled_response(); }},
       post_tx_timer_{env.scheduler(), [this] { on_data_tx_end(); }} {
+  // A zero slot divides by zero in debit_countdowns; a zero rate gives a
+  // frame no airtime.
+  if (params_.slot_time <= sim::Time::zero())
+    throw std::invalid_argument{"Edca: slot_time must be > 0"};
+  if (!(params_.data_rate_bps > 0.0))
+    throw std::invalid_argument{"Edca: data_rate_bps must be > 0"};
+  if (!(params_.basic_rate_bps > 0.0))
+    throw std::invalid_argument{"Edca: basic_rate_bps must be > 0"};
   for (std::size_t i = 0; i < kAccessCategoryCount; ++i) {
     ac_[i].cw = params_.ac[i].cw_min;
     ac_[i].queue = queue::PacketRing{params_.ac_queue_capacity};

@@ -1,6 +1,7 @@
 #include "mac/mac_80211.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace eblnet::mac {
 
@@ -15,6 +16,14 @@ Mac80211::Mac80211(net::Env& env, net::NodeId address, phy::WirelessPhy& phy,
       nav_timer_{env.scheduler(), [this] { medium_changed(); }},
       response_tx_timer_{env.scheduler(), [this] { send_scheduled_response(); }},
       post_tx_timer_{env.scheduler(), [this] { on_data_tx_end(); }} {
+  // A zero slot divides by zero in pause_backoff; a zero rate gives a
+  // frame no airtime.
+  if (params_.slot_time <= sim::Time::zero())
+    throw std::invalid_argument{"Mac80211: slot_time must be > 0"};
+  if (!(params_.data_rate_bps > 0.0))
+    throw std::invalid_argument{"Mac80211: data_rate_bps must be > 0"};
+  if (!(params_.basic_rate_bps > 0.0))
+    throw std::invalid_argument{"Mac80211: basic_rate_bps must be > 0"};
   phy_.set_rx_end_callback([this](net::Packet p, bool ok) { on_rx_end(std::move(p), ok); });
   phy_.set_carrier_callback([this](bool) { medium_changed(); });
 }

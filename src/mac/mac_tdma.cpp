@@ -12,6 +12,8 @@ MacTdma::MacTdma(net::Env& env, net::NodeId address, phy::WirelessPhy& phy,
       slot_timer_{env.scheduler(), [this] { on_slot_start(); }} {
   if (slot_index >= params.num_slots)
     throw std::invalid_argument{"MacTdma: slot index out of range"};
+  if (!(params.data_rate_bps > 0.0))
+    throw std::invalid_argument{"MacTdma: data_rate_bps must be > 0"};
   phy_.set_rx_end_callback([this](net::Packet p, bool ok) { on_rx_end(std::move(p), ok); });
   schedule_next_slot();
 }

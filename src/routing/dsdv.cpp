@@ -10,6 +10,9 @@ Dsdv::Dsdv(net::Env& env, net::NodeId self, DsdvParams params)
       params_{params},
       periodic_timer_{env.scheduler(), [this] { on_periodic(); }},
       triggered_timer_{env.scheduler(), [this] { send_triggered_update(); }} {
+  // A zero period re-arms on_periodic() at now() forever.
+  if (params_.periodic_update_interval <= sim::Time::zero())
+    throw std::invalid_argument{"Dsdv: periodic_update_interval must be > 0"};
   // Own entry: metric 0, always-fresh even seqno.
   table_[self_] = Entry{self_, own_seqno_, 0, env_.now()};
   // Desynchronised start so co-located nodes don't dump simultaneously.

@@ -102,6 +102,17 @@ TEST(BeaconTest, BeaconAccessorThrowsWhenDisabled) {
   EXPECT_THROW(scenario->beacon(0), std::logic_error);
 }
 
+TEST(BeaconTest, RejectsNonPositiveInterval) {
+  const ScenarioBuilder b =
+      beacon_builder().mutate([](ScenarioConfig& c) { c.beacon.interval = Time::zero(); });
+  try {
+    b.build_scenario();
+    ADD_FAILURE() << "beacon.interval = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("interval"), std::string::npos) << e.what();
+  }
+}
+
 TEST(BeaconTest, StopHaltsTransmissions) {
   auto scenario = beacon_builder().build_scenario();
   scenario->run_until(Time::seconds(std::int64_t{1}));

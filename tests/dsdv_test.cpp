@@ -41,6 +41,18 @@ class DsdvFixture : public ::testing::Test {
   }
 };
 
+TEST_F(DsdvFixture, RejectsNonPositivePeriodicUpdateInterval) {
+  DsdvParams params = fast();
+  params.periodic_update_interval = Time::zero();
+  try {
+    with_dsdv(net.add_node({0.0, 0.0}), params);
+    ADD_FAILURE() << "periodic_update_interval = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("periodic_update_interval"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(DsdvFixture, ConvergesToFullConnectivity) {
   build_chain(4, 200.0, fast());  // 3-hop chain
   net.run_for(5_s);  // several update periods

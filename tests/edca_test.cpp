@@ -205,6 +205,25 @@ TEST_F(EdcaTest, LinkDownFlushesEveryAccessCategoryQueue) {
   }
 }
 
+TEST_F(EdcaTest, RejectsNonPositiveSlotTimeAndRates) {
+  using Mutator = void (*)(EdcaParams&);
+  const std::pair<const char*, Mutator> bad[] = {
+      {"slot_time", [](EdcaParams& p) { p.slot_time = Time::zero(); }},
+      {"data_rate_bps", [](EdcaParams& p) { p.data_rate_bps = 0.0; }},
+      {"basic_rate_bps", [](EdcaParams& p) { p.basic_rate_bps = 0.0; }},
+  };
+  for (const auto& [field, mutate] : bad) {
+    EdcaParams params;
+    mutate(params);
+    try {
+      net.with_edca(net.add_node({0.0, 0.0}), params);
+      ADD_FAILURE() << field << " = 0 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST_F(EdcaTest, EdcaParamsDoNotPerturbNonEdcaScenarioKeys) {
   // The canonical scenario text only emits the chosen MAC's parameters:
   // mutating the EDCA table under an 802.11 (DCF) config must leave the

@@ -202,6 +202,25 @@ TEST_F(Mac80211Test, IfqOverflowDropsAreTraced) {
   EXPECT_GT(net.tracer().drops("IFQ").size(), 0u);
 }
 
+TEST_F(Mac80211Test, RejectsNonPositiveSlotTimeAndRates) {
+  using Mutator = void (*)(Mac80211Params&);
+  const std::pair<const char*, Mutator> bad[] = {
+      {"slot_time", [](Mac80211Params& p) { p.slot_time = Time::zero(); }},
+      {"data_rate_bps", [](Mac80211Params& p) { p.data_rate_bps = 0.0; }},
+      {"basic_rate_bps", [](Mac80211Params& p) { p.basic_rate_bps = 0.0; }},
+  };
+  for (const auto& [field, mutate] : bad) {
+    Mac80211Params params;
+    mutate(params);
+    try {
+      net.with_80211(net.add_node({0.0, 0.0}), params);
+      ADD_FAILURE() << field << " = 0 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST_F(Mac80211Test, EifsDefersAccessAfterCorruptedFrame) {
   // Two bare phys (nodes 1, 2) collide at node 0, whose MAC then wants to
   // transmit. Its access must wait EIFS from the end of the corrupted

@@ -140,6 +140,19 @@ TEST(MacTdmaTest, RejectsSlotIndexOutOfRange) {
   EXPECT_THROW(net.with_tdma(n, small_frame(4), 4), std::invalid_argument);
 }
 
+TEST(MacTdmaTest, RejectsNonPositiveDataRate) {
+  eblnet::testing::TestNet net;
+  net::Node& n = net.add_node({0.0, 0.0});
+  TdmaParams t = small_frame(4);
+  t.data_rate_bps = 0.0;
+  try {
+    net.with_tdma(n, t, 0);
+    ADD_FAILURE() << "data_rate_bps = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("data_rate_bps"), std::string::npos) << e.what();
+  }
+}
+
 TEST(MacTdmaTest, NoLinkFailureDetection) {
   eblnet::testing::TestNet net;
   auto& a = net.with_tdma(net.add_node({0.0, 0.0}), small_frame(2), 0);
