@@ -24,8 +24,10 @@ struct Key {
 
 /// The canonical, fully-resolved textual form of a scenario: one
 /// "name = value" line per parameter that can influence the run, in a
-/// fixed order. This is what gets hashed, and its resolution rules are
-/// what make the cache safe against defaulting and field-order drift:
+/// fixed order. This is what gets hashed, and each trial manifest's
+/// "config" block is these lines (report::write_json), so this is the
+/// one field list both share. Its resolution rules are what make the
+/// cache safe against defaulting and field-order drift:
 ///
 ///  - derived defaults are resolved (platoon2_depart's zero-means-auto
 ///    becomes the concrete instant; ebl.packet_bytes and the TCP payload

@@ -3,9 +3,11 @@
 #include <fstream>
 #include <iomanip>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
+#include "core/campaign/scenario_key.hpp"
 #include "core/json_writer.hpp"
 #include "core/safety.hpp"
 #include "core/trial.hpp"
@@ -127,68 +129,23 @@ void write_metrics(JsonWriter& w, const sim::MetricsSnapshot& m) {
   w.end_object();
 }
 
-void write_config(JsonWriter& w, const ScenarioConfig& cfg) {
+/// The §III.E feasibility verdict for the latest-notified follower, with
+/// zero driver-reaction time (the network-only bound). `no_delay_verdict`
+/// is the verdict when p1 never received a first packet.
+void write_stopping_distance(JsonWriter& w, const TrialResult& r, const char* no_delay_verdict) {
+  const bool have_delay = r.p1_initial_packet_delay_s >= 0.0;
+  const StoppingAssessment a{r.config.speed_mps, r.config.vehicle_gap_m,
+                             have_delay ? r.p1_initial_packet_delay_s : 0.0};
   w.begin_object();
-  w.field("packet_bytes", static_cast<std::uint64_t>(cfg.packet_bytes));
-  w.field("mac", to_string(cfg.mac));
-  w.field("routing", to_string(cfg.routing));
-  w.field("propagation", to_string(cfg.propagation));
-  w.field("use_arp", cfg.use_arp);
-  w.field("use_red_queue", cfg.use_red_queue);
-  w.field("platoon_size", static_cast<std::uint64_t>(cfg.platoon_size));
-  w.field("speed_mps", cfg.speed_mps);
-  w.field("vehicle_gap_m", cfg.vehicle_gap_m);
-  w.field("decel_mps2", cfg.decel_mps2);
-  w.field("ifq_capacity", static_cast<std::uint64_t>(cfg.ifq_capacity));
-  w.field("duration_s", cfg.duration.to_seconds());
-  w.field("seed", cfg.seed);
-  w.field("metrics_enabled", cfg.enable_metrics);
-  w.key("reactive");
-  w.begin_object();
-  w.field("enabled", cfg.reactive.enabled);
-  w.field("decel_mps2", cfg.reactive.decel_mps2);
-  w.field("reaction_s", cfg.reactive.reaction.to_seconds());
-  w.end_object();
-  w.key("beacon");
-  w.begin_object();
-  w.field("enabled", cfg.beacon.enabled);
-  w.field("interval_s", cfg.beacon.interval.to_seconds());
-  w.field("payload_bytes", static_cast<std::uint64_t>(cfg.beacon.payload_bytes));
-  w.field("priority", static_cast<std::uint64_t>(cfg.beacon.priority));
-  w.end_object();
-  w.key("blockage");
-  w.begin_object();
-  w.field("enabled", cfg.blockage.enabled);
-  w.field("half_width_m", cfg.blockage.half_width_m);
-  w.field("corner_loss_db", cfg.blockage.corner_loss_db);
-  w.end_object();
-  w.field("nakagami_node_streams", cfg.nakagami_node_streams);
-  if (cfg.mac == MacType::kEdca) {
-    // The chosen MAC's contention table only (like the scenario key).
-    w.key("edca");
-    w.begin_object();
-    w.field("data_rate_bps", cfg.edca.data_rate_bps);
-    w.field("slot_time_us", cfg.edca.slot_time.to_seconds() * 1e6);
-    w.field("sifs_us", cfg.edca.sifs.to_seconds() * 1e6);
-    w.key("ac");
-    w.begin_array();
-    for (std::size_t i = 0; i < mac::kAccessCategoryCount; ++i) {
-      w.begin_object();
-      w.field("name", mac::to_string(static_cast<mac::AccessCategory>(i)));
-      w.field("aifsn", static_cast<std::uint64_t>(cfg.edca.ac[i].aifsn));
-      w.field("cw_min", static_cast<std::uint64_t>(cfg.edca.ac[i].cw_min));
-      w.field("cw_max", static_cast<std::uint64_t>(cfg.edca.ac[i].cw_max));
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.key("faults");
-  w.begin_object();
-  w.field("enabled", !cfg.faults.empty());
-  w.field("event_count", static_cast<std::uint64_t>(cfg.faults.events.size()));
-  w.field("rng_seed", cfg.faults.rng_seed);
-  w.end_object();
+  w.field("speed_mps", a.speed_mps);
+  w.field("headway_m", a.headway_m);
+  w.field("notification_delay_s", a.notification_delay_s);
+  w.field("distance_during_notification_m", a.distance_during_notification());
+  w.field("fraction_of_headway", a.fraction_of_headway());
+  w.field("margin_m", a.margin(0.0));
+  w.field("verdict", !have_delay               ? no_delay_verdict
+                     : a.collision_avoided(0.0) ? "avoided"
+                                                : "collision");
   w.end_object();
 }
 
@@ -212,8 +169,14 @@ void write_trial_object(JsonWriter& w, const TrialResult& r) {
   w.field("schema_version", static_cast<std::int64_t>(kManifestSchemaVersion));
   w.field("kind", "eblnet.trial");
   w.field("name", r.name);
+  // The resolved config is the run-cache key's canonical text, one
+  // string per "name = value" line, so the manifest and the key share
+  // one field list, its gates and its resolutions.
   w.key("config");
-  write_config(w, r.config);
+  w.begin_array();
+  std::istringstream lines{campaign::canonical_scenario_text(r.config)};
+  for (std::string line; std::getline(lines, line);) w.value(line);
+  w.end_array();
   w.field("events_executed", r.events_executed);
 
   w.key("delay");
@@ -238,25 +201,8 @@ void write_trial_object(JsonWriter& w, const TrialResult& r) {
   write_confidence(w, r.p2_throughput_ci);
   w.end_object();
 
-  {
-    // The §III.E feasibility verdict for the latest-notified follower,
-    // with zero driver-reaction time (the network-only bound).
-    const bool have_delay = r.p1_initial_packet_delay_s >= 0.0;
-    const StoppingAssessment a{r.config.speed_mps, r.config.vehicle_gap_m,
-                               have_delay ? r.p1_initial_packet_delay_s : 0.0};
-    w.key("stopping_distance");
-    w.begin_object();
-    w.field("speed_mps", a.speed_mps);
-    w.field("headway_m", a.headway_m);
-    w.field("notification_delay_s", a.notification_delay_s);
-    w.field("distance_during_notification_m", a.distance_during_notification());
-    w.field("fraction_of_headway", a.fraction_of_headway());
-    w.field("margin_m", a.margin(0.0));
-    w.field("verdict", !have_delay       ? "no_data"
-                       : a.collision_avoided(0.0) ? "avoided"
-                                                  : "collision");
-    w.end_object();
-  }
+  w.key("stopping_distance");
+  write_stopping_distance(w, r, "no_data");
 
   w.key("trace_counters");
   w.begin_object();
@@ -298,25 +244,10 @@ void write_resilience_cell(JsonWriter& w, const ResilienceCell& cell) {
                                    ? r.p1_initial_packet_delay_s - cell.baseline_initial_delay_s
                                    : 0.0);
 
-  {
-    // §III.E stopping-distance feasibility, evaluated under the fault. A
-    // follower that never hears the brake notification at all is its own
-    // verdict — worse than any finite delay.
-    const StoppingAssessment a{r.config.speed_mps, r.config.vehicle_gap_m,
-                               have_delay ? r.p1_initial_packet_delay_s : 0.0};
-    w.key("stopping_distance");
-    w.begin_object();
-    w.field("speed_mps", a.speed_mps);
-    w.field("headway_m", a.headway_m);
-    w.field("notification_delay_s", a.notification_delay_s);
-    w.field("distance_during_notification_m", a.distance_during_notification());
-    w.field("fraction_of_headway", a.fraction_of_headway());
-    w.field("margin_m", a.margin(0.0));
-    w.field("verdict", !have_delay               ? "never_notified"
-                       : a.collision_avoided(0.0) ? "avoided"
-                                                  : "collision");
-    w.end_object();
-  }
+  // Evaluated under the fault: a follower that never hears the brake
+  // notification at all is its own verdict, worse than any finite delay.
+  w.key("stopping_distance");
+  write_stopping_distance(w, r, "never_notified");
   w.end_object();
 }
 

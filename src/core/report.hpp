@@ -73,7 +73,10 @@ void print_header(const ReportContext& ctx, const std::string& title);
 /// counter layer (the run cache counts in plain members now), and the
 /// streamed "eblnet.campaign" trial manifest is gone; the kind survives
 /// only on bench/campaign_sweep's timing JSON.
-inline constexpr int kManifestSchemaVersion = 7;
+/// v8: "config" is an array of strings, the resolved config's canonical
+/// scenario text (campaign::canonical_scenario_text, the run-cache key's
+/// input) one "name = value" line each, instead of a hand-picked object.
+inline constexpr int kManifestSchemaVersion = 8;
 
 /// Write the versioned JSON run manifest for one finished trial:
 /// config, seed, per-layer metric counters, delay/throughput summaries

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/campaign/json_value.hpp"
+#include "core/campaign/scenario_key.hpp"
 #include "core/report.hpp"
 #include "core/trial.hpp"
+#include "gated_configs.hpp"
 
 namespace eblnet::core {
 namespace {
@@ -71,6 +78,32 @@ TEST(ReportTest, ConfidenceSentenceMatchesPaperPhrasing) {
   EXPECT_NE(out.find("within 0.0596 Mbps"), std::string::npos);
   EXPECT_NE(out.find("95% confidence"), std::string::npos);
   EXPECT_NE(out.find("6.0% relative precision"), std::string::npos);
+}
+
+TEST(ReportTest, ManifestConfigIsTheCanonicalScenarioText) {
+  // The manifest's "config" lines, joined with '\n' plus a trailing
+  // '\n', are exactly the text the run-cache key hashes: one field
+  // list, with the same gates and resolutions.
+  std::vector<std::pair<std::string, ScenarioConfig>> configs{{"trial1", trial1_config()},
+                                                              {"trial3", trial3_config()}};
+  for (auto& named : eblnet::testing::gated_configs()) configs.push_back(std::move(named));
+  for (const auto& [name, cfg] : configs) {
+    TrialResult r;
+    r.name = name;
+    r.config = cfg;
+    std::ostringstream ss;
+    report::write_json(ss, r);
+    const std::optional<campaign::JsonValue> doc = campaign::parse_json(ss.str());
+    ASSERT_TRUE(doc) << name;
+    const campaign::JsonValue* lines = doc->find("config");
+    ASSERT_TRUE(lines != nullptr && lines->is_array()) << name;
+    std::string joined;
+    for (const campaign::JsonValue& line : lines->as_array()) {
+      ASSERT_TRUE(line.is_string()) << name;
+      joined += line.as_string() + '\n';
+    }
+    EXPECT_EQ(joined, campaign::canonical_scenario_text(cfg)) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------
