@@ -1,14 +1,17 @@
 // Component micro-benchmarks (google-benchmark): event-queue throughput,
-// packet copying, AODV table operations, statistics ingestion, and
-// whole-scenario simulation rate. These bound how large a vehicular
+// packet copying, AODV table operations, statistics ingestion, the IDM
+// law, and whole-scenario simulation rate. These bound how large a vehicular
 // configuration the simulator can handle — the paper's future-work axis.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
 #include "core/trial.hpp"
+#include "mobility/idm.hpp"
 #include "net/env.hpp"
 #include "net/packet.hpp"
 #include "phy/wireless_phy.hpp"
@@ -255,6 +258,52 @@ BENCHMARK(BM_ChannelBroadcast)
     ->Args({1024, 0})
     ->Args({1024, 1})
     ->Args({16384, 1});
+
+void BM_IdmLaw(benchmark::State& state) {
+  // The IDM law over one seeded column of 1,500 vehicles, traffic_idm's
+  // mean occupancy: three quarters near the free speed, where v/v0 sits
+  // in [0.99, 1.01], and a quarter slowed. Arg 0 runs the textbook law:
+  // libm's pow(v/v0, 4.0) and 2√(ab) per vehicle. Arg 1 runs
+  // idm_acceleration as TrafficFlow calls it: the exact x⁴ and 2√(ab)
+  // computed once. Both return the same bits; per_vehicle is the time
+  // of one evaluation.
+  constexpr std::size_t kVehicles = 1500;
+  mobility::IdmParams p;
+  benchmark::DoNotOptimize(p);  // keep the calibration a run-time value
+  sim::Rng rng{11};
+  std::vector<double> v0(kVehicles, p.desired_speed_mps), v(kVehicles), gap(kVehicles),
+      dv(kVehicles), out(kVehicles);
+  for (std::size_t i = 0; i < kVehicles; ++i) {
+    v[i] = i % 4 == 0 ? rng.uniform(0.0, p.desired_speed_mps)
+                      : p.desired_speed_mps * rng.uniform(0.99, 1.01);
+    gap[i] = i == 0 ? 1e9 : rng.uniform(5.0, 150.0);
+    dv[i] = rng.uniform(-3.0, 3.0);
+  }
+  const bool textbook = state.range(0) == 0;
+  for (auto _ : state) {
+    if (textbook) {
+      for (std::size_t i = 0; i < kVehicles; ++i) {
+        const double brake_scale = 2.0 * std::sqrt(p.max_accel_mps2 * p.comfort_decel_mps2);
+        const double s_star =
+            p.min_gap_m + std::max(0.0, v[i] * p.time_headway_s + v[i] * dv[i] / brake_scale);
+        const double ratio = s_star / std::max(gap[i], 0.01);
+        out[i] = p.max_accel_mps2 * (1.0 - std::pow(v[i] / v0[i], 4.0) - ratio * ratio);
+      }
+    } else {
+      const double brake_scale = mobility::idm_brake_scale(p);
+      for (std::size_t i = 0; i < kVehicles; ++i) {
+        out[i] = mobility::idm_acceleration(p, v0[i], p.time_headway_s, brake_scale, v[i],
+                                            gap[i], dv[i]);
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(textbook ? "textbook std::pow" : "idm_acceleration");
+  state.counters["per_vehicle"] = benchmark::Counter(
+      kVehicles, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_IdmLaw)->Arg(0)->Arg(1);
 
 void BM_FullScenarioSecond(benchmark::State& state) {
   // Wall-clock cost of one simulated second of the paper scenario.

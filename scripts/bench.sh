@@ -16,7 +16,8 @@
 #                         the paper trials under a crash/blackout/PER
 #                         fault grid
 #   bench.sh --traffic    closed-loop car-following sweep (traffic_sweep):
-#                         IDM shockwave vs V2V market penetration
+#                         IDM shockwave vs V2V market penetration +
+#                         IDM-law micro-benchmark
 #   bench.sh --campaign   content-addressed run-cache sweep
 #                         (campaign_sweep full): cold vs warm vs
 #                         partially-warm timings over a 64-cell grid
@@ -321,6 +322,10 @@ fi
 if [ "$MODE" = scale ]; then
   echo "== micro_components (channel broadcast hot path) =="
   "$BUILD"/bench/micro_components --benchmark_filter='Channel' \
+      --benchmark_min_time=0.2
+elif [ "$MODE" = traffic ]; then
+  echo "== micro_components (IDM law: textbook pow vs exact x^4) =="
+  "$BUILD"/bench/micro_components --benchmark_filter='Idm' \
       --benchmark_min_time=0.2
 elif [ "$MODE" = micro ]; then
   echo "== micro_components (scheduler/packet hot paths) =="

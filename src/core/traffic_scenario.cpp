@@ -25,6 +25,12 @@ TrafficScenario::TrafficScenario(TrafficConfig config)
     throw std::invalid_argument{"TrafficScenario: penetration must be in [0, 1]"};
   if (config_.warn_range_m < 0.0)
     throw std::invalid_argument{"TrafficScenario: warn range must be >= 0"};
+  // Checked here rather than when the incident fires or the first
+  // warning lands, minutes of simulated time into the run.
+  if (!(config_.incident_decel_mps2 > 0.0 &&
+        config_.incident_decel_mps2 <= mobility::TrafficFlow::kMaxPhysicalDecel))
+    throw std::invalid_argument{"TrafficScenario: incident_decel_mps2 must be in (0, 9] m/s^2"};
+  mobility::validate_policy(config_.warned_policy, "TrafficScenario: warned_policy");
 
   propagation_ = std::make_shared<phy::TwoRayGround>();
   channel_ = std::make_unique<phy::Channel>(env_, propagation_, config_.channel);

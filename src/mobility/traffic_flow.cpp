@@ -3,18 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace eblnet::mobility {
 
-namespace {
-
-// Hard physical braking floor (~0.9 g). IDM's interaction term diverges
-// as the gap closes; clamping keeps one bad tick from producing an
-// unphysical acceleration that would poison the hard-brake edge
-// detector and the integrator alike.
-constexpr double kMaxPhysicalDecel = 9.0;
-
-}  // namespace
+void validate_policy(const DrivingPolicy& policy, const char* what) {
+  if (!(std::isfinite(policy.headway_scale) && policy.headway_scale >= 1.0))
+    throw std::invalid_argument{std::string{what} + ".headway_scale must be finite and >= 1"};
+  if (!(policy.speed_cap_mps >= 0.0))
+    throw std::invalid_argument{std::string{what} + ".speed_cap_mps must be >= 0"};
+}
 
 TrafficFlowParams TrafficFlowParams::highway(int lanes, double length_m,
                                              double flow_veh_per_s_per_lane) {
@@ -58,15 +56,28 @@ TrafficFlow::TrafficFlow(TrafficFlowParams params, std::uint64_t seed)
   const auto bad = [](const char* what) {
     throw std::invalid_argument{std::string{"TrafficFlow: "} + what};
   };
+  // Every comparison is written so that NaN fails it.
+  const auto positive = [&](double value, const char* what) {
+    if (!(std::isfinite(value) && value > 0.0)) bad(what);
+  };
   if (params_.roads.empty()) bad("at least one road required");
   if (params_.tick <= sim::Time::zero()) bad("tick must be > 0");
-  if (params_.flow_rate_veh_per_s_per_lane < 0.0) bad("flow rate must be >= 0");
-  if (params_.speed_jitter_frac < 0.0 || params_.speed_jitter_frac >= 1.0)
-    bad("speed jitter must be in [0, 1)");
-  if (params_.idm.desired_speed_mps <= 0.0 || params_.idm.time_headway_s <= 0.0 ||
-      params_.idm.max_accel_mps2 <= 0.0 || params_.idm.comfort_decel_mps2 <= 0.0 ||
-      params_.idm.min_gap_m <= 0.0 || params_.idm.vehicle_length_m <= 0.0)
-    bad("IDM parameters must be > 0");
+  const double rate = params_.flow_rate_veh_per_s_per_lane;
+  if (!(rate == 0.0 || (std::isfinite(rate) && rate >= kMinFlowRate)))
+    bad("flow_rate_veh_per_s_per_lane must be 0 or finite and >= 1e-8");
+  if (!(params_.speed_jitter_frac >= 0.0 && params_.speed_jitter_frac < 1.0))
+    bad("speed_jitter_frac must be in [0, 1)");
+  positive(params_.idm.desired_speed_mps, "idm.desired_speed_mps must be finite and > 0");
+  positive(params_.idm.time_headway_s, "idm.time_headway_s must be finite and > 0");
+  positive(params_.idm.max_accel_mps2, "idm.max_accel_mps2 must be finite and > 0");
+  positive(params_.idm.comfort_decel_mps2, "idm.comfort_decel_mps2 must be finite and > 0");
+  positive(params_.idm.min_gap_m, "idm.min_gap_m must be finite and > 0");
+  positive(params_.idm.vehicle_length_m, "idm.vehicle_length_m must be finite and > 0");
+  positive(params_.idm.accel_exponent, "idm.accel_exponent must be finite and > 0");
+  positive(params_.hard_brake_threshold_mps2,
+           "hard_brake_threshold_mps2 must be finite and > 0");
+  if (!(std::isfinite(params_.slow_speed_mps) && params_.slow_speed_mps >= 0.0))
+    bad("slow_speed_mps must be finite and >= 0");
   if (params_.speed_sample_every_ticks <= 0) bad("speed_sample_every_ticks must be > 0");
 
   // Dedicated spawn stream, decorrelated from the env's main stream by a
@@ -123,8 +134,10 @@ TrafficFlow::VehicleId TrafficFlow::spawn(std::uint16_t road, std::uint16_t lane
   if (road >= params_.roads.size() ||
       lane >= static_cast<std::uint16_t>(params_.roads[road].lanes))
     throw std::invalid_argument{"TrafficFlow::spawn: no such lane"};
-  if (speed_mps < 0.0 || speed_mps > max_speed_bound_mps())
+  if (!(speed_mps >= 0.0 && speed_mps <= max_speed_bound_mps()))
     throw std::invalid_argument{"TrafficFlow::spawn: speed outside the declared bound"};
+  if (!std::isfinite(pos_m))
+    throw std::invalid_argument{"TrafficFlow::spawn: position must be finite"};
   auto& col = lane_state(road, lane).column;
   if (!col.empty() && pos_m >= pos_[col.back()])
     throw std::invalid_argument{"TrafficFlow::spawn: must enter behind the rearmost vehicle"};
@@ -152,14 +165,13 @@ TrafficFlow::VehicleId TrafficFlow::spawn(std::uint16_t road, std::uint16_t lane
 }
 
 void TrafficFlow::apply_policy(VehicleId v, DrivingPolicy policy, sim::Time until) {
-  if (policy.headway_scale < 1.0 || policy.speed_cap_mps < 0.0)
-    throw std::invalid_argument{"TrafficFlow: policy must not be more aggressive than baseline"};
+  validate_policy(policy, "TrafficFlow::apply_policy: policy");
   policy_[v] = policy;
   policy_until_[v] = until;
 }
 
 void TrafficFlow::force_stop(VehicleId v, double decel_mps2, sim::Time until) {
-  if (decel_mps2 <= 0.0 || decel_mps2 > kMaxPhysicalDecel)
+  if (!(decel_mps2 > 0.0 && decel_mps2 <= kMaxPhysicalDecel))
     throw std::invalid_argument{"TrafficFlow: force_stop decel must be in (0, 9] m/s^2"};
   forced_[v] = 1;
   forced_decel_[v] = decel_mps2;
@@ -210,6 +222,7 @@ void TrafficFlow::spawn_arrivals(sim::Time now) {
 
 void TrafficFlow::compute_accels(sim::Time now) {
   const IdmParams& base = params_.idm;
+  const double brake_scale = idm_brake_scale(base);
   brake_edges_.clear();
   for (std::size_t r = 0; r < params_.roads.size(); ++r) {
     const RoadSpec& road = params_.roads[r];
@@ -238,13 +251,17 @@ void TrafficFlow::compute_accels(sim::Time now) {
             dv = v;
           }
         }
-        IdmParams eff = base;
-        eff.desired_speed_mps = v0_[id];
+        double v0 = v0_[id];
+        double headway = base.time_headway_s;
         if (policy_until_[id] > now) {
-          eff.time_headway_s *= policy_[id].headway_scale;
-          eff.desired_speed_mps = std::min(eff.desired_speed_mps, policy_[id].speed_cap_mps);
+          headway *= policy_[id].headway_scale;
+          v0 = std::min(v0, policy_[id].speed_cap_mps);
         }
-        double a = std::max(idm_acceleration(eff, v, gap, dv), -kMaxPhysicalDecel);
+        // IDM's interaction term diverges as the gap closes; the clamp
+        // keeps one bad tick from poisoning the hard-brake edge detector
+        // and the integrator alike.
+        double a = std::max(idm_acceleration(base, v0, headway, brake_scale, v, gap, dv),
+                            -kMaxPhysicalDecel);
         if (forced_[id] != 0) {
           if (now >= forced_until_[id]) {
             forced_[id] = 0;

@@ -77,6 +77,12 @@ struct DrivingPolicy {
   double speed_cap_mps{std::numeric_limits<double>::infinity()};
 };
 
+/// Throws std::invalid_argument unless `policy` is no more aggressive
+/// than the baseline: a finite headway_scale >= 1 and a speed cap >= 0
+/// (infinity = no cap). NaN fails both. The message names the field,
+/// prefixed with `what` (e.g. "TrafficScenario: warned_policy").
+void validate_policy(const DrivingPolicy& policy, const char* what);
+
 /// One "vehicle slowed below threshold" record for shockwave analysis.
 struct SlowEvent {
   std::uint32_t vehicle;
@@ -119,9 +125,21 @@ class TrafficFlow final : public DynamicsModel {
   using VehicleId = std::uint32_t;
   static constexpr VehicleId kNoVehicle = UINT32_MAX;
 
+  /// Hard physical braking floor (~0.9 g): the law's output is clamped
+  /// to it, and `force_stop` accepts decelerations up to it.
+  static constexpr double kMaxPhysicalDecel = 9.0;
+  /// The least non-zero arrival rate. `Rng::exponential` returns at
+  /// most ~36.7 x its mean, so every inter-arrival draw stays below
+  /// ~3.7e9 s, well inside `sim::Time`.
+  static constexpr double kMinFlowRate = 1e-8;
+
   /// `seed` feeds the dedicated spawn stream only. Throws
-  /// std::invalid_argument on malformed params (no roads, non-positive
-  /// tick/rate/lane count, zero-length direction).
+  /// std::invalid_argument, naming the field, on malformed params: no
+  /// roads, a non-positive tick or lane count, a zero-length direction,
+  /// an IDM field that is not finite and > 0, a flow rate that is not 0
+  /// or a finite value >= kMinFlowRate, jitter outside [0, 1), a
+  /// hard-brake threshold that is not finite and > 0, or a slow speed
+  /// that is not finite and >= 0.
   TrafficFlow(TrafficFlowParams params, std::uint64_t seed);
 
   TrafficFlow(const TrafficFlow&) = delete;
@@ -138,10 +156,11 @@ class TrafficFlow final : public DynamicsModel {
   const TrafficFlowParams& params() const noexcept { return params_; }
 
   // -- vehicle lifecycle -----------------------------------------------
-  /// Manually inject a vehicle at longitudinal position `pos_m` moving
-  /// at `speed_mps` (kNoVehicle if the max_vehicles cap is hit). The
-  /// caller must keep columns ordered: `pos_m` must be strictly behind
-  /// the rearmost vehicle already in (road, lane).
+  /// Manually inject a vehicle at finite longitudinal position `pos_m`
+  /// moving at `speed_mps` in [0, max_speed_bound_mps()] (kNoVehicle if
+  /// the max_vehicles cap is hit). The caller must keep columns ordered:
+  /// `pos_m` must be strictly behind the rearmost vehicle already in
+  /// (road, lane).
   VehicleId spawn(std::uint16_t road, std::uint16_t lane, double pos_m, double speed_mps);
 
   std::size_t spawned_total() const noexcept { return pos_.size(); }
@@ -169,11 +188,13 @@ class TrafficFlow final : public DynamicsModel {
 
   /// Install a policy override on `v` until absolute time `until` (the
   /// reactive-braking hook: a received EBL warning widens the target gap
-  /// and caps speed *before* the driver can see brake lights).
+  /// and caps speed *before* the driver can see brake lights). Throws
+  /// what `validate_policy` throws.
   void apply_policy(VehicleId v, DrivingPolicy policy, sim::Time until);
 
-  /// Force `v` to brake at `decel` to a standstill and hold until the
-  /// absolute time `until` (the staged incident that seeds a shockwave).
+  /// Force `v` to brake at `decel` in (0, kMaxPhysicalDecel] to a
+  /// standstill and hold until the absolute time `until` (the staged
+  /// incident that seeds a shockwave).
   void force_stop(VehicleId v, double decel_mps2, sim::Time until);
 
   // -- shockwave / congestion statistics ---------------------------------

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,8 @@ namespace eblnet::mobility {
 namespace {
 
 using sim::Time;
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TrafficFlowParams small_highway() {
   TrafficFlowParams p = TrafficFlowParams::highway(2, 2000.0, 0.3);
@@ -105,6 +109,8 @@ TEST(TrafficFlowLifecycle, SpawnValidatesLaneSpeedAndOrdering) {
   EXPECT_THROW(flow.spawn(0, 1, 0.0, 10.0), std::invalid_argument);  // no such lane
   EXPECT_THROW(flow.spawn(0, 0, 0.0, 1e6), std::invalid_argument);   // above speed bound
   EXPECT_THROW(flow.spawn(0, 0, 0.0, -1.0), std::invalid_argument);  // negative speed
+  EXPECT_THROW(flow.spawn(0, 0, 0.0, kNaN), std::invalid_argument);  // NaN speed
+  EXPECT_THROW(flow.spawn(0, 0, kNaN, 10.0), std::invalid_argument);  // NaN position
   flow.spawn(0, 0, 100.0, 10.0);
   // Must enter strictly behind the rearmost vehicle in the column.
   EXPECT_THROW(flow.spawn(0, 0, 100.0, 10.0), std::invalid_argument);
@@ -124,6 +130,47 @@ TEST(TrafficFlowLifecycle, MalformedParamsThrow) {
   p = TrafficFlowParams::highway(1, 1000.0, 0.2);
   p.speed_jitter_frac = 1.0;
   EXPECT_THROW(TrafficFlow(p, 1), std::invalid_argument);
+}
+
+TEST(TrafficFlowLifecycle, NonFiniteAndDegenerateParamsAreRejectedByName) {
+  // A NaN passes every `x <= 0`-style check, and a rate of 1e-300 makes
+  // an inter-arrival draw overflow sim::Time's int64 cast. Each bad input
+  // must be refused at construction with a message naming its field.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  using P = TrafficFlowParams;
+  struct Case {
+    const char* field;
+    void (*edit)(P&);
+  };
+  const Case cases[] = {
+      {"flow_rate_veh_per_s_per_lane", [](P& p) { p.flow_rate_veh_per_s_per_lane = kNaN; }},
+      {"flow_rate_veh_per_s_per_lane", [](P& p) { p.flow_rate_veh_per_s_per_lane = 1e-300; }},
+      {"flow_rate_veh_per_s_per_lane", [](P& p) { p.flow_rate_veh_per_s_per_lane = kInf; }},
+      {"idm.accel_exponent", [](P& p) { p.idm.accel_exponent = kNaN; }},
+      {"idm.accel_exponent", [](P& p) { p.idm.accel_exponent = -4.0; }},
+      {"idm.accel_exponent", [](P& p) { p.idm.accel_exponent = 0.0; }},
+      {"idm.desired_speed_mps", [](P& p) { p.idm.desired_speed_mps = kNaN; }},
+      {"idm.time_headway_s", [](P& p) { p.idm.time_headway_s = kNaN; }},
+      {"idm.min_gap_m", [](P& p) { p.idm.min_gap_m = kInf; }},
+      {"speed_jitter_frac", [](P& p) { p.speed_jitter_frac = kNaN; }},
+      {"hard_brake_threshold_mps2", [](P& p) { p.hard_brake_threshold_mps2 = 0.0; }},
+      {"slow_speed_mps", [](P& p) { p.slow_speed_mps = kNaN; }},
+  };
+  for (const Case& c : cases) {
+    P p = P::highway(1, 1000.0, 0.2);
+    c.edit(p);
+    try {
+      TrafficFlow flow{p, 1};
+      ADD_FAILURE() << "accepted a bad " << c.field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(c.field), std::string::npos) << e.what();
+    }
+  }
+  // Zero still disables spawning, and the least accepted rate runs.
+  for (const double rate : {0.0, TrafficFlow::kMinFlowRate}) {
+    FlowRun r{P::highway(1, 1000.0, rate), 1, 20.0};
+    EXPECT_EQ(r.flow.spawned_total(), 0u) << "rate " << rate;
+  }
 }
 
 TEST(TrafficFlowLifecycle, VehiclesDespawnAtRoadEndAndFreeze) {
@@ -159,6 +206,7 @@ TEST(TrafficFlowOverrides, ForceStopBrakesHoldsAndReleases) {
 
   EXPECT_THROW(flow.force_stop(v, 0.0, Time::seconds(std::int64_t{10})), std::invalid_argument);
   EXPECT_THROW(flow.force_stop(v, 9.5, Time::seconds(std::int64_t{10})), std::invalid_argument);
+  EXPECT_THROW(flow.force_stop(v, kNaN, Time::seconds(std::int64_t{10})), std::invalid_argument);
 
   int hard_brakes = 0;
   flow.set_on_hard_brake([&](TrafficFlow::VehicleId) { ++hard_brakes; });
@@ -185,6 +233,10 @@ TEST(TrafficFlowOverrides, PolicyWidensHeadwayAndCapsSpeedUntilExpiry) {
   EXPECT_THROW(flow.apply_policy(v, DrivingPolicy{0.5, 10.0}, Time::seconds(std::int64_t{5})),
                std::invalid_argument);
   EXPECT_THROW(flow.apply_policy(v, DrivingPolicy{2.0, -1.0}, Time::seconds(std::int64_t{5})),
+               std::invalid_argument);
+  EXPECT_THROW(flow.apply_policy(v, DrivingPolicy{kNaN, 8.0}, Time::seconds(std::int64_t{5})),
+               std::invalid_argument);
+  EXPECT_THROW(flow.apply_policy(v, DrivingPolicy{2.0, kNaN}, Time::seconds(std::int64_t{5})),
                std::invalid_argument);
 
   flow.apply_policy(v, DrivingPolicy{2.0, 8.0}, Time::seconds(std::int64_t{40}));

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/scenario_builder.hpp"
@@ -113,6 +115,26 @@ TEST(TrafficScenarioTest, BuilderKeepsTheScenarioFamiliesApart) {
   EXPECT_THROW(traffic.build_scenario(), std::logic_error);
   // And the traffic terminal requires the traffic config.
   EXPECT_THROW(core::ScenarioBuilder().build_traffic_scenario(), std::logic_error);
+}
+
+TEST(TrafficScenarioTest, BadIncidentDecelAndWarnedPolicyAreRejectedAtConstruction) {
+  // Unchecked, a zero decel throws only when the incident fires, minutes
+  // into the run, and a NaN headway scale reaches every warned vehicle,
+  // where std::max(0.0, NaN) drops s*'s whole dynamic term.
+  const auto expect_rejected = [](const core::TrafficConfig& cfg, const char* field) {
+    try {
+      core::TrafficScenario scenario{cfg};
+      ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos) << e.what();
+    }
+  };
+  core::TrafficConfig cfg = small_config();
+  cfg.incident_decel_mps2 = 0.0;
+  expect_rejected(cfg, "incident_decel_mps2");
+  cfg = small_config();
+  cfg.warned_policy.headway_scale = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(cfg, "warned_policy.headway_scale");
 }
 
 TEST(TrafficScenarioTest, TrafficRunInheritsTheBuilderSeed) {
