@@ -205,6 +205,106 @@ TEST_F(EdcaTest, LinkDownFlushesEveryAccessCategoryQueue) {
   }
 }
 
+TEST_F(EdcaTest, FlushNextHopTakesOneHopFromTheIfqAndTheRings) {
+  // Six frames per category, alternating next hops 1 and 2. Each
+  // category's first frame (hop 1) leaves its queue to contend, so the
+  // flush finds two hop-1 frames in each of AC_BE (the ifq), AC_VI and
+  // AC_VO, and must leave the three hop-2 frames in each.
+  net.env().metrics().set_enabled(true);
+  auto& a = net.with_edca(net.add_node({0.0, 0.0}));
+  const AccessCategory cats[] = {AccessCategory::kBestEffort, AccessCategory::kVideo,
+                                 AccessCategory::kVoice};
+  const std::uint8_t priorities[] = {0, 5, 7};
+  for (const std::uint8_t priority : priorities)
+    for (int i = 0; i < 6; ++i)
+      a.enqueue(data_to(net.env(), i % 2 == 0 ? 1 : 2, priority));
+
+  const std::vector<net::Packet> flushed = a.flush_next_hop(1);
+
+  ASSERT_EQ(flushed.size(), 6u);
+  for (const net::Packet& p : flushed) EXPECT_EQ(p.mac->dst, 1u);
+  for (const AccessCategory c : cats) EXPECT_EQ(a.ac_queue_length(c), 3u) << to_string(c);
+  EXPECT_EQ(net.env().metrics().total(sim::Counter::kIfqRemoved), flushed.size());
+}
+
+TEST_F(EdcaTest, FullAccessCategoryRingDropsTheNextFrame) {
+  // The first AC_VI frame leaves the ring to contend and the next two
+  // fill it; the fourth is dropped at the door.
+  net.env().metrics().set_enabled(true);
+  EdcaParams params;
+  params.ac_queue_capacity = 2;
+  auto& a = net.with_edca(net.add_node({0.0, 0.0}), params);
+  std::vector<std::uint64_t> uids;
+  for (int i = 0; i < 4; ++i) {
+    net::Packet p = bcast(net.env(), 5);
+    uids.push_back(p.uid);
+    a.enqueue(std::move(p));
+  }
+
+  EXPECT_EQ(a.ac_queue_length(AccessCategory::kVideo), 2u);
+  EXPECT_EQ(net.env().metrics().total(sim::Counter::kIfqDropped), 1u);
+  const std::vector<net::TraceRecord> drops = net.tracer().drops("IFQ");
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0].layer, net::TraceLayer::kIfq);
+  EXPECT_EQ(drops[0].uid, uids[3]);
+}
+
+// Takes a station's link down while its unicast waits for an ACK that
+// never comes, then brings it back and sends to a neighbour that answers.
+template <class Mac, class Attach>
+void check_link_down_while_awaiting_ack(Attach attach) {
+  eblnet::testing::TestNet net;
+  net.env().metrics().set_enabled(true);
+  Mac& a = attach(net, net.add_node({0.0, 0.0}));
+  Mac& b = attach(net, net.add_node({10.0, 0.0}));
+  int failures = 0;
+  a.set_tx_fail_callback([&](const net::Packet&) { ++failures; });
+  int delivered = 0;
+  b.set_rx_callback([&](net::Packet) { ++delivered; });
+
+  a.enqueue(data_to(net.env(), 9));  // no station 9: the ACK never comes
+  for (int step = 0; step < 10000 && (net.phy(0).tx_count() == 0 || net.phy(0).transmitting());
+       ++step)
+    net.run_for(10_us);
+  ASSERT_EQ(net.phy(0).tx_count(), 1u);
+  a.set_link_up(false);
+  net.run_for(1_s);
+
+  const sim::MetricsRegistry& m = net.env().metrics();
+  EXPECT_EQ(m.total(sim::Counter::kMacAckTimeouts), 0u);
+  EXPECT_EQ(m.total(sim::Counter::kMacRetryDrops), 0u);
+  EXPECT_TRUE(net.tracer().drops("RET").empty());
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(net.phy(0).tx_count(), 1u);
+
+  a.set_link_up(true);
+  a.enqueue(data_to(net.env(), 1));
+  net.run_for(100_ms);
+
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(net.phy(0).tx_count(), 2u);  // sent once, not retried
+  EXPECT_EQ(net.phy(1).tx_count(), 1u);  // the ACK
+  EXPECT_EQ(m.total(sim::Counter::kMacAckTimeouts), 0u);
+  EXPECT_EQ(failures, 0);
+}
+
+TEST(CsmaLinkDownTest, AwaitedAckIsForgottenAndTheRebootedMacDeliversOverBothMacs) {
+  {
+    SCOPED_TRACE("Mac80211");
+    check_link_down_while_awaiting_ack<Mac80211>(
+        [](eblnet::testing::TestNet& net, net::Node& node) -> Mac80211& {
+          return net.with_80211(node);
+        });
+  }
+  {
+    SCOPED_TRACE("Edca");
+    check_link_down_while_awaiting_ack<Edca>(
+        [](eblnet::testing::TestNet& net, net::Node& node) -> Edca& {
+          return net.with_edca(node);
+        });
+  }
+}
+
 TEST_F(EdcaTest, RejectsNonPositiveSlotTimeAndRates) {
   using Mutator = void (*)(EdcaParams&);
   const std::pair<const char*, Mutator> bad[] = {
