@@ -1,7 +1,6 @@
 #include "mac/edca.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace eblnet::mac {
@@ -24,27 +23,14 @@ constexpr AccessCategory kAcOrder[kAccessCategoryCount] = {
 
 Edca::Edca(net::Env& env, net::NodeId address, phy::WirelessPhy& phy,
            std::unique_ptr<net::PacketQueue> ifq, EdcaParams params)
-    : MacBase{env, address, phy, std::move(ifq)},
+    : CsmaMac{env, address, phy, std::move(ifq), params_},
       params_{params},
-      access_timer_{env.scheduler(), [this] { on_access_timer(); }},
-      response_timer_{env.scheduler(), [this] { on_response_timeout(); }},
-      nav_timer_{env.scheduler(), [this] { medium_changed(); }},
-      response_tx_timer_{env.scheduler(), [this] { send_scheduled_response(); }},
-      post_tx_timer_{env.scheduler(), [this] { on_data_tx_end(); }} {
-  // A zero slot divides by zero in debit_countdowns; a zero rate gives a
-  // frame no airtime.
-  if (params_.slot_time <= sim::Time::zero())
-    throw std::invalid_argument{"Edca: slot_time must be > 0"};
-  if (!(params_.data_rate_bps > 0.0))
-    throw std::invalid_argument{"Edca: data_rate_bps must be > 0"};
-  if (!(params_.basic_rate_bps > 0.0))
-    throw std::invalid_argument{"Edca: basic_rate_bps must be > 0"};
+      access_timer_{env.scheduler(), [this] { on_access_timer(); }} {
   for (std::size_t i = 0; i < kAccessCategoryCount; ++i) {
     ac_[i].cw = params_.ac[i].cw_min;
     ac_[i].queue = queue::PacketRing{params_.ac_queue_capacity};
   }
-  phy_.set_rx_end_callback([this](net::Packet p, bool ok) { on_rx_end(std::move(p), ok); });
-  phy_.set_carrier_callback([this](bool) { medium_changed(); });
+  start("Edca");
 }
 
 // ---------------------------------------------------------------------------
@@ -128,10 +114,6 @@ std::vector<net::Packet> Edca::flush_next_hop(net::NodeId next_hop) {
 // (idle edge + AIFS[ac]), the EIFS deadline, and the point already debited
 // this idle period. grant(ac) = anchor + slots * slot_time.
 // ---------------------------------------------------------------------------
-
-bool Edca::medium_busy() const {
-  return phy_.carrier_busy() || env_.now() < nav_until_;
-}
 
 sim::Time Edca::anchor(AccessCategory c) const {
   sim::Time t = idle_since_ + params_.aifs(c);
@@ -258,17 +240,6 @@ void Edca::double_cw(AccessCategory c) {
 // Transmit side
 // ---------------------------------------------------------------------------
 
-sim::Time Edca::data_airtime(const net::Packet& p) const {
-  const std::size_t bytes = p.size_bytes() + params_.data_header_bytes;
-  const bool broadcast = p.mac && p.mac->dst == net::kBroadcastAddress;
-  const double rate = broadcast ? params_.basic_rate_bps : params_.data_rate_bps;
-  return airtime(bytes, rate, params_.plcp_overhead);
-}
-
-sim::Time Edca::ctrl_airtime(std::size_t bytes) const {
-  return airtime(bytes, params_.basic_rate_bps, params_.plcp_overhead);
-}
-
 void Edca::transmit_ac(AccessCategory c) {
   cur_ac_ = c;
   AcState& a = st(c);
@@ -278,48 +249,19 @@ void Edca::transmit_ac(AccessCategory c) {
     reschedule();
     return;
   }
-  const bool unicast = a.frame->mac->dst != net::kBroadcastAddress;
-  const sim::Time air = data_airtime(*a.frame);
-  const sim::Time ack_air = ctrl_airtime(params_.ack_bytes);
-  net::Packet copy = *a.frame;
-  copy.mac->retry = a.retries > 0;
-  copy.mac->duration = unicast ? params_.sifs + ack_air : sim::Time::zero();
-  env_.trace(net::TraceAction::kSend, net::TraceLayer::kMac, address_, copy);
-  ++tx_data_;
   ++a.tx_count;
-  env_.metrics().add(address_, sim::Counter::kMacTxData);
-  if (a.retries > 0) env_.metrics().add(address_, sim::Counter::kMacRetries);
-  phy_.transmit(std::move(copy), air);
-  if (unicast) {
-    state_ = TxState::kWaitAck;
-    response_timer_.schedule_in(air + params_.sifs + ack_air + params_.timeout_slack);
-  } else {
-    // Broadcast (the CAM/BSM case): no ACK exists, so the frame completes
-    // unconditionally when it leaves the air — never retried.
-    state_ = TxState::kBroadcast;
-    post_tx_timer_.schedule_in(air);
-  }
+  send_data(*a.frame, a.retries);
 }
 
-void Edca::on_data_tx_end() { finish_frame(); }
-
-void Edca::on_response_timeout() {
-  env_.metrics().add(address_, sim::Counter::kMacAckTimeouts);
+net::Packet* Edca::on_response_timeout() {
   AcState& a = st(cur_ac_);
   ++a.retries;
   double_cw(cur_ac_);
-  if (a.retries > params_.short_retry_limit) {
-    ++tx_drops_;
-    env_.metrics().add(address_, sim::Counter::kMacRetryDrops);
-    env_.trace(net::TraceAction::kDrop, net::TraceLayer::kMac, address_, *a.frame, "RET");
-    const net::Packet failed = std::move(*a.frame);
-    finish_frame();
-    report_tx_fail(failed);
-    return;
-  }
+  if (a.retries > params_.short_retry_limit) return &*a.frame;
   state_ = TxState::kIdle;
   draw_backoff(cur_ac_);
   reschedule();
+  return nullptr;
 }
 
 void Edca::finish_frame() {
@@ -337,113 +279,25 @@ void Edca::finish_frame() {
 }
 
 // ---------------------------------------------------------------------------
-// Receive side (DCF's, minus RTS/CTS which the OCB profile never uses)
+// EIFS and link down
 // ---------------------------------------------------------------------------
 
-void Edca::on_rx_end(net::Packet p, bool ok) {
-  if (!ok) {
-    // EIFS: the corrupted frame may have been addressed to a neighbour
-    // whose ACK we would not hear; every category defers long enough.
-    eifs_edge_ = std::max(eifs_edge_, env_.now());
-    if (state_ == TxState::kIdle) reschedule();
-    return;
-  }
-  if (!p.mac) return;
+void Edca::on_rx_corrupt() {
+  // EIFS: the corrupted frame may have been addressed to a neighbour
+  // whose ACK we would not hear; every category defers long enough.
+  eifs_edge_ = std::max(eifs_edge_, env_.now());
+  if (state_ == TxState::kIdle) reschedule();
+}
+
+void Edca::on_rx_clean() {
   // A correctly received frame cancels the EIFS penalty.
   const bool had_eifs = eifs_edge_ > sim::Time::zero();
   eifs_edge_ = sim::Time::zero();
   if (had_eifs && state_ == TxState::kIdle) reschedule();
-  if (p.mac->dst == address_) {
-    switch (p.type) {
-      case net::PacketType::kMacAck:
-        handle_ack();
-        return;
-      case net::PacketType::kMacRts:
-      case net::PacketType::kMacCts:
-        return;  // 802.11p OCB: the RTS/CTS exchange does not exist
-      default:
-        handle_data(std::move(p));
-        return;
-    }
-  }
-  if (p.mac->dst == net::kBroadcastAddress) {
-    if (!net::is_mac_control(p.type) && p.type != net::PacketType::kNoise) {
-      p.prev_hop = p.mac->src;
-      env_.trace(net::TraceAction::kRecv, net::TraceLayer::kMac, address_, p);
-      env_.metrics().add(address_, sim::Counter::kMacRxData);
-      deliver_up(std::move(p));
-    }
-    return;
-  }
-  // Overheard frame destined elsewhere: honour its NAV reservation.
-  if (p.mac->duration > sim::Time::zero()) update_nav(env_.now() + p.mac->duration);
 }
 
-net::Packet Edca::make_ack(net::NodeId dst) {
-  net::Packet p;
-  p.uid = env_.alloc_uid();
-  p.type = net::PacketType::kMacAck;
-  p.created = env_.now();
-  p.mac.emplace();
-  p.mac->src = address_;
-  p.mac->dst = dst;
-  return p;
-}
-
-void Edca::handle_data(net::Packet p) {
-  // ACK after SIFS, even for duplicates (the original ACK may have been lost).
-  schedule_response(make_ack(p.mac->src), ctrl_airtime(params_.ack_bytes));
-  if (seen_.seen_or_record(p.uid)) {
-    ++rx_dups_;
-    env_.metrics().add(address_, sim::Counter::kMacDuplicates);
-    return;
-  }
-  p.prev_hop = p.mac->src;
-  env_.trace(net::TraceAction::kRecv, net::TraceLayer::kMac, address_, p);
-  env_.metrics().add(address_, sim::Counter::kMacRxData);
-  deliver_up(std::move(p));
-}
-
-void Edca::handle_ack() {
-  if (state_ != TxState::kWaitAck) return;
-  response_timer_.cancel();
-  finish_frame();
-}
-
-void Edca::schedule_response(net::Packet p, sim::Time air) {
-  pending_response_ = std::move(p);
-  pending_response_airtime_ = air;
-  response_tx_timer_.schedule_in(params_.sifs);
-}
-
-void Edca::send_scheduled_response() {
-  if (!pending_response_) return;
-  if (phy_.transmitting()) {
-    // Extremely rare SIFS collision with our own transmission; drop the
-    // ACK (the peer's timeout recovers).
-    pending_response_.reset();
-    return;
-  }
-  phy_.transmit(std::move(*pending_response_), pending_response_airtime_);
-  pending_response_.reset();
-}
-
-void Edca::update_nav(sim::Time until) {
-  if (until <= nav_until_) return;
-  nav_until_ = until;
-  nav_timer_.schedule_at(until);
-  medium_changed();
-}
-
-void Edca::set_link_up(bool up) {
-  if (up == link_up()) return;
-  MacBase::set_link_up(up);  // drains ifq_ (AC_BE) with "FLT" traces
-  if (up) return;  // a rebooted EDCA is idle until the next enqueue/rx
+void Edca::stop_access() {
   access_timer_.cancel();
-  response_timer_.cancel();
-  nav_timer_.cancel();
-  response_tx_timer_.cancel();
-  post_tx_timer_.cancel();
   for (std::size_t i = 0; i < kAccessCategoryCount; ++i) {
     AcState& a = ac_[i];
     while (!a.queue.empty()) {
@@ -457,12 +311,9 @@ void Edca::set_link_up(bool up) {
     a.retries = 0;
     a.debited_until = sim::Time::zero();
   }
-  pending_response_.reset();
-  state_ = TxState::kIdle;
   medium_was_busy_ = false;
   countdown_running_ = false;
   idle_since_ = sim::Time{};
-  nav_until_ = sim::Time{};
   eifs_edge_ = sim::Time{};
 }
 

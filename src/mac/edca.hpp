@@ -1,12 +1,9 @@
 #pragma once
 
 #include <array>
-#include <optional>
 
-#include "mac/mac_base.hpp"
-#include "mac/uid_history.hpp"
+#include "mac/csma_mac.hpp"
 #include "queue/packet_ring.hpp"
-#include "sim/timer.hpp"
 
 namespace eblnet::mac {
 
@@ -54,17 +51,12 @@ struct EdcaAcParams {
 /// OCB profile: 13 us slots, 32 us SIFS, 40 us PLCP preamble+signal, and a
 /// 6 Mb/s default rate for both data and control. The per-AC table is the
 /// 802.11p default EDCA parameter set.
-struct EdcaParams {
-  double data_rate_bps{6e6};
-  double basic_rate_bps{6e6};  ///< broadcasts and ACKs
-  sim::Time slot_time{sim::Time::microseconds(std::int64_t{13})};
-  sim::Time sifs{sim::Time::microseconds(std::int64_t{32})};
-  sim::Time plcp_overhead{sim::Time::microseconds(std::int64_t{40})};
-  std::size_t data_header_bytes{34};  ///< 802.11 data header + FCS
-  std::size_t ack_bytes{14};
-  unsigned short_retry_limit{7};
-  /// Allowance for propagation + rx/tx turnaround in the ACK timeout.
-  sim::Time timeout_slack{sim::Time::microseconds(std::int64_t{15})};
+struct EdcaParams : CsmaTiming {
+  EdcaParams()
+      : CsmaTiming{6e6, 6e6, sim::Time::microseconds(std::int64_t{13}),
+                   sim::Time::microseconds(std::int64_t{32}),
+                   sim::Time::microseconds(std::int64_t{40})} {}
+
   /// Capacity of each internal AC queue (BK/VI/VO); AC_BE is served from
   /// the node's interface queue, which carries its own limit.
   std::size_t ac_queue_capacity{50};
@@ -92,28 +84,22 @@ struct EdcaParams {
 /// fire-and-forget: no ACK, no retry, no RTS/CTS (which EDCA here never
 /// uses, matching the 802.11p OCB profile where the exchange is absent).
 /// Unicast data keeps the DCF positive-ACK/retransmission contract so the
-/// routing stack's link-failure detection still works.
+/// routing stack's link-failure detection still works. The frame exchange
+/// itself is CsmaMac's; this class is the per-AC access engine.
 ///
 /// Frames map onto categories via Packet::priority (802.1D, see
 /// ac_for_priority). AC_BE drains the node's interface queue so the
 /// scenario's queue discipline/capacity knobs keep their meaning; the
 /// other three categories use small internal drop-tail queues.
-class Edca final : public MacBase {
+class Edca final : public CsmaMac {
  public:
   Edca(net::Env& env, net::NodeId address, phy::WirelessPhy& phy,
        std::unique_ptr<net::PacketQueue> ifq, EdcaParams params = {});
 
   void enqueue(net::Packet p) override;
-  bool detects_link_failures() const override { return true; }
-  void set_link_up(bool up) override;
   std::vector<net::Packet> flush_next_hop(net::NodeId next_hop) override;
 
-  const EdcaParams& params() const noexcept { return params_; }
-
   // statistics
-  std::uint64_t tx_data_count() const noexcept { return tx_data_; }
-  std::uint64_t tx_drop_count() const noexcept { return tx_drops_; }
-  std::uint64_t rx_dup_count() const noexcept { return rx_dups_; }
   std::uint64_t internal_collision_count() const noexcept { return internal_collisions_; }
   std::uint64_t ac_tx_count(AccessCategory c) const noexcept {
     return st(c).tx_count;
@@ -121,8 +107,6 @@ class Edca final : public MacBase {
   std::size_t ac_queue_length(AccessCategory c) const noexcept;
 
  private:
-  enum class TxState : std::uint8_t { kIdle, kBroadcast, kWaitAck };
-
   struct AcState {
     queue::PacketRing queue{0};        ///< bound set by the constructor; unused for AC_BE
     std::optional<net::Packet> frame;  ///< head frame contending for the medium
@@ -147,8 +131,7 @@ class Edca final : public MacBase {
   void try_dequeue(AccessCategory c);
 
   // --- arbitration engine ---
-  bool medium_busy() const;
-  void medium_changed();
+  void medium_changed() override;
   sim::Time anchor(AccessCategory c) const;
   sim::Time grant_time(AccessCategory c) const;
   bool contending(AccessCategory c) const {
@@ -161,57 +144,31 @@ class Edca final : public MacBase {
   void on_access_timer();
   void draw_backoff(AccessCategory c);
   void double_cw(AccessCategory c);
+  void stop_access() override;
 
   // --- frame lifecycle ---
   void transmit_ac(AccessCategory c);
-  void on_data_tx_end();
-  void on_response_timeout();
-  void finish_frame();
+  net::Packet* on_response_timeout() override;
+  void finish_frame() override;
 
-  // --- receive side ---
-  void on_rx_end(net::Packet p, bool ok);
-  void handle_data(net::Packet p);
-  void handle_ack();
-  void schedule_response(net::Packet p, sim::Time air);
-  void send_scheduled_response();
-  void update_nav(sim::Time until);
-
-  // --- helpers ---
-  sim::Time data_airtime(const net::Packet& p) const;
-  sim::Time ctrl_airtime(std::size_t bytes) const;
-  net::Packet make_ack(net::NodeId dst);
-
-  EdcaParams params_;
-  std::array<AcState, kAccessCategoryCount> ac_;
+  // --- receive side (EIFS) ---
+  void on_rx_corrupt() override;
+  void on_rx_clean() override;
 
   // arbitration state
   bool medium_was_busy_{false};
   bool countdown_running_{false};
+  AccessCategory cur_ac_{AccessCategory::kBestEffort};  ///< category in service
   sim::Time idle_since_{};
-  sim::Time nav_until_{};
   /// Time of the last corrupted reception; zero once a frame is decoded
   /// correctly again (EIFS rule, §9.3.2.3.7).
   sim::Time eifs_edge_{};
 
-  // frame in flight
-  TxState state_{TxState::kIdle};
-  AccessCategory cur_ac_{AccessCategory::kBestEffort};
-
-  // SIFS-spaced ACK
-  std::optional<net::Packet> pending_response_;
-  sim::Time pending_response_airtime_{};
-
-  UidHistory seen_;  ///< duplicate detection
+  EdcaParams params_;
+  std::array<AcState, kAccessCategoryCount> ac_;
 
   sim::Timer access_timer_;
-  sim::Timer response_timer_;
-  sim::Timer nav_timer_;
-  sim::Timer response_tx_timer_;
-  sim::Timer post_tx_timer_;
 
-  std::uint64_t tx_data_{0};
-  std::uint64_t tx_drops_{0};
-  std::uint64_t rx_dups_{0};
   std::uint64_t internal_collisions_{0};
 };
 

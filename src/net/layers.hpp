@@ -77,7 +77,9 @@ class PacketQueue {
   NodeId faults_node_{0};
 };
 
-/// Link layer seen from above. Implementations: mac::Mac80211, mac::MacTdma.
+/// Link layer seen from above. Implementations: mac::Mac80211 and mac::Edca
+/// (over the shared mac::CsmaMac frame exchange), mac::MacTdma, and
+/// mac::ArpLayer, which wraps another MAC.
 ///
 /// The MAC owns its interface queue; `enqueue` is the single entry point
 /// for outgoing traffic (the packet's MacHeader.dst selects unicast
