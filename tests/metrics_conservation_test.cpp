@@ -91,7 +91,51 @@ void check_identities(const core::TrialResult& r, bool faulted = false) {
             r.phy_collisions + m.total(Counter::kPhyRxAbortedByTx));
 }
 
+// The CSMA MACs' own statistics, summed over nodes, must equal the
+// registry's counts of the same events.
+template <class Mac>
+void expect_mac_statistics_match_registry(core::ScenarioBuilder builder, const char* name) {
+  std::uint64_t tx_data = 0, retries = 0, drops = 0, dups = 0;
+  const core::TrialResult r =
+      builder.metrics()
+          .duration(sim::Time::seconds(std::int64_t{32}))
+          .run(name, [&](core::EblScenario& s) {
+            for (std::size_t i = 0; i < s.node_count(); ++i) {
+              const auto* mac = dynamic_cast<const Mac*>(s.node(i).mac());
+              ASSERT_NE(mac, nullptr) << "node " << i;
+              tx_data += mac->tx_data_count();
+              retries += mac->tx_retry_count();
+              drops += mac->tx_drop_count();
+              dups += mac->rx_dup_count();
+            }
+          });
+  const core::TrialMetrics& m = r.metrics;
+  EXPECT_GT(m.total(Counter::kMacRetries), 0u) << "the run never retransmitted";
+  EXPECT_EQ(tx_data, m.total(Counter::kMacTxData));
+  EXPECT_EQ(retries, m.total(Counter::kMacRetries));
+  EXPECT_EQ(drops, m.total(Counter::kMacRetryDrops));
+  EXPECT_EQ(dups, m.total(Counter::kMacDuplicates));
+}
+
 }  // namespace
+
+TEST(MetricsConservationTest, MacStatisticsMatchTheRegistryWithoutRts) {
+  expect_mac_statistics_match_registry<mac::Mac80211>(core::ScenarioBuilder::trial3(),
+                                                      "trial3/rts-off");
+}
+
+TEST(MetricsConservationTest, MacStatisticsMatchTheRegistryWithRtsOnEveryFrame) {
+  // The data frame that follows a CTS is counted like any other send.
+  expect_mac_statistics_match_registry<mac::Mac80211>(
+      core::ScenarioBuilder::trial3().mutate(
+          [](core::ScenarioConfig& c) { c.mac80211.rts_threshold = 0; }),
+      "trial3/rts-on");
+}
+
+TEST(MetricsConservationTest, MacStatisticsMatchTheRegistryUnderEdca) {
+  expect_mac_statistics_match_registry<mac::Edca>(core::ScenarioBuilder::trial3().with_edca(),
+                                                  "trial3/edca");
+}
 
 TEST(MetricsConservationTest, Trial1Tdma) {
   check_identities(run_with_metrics(core::ScenarioBuilder::trial1(), "trial1/metrics"));
