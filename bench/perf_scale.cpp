@@ -5,9 +5,9 @@
 //  - flat: the O(N)-per-broadcast attach-order loop (the pre-grid
 //    baseline; capped at N <= 1000 — beyond that it only proves O(N²)
 //    is slow);
-//  - batched: the spatial grid (DESIGN.md §3.5) with the two-phase SoA
-//    cull pipeline — branch-free range²/channel sweep plus batched
-//    envelope refinement, exact filter on survivors only (DESIGN.md §3.7).
+//  - batched: the spatial grid (DESIGN.md §3.5) with the SoA cull
+//    pipeline — branch-free range²/channel sweep, then the exact filter
+//    on survivors only (DESIGN.md §3.7).
 //
 // Each population is measured under both channel models:
 //

@@ -1,8 +1,7 @@
 // Offline trace analysis — the paper's exact workflow ("the one-way delay
 // and max delay were computed offline by parsing the trace file") as a
-// standalone tool. Feed it a .tr file produced by trace::FileTraceSink or
-// trace::write_trace and it reports per-flow one-way delay statistics and
-// drop accounting.
+// standalone tool. Feed it a .tr file produced by trace::write_trace and
+// it reports per-flow one-way delay statistics and drop accounting.
 //
 // Usage: trace_analysis <trace-file>
 //        (run `ebl_intersection` first: it writes

@@ -76,7 +76,9 @@ void print_header(const ReportContext& ctx, const std::string& title);
 /// v8: "config" is an array of strings, the resolved config's canonical
 /// scenario text (campaign::canonical_scenario_text, the run-cache key's
 /// input) one "name = value" line each, instead of a hand-picked object.
-inline constexpr int kManifestSchemaVersion = 8;
+/// v9: the "fault" metrics layer lost the "fault_corruptions" and
+/// "fault_reorders" counters with the queue-chaos fault kind.
+inline constexpr int kManifestSchemaVersion = 9;
 
 /// Write the versioned JSON run manifest for one finished trial:
 /// config, seed, per-layer metric counters, delay/throughput summaries

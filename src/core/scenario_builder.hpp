@@ -169,8 +169,8 @@ class ScenarioBuilder {
 
   // --- fault injection ---
   /// Install a deterministic fault schedule (node crashes, RF blackouts,
-  /// packet-error rates, clock skew, queue chaos, jamming). The default
-  /// empty plan leaves the run bit-identical to a fault-free binary.
+  /// packet-error rates, jamming). The default empty plan leaves the run
+  /// bit-identical to a fault-free binary.
   ScenarioBuilder& with_faults(sim::FaultPlan plan) {
     config_.faults = std::move(plan);
     return *this;

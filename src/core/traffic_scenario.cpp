@@ -45,7 +45,7 @@ TrafficScenario::TrafficScenario(TrafficConfig config)
 
   // Declare the dynamics side's speed bound before anything moves: the
   // grid bakes cull radii from it, so this must precede the first
-  // transmit (see DynamicsModel's contract).
+  // transmit (see TrafficFlow's class comment).
   channel_->raise_speed_bound(flow_->max_speed_bound_mps());
 
   flow_->set_on_spawn([this](VehicleId v) { on_spawn(v); });

@@ -32,7 +32,6 @@
 #include "mobility/platoon.hpp"
 #include "mobility/vehicle.hpp"
 #include "mobility/vec2.hpp"
-#include "mobility/waypoint.hpp"
 
 // Radio
 #include "phy/fhss.hpp"

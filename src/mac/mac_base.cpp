@@ -9,7 +9,6 @@ MacBase::MacBase(net::Env& env, net::NodeId address, phy::WirelessPhy& phy,
     : env_{env}, address_{address}, phy_{phy}, ifq_{std::move(ifq)} {
   if (!ifq_) throw std::invalid_argument{"MacBase: interface queue required"};
   ifq_->bind_metrics(&env.metrics(), address);
-  ifq_->bind_faults(&env.faults(), address);
   ifq_->set_drop_callback([this](const net::Packet& p, const char* reason) {
     env_.trace(net::TraceAction::kDrop, net::TraceLayer::kIfq, address_, p, reason);
   });

@@ -38,13 +38,6 @@ void MacTdma::schedule_next_slot() {
   const std::int64_t frames_elapsed = (now - offset).ns() <= 0 ? 0 : ((now - offset) / frame) + 1;
   sim::Time next = offset + frame * frames_elapsed;
   if (next <= now) next += frame;
-  // An injected clock-skew fault offsets this node's view of the slot
-  // boundary, breaking the schedule's collision-freedom on purpose.
-  const double skew = env_.faults().clock_skew_s(address_);
-  if (skew != 0.0) {
-    next += sim::Time::seconds(skew);
-    while (next <= now) next += frame;
-  }
   slot_timer_.schedule_at(next);
 }
 

@@ -9,13 +9,13 @@ namespace eblnet::mobility {
 /// Consumers (phy, SpatialGrid, nam_export) only ever call these const
 /// accessors; how the trajectory comes to be is not their business.
 ///
-/// Scripted implementations (StaticMobility, Vehicle, Platoon,
-/// Waypoint) compute position lazily from closed-form kinematics —
-/// there is no per-tick movement event, so they add zero load to the
-/// event queue. Stateful dynamics (see mobility/dynamics.hpp and
-/// TrafficFlow) integrate on a fixed tick through the event queue and
-/// expose per-vehicle read views (IdmVehicle) through this same
-/// interface, extrapolating linearly between ticks.
+/// Scripted implementations (StaticMobility, Vehicle, Platoon) compute
+/// position lazily from closed-form kinematics — there is no per-tick
+/// movement event, so they add zero load to the event queue. The
+/// stateful dynamics engine (TrafficFlow) integrates on a fixed tick
+/// through the event queue and exposes per-vehicle read views
+/// (IdmVehicle) through this same interface, extrapolating linearly
+/// between ticks.
 class MobilityModel {
  public:
   virtual ~MobilityModel() = default;

@@ -21,20 +21,8 @@ void Platoon::cruise(double speed) {
   for (const auto& v : vehicles_) v->cruise(speed);
 }
 
-void Platoon::accelerate(double accel, double target_speed) {
-  for (const auto& v : vehicles_) v->accelerate(accel, target_speed);
-}
-
 void Platoon::brake(double decel) {
   for (const auto& v : vehicles_) v->brake(decel);
-}
-
-void Platoon::set_heading(Vec2 heading) {
-  const Vec2 h = heading.normalized();
-  if (h == Vec2{}) throw std::invalid_argument{"Platoon: heading must be nonzero"};
-  // Each vehicle pivots in place: the column then proceeds in parallel
-  // lanes, which is all the departing-platoon leg of the scenario needs.
-  for (const auto& v : vehicles_) v->set_heading(h);
 }
 
 sim::Time Platoon::drive_and_stop_at(Vec2 stop_point, double speed, double decel) {

@@ -25,12 +25,7 @@ class Platoon {
   const std::shared_ptr<Vehicle>& trailing() const { return vehicles_.back(); }
 
   void cruise(double speed);
-  void accelerate(double accel, double target_speed);
   void brake(double decel);
-
-  /// Rotate the whole platoon about the lead vehicle to face `heading`
-  /// (all members must be stopped).
-  void set_heading(Vec2 heading);
 
   /// Convenience: cruise at `speed` and brake with `decel` timed so the
   /// *lead* vehicle comes to rest exactly at `stop_point` (which must lie

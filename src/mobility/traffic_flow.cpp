@@ -27,30 +27,6 @@ TrafficFlowParams TrafficFlowParams::highway(int lanes, double length_m,
   return p;
 }
 
-TrafficFlowParams TrafficFlowParams::intersection(double arm_length_m,
-                                                  double flow_veh_per_s_per_lane, sim::Time green,
-                                                  sim::Time red) {
-  TrafficFlowParams p;
-  const double half = arm_length_m / 2.0;
-  RoadSpec ew;  // west -> east, crossing at (half, 0)
-  ew.origin = {0.0, 0.0};
-  ew.direction = {1.0, 0.0};
-  ew.length_m = arm_length_m;
-  ew.stop_line_m = half - 10.0;
-  ew.signal_green = green;
-  ew.signal_red = red;
-  RoadSpec ns = ew;  // south -> north, green window exactly complementary
-  ns.origin = {half, -half};
-  ns.direction = {0.0, 1.0};
-  ns.signal_green = red;
-  ns.signal_red = green;
-  ns.signal_offset = green;
-  p.roads.push_back(ew);
-  p.roads.push_back(ns);
-  p.flow_rate_veh_per_s_per_lane = flow_veh_per_s_per_lane;
-  return p;
-}
-
 TrafficFlow::TrafficFlow(TrafficFlowParams params, std::uint64_t seed)
     : params_{std::move(params)} {
   const auto bad = [](const char* what) {
@@ -86,17 +62,12 @@ TrafficFlow::TrafficFlow(TrafficFlowParams params, std::uint64_t seed)
   std::size_t total_lanes = 0;
   for (auto& r : params_.roads) {
     if (r.lanes <= 0) bad("road must have >= 1 lane");
-    if (r.length_m <= 0.0) bad("road length must be > 0");
-    if (r.direction.length() == 0.0) bad("road direction must be non-zero");
+    if (!(std::isfinite(r.origin.x) && std::isfinite(r.origin.y)))
+      bad("road origin must be finite");
+    positive(r.direction.length(), "road direction must be finite and non-zero");
+    positive(r.length_m, "road length_m must be finite and > 0");
+    positive(r.lane_width_m, "road lane_width_m must be finite and > 0");
     r.direction = r.direction.normalized();
-    if (!r.signal_green.is_zero()) {
-      if (r.stop_line_m < 0.0 || r.stop_line_m > r.length_m)
-        bad("signalled road needs a stop line within its extent");
-      const sim::Time cycle = r.signal_green + r.signal_red;
-      if (r.signal_red <= sim::Time::zero()) bad("signal red phase must be > 0");
-      if (r.signal_offset < sim::Time::zero() || r.signal_offset > cycle)
-        bad("signal offset must lie within one cycle");
-    }
     lane_base_.push_back(total_lanes);
     total_lanes += static_cast<std::size_t>(r.lanes);
   }
@@ -122,11 +93,6 @@ void TrafficFlow::start(sim::Scheduler& sched) {
   const sim::Time first = sched.now() + params_.tick;
   if (first > params_.end) return;
   tick_event_ = sched.schedule_at(first, [this] { step(*sched_); });
-}
-
-void TrafficFlow::stop() {
-  if (sched_ != nullptr) sched_->cancel(tick_event_);
-  tick_event_ = sim::kInvalidEventId;
 }
 
 TrafficFlow::VehicleId TrafficFlow::spawn(std::uint16_t road, std::uint16_t lane, double pos_m,
@@ -178,13 +144,6 @@ void TrafficFlow::force_stop(VehicleId v, double decel_mps2, sim::Time until) {
   forced_until_[v] = until;
 }
 
-bool TrafficFlow::signal_red_at(const RoadSpec& r, sim::Time t) const {
-  if (r.signal_green.is_zero() || r.stop_line_m < 0.0) return false;
-  const sim::Time cycle = r.signal_green + r.signal_red;
-  const sim::Time phase = (t + cycle - r.signal_offset) % cycle;
-  return phase >= r.signal_green;
-}
-
 void TrafficFlow::spawn_arrivals(sim::Time now) {
   if (params_.flow_rate_veh_per_s_per_lane <= 0.0) return;
   const double mean_gap_s = 1.0 / params_.flow_rate_veh_per_s_per_lane;
@@ -226,7 +185,6 @@ void TrafficFlow::compute_accels(sim::Time now) {
   brake_edges_.clear();
   for (std::size_t r = 0; r < params_.roads.size(); ++r) {
     const RoadSpec& road = params_.roads[r];
-    const bool red = signal_red_at(road, now);
     for (int l = 0; l < road.lanes; ++l) {
       const auto& col =
           lane_state(static_cast<std::uint16_t>(r), static_cast<std::uint16_t>(l)).column;
@@ -239,17 +197,6 @@ void TrafficFlow::compute_accels(sim::Time now) {
           const VehicleId lead = col[i - 1];
           gap = pos_[lead] - pos_[id] - base.vehicle_length_m;
           dv = v - speed_[lead];
-        }
-        // During red, the first vehicle short of the stop line follows a
-        // phantom standing leader parked on the line (vehicles past the
-        // line clear the junction normally).
-        if (red && pos_[id] < road.stop_line_m &&
-            (i == 0 || pos_[col[i - 1]] >= road.stop_line_m)) {
-          const double phantom_gap = road.stop_line_m - pos_[id];
-          if (phantom_gap < gap) {
-            gap = phantom_gap;
-            dv = v;
-          }
         }
         double v0 = v0_[id];
         double headway = base.time_headway_s;

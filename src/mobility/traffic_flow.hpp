@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "mobility/dynamics.hpp"
 #include "mobility/idm.hpp"
 #include "mobility/mobility_model.hpp"
 #include "mobility/vec2.hpp"
@@ -19,20 +18,13 @@ namespace eblnet::mobility {
 /// One directed road: vehicles travel from `origin` along `direction`
 /// for `length_m` metres across `lanes` parallel lanes (no lane
 /// changes — each lane is an independent IDM column, which models
-/// per-lane capacity without overtaking dynamics). A road with
-/// `signal_green > 0` carries a fixed-cycle signal at `stop_line_m`:
-/// during red, the first vehicle short of the stop line follows a
-/// phantom standing leader parked on the line.
+/// per-lane capacity without overtaking dynamics).
 struct RoadSpec {
   Vec2 origin{};
   Vec2 direction{1.0, 0.0};  ///< normalized at construction
   double length_m{10'000.0};
   int lanes{1};
   double lane_width_m{3.5};
-  double stop_line_m{-1.0};        ///< < 0: no signal on this road
-  sim::Time signal_green{};        ///< zero: no signal on this road
-  sim::Time signal_red{};
-  sim::Time signal_offset{};       ///< phase shift of the green window
 };
 
 /// Configuration for a `TrafficFlow` engine.
@@ -61,11 +53,6 @@ struct TrafficFlowParams {
 
   /// Straight multi-lane highway along +x.
   static TrafficFlowParams highway(int lanes, double length_m, double flow_veh_per_s_per_lane);
-  /// Two perpendicular single-lane arms crossing mid-span, with exactly
-  /// complementary signal phases (arm 0 green while arm 1 red and vice
-  /// versa).
-  static TrafficFlowParams intersection(double arm_length_m, double flow_veh_per_s_per_lane,
-                                        sim::Time green, sim::Time red);
 };
 
 /// Driving-policy override applied to a vehicle by the reactive-braking
@@ -99,11 +86,22 @@ struct SpeedSample {
   std::uint32_t active;
 };
 
-/// Closed-loop car-following traffic engine: the canonical
-/// `DynamicsModel`. All vehicle state lives in structure-of-arrays
-/// vectors indexed by a dense spawn-ordered vehicle id (ids are never
-/// reused; despawned vehicles deactivate and freeze in place). Each
-/// (road, lane) pair is an independent front-to-back ordered IDM column.
+/// Closed-loop car-following traffic engine: the stateful side of the
+/// mobility split. Its vehicle state evolves by simulation events (a
+/// fixed integration tick scheduled through the shared event queue), so
+/// message reception may change a vehicle's future trajectory, which a
+/// closed-form `MobilityModel` cannot express. All vehicle state lives
+/// in structure-of-arrays vectors indexed by a dense spawn-ordered
+/// vehicle id (ids are never reused; despawned vehicles deactivate and
+/// freeze in place). Each (road, lane) pair is an independent
+/// front-to-back ordered IDM column.
+///
+/// Contract with the channel's spatial grid: the grid's cull slack is
+/// derived from a speed bound. Scripted models are covered by the static
+/// `ChannelParams::grid_max_speed_mps`; this engine declares its own
+/// bound via `max_speed_bound_mps()`, which the scenario feeds to
+/// `phy::Channel::raise_speed_bound` *before* vehicles start moving, so
+/// an accelerating vehicle can never outrun its baked cull radius.
 ///
 /// Integration is a synchronous semi-implicit Euler step on a fixed
 /// tick: every vehicle's acceleration is computed from the *previous*
@@ -120,7 +118,7 @@ struct SpeedSample {
 /// Read side: `make_mobility(id)` returns a `MobilityModel` view that
 /// extrapolates linearly from the last tick; the engine must outlive
 /// every view.
-class TrafficFlow final : public DynamicsModel {
+class TrafficFlow {
  public:
   using VehicleId = std::uint32_t;
   static constexpr VehicleId kNoVehicle = UINT32_MAX;
@@ -135,23 +133,25 @@ class TrafficFlow final : public DynamicsModel {
 
   /// `seed` feeds the dedicated spawn stream only. Throws
   /// std::invalid_argument, naming the field, on malformed params: no
-  /// roads, a non-positive tick or lane count, a zero-length direction,
-  /// an IDM field that is not finite and > 0, a flow rate that is not 0
-  /// or a finite value >= kMinFlowRate, jitter outside [0, 1), a
-  /// hard-brake threshold that is not finite and > 0, or a slow speed
-  /// that is not finite and >= 0.
+  /// roads, a non-positive tick or lane count, a road whose origin is not
+  /// finite, whose direction is not finite and non-zero, or whose length
+  /// or lane width is not finite and > 0, an IDM field that is not
+  /// finite and > 0, a flow rate that is not 0 or a finite value >=
+  /// kMinFlowRate, jitter outside [0, 1), a hard-brake threshold that is
+  /// not finite and > 0, or a slow speed that is not finite and >= 0.
   TrafficFlow(TrafficFlowParams params, std::uint64_t seed);
 
   TrafficFlow(const TrafficFlow&) = delete;
   TrafficFlow& operator=(const TrafficFlow&) = delete;
 
-  // -- DynamicsModel ---------------------------------------------------
-  void start(sim::Scheduler& sched) override;
-  void stop() override;
-  /// v0·(1 + jitter) plus one tick of full-throttle Euler overshoot —
-  /// IDM free acceleration is positive only below v0, so a vehicle can
-  /// exceed its desired speed by at most a·dt.
-  double max_speed_bound_mps() const override;
+  /// Schedule the first integration tick; a no-op while a tick is
+  /// pending. Ticks reschedule themselves until `params().end`.
+  void start(sim::Scheduler& sched);
+  /// Upper bound on any vehicle's speed over the whole run, valid from
+  /// construction: v0·(1 + jitter) plus one tick of full-throttle Euler
+  /// overshoot — IDM free acceleration is positive only below v0, so a
+  /// vehicle can exceed its desired speed by at most a·dt.
+  double max_speed_bound_mps() const;
 
   const TrafficFlowParams& params() const noexcept { return params_; }
 
@@ -199,7 +199,7 @@ class TrafficFlow final : public DynamicsModel {
 
   // -- shockwave / congestion statistics ---------------------------------
   /// Start recording first-slow events (call when the incident begins so
-  /// pre-incident noise — red signals, spawn transients — is excluded).
+  /// pre-incident noise — spawn transients — is excluded).
   void arm_slow_stats() { slow_stats_armed_ = true; }
   const std::vector<SlowEvent>& slow_events() const noexcept { return slow_events_; }
   const std::vector<SpeedSample>& speed_series() const noexcept { return speed_series_; }
@@ -216,7 +216,6 @@ class TrafficFlow final : public DynamicsModel {
   void spawn_arrivals(sim::Time now);
   void compute_accels(sim::Time now);
   void integrate_and_cull(sim::Time now);
-  bool signal_red_at(const RoadSpec& r, sim::Time t) const;
   LaneState& lane_state(std::uint16_t road, std::uint16_t lane) {
     return lanes_[lane_base_[road] + lane];
   }

@@ -19,24 +19,13 @@ Vehicle::Vehicle(sim::Scheduler& sched, Vec2 pos, Vec2 heading)
       heading_{heading.normalized()},
       stop_timer_{sched, [this] { enter_state(DriveState::kStopped); }} {
   if (heading_ == Vec2{}) throw std::invalid_argument{"Vehicle: heading must be nonzero"};
-  phases_.push_back(Phase{sched_.now(), pos, 0.0, 0.0, 0.0, heading_});
+  phases_.push_back(Phase{sched_.now(), pos, 0.0, 0.0, 0.0});
 }
 
 void Vehicle::cruise(double speed) {
   if (speed <= 0.0) throw std::invalid_argument{"Vehicle: cruise speed must be > 0"};
   stop_timer_.cancel();
   push_phase(speed, 0.0, speed);
-  enter_state(DriveState::kCruising);
-}
-
-void Vehicle::accelerate(double accel, double target_speed) {
-  if (accel <= 0.0) throw std::invalid_argument{"Vehicle: acceleration must be > 0"};
-  if (target_speed <= 0.0) throw std::invalid_argument{"Vehicle: target speed must be > 0"};
-  stop_timer_.cancel();
-  const double v = current_speed();
-  // Ramp toward the target from either side (speed up or ease down).
-  const double a = target_speed >= v ? accel : -accel;
-  push_phase(v, a, target_speed);
   enter_state(DriveState::kCruising);
 }
 
@@ -51,15 +40,6 @@ void Vehicle::brake(double decel) {
   }
   enter_state(DriveState::kBraking);
   stop_timer_.schedule_in(sim::Time::seconds(v / decel));
-}
-
-void Vehicle::set_heading(Vec2 heading) {
-  if (state_ != DriveState::kStopped)
-    throw std::logic_error{"Vehicle: heading can only change while stopped"};
-  const Vec2 h = heading.normalized();
-  if (h == Vec2{}) throw std::invalid_argument{"Vehicle: heading must be nonzero"};
-  heading_ = h;
-  push_phase(0.0, 0.0, 0.0);
 }
 
 double Vehicle::current_speed() const { return velocity_at(sched_.now()).length(); }
@@ -78,7 +58,7 @@ void Vehicle::push_phase(double v0, double accel, double v_target) {
   const sim::Time now = sched_.now();
   const Vec2 pos = position_at(now);
   if (!phases_.empty() && phases_.back().t0 == now) phases_.pop_back();
-  phases_.push_back(Phase{now, pos, v0, accel, v_target, heading_});
+  phases_.push_back(Phase{now, pos, v0, accel, v_target});
 }
 
 void Vehicle::enter_state(DriveState s) {
@@ -102,7 +82,7 @@ Vec2 Vehicle::position_at(sim::Time t) const {
   } else {
     s = ph.v0 * dt;
   }
-  return ph.pos0 + ph.heading * s;
+  return ph.pos0 + heading_ * s;
 }
 
 Vec2 Vehicle::velocity_at(sim::Time t) const {
@@ -113,7 +93,7 @@ Vec2 Vehicle::velocity_at(sim::Time t) const {
   if (ph.accel != 0.0) {
     v = dt < ph.ramp_seconds() ? ph.v0 + ph.accel * dt : ph.v_target;
   }
-  return ph.heading * v;
+  return heading_ * v;
 }
 
 }  // namespace eblnet::mobility

@@ -30,19 +30,11 @@ class Vehicle final : public MobilityModel {
   Vehicle& operator=(const Vehicle&) = delete;
 
   /// Begin (or continue) cruising at `speed` m/s along the heading
-  /// (instantaneous speed change; use accelerate() for a ramp).
+  /// (instantaneous speed change).
   void cruise(double speed);
-
-  /// Speed up (or down) at |accel| m/s^2 toward `target_speed`, then hold
-  /// it. The vehicle counts as kCruising throughout — EBL's
-  /// "braking or stopped" rule is about *braking*, not speed changes.
-  void accelerate(double accel, double target_speed);
 
   /// Brake at `decel` m/s^2 until stopped. No-op when already stopped.
   void brake(double decel);
-
-  /// Change heading (only while stopped — vehicles don't drift sideways).
-  void set_heading(Vec2 heading);
 
   DriveState state() const noexcept { return state_; }
   bool is_braking_or_stopped() const noexcept { return state_ != DriveState::kCruising; }
@@ -71,7 +63,6 @@ class Vehicle final : public MobilityModel {
     double v0;        ///< speed at t0 (m/s, along heading)
     double accel;     ///< signed acceleration along the heading
     double v_target;  ///< speed held once reached
-    Vec2 heading;     ///< unit vector
 
     /// Seconds after t0 at which v_target is reached (0 when accel == 0).
     double ramp_seconds() const noexcept {
@@ -85,7 +76,7 @@ class Vehicle final : public MobilityModel {
 
   sim::Scheduler& sched_;
   std::vector<Phase> phases_;
-  Vec2 heading_;
+  Vec2 heading_;  ///< unit vector
   DriveState state_{DriveState::kStopped};
   sim::Timer stop_timer_;
   std::vector<StateCallback> observers_;

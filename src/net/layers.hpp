@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "net/packet.hpp"
-#include "sim/fault.hpp"
 #include "sim/metrics.hpp"
 
 namespace eblnet::net {
@@ -45,14 +44,6 @@ class PacketQueue {
     metrics_node_ = node;
   }
 
-  /// Point the queue at the fault controller so queue-chaos faults can
-  /// corrupt/reorder arriving packets (done by MacBase alongside
-  /// bind_metrics). Null detaches.
-  void bind_faults(sim::FaultController* f, NodeId node) noexcept {
-    faults_ = f;
-    faults_node_ = node;
-  }
-
  protected:
   /// Counter bump for implementations; a no-op branch until bound.
   void metric(sim::Counter c, std::uint64_t delta = 1) noexcept {
@@ -62,19 +53,9 @@ class PacketQueue {
     if (metrics_ != nullptr) metrics_->sample(metrics_node_, g, v);
   }
 
-  /// Chaos verdict for one arriving packet; kNone unless a queue-chaos
-  /// fault is active on this node right now.
-  sim::FaultController::ChaosAction chaos_verdict() noexcept {
-    if (faults_ == nullptr || !faults_->queue_chaos_active(faults_node_))
-      return sim::FaultController::ChaosAction::kNone;
-    return faults_->chaos_draw(faults_node_);
-  }
-
  private:
   sim::MetricsRegistry* metrics_{nullptr};
   NodeId metrics_node_{0};
-  sim::FaultController* faults_{nullptr};
-  NodeId faults_node_{0};
 };
 
 /// Link layer seen from above. Implementations: mac::Mac80211 and mac::Edca

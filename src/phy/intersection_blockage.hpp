@@ -58,10 +58,6 @@ class IntersectionBlockage : public PropagationModel {
   double envelope_rx_power(double tx_power_w, double distance_m) const override {
     return inner_->envelope_rx_power(tx_power_w, distance_m);
   }
-  void envelope_rx_power_batch(double tx_power_w, const double* distances_m, double* out_w,
-                               std::size_t n) const override {
-    inner_->envelope_rx_power_batch(tx_power_w, distances_m, out_w, n);
-  }
 
   bool pair_fade_streams() const noexcept override { return inner_->pair_fade_streams(); }
   void select_pair_stream(std::uint64_t tx_node, std::uint64_t rx_node,

@@ -55,22 +55,6 @@ double TwoRayGround::rx_power(double tx_power_w, double distance_m) const {
   return tx_power_w * gt_ * gr_ * ht_ * ht_ * hr_ * hr_ / (d2 * d2 * loss_);
 }
 
-void TwoRayGround::envelope_rx_power_batch(double tx_power_w, const double* distances_m,
-                                           double* out_w, std::size_t n) const {
-  // The far d^-4 branch is the common case for grid-culled highway
-  // candidates; the expression mirrors rx_power's operation order exactly
-  // so the batch is bit-identical to the scalar envelope.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = distances_m[i];
-    if (d > crossover_) {
-      const double d2 = d * d;
-      out_w[i] = tx_power_w * gt_ * gr_ * ht_ * ht_ * hr_ * hr_ / (d2 * d2 * loss_);
-    } else {
-      out_w[i] = friis_.rx_power(tx_power_w, d);
-    }
-  }
-}
-
 NakagamiFading::NakagamiFading(double m, sim::Rng& rng, double frequency_hz, double ht,
                                double hr, double fade_margin)
     : mean_model_{frequency_hz, ht, hr}, m_{m}, rng_{rng}, fade_margin_{fade_margin} {
@@ -119,43 +103,6 @@ double NakagamiFading::rx_power(double tx_power_w, double distance_m) const {
 
 double NakagamiFading::envelope_rx_power(double tx_power_w, double distance_m) const {
   return fade_margin_ * mean_model_.rx_power(tx_power_w, distance_m);
-}
-
-void NakagamiFading::envelope_rx_power_batch(double tx_power_w, const double* distances_m,
-                                             double* out_w, std::size_t n) const {
-  mean_model_.envelope_rx_power_batch(tx_power_w, distances_m, out_w, n);
-  for (std::size_t i = 0; i < n; ++i) out_w[i] = fade_margin_ * out_w[i];
-}
-
-LogDistanceShadowing::LogDistanceShadowing(double exponent, double sigma_db,
-                                           double ref_distance_m, double frequency_hz,
-                                           sim::Rng* rng)
-    : friis_{frequency_hz}, beta_{exponent}, sigma_db_{sigma_db}, d0_{ref_distance_m}, rng_{rng} {
-  if (exponent <= 0.0) throw std::invalid_argument{"LogDistanceShadowing: exponent must be > 0"};
-  if (ref_distance_m <= 0.0)
-    throw std::invalid_argument{"LogDistanceShadowing: reference distance must be > 0"};
-}
-
-double LogDistanceShadowing::median_rx_power(double tx_power_w, double distance_m) const {
-  if (distance_m <= d0_) return friis_.rx_power(tx_power_w, distance_m);
-  const double pr0 = friis_.rx_power(tx_power_w, d0_);
-  return pr0 * std::pow(distance_m / d0_, -beta_);
-}
-
-double LogDistanceShadowing::rx_power(double tx_power_w, double distance_m) const {
-  double pr = median_rx_power(tx_power_w, distance_m);
-  if (distance_m > d0_ && rng_ != nullptr && sigma_db_ > 0.0) {
-    pr *= std::pow(10.0, rng_->normal(0.0, sigma_db_) / 10.0);
-  }
-  return pr;
-}
-
-double LogDistanceShadowing::envelope_rx_power(double tx_power_w, double distance_m) const {
-  double pr = median_rx_power(tx_power_w, distance_m);
-  if (rng_ != nullptr && sigma_db_ > 0.0) {
-    pr *= std::pow(10.0, 3.0 * sigma_db_ / 10.0);  // +3 sigma shadowing headroom
-  }
-  return pr;
 }
 
 }  // namespace eblnet::phy

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -29,25 +28,11 @@ class PropagationModel {
 
   /// Deterministic, monotone-in-distance envelope of rx_power, used for
   /// range planning and the channel's spatial-grid culling. For
-  /// deterministic models this IS rx_power; random models (Nakagami,
-  /// shadowing) return their mean/median power boosted by a fade margin
-  /// and never consume the Rng stream.
+  /// deterministic models this IS rx_power; a fading model (Nakagami)
+  /// returns its mean power boosted by a fade margin and never consumes
+  /// the Rng stream.
   virtual double envelope_rx_power(double tx_power_w, double distance_m) const {
     return rx_power(tx_power_w, distance_m);
-  }
-
-  /// Batched envelope: `out_w[i] = envelope_rx_power(tx_power_w,
-  /// distances_m[i])` for i in [0, n) — one virtual dispatch per batch
-  /// instead of per pair. The channel's phase-1 cull uses this to refine
-  /// the conservative per-phy radius test against the sender's actual
-  /// transmit power over the surviving candidates' contiguous distance
-  /// array. Overrides must be value-identical to the scalar envelope
-  /// (same formula, same operation order), never draw from an Rng, and
-  /// keep the inner loop branch-light. The base implementation just loops
-  /// the scalar call.
-  virtual void envelope_rx_power_batch(double tx_power_w, const double* distances_m,
-                                       double* out_w, std::size_t n) const {
-    for (std::size_t i = 0; i < n; ++i) out_w[i] = envelope_rx_power(tx_power_w, distances_m[i]);
   }
 
   /// True when rx_power depends on the endpoints' positions, not just
@@ -117,11 +102,6 @@ class TwoRayGround : public PropagationModel {
                double gr = 1.0, double loss = 1.0);
   double rx_power(double tx_power_w, double distance_m) const override;
 
-  /// Branch-light batch of the (deterministic) envelope — value-identical
-  /// to rx_power, one predictable crossover branch per pair.
-  void envelope_rx_power_batch(double tx_power_w, const double* distances_m, double* out_w,
-                               std::size_t n) const override;
-
   double crossover_distance() const noexcept { return crossover_; }
 
  private:
@@ -148,9 +128,6 @@ class NakagamiFading : public PropagationModel {
   /// Mean (two-ray) power times the fade margin — never a faded draw, so
   /// culling against it is purely geometric and leaves the Rng untouched.
   double envelope_rx_power(double tx_power_w, double distance_m) const override;
-  /// Batched fade-margin envelope over the mean model; draws nothing.
-  void envelope_rx_power_batch(double tx_power_w, const double* distances_m, double* out_w,
-                               std::size_t n) const override;
 
   double m() const noexcept { return m_; }
 
@@ -178,27 +155,5 @@ class NakagamiFading : public PropagationModel {
   mutable sim::Rng scratch_rng_{1};
 };
 
-/// Log-distance path loss with optional log-normal shadowing (deterministic
-/// given the Rng stream) — an extension beyond the paper for sensitivity
-/// studies. Pr(d) = Pr(d0) * (d0/d)^beta * 10^(X_sigma/10).
-class LogDistanceShadowing : public PropagationModel {
- public:
-  LogDistanceShadowing(double exponent, double sigma_db, double ref_distance_m = 1.0,
-                       double frequency_hz = 914e6, sim::Rng* rng = nullptr);
-  double rx_power(double tx_power_w, double distance_m) const override;
-
-  /// Median (unshadowed) power boosted by +3 sigma of shadowing; draws
-  /// nothing from the Rng.
-  double envelope_rx_power(double tx_power_w, double distance_m) const override;
-
- private:
-  double median_rx_power(double tx_power_w, double distance_m) const;
-
-  FreeSpace friis_;
-  double beta_;
-  double sigma_db_;
-  double d0_;
-  sim::Rng* rng_;
-};
 
 }  // namespace eblnet::phy

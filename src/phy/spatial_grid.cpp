@@ -121,32 +121,26 @@ std::uint64_t SpatialGrid::cull(mobility::Vec2 center, double radius_m, std::uin
       const std::size_t n = b.count();
       if (n == 0) continue;
       lanes += n;
-      if (keep_.size() < n) {
-        keep_.resize(n);
-        d2_.resize(n);
-      }
-      // Phase 1a: branch-free range² sweep over the contiguous arrays —
-      // the auto-vectorizable inner loop (no pointer derefs, no calls).
+      if (keep_.size() < n) keep_.resize(n);
+      // Branch-free range² sweep over the contiguous arrays — the
+      // auto-vectorizable inner loop (no pointer derefs, no calls).
       const double* xs = b.x.data();
       const double* ys = b.y.data();
       const double* r2 = b.cull_r2.data();
       std::uint8_t* keep = keep_.data();
-      double* d2 = d2_.data();
       for (std::size_t i = 0; i < n; ++i) {
         const double ddx = xs[i] - center.x;
         const double ddy = ys[i] - center.y;
-        const double dd = ddx * ddx + ddy * ddy;
-        d2[i] = dd;
-        keep[i] = static_cast<std::uint8_t>(dd <= r2[i]);
+        keep[i] = static_cast<std::uint8_t>(ddx * ddx + ddy * ddy <= r2[i]);
       }
-      // Phase 1b: gather survivors (frequency-channel mismatches are
-      // deterministic rejects in the exact filter too, so culling them
-      // here consumes no randomness and changes no outcome).
+      // Gather survivors (frequency-channel mismatches are deterministic
+      // rejects in the exact filter too, so culling them here consumes no
+      // randomness and changes no outcome).
       for (std::size_t i = 0; i < n; ++i) {
         if (!keep[i]) continue;
         if (b.chan[i] != tx_channel) continue;
         if (b.phys[i] == exclude) continue;
-        out.push_back({b.seq[i], b.slot[i], b.phys[i], b.cs_w[i], d2[i]});
+        out.push_back({b.seq[i], b.slot[i], b.phys[i], b.cs_w[i]});
       }
     }
   }

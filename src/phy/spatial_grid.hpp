@@ -13,16 +13,14 @@ class WirelessPhy;
 /// One spatial-grid query hit, carrying everything the channel's delivery
 /// pipeline needs to order and filter the candidate *without touching the
 /// phy object*: the attach sequence (the delivery-order sort key), the
-/// channel liveness slot, the exact carrier-sense threshold for the
-/// phase-2 re-filter, and the squared distance to the candidate's
-/// *bucketed* position (the phase-1 cull geometry). The phy pointer is
-/// dereferenced only for survivors of the batched cull.
+/// channel liveness slot and the exact carrier-sense threshold for the
+/// phase-2 re-filter. The phy pointer is dereferenced only for survivors
+/// of the batched cull.
 struct GridCandidate {
   std::uint64_t seq;        ///< attach sequence (stable delivery order)
   std::uint32_t slot;       ///< channel delivery-liveness slot
   WirelessPhy* phy;
   double cs_threshold_w;    ///< exact per-receiver CS threshold (phase 2)
-  double bucket_dist2;      ///< dist² from query center to bucketed position
 };
 
 /// Uniform hash grid over phy positions — the channel's broadcast
@@ -111,11 +109,10 @@ class SpatialGrid {
   /// sweep through a bounded strip of cells, so the map stays small and
   /// steady-state queries allocate nothing.
   std::unordered_map<std::uint64_t, Bucket> cells_;
-  /// Phase-1 scratch (mask + squared distances), reused across queries so
-  /// the cull never allocates at steady state. The grid is per-channel,
-  /// per-Env state, never shared across runner threads.
+  /// Phase-1 mask scratch, reused across queries so the cull never
+  /// allocates at steady state. The grid is per-channel, per-Env state,
+  /// never shared across runner threads.
   mutable std::vector<std::uint8_t> keep_;
-  mutable std::vector<double> d2_;
 };
 
 }  // namespace eblnet::phy

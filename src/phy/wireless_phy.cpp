@@ -294,33 +294,6 @@ void Channel::rebucket_all() {
   ++grid_rebucket_count_;
 }
 
-void Channel::envelope_cull(double tx_power_w) {
-  const std::size_t n = candidates_.size();
-  if (n == 0) return;
-  // Conservative closest-possible distance per survivor: the bucketed
-  // position may sit up to the mobility slack from the true one, so the
-  // true distance is at least sqrt(bucket_dist2) - slack. The envelope is
-  // monotone non-increasing, so envelope(closest possible) below the CS
-  // threshold proves the exact filter rejects the pair — for
-  // deterministic models envelope IS rx_power; for fading models this is
-  // the established PR-4 envelope-cull discipline (culled pairs never
-  // draw a fade).
-  const double slack = mobility_slack();
-  cull_dist_.resize(n);
-  cull_power_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = std::sqrt(candidates_[i].bucket_dist2) - slack;
-    cull_dist_[i] = d > 0.0 ? d : 0.0;
-  }
-  propagation_->envelope_rx_power_batch(tx_power_w, cull_dist_.data(), cull_power_.data(), n);
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (cull_power_[i] < candidates_[i].cs_threshold_w) continue;
-    candidates_[kept++] = candidates_[i];
-  }
-  candidates_.resize(kept);
-}
-
 void Channel::phy_channel_changed(WirelessPhy* phy) {
   if (grid_built_) grid_.set_channel(phy, phy->channel_id());
 }
@@ -385,16 +358,9 @@ void Channel::collect_receivers(WirelessPhy& sender) {
     }
     grid_.update(&sender, from);  // the sender's position is exact and free
     // Phase 1: branch-free SoA sweep (range² against per-phy envelope
-    // radii + frequency channel), then one batched envelope refinement
-    // at the sender's actual tx power.
+    // radii + frequency channel).
     const std::uint64_t lanes =
         grid_.cull(from, query_radius(), channel_id, &sender, candidates_);
-    // Phase 1b only helps when the sender is weaker than the channel
-    // maximum the cull radii were computed for; at full power the
-    // envelope bound keeps every phase-1a survivor (the cull radius IS
-    // the envelope range plus slack), so the refinement is a no-op by
-    // construction and skipping it changes nothing.
-    if (tx_power_w < max_tx_power_w_) envelope_cull(tx_power_w);
     batch_lane_count_ += lanes;
     batch_culled_count_ += lanes - candidates_.size();
     env_.metrics().add(sender.owner(), sim::Counter::kPhyBatchCulled,

@@ -255,8 +255,8 @@ class Channel {
   std::uint64_t pair_evaluations() const noexcept { return pair_evaluations_; }
   /// SoA lanes swept by the phase-1 batched cull across all broadcasts.
   std::uint64_t batch_lanes() const noexcept { return batch_lane_count_; }
-  /// Lanes rejected by phase 1 (range², frequency channel, or batched
-  /// envelope) before ever dereferencing the phy or drawing a fade.
+  /// Lanes rejected by phase 1 (range² or frequency channel) before ever
+  /// dereferencing the phy or drawing a fade.
   std::uint64_t batch_culled() const noexcept { return batch_culled_count_; }
   /// Full O(N) re-bucket passes performed.
   std::uint64_t grid_rebuckets() const noexcept { return grid_rebucket_count_; }
@@ -285,11 +285,6 @@ class Channel {
   /// (envelope range for `phy`'s CS threshold at the conservative max tx
   /// power, plus mobility slack)² — the phase-1 SoA cull radius.
   double cull_radius2_for(const WirelessPhy& phy) const;
-  /// Phase-1b: refine survivors against the sender's actual tx power with
-  /// one batched envelope evaluation over their conservative (closest-
-  /// possible) distances; drops candidates the exact filter provably
-  /// rejects, keeps everything else.
-  void envelope_cull(double tx_power_w);
   /// A bucketed phy retuned its radio: refresh its frequency-channel lane.
   void phy_channel_changed(WirelessPhy* phy);
   void deliver(std::uint32_t slot, std::uint32_t generation, net::NodeId tx,
@@ -333,8 +328,6 @@ class Channel {
   double max_tx_power_w_{0.0};
   double min_cs_threshold_w_{std::numeric_limits<double>::infinity()};
   std::vector<GridCandidate> candidates_;  ///< grid query scratch, reused
-  std::vector<double> cull_dist_;          ///< phase-1b distance scratch
-  std::vector<double> cull_power_;         ///< phase-1b envelope scratch
 
   std::uint64_t broadcast_count_{0};
   std::uint64_t pair_evaluations_{0};

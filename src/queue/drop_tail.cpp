@@ -13,22 +13,6 @@ bool DropTailQueue::enqueue(net::Packet p) {
     drop(std::move(p), "IFQ");
     return false;
   }
-  if (!net::is_routing_control(p.type)) {
-    switch (chaos_verdict()) {
-      case sim::FaultController::ChaosAction::kCorrupt:
-        metric(sim::Counter::kFaultCorruptions);
-        drop(std::move(p), "CRP");
-        return false;
-      case sim::FaultController::ChaosAction::kReorder:
-        metric(sim::Counter::kFaultReorders);
-        q_.push_front(std::move(p));
-        metric(sim::Counter::kIfqEnqueued);
-        metric_sample(sim::Gauge::kIfqDepth, static_cast<double>(q_.size()));
-        return true;
-      case sim::FaultController::ChaosAction::kNone:
-        break;
-    }
-  }
   q_.push_back(std::move(p));
   metric(sim::Counter::kIfqEnqueued);
   metric_sample(sim::Gauge::kIfqDepth, static_cast<double>(q_.size()));

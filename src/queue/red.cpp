@@ -39,20 +39,6 @@ bool RedQueue::enqueue(net::Packet p) {
     drop(std::move(p), "IFQ", forced_drops_);
     return false;
   }
-  bool reorder = false;
-  if (!net::is_routing_control(p.type)) {
-    switch (chaos_verdict()) {
-      case sim::FaultController::ChaosAction::kCorrupt:
-        metric(sim::Counter::kFaultCorruptions);
-        drop(std::move(p), "CRP", forced_drops_);
-        return false;
-      case sim::FaultController::ChaosAction::kReorder:
-        reorder = true;
-        break;
-      case sim::FaultController::ChaosAction::kNone:
-        break;
-    }
-  }
   if (!protected_pkt && avg_ >= params_.min_thresh) {
     ++count_since_drop_;
     if (rng_.chance(drop_probability())) {
@@ -61,8 +47,7 @@ bool RedQueue::enqueue(net::Packet p) {
       return false;
     }
   }
-  if (protected_pkt || reorder) {
-    if (reorder) metric(sim::Counter::kFaultReorders);
+  if (protected_pkt) {
     q_.push_front(std::move(p));
   } else {
     q_.push_back(std::move(p));

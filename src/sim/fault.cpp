@@ -10,8 +10,6 @@ const char* to_string(FaultKind k) noexcept {
     case FaultKind::kNodeCrash: return "node_crash";
     case FaultKind::kRegionBlackout: return "region_blackout";
     case FaultKind::kLinkPer: return "link_per";
-    case FaultKind::kClockSkew: return "clock_skew";
-    case FaultKind::kQueueChaos: return "queue_chaos";
     case FaultKind::kRfJam: return "rf_jam";
   }
   return "?";
@@ -56,30 +54,6 @@ FaultPlan& FaultPlan::link_per(Time at, Time duration, double rate, std::uint32_
   return *this;
 }
 
-FaultPlan& FaultPlan::clock_skew(std::uint32_t node, Time at, Time duration,
-                                 double skew_seconds) {
-  FaultEvent e;
-  e.kind = FaultKind::kClockSkew;
-  e.at = at;
-  e.duration = duration;
-  e.node = node;
-  e.magnitude = skew_seconds;
-  events.push_back(e);
-  return *this;
-}
-
-FaultPlan& FaultPlan::queue_chaos(std::uint32_t node, Time at, Time duration,
-                                  double probability) {
-  FaultEvent e;
-  e.kind = FaultKind::kQueueChaos;
-  e.at = at;
-  e.duration = duration;
-  e.node = node;
-  e.magnitude = probability;
-  events.push_back(e);
-  return *this;
-}
-
 FaultPlan& FaultPlan::jam(Time at, Time duration, Time period, Time burst,
                           std::int64_t rf_channel) {
   FaultEvent e;
@@ -117,13 +91,6 @@ void validate(const FaultEvent& e) {
       break;
     case FaultKind::kLinkPer:
       if (!(e.magnitude >= 0.0 && e.magnitude <= 1.0)) bad("PER must be in [0, 1]");
-      break;
-    case FaultKind::kClockSkew:
-      if (e.node == kAnyNode) bad("clock skew needs a concrete node");
-      break;
-    case FaultKind::kQueueChaos:
-      if (e.node == kAnyNode) bad("queue chaos needs a concrete node");
-      if (!(e.magnitude >= 0.0 && e.magnitude <= 1.0)) bad("chaos probability must be in [0, 1]");
       break;
     case FaultKind::kRfJam:
       if (e.burst <= Time::zero()) bad("jam burst must be > 0");
@@ -164,14 +131,6 @@ void FaultController::install(const FaultPlan& plan, Scheduler& scheduler,
         delivery_.push_back(f);
         break;
       }
-      case FaultKind::kClockSkew:
-        slot_of_event_[i] = skew_.size();
-        skew_.push_back({false, e.node, e.magnitude});
-        break;
-      case FaultKind::kQueueChaos:
-        slot_of_event_[i] = chaos_.size();
-        chaos_.push_back({false, e.node, e.magnitude});
-        break;
       case FaultKind::kNodeCrash:
       case FaultKind::kRfJam:
         break;
@@ -205,14 +164,6 @@ void FaultController::activate(std::size_t index) {
       delivery_[slot_of_event_[index]].active = true;
       ++delivery_active_;
       break;
-    case FaultKind::kClockSkew:
-      skew_[slot_of_event_[index]].active = true;
-      ++skew_active_;
-      break;
-    case FaultKind::kQueueChaos:
-      chaos_[slot_of_event_[index]].active = true;
-      ++chaos_active_;
-      break;
     case FaultKind::kRfJam:
       break;  // driven by jam_tick
   }
@@ -231,14 +182,6 @@ void FaultController::deactivate(std::size_t index) {
     case FaultKind::kLinkPer:
       delivery_[slot_of_event_[index]].active = false;
       --delivery_active_;
-      break;
-    case FaultKind::kClockSkew:
-      skew_[slot_of_event_[index]].active = false;
-      --skew_active_;
-      break;
-    case FaultKind::kQueueChaos:
-      chaos_[slot_of_event_[index]].active = false;
-      --chaos_active_;
       break;
     case FaultKind::kRfJam:
       break;
@@ -284,24 +227,6 @@ bool FaultController::drop_delivery(std::uint32_t tx, std::uint32_t rx, double r
     return true;
   }
   return false;
-}
-
-double FaultController::clock_skew_s(std::uint32_t node) const noexcept {
-  if (skew_active_ == 0) return 0.0;
-  double total = 0.0;
-  for (const SkewFault& f : skew_) {
-    if (f.active && f.node == node) total += f.skew_s;
-  }
-  return total;
-}
-
-FaultController::ChaosAction FaultController::chaos_draw(std::uint32_t node) {
-  double p = 0.0;
-  for (const ChaosFault& f : chaos_) {
-    if (f.active && f.node == node) p = p < f.probability ? f.probability : p;
-  }
-  if (p <= 0.0 || !rng_.chance(p)) return ChaosAction::kNone;
-  return rng_.chance(0.5) ? ChaosAction::kCorrupt : ChaosAction::kReorder;
 }
 
 }  // namespace eblnet::sim

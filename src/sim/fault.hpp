@@ -21,11 +21,6 @@ namespace eblnet::sim {
 ///   suppressed receiver-side for the duration — a hard outage.
 /// - kLinkPer: deliveries matching the (tx, rx) filter are dropped with
 ///   probability `magnitude` — a lossy link/area.
-/// - kClockSkew: the node's TDMA slot clock is offset by `magnitude`
-///   seconds, breaking the schedule's collision-freedom.
-/// - kQueueChaos: each data packet entering the node's interface queue
-///   is, with probability `magnitude`, either corrupted (dropped as
-///   "CRP") or reordered (pushed to the head instead of the tail).
 /// - kRfJam: a duty-cycled noise emitter (burst/period) driven through
 ///   the jam-burst hook; the embedder radiates the actual energy from a
 ///   phy it owns. Without a hook the event is inert.
@@ -33,8 +28,6 @@ enum class FaultKind : std::uint8_t {
   kNodeCrash,
   kRegionBlackout,
   kLinkPer,
-  kClockSkew,
-  kQueueChaos,
   kRfJam,
 };
 
@@ -49,9 +42,9 @@ struct FaultEvent {
   FaultKind kind{FaultKind::kNodeCrash};
   Time at{};        ///< activation time
   Time duration{};  ///< zero = permanent (lasts to the end of the run)
-  std::uint32_t node{kAnyNode};  ///< crash/skew/chaos target; kLinkPer transmitter filter
+  std::uint32_t node{kAnyNode};  ///< crash target; kLinkPer transmitter filter
   std::uint32_t peer{kAnyNode};  ///< kLinkPer receiver filter
-  double magnitude{0.0};         ///< PER / chaos probability, or skew seconds
+  double magnitude{0.0};         ///< kLinkPer drop probability
   double x{0.0};                 ///< region centre (blackout / jam)
   double y{0.0};
   double radius{-1.0};           ///< region radius in metres; < 0 = everywhere
@@ -67,9 +60,9 @@ struct FaultEvent {
 /// nothing and draws nothing.
 struct FaultPlan {
   /// Seed of the controller's dedicated RNG stream, mixed with the
-  /// scenario seed at install time. Fault randomness (PER draws, chaos
-  /// draws) never touches the scenario's Rng, so a plan whose events
-  /// draw nothing perturbs nothing.
+  /// scenario seed at install time. Fault randomness (PER draws) never
+  /// touches the scenario's Rng, so a plan whose events draw nothing
+  /// perturbs nothing.
   std::uint64_t rng_seed{0xfa0175b5ULL};
   std::vector<FaultEvent> events;
 
@@ -86,11 +79,6 @@ struct FaultPlan {
   /// probability `rate` for `duration`.
   FaultPlan& link_per(Time at, Time duration, double rate, std::uint32_t tx = kAnyNode,
                       std::uint32_t rx = kAnyNode);
-  /// Offset `node`'s TDMA slot clock by `skew_seconds` for `duration`.
-  FaultPlan& clock_skew(std::uint32_t node, Time at, Time duration, double skew_seconds);
-  /// Corrupt-or-reorder packets entering `node`'s interface queue with
-  /// probability `probability` for `duration`.
-  FaultPlan& queue_chaos(std::uint32_t node, Time at, Time duration, double probability);
   /// Duty-cycled jam: a `burst` of noise every `period` for `duration`,
   /// radiated through the jam-burst hook.
   FaultPlan& jam(Time at, Time duration, Time period, Time burst,
@@ -148,23 +136,6 @@ class FaultController {
   /// (rx_x, rx_y) is the receiver's position, for region faults.
   bool drop_delivery(std::uint32_t tx, std::uint32_t rx, double rx_x, double rx_y);
 
-  /// Current clock-skew offset of `node`'s TDMA schedule, seconds.
-  double clock_skew_s(std::uint32_t node) const noexcept;
-
-  /// True while a queue-chaos fault targets `node`.
-  bool queue_chaos_active(std::uint32_t node) const noexcept {
-    if (chaos_active_ == 0) return false;
-    for (const auto& c : chaos_) {
-      if (c.active && c.node == node) return true;
-    }
-    return false;
-  }
-
-  /// Chaos verdict for one arriving packet. Draws from the fault RNG
-  /// stream; call only when queue_chaos_active(node) is true.
-  enum class ChaosAction : std::uint8_t { kNone, kCorrupt, kReorder };
-  ChaosAction chaos_draw(std::uint32_t node);
-
   // --- bookkeeping for resilience metrics -------------------------------
 
   struct CrashRecord {
@@ -184,16 +155,6 @@ class FaultController {
     std::uint32_t rx{kAnyNode};
     double rate{1.0};
     double x{0.0}, y{0.0}, radius{-1.0};
-  };
-  struct SkewFault {
-    bool active{false};
-    std::uint32_t node;
-    double skew_s;
-  };
-  struct ChaosFault {
-    bool active{false};
-    std::uint32_t node;
-    double probability;
   };
 
   void activate(std::size_t index);
@@ -215,12 +176,6 @@ class FaultController {
 
   std::vector<DeliveryFault> delivery_;
   std::uint32_t delivery_active_{0};
-
-  std::vector<SkewFault> skew_;
-  std::uint32_t skew_active_{0};
-
-  std::vector<ChaosFault> chaos_;
-  std::uint32_t chaos_active_{0};
 
   NodeStateHook node_state_hook_;
   JamBurstHook jam_burst_hook_;

@@ -69,8 +69,6 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"fault_crashes", "fault"},
     {"fault_reboots", "fault"},
     {"fault_injected_drops", "fault"},
-    {"fault_corruptions", "fault"},
-    {"fault_reorders", "fault"},
     {"fault_tx_suppressed", "fault"},
 };
 

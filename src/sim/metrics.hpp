@@ -78,8 +78,6 @@ enum class Counter : std::uint16_t {
   kFaultCrashes,       ///< node-crash events applied to this node
   kFaultReboots,       ///< reboots after a crash with a duration
   kFaultInjectedDrops, ///< channel deliveries vetoed (blackout / PER)
-  kFaultCorruptions,   ///< queue-chaos packets corrupted (dropped "CRP")
-  kFaultReorders,      ///< queue-chaos packets pushed to the queue head
   kFaultTxSuppressed,  ///< app sends swallowed while the node was down
 
   kCount

@@ -20,8 +20,6 @@ class Summary {
     m2_ += delta * (x - mean_);
   }
 
-  void merge(const Summary& other) noexcept;
-
   std::uint64_t count() const noexcept { return n_; }
   bool empty() const noexcept { return n_ == 0; }
 

@@ -24,13 +24,6 @@ Summary TimeSeries::summarize(sim::Time from, sim::Time to) const {
   return s;
 }
 
-std::vector<double> TimeSeries::values() const {
-  std::vector<double> v;
-  v.reserve(points_.size());
-  for (const auto& p : points_) v.push_back(p.value);
-  return v;
-}
-
 std::size_t mser5_truncation(const std::vector<double>& series) {
   constexpr std::size_t kBatch = 5;
   const std::size_t num_batches = series.size() / kBatch;
@@ -64,25 +57,6 @@ std::size_t mser5_truncation(const std::vector<double>& series) {
     }
   }
   return best_cut * kBatch;
-}
-
-TimeSeries TimeSeries::rebin(sim::Time width, double fill) const {
-  if (width <= sim::Time::zero()) throw std::invalid_argument{"TimeSeries: bin width must be > 0"};
-  TimeSeries out;
-  if (points_.empty()) return out;
-  const sim::Time start = points_.front().t;
-  const sim::Time end = points_.back().t;
-  std::size_t i = 0;
-  for (sim::Time lo = start; lo <= end; lo += width) {
-    const sim::Time hi = lo + width;
-    Summary s;
-    while (i < points_.size() && points_[i].t < hi) {
-      s.add(points_[i].value);
-      ++i;
-    }
-    out.add(lo, s.empty() ? fill : s.mean());
-  }
-  return out;
 }
 
 }  // namespace eblnet::stats

@@ -30,13 +30,6 @@ class TimeSeries {
   /// Summary over values with t in [from, to].
   Summary summarize(sim::Time from, sim::Time to) const;
 
-  /// Values only, in time order (for batch-means analysis).
-  std::vector<double> values() const;
-
-  /// Rebin into fixed-width buckets of `width`, averaging values whose
-  /// timestamps fall inside each bucket; empty buckets get `fill`.
-  TimeSeries rebin(sim::Time width, double fill = 0.0) const;
-
  private:
   std::vector<Point> points_;
 };

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <set>
@@ -107,24 +106,6 @@ void write_trace(std::ostream& os, const std::vector<net::TraceRecord>& records)
 void write_trace(std::ostream& os, const TraceStore& records) {
   for (const auto& r : records) os << format_record(r) << '\n';
 }
-
-struct FileTraceSink::Impl {
-  std::ofstream file;
-};
-
-FileTraceSink::FileTraceSink(const std::string& path) : impl_{std::make_unique<Impl>()} {
-  impl_->file.open(path);
-  if (!impl_->file) throw std::runtime_error{"FileTraceSink: cannot open " + path};
-}
-
-FileTraceSink::~FileTraceSink() = default;
-
-void FileTraceSink::record(const net::TraceRecord& r) {
-  impl_->file << format_record(r) << '\n';
-  ++count_;
-}
-
-void FileTraceSink::flush() { impl_->file.flush(); }
 
 std::vector<net::TraceRecord> parse_trace(std::istream& is) {
   std::vector<net::TraceRecord> out;

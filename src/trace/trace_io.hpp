@@ -1,7 +1,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,25 +27,5 @@ std::string format_record(const net::TraceRecord& r);
 /// interned in process-lifetime storage, so the returned records'
 /// `reason` views stay valid indefinitely.
 std::vector<net::TraceRecord> parse_trace(std::istream& is);
-
-/// A trace sink that streams records straight to a file instead of
-/// buffering them in memory — for long runs whose traces are analysed
-/// offline (the NS-2 workflow the paper followed: simulate, then parse
-/// the trace file).
-class FileTraceSink final : public net::TraceSink {
- public:
-  /// Throws std::runtime_error when the file cannot be opened.
-  explicit FileTraceSink(const std::string& path);
-  ~FileTraceSink() override;
-
-  void record(const net::TraceRecord& r) override;
-  std::uint64_t count() const noexcept { return count_; }
-  void flush();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-  std::uint64_t count_{0};
-};
 
 }  // namespace eblnet::trace

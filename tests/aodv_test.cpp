@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "mobility/waypoint.hpp"
 #include "routing/aodv.hpp"
 #include "routing/routing_table.hpp"
 #include "test_net.hpp"
 #include "transport/udp.hpp"
+#include "waypoint_mobility.hpp"
 
 namespace eblnet::routing {
 namespace {
@@ -204,7 +204,7 @@ TEST_F(AodvFixture, LinkFailureTriggersRerrAndReroute) {
   net.with_80211(a);
   aodvs_.push_back(&net.with_aodv(a));
 
-  auto mob = std::make_shared<mobility::WaypointMobility>(mobility::Vec2{100.0, 0.0});
+  auto mob = std::make_shared<eblnet::testing::WaypointMobility>(mobility::Vec2{100.0, 0.0});
   net::Node& b = net.add_mobile_node(mob);
   net.with_80211(b);
   aodvs_.push_back(&net.with_aodv(b));
@@ -243,7 +243,7 @@ TEST_F(AodvFixture, ReroutesAroundFailedIntermediate) {
     return n;
   };
   add({0.0, 0.0});
-  auto mob = std::make_shared<mobility::WaypointMobility>(mobility::Vec2{200.0, 100.0});
+  auto mob = std::make_shared<eblnet::testing::WaypointMobility>(mobility::Vec2{200.0, 100.0});
   net::Node& relay1 = net.add_mobile_node(mob);
   net.with_80211(relay1);
   aodvs_.push_back(&net.with_aodv(relay1));

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "mobility/waypoint.hpp"
 #include "routing/dsdv.hpp"
 #include "test_net.hpp"
 #include "transport/udp.hpp"
+#include "waypoint_mobility.hpp"
 
 namespace eblnet::routing {
 namespace {
@@ -122,7 +122,7 @@ TEST_F(DsdvFixture, BrokenLinkIsAdvertisedWithOddSeqno) {
   net::Node& a = net.add_node({0.0, 0.0});
   net.with_80211(a);
   with_dsdv(a, fast());
-  auto mob = std::make_shared<mobility::WaypointMobility>(mobility::Vec2{100.0, 0.0});
+  auto mob = std::make_shared<eblnet::testing::WaypointMobility>(mobility::Vec2{100.0, 0.0});
   net::Node& b = net.add_mobile_node(mob);
   net.with_80211(b);
   with_dsdv(b, fast());

@@ -2,7 +2,7 @@
 // plan validation, the empty-plan no-perturbation guarantee, determinism
 // of faulted runs (repeated seeds, serial vs parallel), and the
 // scenario-level failure semantics — crash cascades, AODV re-discovery
-// with a finite recorded time-to-reroute, clock skew and queue chaos.
+// with a finite recorded time-to-reroute, and blackouts.
 
 #include <gtest/gtest.h>
 
@@ -65,10 +65,6 @@ TEST(FaultPlanTest, ValidatesEvents) {
   EXPECT_THROW(install(FaultPlan{}.blackout(secs(1.0), Time::zero())), std::invalid_argument);
   EXPECT_THROW(install(FaultPlan{}.link_per(secs(1.0), secs(1.0), 1.5)), std::invalid_argument);
   EXPECT_THROW(install(FaultPlan{}.link_per(secs(1.0), secs(1.0), -0.1)), std::invalid_argument);
-  EXPECT_THROW(install(FaultPlan{}.clock_skew(sim::kAnyNode, secs(1.0), secs(1.0), 0.001)),
-               std::invalid_argument);
-  EXPECT_THROW(install(FaultPlan{}.queue_chaos(0, secs(1.0), secs(1.0), 2.0)),
-               std::invalid_argument);
   // And a well-formed plan installs fine.
   EXPECT_NO_THROW(install(FaultPlan{}.crash(0, secs(1.0), secs(2.0))));
 }
@@ -89,8 +85,6 @@ TEST(FaultPlanTest, EmptyPlanInstallsNothing) {
   // Still quiescent on every hot-path gate...
   EXPECT_FALSE(c.node_down(0));
   EXPECT_FALSE(c.delivery_faults_active());
-  EXPECT_EQ(c.clock_skew_s(0), 0.0);
-  EXPECT_FALSE(c.queue_chaos_active(0));
   // ...and a second (still empty) install is not an error.
   EXPECT_NO_THROW(c.install(FaultPlan{}, sched, nullptr, 1));
 }
@@ -131,10 +125,8 @@ TEST(FaultDeterminismTest, SerialAndParallelRunnersAgreeOnFaultedTrials) {
                                            core::trial3_config()};
     for (auto& cfg : cfgs) {
       cfg.duration = Time::seconds(std::int64_t{12});
-      cfg.faults = FaultPlan{}
-                       .crash(1, secs(3.0), secs(2.0))
-                       .link_per(secs(5.0), secs(4.0), 0.3)
-                       .queue_chaos(4, secs(2.0), secs(8.0), 0.5);
+      cfg.faults =
+          FaultPlan{}.crash(1, secs(3.0), secs(2.0)).link_per(secs(5.0), secs(4.0), 0.3);
     }
     return cfgs;
   }();
@@ -222,35 +214,4 @@ TEST(FaultScenarioTest, BlackoutSuppressesDeliveryInWindow) {
   }
   EXPECT_DOUBLE_EQ(r.resilience.outage_start_s, 4.0);
   EXPECT_DOUBLE_EQ(r.resilience.outage_end_s, 7.0);
-}
-
-TEST(FaultScenarioTest, ClockSkewDisruptsTdmaSchedule) {
-  // Skewing one node's slot clock by exactly one slot puts its transmits
-  // on top of its neighbour's slot, breaking TDMA's collision-freedom:
-  // the faulted run must show phy collisions the clean run cannot have.
-  core::ScenarioConfig cfg = core::trial1_config();
-  cfg.duration = Time::seconds(std::int64_t{16});
-  cfg.enable_metrics = true;
-  const core::TrialResult clean = core::run_trial(cfg, "tdma-clean");
-
-  const double one_slot = cfg.tdma.slot_duration().to_seconds();
-  cfg.faults = FaultPlan{}.clock_skew(1, secs(3.0), secs(10.0), one_slot);
-  const core::TrialResult skewed = core::run_trial(cfg, "tdma-skewed");
-
-  EXPECT_NE(clean.events_executed, skewed.events_executed);
-  EXPECT_EQ(clean.metrics.total(Counter::kPhyRxCollision), 0u);
-  EXPECT_GT(skewed.metrics.total(Counter::kPhyRxCollision), 0u);
-}
-
-TEST(FaultScenarioTest, QueueChaosCorruptsAndReorders) {
-  const core::TrialResult r =
-      short_trial1()
-          .metrics()
-          .with_faults(FaultPlan{}.queue_chaos(0, secs(2.0), secs(12.0), 1.0))
-          .run("chaos");
-  // With probability 1 every data packet entering node 0's queue is hit:
-  // both actions occur, and corrupted packets surface as "CRP" ifq drops.
-  EXPECT_GT(r.metrics.total(Counter::kFaultCorruptions), 0u);
-  EXPECT_GT(r.metrics.total(Counter::kFaultReorders), 0u);
-  EXPECT_GE(r.ifq_drops, r.metrics.total(Counter::kFaultCorruptions));
 }

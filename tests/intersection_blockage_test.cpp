@@ -64,12 +64,6 @@ TEST_F(IntersectionBlockageTest, EnvelopeUpperBoundsBothArmsAndIsInner) {
   const double d = std::hypot(80.0, 100.0);
   EXPECT_DOUBLE_EQ(model->envelope_rx_power(kTxW, d), inner->envelope_rx_power(kTxW, d));
   EXPECT_GE(model->envelope_rx_power(kTxW, d), model->rx_power_between(kTxW, tx, rx, d));
-
-  double batch_in[3] = {50.0, 128.0, 300.0};
-  double batch_out[3];
-  model->envelope_rx_power_batch(kTxW, batch_in, batch_out, 3);
-  for (int i = 0; i < 3; ++i)
-    EXPECT_DOUBLE_EQ(batch_out[i], inner->envelope_rx_power(kTxW, batch_in[i]));
 }
 
 TEST_F(IntersectionBlockageTest, IsPositionAwareAndForwardsPairStreams) {

@@ -185,7 +185,7 @@ core::TrialResult quick_faulted_trial() {
 TEST(ManifestSchemaTest, TrialManifestMatchesGolden) {
   std::ostringstream ss;
   core::report::write_json(ss, quick_trial());
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_trial_v8.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_trial_v9.keys");
 }
 
 TEST(ManifestSchemaTest, SweepManifestMatchesGolden) {
@@ -193,7 +193,7 @@ TEST(ManifestSchemaTest, SweepManifestMatchesGolden) {
   const core::TrialResult trials[] = {r, r};
   std::ostringstream ss;
   core::report::write_sweep_json(ss, "schema-sweep", trials);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_sweep_v8.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_sweep_v9.keys");
 }
 
 TEST(ManifestSchemaTest, ResilienceManifestMatchesGolden) {
@@ -207,7 +207,7 @@ TEST(ManifestSchemaTest, ResilienceManifestMatchesGolden) {
   const core::report::ResilienceCell cells[] = {cell};
   std::ostringstream ss;
   core::report::write_resilience_json(ss, "schema-resilience", baselines, cells);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_resilience_v8.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_resilience_v9.keys");
 }
 
 TEST(ManifestSchemaTest, TrafficManifestMatchesGolden) {
@@ -223,7 +223,7 @@ TEST(ManifestSchemaTest, TrafficManifestMatchesGolden) {
       core::ScenarioBuilder().with_traffic_flow(cfg).run_traffic("p=1.00")};
   std::ostringstream ss;
   core::report::write_traffic_json(ss, "schema-traffic", cfg, cells);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_traffic_v8.keys");
+  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_traffic_v9.keys");
 }
 
 TEST(ManifestSchemaTest, SchemaVersionIsDeclared) {

@@ -2,12 +2,13 @@
 
 #include "mobility/platoon.hpp"
 #include "mobility/vehicle.hpp"
-#include "mobility/waypoint.hpp"
 #include "sim/scheduler.hpp"
+#include "waypoint_mobility.hpp"
 
 namespace eblnet::mobility {
 namespace {
 
+using eblnet::testing::WaypointMobility;
 using sim::Time;
 using namespace sim::time_literals;
 
@@ -184,15 +185,6 @@ TEST_F(VehicleTest, BrakeWhileStoppedIsNoOp) {
   EXPECT_TRUE(seen.empty());
 }
 
-TEST_F(VehicleTest, HeadingChangeOnlyWhileStopped) {
-  Vehicle v{sched, {0.0, 0.0}, {1.0, 0.0}};
-  v.set_heading({0.0, 1.0});
-  v.cruise(5.0);
-  EXPECT_THROW(v.set_heading({1.0, 0.0}), std::logic_error);
-  sched.run_until(1_s);
-  EXPECT_NEAR(v.position_at(1_s).y, 5.0, 1e-9);
-}
-
 TEST_F(VehicleTest, RejectsBadArguments) {
   EXPECT_THROW(Vehicle(sched, {0.0, 0.0}, {0.0, 0.0}), std::invalid_argument);
   Vehicle v{sched, {0.0, 0.0}, {1.0, 0.0}};
@@ -201,45 +193,21 @@ TEST_F(VehicleTest, RejectsBadArguments) {
   EXPECT_THROW(v.brake(-1.0), std::invalid_argument);
 }
 
-TEST_F(VehicleTest, AccelerateRampsToTargetSpeed) {
+TEST_F(VehicleTest, BrakeWhileBrakingUsesInstantaneousSpeed) {
   Vehicle v{sched, {0.0, 0.0}, {1.0, 0.0}};
-  v.accelerate(2.0, 10.0);  // reaches 10 m/s after 5 s, covering 25 m
-  EXPECT_EQ(v.state(), DriveState::kCruising);
-  EXPECT_NEAR(v.velocity_at(Time::seconds(2.5)).x, 5.0, 1e-9);
-  EXPECT_NEAR(v.position_at(Time::seconds(2.5)).x, 6.25, 1e-9);
-  EXPECT_NEAR(v.velocity_at(5_s).x, 10.0, 1e-9);
-  EXPECT_NEAR(v.position_at(5_s).x, 25.0, 1e-9);
-  // After the ramp: constant speed.
-  EXPECT_NEAR(v.velocity_at(7_s).x, 10.0, 1e-9);
-  EXPECT_NEAR(v.position_at(7_s).x, 45.0, 1e-9);
-}
-
-TEST_F(VehicleTest, AccelerateCanEaseDownToSlowerTarget) {
-  Vehicle v{sched, {0.0, 0.0}, {1.0, 0.0}};
-  v.cruise(20.0);
-  sched.run_until(1_s);
-  v.accelerate(5.0, 10.0);  // ease down, not an emergency brake
-  EXPECT_EQ(v.state(), DriveState::kCruising);  // not "braking" for EBL
-  sched.run_until(4_s);
-  EXPECT_NEAR(v.current_speed(), 10.0, 1e-9);
-  // 20 m (first second) + ramp 2 s avg 15 -> 30 m + 1 s at 10 -> 10 m.
-  EXPECT_NEAR(v.position_at(4_s).x, 60.0, 1e-9);
-}
-
-TEST_F(VehicleTest, BrakeDuringAccelerationUsesInstantaneousSpeed) {
-  Vehicle v{sched, {0.0, 0.0}, {1.0, 0.0}};
-  v.accelerate(2.0, 20.0);
-  sched.run_until(2_s);  // at 4 m/s
-  v.brake(4.0);          // stops after 1 s, 2 m further
-  sched.run_until(5_s);
+  v.cruise(10.0);
+  v.brake(2.0);          // would stop at t = 5 s, 25 m out
+  sched.run_until(2_s);  // at 6 m/s, 16 m out
+  v.brake(6.0);          // stops after 1 s, 3 m further
+  EXPECT_EQ(v.state(), DriveState::kBraking);
+  sched.run_until(3_s);
   EXPECT_EQ(v.state(), DriveState::kStopped);
-  EXPECT_NEAR(v.position_at(5_s).x, 4.0 + 2.0, 1e-9);
-}
-
-TEST_F(VehicleTest, AccelerateValidatesArguments) {
-  Vehicle v{sched, {0.0, 0.0}, {1.0, 0.0}};
-  EXPECT_THROW(v.accelerate(0.0, 10.0), std::invalid_argument);
-  EXPECT_THROW(v.accelerate(2.0, 0.0), std::invalid_argument);
+  EXPECT_NEAR(v.position_at(3_s).x, 16.0 + 3.0, 1e-9);
+  // The re-armed stop timer replaced the t = 5 s one: still at rest there.
+  sched.run_until(10_s);
+  EXPECT_EQ(v.state(), DriveState::kStopped);
+  EXPECT_NEAR(v.position_at(10_s).x, 19.0, 1e-9);
+  EXPECT_EQ(v.velocity_at(10_s), Vec2{});
 }
 
 TEST_F(VehicleTest, StoppingDistanceFormula) {
@@ -297,16 +265,6 @@ TEST_F(PlatoonTest, ValidatesConstruction) {
   EXPECT_THROW(Platoon(sched, 0, {0.0, 0.0}, {1.0, 0.0}, 5.0), std::invalid_argument);
   EXPECT_THROW(Platoon(sched, 2, {0.0, 0.0}, {1.0, 0.0}, 0.0), std::invalid_argument);
   EXPECT_THROW(Platoon(sched, 2, {0.0, 0.0}, {0.0, 0.0}, 5.0), std::invalid_argument);
-}
-
-TEST_F(PlatoonTest, SetHeadingPivotsStoppedVehicles) {
-  Platoon p{sched, 2, {0.0, 0.0}, {0.0, 1.0}, 5.0};
-  p.set_heading({1.0, 0.0});
-  p.cruise(10.0);
-  sched.run_until(1_s);
-  EXPECT_NEAR(p.lead()->position_at(1_s).x, 10.0, 1e-9);
-  EXPECT_NEAR(p.vehicle(1)->position_at(1_s).x, 10.0, 1e-9);
-  EXPECT_NEAR(p.vehicle(1)->position_at(1_s).y, -5.0, 1e-9);
 }
 
 // Parameterized kinematics sweep: braking from speed v at decel a always

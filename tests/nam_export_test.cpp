@@ -2,8 +2,8 @@
 
 #include <sstream>
 
-#include "mobility/waypoint.hpp"
 #include "trace/nam_export.hpp"
+#include "waypoint_mobility.hpp"
 
 namespace eblnet::trace {
 namespace {
@@ -54,7 +54,7 @@ TEST(NamExportTest, StaticNodesGetNoMotionUpdates) {
 }
 
 TEST(NamExportTest, MovingNodesAreResampled) {
-  mobility::WaypointMobility m{{0.0, 0.0}};
+  eblnet::testing::WaypointMobility m{{0.0, 0.0}};
   m.set_destination_at(Time::zero(), {100.0, 0.0}, 10.0);  // moves for 10 s
   std::ostringstream os;
   NamExportConfig cfg;

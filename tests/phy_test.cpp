@@ -63,24 +63,6 @@ TEST(PropagationTest, ZeroDistanceIsFullPower) {
   EXPECT_DOUBLE_EQ(tr.rx_power(0.5, 0.0), 0.5);
 }
 
-TEST(PropagationTest, LogDistanceExponentControlsFalloff) {
-  const LogDistanceShadowing ld2{2.0, 0.0};
-  const LogDistanceShadowing ld4{4.0, 0.0};
-  const double near = ld2.rx_power(1.0, 10.0);
-  const double far = ld2.rx_power(1.0, 100.0);
-  EXPECT_NEAR(near / far, 100.0, 1e-6);  // beta=2 => 10^2 over a decade
-  EXPECT_NEAR(ld4.rx_power(1.0, 10.0) / ld4.rx_power(1.0, 100.0), 1e4, 1e-2);
-}
-
-TEST(PropagationTest, ShadowingIsDeterministicGivenRng) {
-  sim::Rng r1{9}, r2{9};
-  const LogDistanceShadowing a{2.5, 4.0, 1.0, 914e6, &r1};
-  const LogDistanceShadowing b{2.5, 4.0, 1.0, 914e6, &r2};
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(a.rx_power(1.0, 50.0), b.rx_power(1.0, 50.0));
-  }
-}
-
 TEST(PropagationTest, NakagamiMeanMatchesTwoRay) {
   sim::Rng rng{7};
   const NakagamiFading nak{3.0, rng};
@@ -128,8 +110,6 @@ TEST(PropagationTest, NakagamiRejectsBadShape) {
 
 TEST(PropagationTest, ValidatesArguments) {
   EXPECT_THROW(FreeSpace(0.0), std::invalid_argument);
-  EXPECT_THROW(LogDistanceShadowing(0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(LogDistanceShadowing(2.0, 1.0, 0.0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

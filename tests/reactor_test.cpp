@@ -3,8 +3,8 @@
 #include "core/ebl_app.hpp"
 #include "core/reactor.hpp"
 #include "core/rsu.hpp"
-#include "mobility/waypoint.hpp"
 #include "test_net.hpp"
+#include "waypoint_mobility.hpp"
 
 namespace eblnet::core {
 namespace {
@@ -218,7 +218,7 @@ TEST_F(RsuFixture, ApproachingVehicleWarnedNearRadioRange) {
   net.with_80211(rsu_node);
   net.with_static(rsu_node);
 
-  auto car_mob = std::make_shared<mobility::WaypointMobility>(mobility::Vec2{-600.0, 0.0});
+  auto car_mob = std::make_shared<eblnet::testing::WaypointMobility>(mobility::Vec2{-600.0, 0.0});
   car_mob->set_destination_at(Time::zero(), {0.0, 0.0}, 30.0);
   net::Node& car = net.add_mobile_node(car_mob);
   net.with_80211(car);

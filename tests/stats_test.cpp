@@ -71,33 +71,6 @@ TEST(SummaryTest, NumericallyStableForLargeOffsets) {
   EXPECT_NEAR(s.variance(), 30.0, 1e-6);
 }
 
-TEST(SummaryTest, MergeEqualsCombinedStream) {
-  sim::Rng rng{9};
-  Summary all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(0.0, 10.0);
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(SummaryTest, MergeWithEmptyIsIdentity) {
-  Summary a, b;
-  a.add(1.0);
-  a.add(2.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
 // ---------------------------------------------------------------------------
 // Confidence intervals
 // ---------------------------------------------------------------------------
@@ -196,37 +169,6 @@ TEST(TimeSeriesTest, SummarizeAllAndWindow) {
   const Summary w = ts.summarize(2_s, 4_s);
   EXPECT_EQ(w.count(), 3u);
   EXPECT_DOUBLE_EQ(w.mean(), 3.0);
-}
-
-TEST(TimeSeriesTest, ValuesPreservesOrder) {
-  TimeSeries ts;
-  ts.add(1_s, 3.0);
-  ts.add(2_s, 1.0);
-  ts.add(3_s, 2.0);
-  EXPECT_EQ(ts.values(), (std::vector<double>{3.0, 1.0, 2.0}));
-}
-
-TEST(TimeSeriesTest, RebinAveragesWithinBuckets) {
-  TimeSeries ts;
-  ts.add(Time::zero(), 1.0);
-  ts.add(100_ms, 3.0);
-  ts.add(1_s, 10.0);
-  ts.add(2_s, 7.0);
-  const TimeSeries binned = ts.rebin(1_s);
-  ASSERT_EQ(binned.size(), 3u);
-  EXPECT_DOUBLE_EQ(binned.points()[0].value, 2.0);
-  EXPECT_DOUBLE_EQ(binned.points()[1].value, 10.0);
-  EXPECT_DOUBLE_EQ(binned.points()[2].value, 7.0);
-}
-
-TEST(TimeSeriesTest, RebinFillsEmptyBuckets) {
-  TimeSeries ts;
-  ts.add(Time::zero(), 1.0);
-  ts.add(3_s, 4.0);
-  const TimeSeries binned = ts.rebin(1_s, -1.0);
-  ASSERT_EQ(binned.size(), 4u);
-  EXPECT_DOUBLE_EQ(binned.points()[1].value, -1.0);
-  EXPECT_DOUBLE_EQ(binned.points()[2].value, -1.0);
 }
 
 // ---------------------------------------------------------------------------

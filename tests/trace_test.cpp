@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <type_traits>
 
@@ -163,28 +162,6 @@ TEST(TraceIoTest, ParserRejectsGarbage) {
   EXPECT_THROW(parse_trace(bad3), std::runtime_error);
   std::stringstream bad4{"s 1.0 _0_ AGT 1 tcp\n"};
   EXPECT_THROW(parse_trace(bad4), std::runtime_error);
-}
-
-TEST(TraceIoTest, FileSinkStreamsParseableLines) {
-  const std::string path = ::testing::TempDir() + "/eblnet_trace_test.tr";
-  std::vector<net::TraceRecord> in;
-  in.push_back(make_record(1.0, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0, 1, 0));
-  in.push_back(make_record(1.5, net::TraceAction::kDrop, net::TraceLayer::kMac, 1, 0, 1, 1,
-                           net::PacketType::kTcpData, "RET"));
-  {
-    FileTraceSink sink{path};
-    for (const auto& r : in) sink.record(r);
-    EXPECT_EQ(sink.count(), 2u);
-  }
-  std::ifstream is{path};
-  const auto out = parse_trace(is);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].t, in[0].t);
-  EXPECT_EQ(out[1].reason, "RET");
-}
-
-TEST(TraceIoTest, FileSinkRejectsBadPath) {
-  EXPECT_THROW(FileTraceSink{"/nonexistent-dir-xyz/trace.tr"}, std::runtime_error);
 }
 
 TEST(TraceIoTest, FormatRecordMatchesWriteTrace) {

@@ -1,6 +1,6 @@
 // TrafficFlow engine contracts: deterministic Poisson spawning, the
-// vehicle lifecycle, policy/force-stop overrides, signalised
-// intersections, and the MobilityModel read-side view.
+// vehicle lifecycle, policy/force-stop overrides, multi-road flows, and
+// the MobilityModel read-side view.
 
 #include <gtest/gtest.h>
 
@@ -155,6 +155,12 @@ TEST(TrafficFlowLifecycle, NonFiniteAndDegenerateParamsAreRejectedByName) {
       {"speed_jitter_frac", [](P& p) { p.speed_jitter_frac = kNaN; }},
       {"hard_brake_threshold_mps2", [](P& p) { p.hard_brake_threshold_mps2 = 0.0; }},
       {"slow_speed_mps", [](P& p) { p.slow_speed_mps = kNaN; }},
+      {"length_m", [](P& p) { p.roads[0].length_m = kNaN; }},
+      {"length_m", [](P& p) { p.roads[0].length_m = kInf; }},
+      {"direction", [](P& p) { p.roads[0].direction = {kNaN, 0.0}; }},
+      {"origin", [](P& p) { p.roads[0].origin = {0.0, kNaN}; }},
+      {"lane_width_m", [](P& p) { p.roads[0].lane_width_m = kNaN; }},
+      {"lane_width_m", [](P& p) { p.roads[0].lane_width_m = -3.5; }},
   };
   for (const Case& c : cases) {
     P p = P::highway(1, 1000.0, 0.2);
@@ -248,40 +254,18 @@ TEST(TrafficFlowOverrides, PolicyWidensHeadwayAndCapsSpeedUntilExpiry) {
 }
 
 // ---------------------------------------------------------------------------
-// Signalised intersection
+// Multi-road flows
 // ---------------------------------------------------------------------------
 
-TEST(TrafficFlowSignals, RedHoldsTheColumnAtTheStopLineGreenReleasesIt) {
-  // One signalled road, manual injection: green 5 s, then red 30 s. The
-  // vehicle reaches the stop line during red, waits, and clears on green.
-  TrafficFlowParams p = TrafficFlowParams::highway(1, 600.0, 0.0);
-  p.roads[0].stop_line_m = 300.0;
-  p.roads[0].signal_green = Time::seconds(std::int64_t{5});
-  p.roads[0].signal_red = Time::seconds(std::int64_t{30});
-  TrafficFlow flow{p, 1};
-  const auto v = flow.spawn(0, 0, 0.0, 20.0);
-  sim::Scheduler sched;
-  flow.start(sched);
-
-  // t = 30 s: deep in the red window; held just short of the line.
-  sched.run_until(Time::seconds(std::int64_t{30}));
-  EXPECT_LT(flow.speed_of(v), 0.5);
-  EXPECT_LT(flow.longitudinal_pos(v), 300.0);
-  EXPECT_GT(flow.longitudinal_pos(v), 270.0);
-
-  // Green at t = 35 s: the vehicle clears the line and leaves the road.
-  sched.run_until(Time::seconds(std::int64_t{70}));
-  EXPECT_FALSE(flow.active(v));
-}
-
-TEST(TrafficFlowSignals, IntersectionFactoryPhasesAreComplementary) {
-  const TrafficFlowParams p = TrafficFlowParams::intersection(
-      1000.0, 0.1, Time::seconds(std::int64_t{10}), Time::seconds(std::int64_t{10}));
-  ASSERT_EQ(p.roads.size(), 2u);
-  // Both arms signalled at their mid-span stop lines; the two flows run.
+TEST(TrafficFlowRoads, EveryRoadOfATwoRoadFlowSpawnsVehicles) {
+  // A second road heading north, crossing the highway's eastbound one.
+  TrafficFlowParams p = TrafficFlowParams::highway(1, 1000.0, 0.1);
+  RoadSpec north = p.roads[0];
+  north.origin = {500.0, -500.0};
+  north.direction = {0.0, 1.0};
+  p.roads.push_back(north);
   FlowRun r{p, 5, 180.0};
   EXPECT_GT(r.flow.spawned_total(), 10u);
-  // Vehicles use both roads and some have completed their crossing.
   bool road0 = false, road1 = false;
   for (TrafficFlow::VehicleId v = 0; v < r.flow.spawned_total(); ++v) {
     road0 |= r.flow.road_of(v) == 0;
@@ -331,21 +315,6 @@ TEST(TrafficFlowReadSide, SpeedNeverExceedsTheDeclaredBound) {
       ASSERT_LE(flow.speed_of(v), bound) << "vehicle " << v << " at t=" << s;
     }
   }
-}
-
-TEST(TrafficFlowReadSide, StopCancelsTheTickAndStateFreezes) {
-  TrafficFlowParams p = TrafficFlowParams::highway(1, 10000.0, 0.0);
-  TrafficFlow flow{p, 1};
-  const auto v = flow.spawn(0, 0, 0.0, 20.0);
-  sim::Scheduler sched;
-  flow.start(sched);
-  sched.run_until(Time::seconds(std::int64_t{5}));
-  const double pos = flow.longitudinal_pos(v);
-  const std::uint64_t ticks = flow.ticks_executed();
-  flow.stop();
-  sched.run_until(Time::seconds(std::int64_t{10}));
-  EXPECT_EQ(flow.ticks_executed(), ticks);
-  EXPECT_DOUBLE_EQ(flow.longitudinal_pos(v), pos);
 }
 
 }  // namespace
