@@ -13,31 +13,13 @@ cmake --build "$BUILD"
 ctest --test-dir "$BUILD" --output-on-failure
 
 # Same test suite under ASan+UBSan: the packet-pool / inline-callback /
-# trace-arena lifetime code is exactly what sanitizers are for. The
-# fault-injection suite (label "fault"), the grid/batched-cull
-# equivalence and per-node container suites (label "perf"), the
-# car-following dynamics suite (label "mobility"), the thread-pool and
-# parallel-runner suite (label "parallel"), the run-cache / campaign
-# suite (label "campaign"), and the V2X beaconing suite (label "v2x") run
-# as explicit passes: crash / flush / mid-flight-detach paths, the SoA
-# swap-remove bookkeeping, the queue-ring growth and channel detach
-# compaction, the spawn/despawn vehicle lifecycle with its closed-loop
-# callbacks, the task handoff between pool threads, the cache's
-# parse/evict/reconstruct path over
-# real (including deliberately corrupted) files, and the EDCA internal
-# queues / beacon callback / blockage-wrapper indirection are the
-# likeliest places for lifetime bugs, so their sanitizer runs must not
-# be skippable by label filters.
+# trace-arena lifetime code is exactly what sanitizers are for. One
+# unfiltered pass runs every test once, so no label needs a pass of its
+# own.
 SAN_BUILD=build-asan
 cmake -B "$SAN_BUILD" -G Ninja -DEBLNET_SANITIZE=ON
 cmake --build "$SAN_BUILD"
-ctest --test-dir "$SAN_BUILD" -LE "fault|perf|mobility|parallel|campaign|v2x" --output-on-failure
-ctest --test-dir "$SAN_BUILD" -L fault --output-on-failure
-ctest --test-dir "$SAN_BUILD" -L perf --output-on-failure
-ctest --test-dir "$SAN_BUILD" -L mobility --output-on-failure
-ctest --test-dir "$SAN_BUILD" -L parallel --output-on-failure
-ctest --test-dir "$SAN_BUILD" -L campaign --output-on-failure
-ctest --test-dir "$SAN_BUILD" -L v2x --output-on-failure
+ctest --test-dir "$SAN_BUILD" --output-on-failure
 
 # The concurrent suites again under ThreadSanitizer: ThreadPool's queue
 # handoff and the Runner's trial fan-out are the code that runs on
