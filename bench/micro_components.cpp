@@ -114,6 +114,55 @@ void BM_SchedulerTimerRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerTimerRearm)->Arg(16)->Arg(64);
 
+/// A Timer that re-arms itself every `period` from its own handler,
+/// through `lane` when one is given.
+struct PeriodicTicker {
+  PeriodicTicker(sim::Scheduler& sched, sim::Time period, const sim::Scheduler::Lane* lane)
+      : period{period}, lane{lane}, timer{sched, [this] { rearm(); }} {}
+  void rearm() {
+    if (lane != nullptr) {
+      timer.schedule_in(*lane);
+    } else {
+      timer.schedule_in(period);
+    }
+  }
+  sim::Time period;
+  const sim::Scheduler::Lane* lane;
+  sim::Timer timer;
+};
+
+void BM_SchedulerPeriodicTimers(benchmark::State& state) {
+  // The CBR-feeder and AODV-purge shape: n Timers each re-arm themselves
+  // every 500 ms from their own handler, at phases spread over the
+  // period, beside 2n one-shot events due after the run, which keep the
+  // heap about as deep as highway_grid's. lane=0 re-arms with
+  // schedule_in(delay), through the heap; lane=1 through a fixed-delay
+  // lane. items_per_second is ticks per second.
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  const sim::Time period = sim::Time::milliseconds(500);
+  sim::Scheduler sched;
+  const sim::Scheduler::Lane lane = sched.lane(period);
+  for (std::int64_t i = 0; i < 2 * n; ++i) {
+    sched.schedule_at(sim::Time::seconds(std::int64_t{1'000'000'000}) + sim::Time::nanoseconds(i),
+                      [] {});
+  }
+  std::vector<std::unique_ptr<PeriodicTicker>> tickers;
+  tickers.reserve(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    tickers.push_back(
+        std::make_unique<PeriodicTicker>(sched, period, state.range(1) != 0 ? &lane : nullptr));
+    tickers.back()->timer.schedule_at(period * i / n);
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(sched.run(1));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerPeriodicTimers)
+    ->ArgNames({"n", "lane"})
+    ->Args({1'000, 0})
+    ->Args({1'000, 1})
+    ->Args({20'000, 0})
+    ->Args({20'000, 1});
+
 void BM_PacketCopy(benchmark::State& state) {
   net::Packet p;
   p.uid = 7;

@@ -27,6 +27,7 @@ Beacon::Beacon(net::Env& env, net::Node& node, phy::WirelessPhy* phy, BeaconPara
   // A zero interval re-arms tick() at now() forever.
   if (params_.interval <= sim::Time::zero())
     throw std::invalid_argument{"Beacon: interval must be > 0"};
+  lane_ = env.scheduler().lane(params_.interval);
   node_.bind_port(params_.port, this);
 }
 
@@ -72,7 +73,7 @@ void Beacon::tick() {
   ++sent_;
   env_.metrics().add(node_.id(), sim::Counter::kAppBeaconSent);
   node_.send(std::move(p));
-  timer_.schedule_in(params_.interval);
+  timer_.schedule_in(lane_);
 }
 
 void Beacon::sample_cbr() {

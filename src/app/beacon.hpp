@@ -73,6 +73,7 @@ class Beacon final : public net::PortHandler {
   BeaconParams params_;
   sim::Timer timer_;
   bool running_{false};
+  sim::Scheduler::Lane lane_;  ///< params_.interval's lane (steady-state re-arm)
   std::uint64_t seq_{0};
   std::uint64_t sent_{0};
   std::uint64_t received_{0};

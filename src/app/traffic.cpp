@@ -9,6 +9,7 @@ CbrSource::CbrSource(net::Env& env, transport::UdpAgent& udp, std::size_t packet
     : udp_{udp}, packet_bytes_{packet_bytes}, interval_{interval},
       timer_{env.scheduler(), [this] { tick(); }} {
   if (interval <= sim::Time::zero()) throw std::invalid_argument{"CbrSource: interval must be > 0"};
+  lane_ = env.scheduler().lane(interval);
 }
 
 void CbrSource::start() {
@@ -25,15 +26,15 @@ void CbrSource::stop() {
 void CbrSource::tick() {
   if (!running_) return;
   udp_.send(packet_bytes_);
-  timer_.schedule_in(interval_);
+  timer_.schedule_in(lane_);
 }
 
 TcpCbrFeeder::TcpCbrFeeder(net::Env& env, transport::TcpSender& tcp, std::size_t packet_bytes,
                            sim::Time interval)
-    : tcp_{tcp}, packet_bytes_{packet_bytes}, interval_{interval},
-      timer_{env.scheduler(), [this] { tick(); }} {
+    : tcp_{tcp}, packet_bytes_{packet_bytes}, timer_{env.scheduler(), [this] { tick(); }} {
   if (interval <= sim::Time::zero())
     throw std::invalid_argument{"TcpCbrFeeder: interval must be > 0"};
+  lane_ = env.scheduler().lane(interval);
 }
 
 void TcpCbrFeeder::start() {
@@ -52,7 +53,7 @@ void TcpCbrFeeder::tick() {
   ++offered_;
   tcp_.node().env().metrics().add(tcp_.node().id(), sim::Counter::kAppMessagesGenerated);
   tcp_.advance_bytes(packet_bytes_);
-  timer_.schedule_in(interval_);
+  timer_.schedule_in(lane_);
 }
 
 }  // namespace eblnet::app

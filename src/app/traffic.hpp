@@ -34,6 +34,7 @@ class CbrSource {
   std::size_t packet_bytes_;
   sim::Time interval_;
   bool running_{false};
+  sim::Scheduler::Lane lane_;  ///< interval_'s lane
   sim::Timer timer_;
 };
 
@@ -58,8 +59,8 @@ class TcpCbrFeeder {
 
   transport::TcpSender& tcp_;
   std::size_t packet_bytes_;
-  sim::Time interval_;
   bool running_{false};
+  sim::Scheduler::Lane lane_;  ///< the feed interval's lane
   std::uint64_t offered_{0};
   sim::Timer timer_;
 };

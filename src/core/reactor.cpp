@@ -58,17 +58,17 @@ CollisionMonitor::CollisionMonitor(net::Env& env,
     : env_{env},
       column_{std::move(column)},
       min_gap_{min_gap},
-      interval_{sample_interval},
       timer_{env.scheduler(), [this] { sample(); }} {
   if (column_.size() < 2) throw std::invalid_argument{"CollisionMonitor: need >= 2 vehicles"};
   if (sample_interval <= sim::Time::zero())
     throw std::invalid_argument{"CollisionMonitor: sample interval must be > 0"};
+  lane_ = env.scheduler().lane(sample_interval);
 }
 
 void CollisionMonitor::start() {
   if (running_) return;
   running_ = true;
-  timer_.schedule_in(interval_);
+  timer_.schedule_in(lane_);
 }
 
 void CollisionMonitor::stop() {
@@ -90,7 +90,7 @@ void CollisionMonitor::sample() {
       return;  // stop sampling: the episode is decided
     }
   }
-  timer_.schedule_in(interval_);
+  timer_.schedule_in(lane_);
 }
 
 }  // namespace eblnet::core

@@ -85,9 +85,9 @@ class CollisionMonitor {
   net::Env& env_;
   std::vector<std::shared_ptr<mobility::Vehicle>> column_;
   double min_gap_;
-  sim::Time interval_;
   bool running_{false};
   bool collided_{false};
+  sim::Scheduler::Lane lane_;  ///< the sample interval's lane
   sim::Time collision_time_{};
   std::size_t follower_{0};
   double min_observed_gap_{1e300};

@@ -8,12 +8,12 @@ FhssHopper::FhssHopper(net::Env& env, std::vector<WirelessPhy*> members,
                        std::uint32_t num_channels, sim::Time dwell, std::uint64_t hop_seed)
     : members_{std::move(members)},
       num_channels_{num_channels},
-      dwell_{dwell},
       hop_rng_{hop_seed},
       timer_{env.scheduler(), [this] { hop(); }} {
   if (num_channels_ == 0) throw std::invalid_argument{"FhssHopper: need at least one channel"};
-  if (dwell_ <= sim::Time::zero()) throw std::invalid_argument{"FhssHopper: dwell must be > 0"};
+  if (dwell <= sim::Time::zero()) throw std::invalid_argument{"FhssHopper: dwell must be > 0"};
   if (members_.empty()) throw std::invalid_argument{"FhssHopper: no member radios"};
+  lane_ = env.scheduler().lane(dwell);
 }
 
 void FhssHopper::start() {
@@ -32,7 +32,7 @@ void FhssHopper::hop() {
   current_ = static_cast<std::uint32_t>(hop_rng_.uniform_int(std::uint64_t{num_channels_}));
   ++hops_;
   for (WirelessPhy* phy : members_) phy->set_channel_id(current_);
-  timer_.schedule_in(dwell_);
+  timer_.schedule_in(lane_);
 }
 
 }  // namespace eblnet::phy

@@ -32,11 +32,11 @@ class FhssHopper {
 
   std::vector<WirelessPhy*> members_;
   std::uint32_t num_channels_;
-  sim::Time dwell_;
   sim::Rng hop_rng_;
   std::uint32_t current_{0};
   std::uint64_t hops_{0};
   bool running_{false};
+  sim::Scheduler::Lane lane_;  ///< the dwell time's lane
   sim::Timer timer_;
 };
 

@@ -17,8 +17,9 @@ Aodv::Aodv(net::Env& env, net::NodeId self, AodvParams params)
       self_{self},
       params_{params},
       hello_timer_{env.scheduler(), [this] { on_hello_tick(); }},
-      purge_timer_{env.scheduler(), [this] { on_purge_tick(); }} {
-  purge_timer_.schedule_in(sim::Time::milliseconds(500));
+      purge_timer_{env.scheduler(), [this] { on_purge_tick(); }},
+      purge_lane_{env.scheduler().lane(sim::Time::milliseconds(500))} {
+  purge_timer_.schedule_in(purge_lane_);
 }
 
 void Aodv::attach_mac(net::MacLayer* mac) {
@@ -432,12 +433,13 @@ void Aodv::send_rerr(const std::vector<net::AodvRerrHeader::Unreachable>& list) 
 // ---------------------------------------------------------------------------
 
 void Aodv::start_hello() {
+  hello_lane_ = env_.scheduler().lane(params_.hello_interval);
   hello_timer_.schedule_in(
       env_.rng().uniform_time(sim::Time::zero(), params_.hello_interval));
 }
 
 void Aodv::on_hello_tick() {
-  hello_timer_.schedule_in(params_.hello_interval);
+  hello_timer_.schedule_in(hello_lane_);
 
   net::Packet p = make_control(net::PacketType::kAodvHello, net::kBroadcastAddress, 1);
   net::AodvHelloHeader h;
@@ -522,7 +524,7 @@ bool Aodv::rreq_seen(net::NodeId origin, std::uint32_t bcast_id) {
 }
 
 void Aodv::on_purge_tick() {
-  purge_timer_.schedule_in(sim::Time::milliseconds(500));
+  purge_timer_.schedule_in(purge_lane_);
   table_.purge(env_.now());
   const sim::Time now = env_.now();
   std::erase_if(rreq_cache_, [now](const auto& kv) { return kv.second <= now; });

@@ -161,6 +161,10 @@ class Aodv final : public net::RoutingAgent {
   /// failure samples Gauge::kAodvRerouteSeconds (failure -> replacement
   /// route installed).
   bool reroute_pending_{false};
+  /// Lanes of the two periodic timers: every purge_timer_ arm, and
+  /// hello_timer_'s steady-state re-arm (looked up when HELLO starts).
+  sim::Scheduler::Lane purge_lane_;
+  sim::Scheduler::Lane hello_lane_;
   sim::Time link_failed_at_{};
   void note_discovery_completed();
 

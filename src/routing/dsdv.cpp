@@ -13,6 +13,7 @@ Dsdv::Dsdv(net::Env& env, net::NodeId self, DsdvParams params)
   // A zero period re-arms on_periodic() at now() forever.
   if (params_.periodic_update_interval <= sim::Time::zero())
     throw std::invalid_argument{"Dsdv: periodic_update_interval must be > 0"};
+  periodic_lane_ = env.scheduler().lane(params_.periodic_update_interval);
   // Own entry: metric 0, always-fresh even seqno.
   table_[self_] = Entry{self_, own_seqno_, 0, env_.now()};
   // Desynchronised start so co-located nodes don't dump simultaneously.
@@ -89,7 +90,7 @@ bool Dsdv::has_route(net::NodeId dst) const { return route(dst) != nullptr; }
 // ---------------------------------------------------------------------------
 
 void Dsdv::on_periodic() {
-  periodic_timer_.schedule_in(params_.periodic_update_interval);
+  periodic_timer_.schedule_in(periodic_lane_);
   send_full_update();
 }
 

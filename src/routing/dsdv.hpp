@@ -86,6 +86,7 @@ class Dsdv final : public net::RoutingAgent {
   std::unordered_map<net::NodeId, Entry> table_;
   std::uint32_t own_seqno_{0};
   bool dirty_{false};
+  sim::Scheduler::Lane periodic_lane_;  ///< steady-state re-arm of periodic_timer_
   sim::Time last_triggered_{};
 
   sim::Timer periodic_timer_;

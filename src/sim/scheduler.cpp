@@ -18,8 +18,7 @@ const Scheduler::Slot* Scheduler::resolve(EventId id) const noexcept {
   return &s;
 }
 
-EventId Scheduler::schedule_at(Time at, Callback cb) {
-  if (at < now_) throw std::invalid_argument{"Scheduler: event scheduled in the past"};
+std::uint32_t Scheduler::take_slot(Time at, Callback&& cb) {
   if (!cb) throw std::invalid_argument{"Scheduler: empty callback"};
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -34,9 +33,54 @@ EventId Scheduler::schedule_at(Time at, Callback cb) {
   s.key_at = at;
   s.key_seq = next_seq_++;
   s.cb = std::move(cb);
+  ++live_;
+  return slot;
+}
+
+EventId Scheduler::schedule_at(Time at, Callback cb) {
+  if (at < now_) throw std::invalid_argument{"Scheduler: event scheduled in the past"};
+  const std::uint32_t slot = take_slot(at, std::move(cb));
+  const Slot& s = slots_[slot];
   heap_.push_back(Entry{at, s.key_seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  ++live_;
+  return make_id(slot, s.gen);
+}
+
+Scheduler::Lane Scheduler::lane(Time delay) {
+  if (delay.is_negative()) {
+    throw std::invalid_argument{"Scheduler: lane delay " + delay.to_string() +
+                                " s is negative"};
+  }
+  for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
+    if (lanes_[i].delay == delay) return Lane{i};
+  }
+  lanes_.emplace_back(delay);
+  return Lane{static_cast<std::uint32_t>(lanes_.size() - 1)};
+}
+
+EventId Scheduler::schedule_in(Lane lane, Callback cb) {
+  assert(lane.index_ < lanes_.size());
+  LaneRing& l = lanes_[lane.index_];
+  const std::uint32_t slot = take_slot(now_ + l.delay, std::move(cb));
+  const Slot& s = slots_[slot];
+  if (l.count == l.capacity) {
+    // Full: double the ring, unwrapping it so the front is at index 0.
+    const std::uint32_t grown = l.capacity == 0 ? 16 : 2 * l.capacity;
+    auto ring = std::make_unique_for_overwrite<Entry[]>(grown);
+    for (std::uint32_t i = 0; i < l.count; ++i) {
+      ring[i] = l.ring[(l.first + i) & (l.capacity - 1)];
+    }
+    l.ring = std::move(ring);
+    l.capacity = grown;
+    l.first = 0;
+  }
+  const Entry e{s.key_at, s.key_seq, slot};
+  l.ring[(l.first + l.count) & (l.capacity - 1)] = e;
+  // A push into an empty lane is the only push that moves a head.
+  if (l.count++ == 0 && Later{}(lane_head_, e)) {
+    lane_head_ = e;
+    lane_head_lane_ = lane.index_;
+  }
   return make_id(slot, s.gen);
 }
 
@@ -44,8 +88,8 @@ void Scheduler::cancel(EventId id) {
   Slot* s = const_cast<Slot*>(resolve(id));
   if (s == nullptr || s->key_seq == 0) return;
   s->key_seq = 0;
-  // Release the capture now (it may own pooled packets); the heap entry
-  // stays behind as a tombstone and is discarded when it reaches the top.
+  // Release the capture now (it may own pooled packets); the heap or lane
+  // entry stays behind as a tombstone and is discarded at the front.
   s->cb.reset();
   --live_;
 }
@@ -53,8 +97,9 @@ void Scheduler::cancel(EventId id) {
 bool Scheduler::postpone(EventId id, Time at) {
   Slot* s = const_cast<Slot*>(resolve(id));
   if (s == nullptr || s->key_seq == 0 || at < s->key_at) return false;
-  // The heap entry keeps its old key, which is earlier than this one, so
-  // it surfaces before the event is due; drop_or_rekey_top moves it then.
+  // The queued entry keeps its old key, which is earlier than this one,
+  // so it surfaces before the event is due. drop_or_rekey_top re-keys a
+  // heap entry then; next_source moves a lane entry to the heap.
   s->key_at = at;
   s->key_seq = next_seq_++;
   return true;
@@ -100,42 +145,77 @@ void Scheduler::drop_or_rekey_top() {
   heap_[hole] = moving;
 }
 
-bool Scheduler::pop_next(Entry& out, Callback& cb) {
-  while (!heap_.empty()) {
-    if (heap_.front().seq != slots_[heap_.front().slot].key_seq) {
-      drop_or_rekey_top();
-      continue;
+void Scheduler::pop_lane_head() {
+  LaneRing& l = lanes_[lane_head_lane_];
+  l.first = (l.first + 1) & (l.capacity - 1);
+  --l.count;
+  refresh_lane_head();
+}
+
+void Scheduler::refresh_lane_head() {
+  lane_head_ = kNoEntry;
+  for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
+    const LaneRing& l = lanes_[i];
+    if (l.count != 0 && Later{}(lane_head_, l.ring[l.first])) {
+      lane_head_ = l.ring[l.first];
+      lane_head_lane_ = i;
     }
-    out = pop_top();
-    // Move the callback to the caller's storage before releasing: the
-    // callback may schedule new events, which can recycle (or grow) the
-    // slot table.
-    cb = std::move(slots_[out.slot].cb);
-    release_slot(out.slot);
-    --live_;
-    return true;
   }
-  return false;
+}
+
+Scheduler::Source Scheduler::next_source() {
+  for (;;) {
+    if (!heap_.empty()) {
+      const Entry& top = heap_.front();
+      if (top.seq != slots_[top.slot].key_seq) {
+        drop_or_rekey_top();
+        continue;
+      }
+      // The one compare a heap event pays for the lanes.
+      if (!Later{}(top, lane_head_)) return Source::kHeap;
+    } else if (lane_head_.seq == kNoEntry.seq) {
+      return Source::kNone;
+    }
+    const std::uint32_t slot = lane_head_.slot;
+    const Slot& s = slots_[slot];
+    if (lane_head_.seq == s.key_seq) return Source::kLane;
+    // A dead lane head: a cancelled event frees its slot; a postponed
+    // one's live key need not fit the lane's order, so it finishes its
+    // wait in the heap.
+    pop_lane_head();
+    if (s.key_seq == 0) {
+      release_slot(slot);
+    } else {
+      heap_.push_back(Entry{s.key_at, s.key_seq, slot});
+      std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+  }
+}
+
+void Scheduler::fire(Source src) {
+  Entry e;
+  if (src == Source::kHeap) {
+    e = pop_top();
+  } else {
+    e = lane_head_;
+    pop_lane_head();
+  }
+  assert(e.at >= now_);
+  // Move the callback to the stack before releasing: the callback may
+  // schedule new events, which can recycle (or grow) the slot table.
+  Callback cb = std::move(slots_[e.slot].cb);
+  release_slot(e.slot);
+  --live_;
+  now_ = e.at;
+  ++executed_;
+  cb();
 }
 
 std::uint64_t Scheduler::run_until(Time until) {
   std::uint64_t n = 0;
-  while (!heap_.empty()) {
-    // Clear cancelled and postponed entries off the top so the time peek
-    // below sees the next event that will actually fire.
-    if (heap_.front().seq != slots_[heap_.front().slot].key_seq) {
-      drop_or_rekey_top();
-      continue;
-    }
-    if (heap_.front().at > until) break;
-    const Entry e = pop_top();
-    Callback cb = std::move(slots_[e.slot].cb);
-    release_slot(e.slot);
-    --live_;
-    now_ = e.at;
-    ++executed_;
-    ++n;
-    cb();
+  for (Source src; (src = next_source()) != Source::kNone; ++n) {
+    if ((src == Source::kHeap ? heap_.front().at : lane_head_.at) > until) break;
+    fire(src);
   }
   if (now_ < until) now_ = until;
   return n;
@@ -143,25 +223,27 @@ std::uint64_t Scheduler::run_until(Time until) {
 
 std::uint64_t Scheduler::run(std::uint64_t max_events) {
   std::uint64_t n = 0;
-  Entry e;
-  Callback cb;
-  while (n < max_events && pop_next(e, cb)) {
-    assert(e.at >= now_);
-    now_ = e.at;
-    ++executed_;
-    ++n;
-    cb();
-    cb.reset();
-  }
+  for (Source src; n < max_events && (src = next_source()) != Source::kNone; ++n) fire(src);
   return n;
 }
 
 void Scheduler::clear() {
   heap_.clear();
+  for (LaneRing& l : lanes_) {
+    l.first = 0;
+    l.count = 0;
+  }
+  lane_head_ = kNoEntry;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].in_use) release_slot(i);
   }
   live_ = 0;
+}
+
+std::size_t Scheduler::queued_entries() const noexcept {
+  std::size_t n = heap_.size();
+  for (const LaneRing& l : lanes_) n += l.count;
+  return n;
 }
 
 }  // namespace eblnet::sim

@@ -15,6 +15,14 @@ namespace eblnet::sim {
 /// Protocol state machines (MAC backoff, TCP RTO, AODV route expiry, ...)
 /// are built out of these.
 ///
+/// A timer that re-arms itself with one fixed delay (a CBR tick, a purge
+/// or hello period, a sampler) arms through a lane instead:
+/// `schedule_in(Scheduler::Lane)` gives the shot the same (time, seq) key
+/// as `schedule_in(delay)` with the lane's delay, but the scheduler
+/// queues it in O(1) instead of sifting the heap. The owner looks the lane
+/// up once (Scheduler::lane) and keeps the four-byte handle itself, so a
+/// Timer stays 64 bytes. A timer may mix both forms freely.
+///
 /// The owner must outlive any pending expiry: cancel in the owner's
 /// destructor (or let the Scheduler be destroyed first, which drops all
 /// events without running them).
@@ -48,6 +56,16 @@ class Timer {
 
   /// (Re)arm the timer to fire `delay` from now.
   void schedule_in(Time delay) { schedule_at(sched_->now() + delay); }
+
+  /// (Re)arm the timer to fire lane_delay(lane) from now, through `lane`.
+  /// A pending shot is moved exactly as schedule_at would move it.
+  void schedule_in(Scheduler::Lane lane) {
+    const Time at = sched_->now() + sched_->lane_delay(lane);
+    expires_at_ = at;
+    if (sched_->postpone(id_, at)) return;
+    cancel();
+    id_ = sched_->schedule_in(lane, [this] { fire(); });
+  }
 
   /// (Re)arm the timer to fire at absolute time `at`.
   void schedule_at(Time at) {
@@ -96,5 +114,7 @@ class Timer {
   Time expires_at_{};
   bool* alive_flag_ = nullptr;
 };
+// A node owns over a dozen Timers; lane handles live in their owners.
+static_assert(sizeof(Timer) <= 64);
 
 }  // namespace eblnet::sim

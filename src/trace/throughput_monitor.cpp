@@ -11,13 +11,14 @@ ThroughputMonitor::ThroughputMonitor(net::Env& env, ByteCounter counter, sim::Ti
   if (!counter_) throw std::invalid_argument{"ThroughputMonitor: counter required"};
   if (interval <= sim::Time::zero())
     throw std::invalid_argument{"ThroughputMonitor: interval must be > 0"};
+  lane_ = env.scheduler().lane(interval);
 }
 
 void ThroughputMonitor::start() {
   if (running_) return;
   running_ = true;
   last_bytes_ = counter_();
-  timer_.schedule_in(interval_);
+  timer_.schedule_in(lane_);
 }
 
 void ThroughputMonitor::stop() {
@@ -31,7 +32,7 @@ void ThroughputMonitor::tick() {
                       (interval_.to_seconds() * 1e6);
   last_bytes_ = bytes;
   series_.add(timer_.expires_at(), mbps);
-  timer_.schedule_in(interval_);
+  timer_.schedule_in(lane_);
 }
 
 }  // namespace eblnet::trace

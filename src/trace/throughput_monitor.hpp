@@ -33,6 +33,7 @@ class ThroughputMonitor {
   sim::Time interval_;
   std::uint64_t last_bytes_{0};
   bool running_{false};
+  sim::Scheduler::Lane lane_;  ///< interval_'s lane
   sim::Timer timer_;
   stats::TimeSeries series_;
 };
