@@ -135,10 +135,13 @@ void BM_SchedulerPeriodicTimers(benchmark::State& state) {
   // The CBR-feeder and AODV-purge shape: n Timers each re-arm themselves
   // every 500 ms from their own handler, at phases spread over the
   // period, beside 2n one-shot events due after the run, which keep the
-  // heap about as deep as highway_grid's. lane=0 re-arms with
-  // schedule_in(delay), through the heap; lane=1 through a fixed-delay
-  // lane. items_per_second is ticks per second.
+  // heap about as deep as highway_grid's. mode=0 re-arms with
+  // schedule_in(delay), through the heap; mode=1 through a fixed-delay
+  // lane; mode=2 through the lane with every timer muted, so a tick is
+  // re-queued without running its handler (the idle feeder and purge
+  // ticks). items_per_second is ticks per second.
   const auto n = static_cast<std::int64_t>(state.range(0));
+  const std::int64_t mode = state.range(1);
   const sim::Time period = sim::Time::milliseconds(500);
   sim::Scheduler sched;
   const sim::Scheduler::Lane lane = sched.lane(period);
@@ -150,18 +153,26 @@ void BM_SchedulerPeriodicTimers(benchmark::State& state) {
   tickers.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
     tickers.push_back(
-        std::make_unique<PeriodicTicker>(sched, period, state.range(1) != 0 ? &lane : nullptr));
+        std::make_unique<PeriodicTicker>(sched, period, mode != 0 ? &lane : nullptr));
     tickers.back()->timer.schedule_at(period * i / n);
+  }
+  if (mode == 2) {
+    // One tick each moves every timer from its first heap shot into the
+    // lane, where it can be muted.
+    sched.run(static_cast<std::uint64_t>(n));
+    for (const auto& t : tickers) t->timer.mute();
   }
   for (auto _ : state) benchmark::DoNotOptimize(sched.run(1));
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerPeriodicTimers)
-    ->ArgNames({"n", "lane"})
+    ->ArgNames({"n", "mode"})
     ->Args({1'000, 0})
     ->Args({1'000, 1})
+    ->Args({1'000, 2})
     ->Args({20'000, 0})
-    ->Args({20'000, 1});
+    ->Args({20'000, 1})
+    ->Args({20'000, 2});
 
 void BM_PacketCopy(benchmark::State& state) {
   net::Packet p;

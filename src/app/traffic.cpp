@@ -35,7 +35,11 @@ TcpCbrFeeder::TcpCbrFeeder(net::Env& env, transport::TcpSender& tcp, std::size_t
   if (interval <= sim::Time::zero())
     throw std::invalid_argument{"TcpCbrFeeder: interval must be > 0"};
   lane_ = env.scheduler().lane(interval);
+  tcp_.set_source(this);
+  env.metrics().attach(*this, tcp.node().id(), sim::Counter::kAppMessagesGenerated);
 }
+
+TcpCbrFeeder::~TcpCbrFeeder() { tcp_.set_source(nullptr); }
 
 void TcpCbrFeeder::start() {
   if (running_) return;
@@ -44,6 +48,7 @@ void TcpCbrFeeder::start() {
 }
 
 void TcpCbrFeeder::stop() {
+  settle();
   running_ = false;
   timer_.cancel();
 }
@@ -51,9 +56,21 @@ void TcpCbrFeeder::stop() {
 void TcpCbrFeeder::tick() {
   if (!running_) return;
   ++offered_;
-  tcp_.node().env().metrics().add(tcp_.node().id(), sim::Counter::kAppMessagesGenerated);
   tcp_.advance_bytes(packet_bytes_);
+  // The re-arm is the tick's last act, so a muted tick (which re-arms and
+  // does nothing else) takes the same seq as this one.
   timer_.schedule_in(lane_);
+  if (!tcp_.window_open()) timer_.mute();
+}
+
+void TcpCbrFeeder::settle() {
+  const std::uint64_t ticks = timer_.unmute();
+  if (ticks == 0) return;
+  offered_ += ticks;
+  // The window was shut at every one of these ticks and still is (the
+  // sender settles before it can open), so this sends nothing, as none
+  // of the ticks did.
+  tcp_.advance_bytes(ticks * packet_bytes_);
 }
 
 }  // namespace eblnet::app

@@ -43,19 +43,33 @@ class CbrSource {
 /// While running it makes `packet_bytes` more data available to the
 /// sender every `interval`; TCP's window decides when the bytes actually
 /// leave, so queueing shows up as one-way delay at the sink.
-class TcpCbrFeeder {
+///
+/// A tick behind a shut window only grows the backlog, so after such a
+/// tick re-arms, the feeder mutes its timer (sim::Scheduler::mute): later
+/// ticks keep their events and (time, seq) keys but run no handler. The
+/// sender settles the feeder (TcpSender::Source) before anything that
+/// can open the window or read the backlog, and settling adds the muted
+/// ticks to the offered count and their bytes to the backlog, which is
+/// all those ticks would have done. kAppMessagesGenerated is read from
+/// packets_offered() through a CounterLink, so it is exact at every
+/// snapshot without a per-tick add().
+class TcpCbrFeeder final : private transport::TcpSender::Source, private sim::CounterLink {
  public:
   TcpCbrFeeder(net::Env& env, transport::TcpSender& tcp, std::size_t packet_bytes,
                sim::Time interval);
+  ~TcpCbrFeeder();
 
   void start();
   void stop();
   bool running() const noexcept { return running_; }
 
-  std::uint64_t packets_offered() const noexcept { return offered_; }
+  /// Messages offered so far, muted ticks included.
+  std::uint64_t packets_offered() const noexcept { return offered_ + timer_.muted_ticks(); }
 
  private:
   void tick();
+  void settle() override;
+  std::uint64_t value() const noexcept override { return packets_offered(); }
 
   transport::TcpSender& tcp_;
   std::size_t packet_bytes_;

@@ -124,6 +124,7 @@ void Aodv::send_via(net::Packet p, net::NodeId next_hop) {
 
 void Aodv::buffer_and_discover(net::Packet p) {
   const net::NodeId dst = p.ip->dst;
+  purge_timer_.unmute();
   auto& q = buffer_[dst];
   if (q.size() >= params_.buffer_capacity) {
     env_.trace(net::TraceAction::kDrop, net::TraceLayer::kRouter, self_, q.front().packet, "BUF");
@@ -243,6 +244,7 @@ void Aodv::handle_rreq(net::Packet p) {
     rev.hop_count = h.hop_count;
     rev.next_hop = p.prev_hop;
     rev.valid = true;
+    purge_timer_.unmute();
   }
   const sim::Time rev_life = env_.now() + params_.net_traversal_time();
   if (rev.expires < rev_life) rev.expires = rev_life;
@@ -306,6 +308,7 @@ void Aodv::handle_rrep(net::Packet p) {
     e.hop_count = new_hops;
     e.next_hop = p.prev_hop;
     e.valid = true;
+    purge_timer_.unmute();
     e.expires = env_.now() + h.lifetime;
   }
   update_neighbor_route(p.prev_hop);
@@ -370,6 +373,7 @@ void Aodv::handle_hello(const net::Packet& p) {
     e->hop_count = 1;
     e->next_hop = h.src;
     e->valid = true;
+    purge_timer_.unmute();
   }
   const sim::Time life =
       env_.now() + params_.hello_interval * static_cast<std::int64_t>(params_.allowed_hello_loss);
@@ -509,6 +513,7 @@ void Aodv::update_neighbor_route(net::NodeId neighbor) {
     e.hop_count = 1;
     e.next_hop = neighbor;
     e.valid = true;
+    purge_timer_.unmute();
   }
   const sim::Time life = env_.now() + params_.active_route_timeout;
   if (e.expires < life) e.expires = life;
@@ -519,6 +524,7 @@ bool Aodv::rreq_seen(net::NodeId origin, std::uint32_t bcast_id) {
   const sim::Time now = env_.now();
   const auto it = rreq_cache_.find(key);
   if (it != rreq_cache_.end() && it->second > now) return true;
+  purge_timer_.unmute();
   rreq_cache_[key] = now + params_.bcast_id_save;
   return false;
 }
@@ -538,6 +544,11 @@ void Aodv::on_purge_tick() {
     }
     it = q.empty() && !discoveries_.contains(it->first) ? buffer_.erase(it) : std::next(it);
   }
+  // Nothing left that a later tick could expire or drop: mute the timer
+  // until an entry turns valid or the RREQ cache or the buffer gains one.
+  // The re-arm above was this handler's first act, so muted ticks keep
+  // their keys.
+  if (rreq_cache_.empty() && buffer_.empty() && !table_.any_valid()) purge_timer_.mute();
 }
 
 }  // namespace eblnet::routing

@@ -86,6 +86,8 @@ class Aodv final : public net::RoutingAgent {
   RoutingTable& table() noexcept { return table_; }
   net::NodeId self() const noexcept { return self_; }
   bool hello_active() const noexcept { return hello_timer_.pending(); }
+  /// True while the purge timer is muted (see purge_timer_).
+  bool purge_muted() const { return purge_timer_.muted(); }
 
  private:
   // --- data plane ---
@@ -155,6 +157,11 @@ class Aodv final : public net::RoutingAgent {
   std::unordered_map<net::NodeId, sim::Time> neighbors_;
 
   sim::Timer hello_timer_;
+  /// Expires routes, RREQ-cache entries and buffered packets every
+  /// 500 ms. on_purge_tick mutes it while no entry is valid and the cache
+  /// and buffer are empty, when a tick would do nothing; every site that
+  /// sets an entry valid or inserts into either container unmutes it.
+  /// Muted ticks did nothing, so there is nothing to fold in.
   sim::Timer purge_timer_;
 
   /// Resilience accounting: the next completed discovery after a link

@@ -39,6 +39,13 @@ std::size_t RoutingTable::purge(sim::Time now) {
   return n;
 }
 
+bool RoutingTable::any_valid() const noexcept {
+  for (const auto& [dst, e] : entries_) {
+    if (e.valid) return true;
+  }
+  return false;
+}
+
 std::vector<RouteEntry*> RoutingTable::routes_via(net::NodeId next_hop) {
   std::vector<RouteEntry*> out;
   for (auto& [dst, e] : entries_) {

@@ -51,6 +51,10 @@ class RoutingTable {
   /// All valid entries whose next hop is `next_hop` (used on link break).
   std::vector<RouteEntry*> routes_via(net::NodeId next_hop);
 
+  /// True if any entry is marked valid, expired or not. Entries are
+  /// never erased, so size() does not say this.
+  bool any_valid() const noexcept;
+
   std::size_t size() const noexcept { return entries_.size(); }
 
   /// Iteration support (tests, diagnostics).

@@ -109,9 +109,38 @@ void MetricsSnapshot::merge(const MetricsSnapshot& o) {
   for (std::size_t i = 0; i < o.gauges.size(); ++i) gauges[i].merge(o.gauges[i]);
 }
 
+MetricsRegistry::~MetricsRegistry() {
+  while (links_.next_ != &links_) links_.next_->unlink();
+}
+
+void MetricsRegistry::attach(CounterLink& link, std::uint32_t node, Counter c) noexcept {
+  link.unlink();
+  link.node_ = node;
+  link.counter_ = c;
+  link.prev_ = &links_;
+  link.next_ = links_.next_;
+  links_.next_->prev_ = &link;
+  links_.next_ = &link;
+}
+
+std::uint64_t MetricsRegistry::linked(std::uint32_t node, Counter c) const noexcept {
+  std::uint64_t sum = 0;
+  if (!enabled_) return sum;
+  for (const CounterLink* l = links_.next_; l != &links_; l = l->next_) {
+    if (l->node_ == node && l->counter_ == c) sum += l->value();
+  }
+  return sum;
+}
+
 std::uint64_t MetricsRegistry::total(Counter c) const noexcept {
   std::uint64_t sum = 0;
-  for (std::uint32_t n = 0; n < nodes_; ++n) sum += node_counter(n, c);
+  for (std::uint32_t n = 0; n < nodes_; ++n) {
+    sum += counters_[n * kCounterCount + static_cast<std::size_t>(c)];
+  }
+  if (!enabled_) return sum;
+  for (const CounterLink* l = links_.next_; l != &links_; l = l->next_) {
+    if (l->counter_ == c) sum += l->value();
+  }
   return sum;
 }
 
@@ -126,6 +155,18 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   s.nodes = nodes_;
   s.counters = counters_;
   s.gauges = gauges_;
+  if (!enabled_) return s;
+  for (const CounterLink* l = links_.next_; l != &links_; l = l->next_) {
+    const std::uint64_t v = l->value();
+    if (v == 0) continue;
+    // One add() per event would have grown the rows at the first one.
+    if (l->node_ >= s.nodes) {
+      s.nodes = l->node_ + 1;
+      s.counters.resize(s.nodes * kCounterCount, 0);
+      s.gauges.resize(s.nodes * kGaugeCount);
+    }
+    s.counters[l->node_ * kCounterCount + static_cast<std::size_t>(l->counter_)] += v;
+  }
   return s;
 }
 

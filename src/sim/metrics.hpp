@@ -171,6 +171,41 @@ struct MetricsSnapshot {
   void merge(const MetricsSnapshot& o);
 };
 
+/// A counter its owner keeps itself instead of calling add() once per
+/// event, for events that do not all run: app::TcpCbrFeeder's offered
+/// messages, whose ticks may be muted (sim::Scheduler::mute). While the
+/// registry is enabled, snapshot(), node_counter() and total() add
+/// value() to the link's (node, counter), allocating nothing, so each
+/// read equals what one add() per event would give over a run with
+/// metrics on from the start. reset() does not rewind a link. A link
+/// detaches itself when destroyed, and the registry detaches every link
+/// when it is.
+class CounterLink {
+ public:
+  CounterLink(const CounterLink&) = delete;
+  CounterLink& operator=(const CounterLink&) = delete;
+
+  /// Events counted so far.
+  virtual std::uint64_t value() const noexcept = 0;
+
+ protected:
+  CounterLink() noexcept = default;
+  ~CounterLink() { unlink(); }
+
+ private:
+  friend class MetricsRegistry;
+  void unlink() noexcept {
+    prev_->next_ = next_;
+    next_->prev_ = prev_;
+    prev_ = next_ = this;
+  }
+
+  CounterLink* prev_{this};
+  CounterLink* next_{this};
+  std::uint32_t node_{0};
+  Counter counter_{};
+};
+
 /// Counter/gauge registry for one simulation, owned by net::Env.
 ///
 /// Hot-path contract (mirrors Env::trace): when disabled — the default —
@@ -178,7 +213,8 @@ struct MetricsSnapshot {
 /// built with EBLNET_METRICS_DISABLED they compile to nothing at all.
 /// When enabled, a counter bump is bounds-check + indexed add into a flat
 /// per-node table; rows are grown on first use of a node id, never on a
-/// repeat visit.
+/// repeat visit. A counter whose events may not run one by one is kept
+/// by its owner and read through a CounterLink instead.
 class MetricsRegistry {
  public:
 #ifdef EBLNET_METRICS_DISABLED
@@ -190,6 +226,10 @@ class MetricsRegistry {
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+  ~MetricsRegistry();
+
+  /// Read `link` as `node`'s counter `c` from now on (see CounterLink).
+  void attach(CounterLink& link, std::uint32_t node, Counter c) noexcept;
 
   bool enabled() const noexcept { return enabled_; }
   void set_enabled(bool on) noexcept { enabled_ = on && kCompiledIn; }
@@ -221,8 +261,9 @@ class MetricsRegistry {
   std::uint32_t nodes() const noexcept { return nodes_; }
 
   std::uint64_t node_counter(std::uint32_t node, Counter c) const noexcept {
-    if (node >= nodes_) return 0;
-    return counters_[node * kCounterCount + static_cast<std::size_t>(c)];
+    const std::uint64_t added =
+        node < nodes_ ? counters_[node * kCounterCount + static_cast<std::size_t>(c)] : 0;
+    return links_.next_ == &links_ ? added : added + linked(node, c);
   }
   std::uint64_t total(Counter c) const noexcept;
   GaugeStat node_gauge(std::uint32_t node, Gauge g) const noexcept {
@@ -230,14 +271,23 @@ class MetricsRegistry {
     return gauges_[node * kGaugeCount + static_cast<std::size_t>(g)];
   }
 
-  /// Zero every counter and gauge (rows stay registered).
+  /// Zero every counter and gauge (rows stay registered); links keep
+  /// their values.
   void reset() noexcept;
 
   MetricsSnapshot snapshot() const;
 
  private:
   void grow(std::uint32_t node);
+  /// The sum of the links for (node, c); 0 while disabled.
+  std::uint64_t linked(std::uint32_t node, Counter c) const noexcept;
 
+  /// Sentinel of the circular list of attached links.
+  struct LinkHead final : CounterLink {
+    std::uint64_t value() const noexcept override { return 0; }
+  };
+
+  LinkHead links_;
   bool enabled_{false};
   std::uint32_t nodes_{0};
   std::vector<std::uint64_t> counters_;

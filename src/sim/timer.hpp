@@ -23,6 +23,13 @@ namespace eblnet::sim {
 /// up once (Scheduler::lane) and keeps the four-byte handle itself, so a
 /// Timer stays 64 bytes. A timer may mix both forms freely.
 ///
+/// A lane-armed timer can be muted (Scheduler::mute): its handler stops
+/// running, and each tick only re-queues the shot one lane delay later
+/// and counts itself. pending() stays true. expires_at() is stale while
+/// muted and right again after unmute(), which returns the ticks the
+/// owner must account for. The owner unmutes before it cancels or
+/// re-arms the timer.
+///
 /// The owner must outlive any pending expiry: cancel in the owner's
 /// destructor (or let the Scheduler be destroyed first, which drops all
 /// events without running them).
@@ -83,6 +90,19 @@ class Timer {
   }
 
   bool pending() const { return id_ != kInvalidEventId && sched_->is_pending(id_); }
+
+  /// Mute the pending lane shot; false, changing nothing, when the timer
+  /// is idle or its shot is not in a lane.
+  bool mute() { return sched_->mute(id_); }
+  /// Unmute and return the ticks skipped while muted (0 when not muted).
+  std::uint64_t unmute() {
+    const std::uint64_t ticks = sched_->unmute(id_);
+    if (ticks != 0) expires_at_ = sched_->due_at(id_);
+    return ticks;
+  }
+  bool muted() const { return sched_->is_muted(id_); }
+  /// Ticks skipped since the timer was muted.
+  std::uint64_t muted_ticks() const { return sched_->muted_ticks(id_); }
 
   /// Expiry time of the currently pending shot (meaningless when idle).
   Time expires_at() const noexcept { return expires_at_; }

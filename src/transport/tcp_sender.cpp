@@ -34,6 +34,7 @@ TcpSender::TcpSender(net::Node& node, net::Port local_port, TcpParams params)
 TcpSender::~TcpSender() { node_.unbind_port(local_port_); }
 
 void TcpSender::connect(net::NodeId dst, net::Port dport) {
+  settle_source();
   peer_ = dst;
   peer_port_ = dport;
 }
@@ -44,6 +45,7 @@ void TcpSender::advance_bytes(std::size_t bytes) {
 }
 
 void TcpSender::truncate_backlog() {
+  settle_source();
   if (infinite_data_) {
     infinite_data_ = false;
     available_bytes_ = 0;
@@ -103,6 +105,7 @@ void TcpSender::send_packet(std::int64_t seq, bool is_retransmit) {
 }
 
 void TcpSender::recv(net::Packet p) {
+  settle_source();
   if (!p.tcp) return;
   ++stats_.acks_received;
   node_.env().metrics().add(node_.id(), sim::Counter::kTcpAcksReceived);
@@ -179,6 +182,7 @@ void TcpSender::on_dup_ack() {
 }
 
 void TcpSender::on_rto_timeout() {
+  settle_source();
   if (t_seqno_ <= highest_ack_ + 1 && !in_fast_recovery_) return;  // nothing outstanding
   ++stats_.timeouts;
   node_.env().metrics().add(node_.id(), sim::Counter::kTcpRtoFirings);

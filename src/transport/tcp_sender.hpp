@@ -43,9 +43,27 @@ struct TcpStats {
 /// teardown, matching the NS-2 one-way agents the paper used).
 ///
 /// Applications feed the sender bytes with advance_bytes()/set_infinite();
-/// the sender packetises them into `packet_size` payloads.
+/// the sender packetises them into `packet_size` payloads. A writer that
+/// may owe bytes it has not handed over yet (app::TcpCbrFeeder, whose
+/// ticks are muted while the window is shut) registers as the Source.
+/// Every entry that can open the window or reads the backlog settles it
+/// first: ACK receipt (duplicates included), the RTO handler, connect()
+/// and truncate_backlog(). Settling only where send_much() runs is not
+/// enough: Reno's fast retransmit and NewReno's partial ACK open the
+/// window without calling it.
 class TcpSender final : public net::PortHandler {
  public:
+  /// A writer that can owe the sender data.
+  class Source {
+   public:
+    /// Hand over everything owed. Called before the window can open, so
+    /// the data only joins the backlog.
+    virtual void settle() = 0;
+
+   protected:
+    ~Source() = default;
+  };
+
   TcpSender(net::Node& node, net::Port local_port, TcpParams params = {});
   ~TcpSender() override;
 
@@ -68,6 +86,18 @@ class TcpSender final : public net::PortHandler {
 
   void recv(net::Packet p) override;  ///< ACKs from the sink
 
+  /// The one writer to settle (nullptr: none); it must detach before it
+  /// is destroyed.
+  void set_source(Source* source) noexcept { source_ = source; }
+
+  /// True when the sender could transmit a new segment if it had the
+  /// data: it has a peer and its window is open. While false, more data
+  /// only grows the backlog.
+  bool window_open() const {
+    return peer_ != net::kBroadcastAddress &&
+           t_seqno_ <= highest_ack_ + static_cast<std::int64_t>(effective_window());
+  }
+
   // --- introspection ---
   net::Node& node() noexcept { return node_; }
   const TcpStats& stats() const noexcept { return stats_; }
@@ -88,8 +118,12 @@ class TcpSender final : public net::PortHandler {
   void restart_rto();
   double effective_window() const;
   std::int64_t app_seq_limit() const;
+  void settle_source() {
+    if (source_ != nullptr) source_->settle();
+  }
 
   net::Node& node_;
+  Source* source_{nullptr};
   net::Port local_port_;
   net::NodeId peer_{net::kBroadcastAddress};
   net::Port peer_port_{0};

@@ -196,6 +196,39 @@ TEST_F(AodvFixture, RouteExpiresWithoutTraffic) {
   EXPECT_FALSE(aodv(0).has_valid_route(1));
 }
 
+TEST_F(AodvFixture, QuietNodeKeepsThePurgeGridForANewRoute) {
+  // The purge runs every 500 ms from t = 0, and a node holding nothing
+  // mutes it. A neighbour route installed at 2.2 s expires at 3.25 s,
+  // between two ticks: the 3.5 s tick must invalidate it, as it would if
+  // every tick had run.
+  AodvParams params;
+  params.active_route_timeout = 1050_ms;
+  build_chain(2, 100.0, params);
+  net.run_until(2200_ms);
+  ASSERT_TRUE(aodv(0).purge_muted());
+
+  // Data from node 1 installs the route through update_neighbor_route
+  // alone: no RREQ-cache entry, no buffered packet.
+  net::Packet p;
+  p.uid = net.env().alloc_uid();
+  p.type = net::PacketType::kUdpData;
+  p.ip.emplace();
+  p.ip->src = 1;
+  p.ip->dst = 0;
+  p.prev_hop = 1;
+  aodv(0).route_input(std::move(p));
+  EXPECT_FALSE(aodv(0).purge_muted());
+  ASSERT_NE(aodv(0).table().find(1), nullptr);
+  EXPECT_EQ(aodv(0).table().find(1)->expires, 3250_ms);
+
+  // table().find() does not expire entries; only the purge does.
+  net.run_until(3500_ms - 1_ns);
+  EXPECT_TRUE(aodv(0).table().find(1)->valid);
+  net.run_until(3500_ms);
+  EXPECT_FALSE(aodv(0).table().find(1)->valid);
+  EXPECT_TRUE(aodv(0).purge_muted());  // nothing valid is left
+}
+
 TEST_F(AodvFixture, LinkFailureTriggersRerrAndReroute) {
   // 0 -> 1 with node 1 mobile: after it drives away, the MAC reports the
   // broken link, node 0 invalidates the route and rediscovers (failing,

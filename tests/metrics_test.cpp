@@ -119,6 +119,68 @@ TEST(MetricsRegistryTest, SnapshotCopiesState) {
   EXPECT_EQ(snap.node_counter(1, Counter::kAodvRreqSent), 3u);
 }
 
+/// An owner-kept counter, as app::TcpCbrFeeder keeps its offered messages.
+struct OwnedCount final : CounterLink {
+  std::uint64_t count{0};
+  std::uint64_t value() const noexcept override { return count; }
+};
+
+TEST(MetricsRegistryTest, LinkedCounterReadsAsIfAddedPerEvent) {
+  MetricsRegistry reg;
+  reg.set_enabled(true);
+  reg.add(1, Counter::kAppMessagesGenerated, 2);
+  OwnedCount a;
+  OwnedCount idle;
+  reg.attach(a, 1, Counter::kAppMessagesGenerated);
+  reg.attach(idle, 7, Counter::kAppMessagesGenerated);
+  a.count = 5;
+  EXPECT_EQ(reg.node_counter(1, Counter::kAppMessagesGenerated), 7u);
+  EXPECT_EQ(reg.total(Counter::kAppMessagesGenerated), 7u);
+
+  // A link that has counted nothing grows no row, as no add() would have.
+  MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.nodes, 2u);
+  EXPECT_EQ(snap.node_counter(1, Counter::kAppMessagesGenerated), 7u);
+  idle.count = 1;
+  snap = reg.snapshot();
+  EXPECT_EQ(snap.nodes, 8u);
+  EXPECT_EQ(snap.gauges.size(), 8 * kGaugeCount);
+  EXPECT_EQ(snap.node_counter(7, Counter::kAppMessagesGenerated), 1u);
+  EXPECT_EQ(reg.node_counter(7, Counter::kAppMessagesGenerated), 1u);
+  EXPECT_EQ(reg.total(Counter::kAppMessagesGenerated), 8u);
+  EXPECT_EQ(reg.total(Counter::kPhyTx), 0u);
+
+  // Disabled, a link is not read; destroyed, it detaches itself.
+  reg.set_enabled(false);
+  EXPECT_EQ(reg.snapshot().nodes, 2u);
+  EXPECT_EQ(reg.snapshot().total(Counter::kAppMessagesGenerated), 2u);
+  EXPECT_EQ(reg.total(Counter::kAppMessagesGenerated), 2u);
+  reg.set_enabled(true);
+  {
+    OwnedCount gone;
+    gone.count = 100;
+    reg.attach(gone, 1, Counter::kAppMessagesGenerated);
+    EXPECT_EQ(reg.total(Counter::kAppMessagesGenerated), 108u);
+  }
+  EXPECT_EQ(reg.total(Counter::kAppMessagesGenerated), 8u);
+}
+
+TEST(MetricsRegistryTest, LinkOutlivingItsRegistryDetaches) {
+  OwnedCount survivor;
+  {
+    MetricsRegistry reg;
+    reg.set_enabled(true);
+    reg.attach(survivor, 0, Counter::kAppMessagesGenerated);
+    survivor.count = 3;
+    EXPECT_EQ(reg.total(Counter::kAppMessagesGenerated), 3u);
+  }
+  // Re-attaching to a fresh registry works after the old one is gone.
+  MetricsRegistry again;
+  again.set_enabled(true);
+  again.attach(survivor, 0, Counter::kAppMessagesGenerated);
+  EXPECT_EQ(again.total(Counter::kAppMessagesGenerated), 3u);
+}
+
 TEST(MetricsRegistryTest, DisabledSnapshotIsEmpty) {
   MetricsRegistry reg;
   const MetricsSnapshot snap = reg.snapshot();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -370,6 +371,102 @@ TEST(SchedulerLaneTest, RejectsANegativeDelayByName) {
 }
 
 // ---------------------------------------------------------------------------
+// Muted lane events
+// ---------------------------------------------------------------------------
+
+TEST(SchedulerMuteTest, OnlyAPendingLaneEventThatIsNotPostponedMutes) {
+  Scheduler s;
+  const Scheduler::Lane lane = s.lane(1_s);
+  int ran = 0;
+  const EventId heap = s.schedule_at(1_s, [&] { ++ran; });
+  const EventId laned = s.schedule_in(lane, [&] { ++ran; });
+  const EventId postponed = s.schedule_in(lane, [&] { ++ran; });
+  ASSERT_TRUE(s.postpone(postponed, 2_s));
+  EXPECT_FALSE(s.mute(heap));
+  EXPECT_FALSE(s.mute(postponed));
+  EXPECT_FALSE(s.mute(kInvalidEventId));
+  EXPECT_TRUE(s.mute(laned));
+  EXPECT_FALSE(s.is_muted(heap));
+  EXPECT_FALSE(s.is_muted(postponed));
+  EXPECT_TRUE(s.is_muted(laned));
+
+  // The muted event falls due at 1 s and 2 s: each time it counts as
+  // executed and comes back a lane delay later, and its callback never runs.
+  EXPECT_EQ(s.run_until(2_s), 4u);
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(s.executed_count(), 4u);
+  EXPECT_EQ(s.pending_count(), 1u);
+  EXPECT_TRUE(s.is_pending(laned));
+  EXPECT_EQ(s.muted_ticks(laned), 2u);
+  EXPECT_EQ(s.due_at(laned), 3_s);
+  EXPECT_EQ(s.unmute(laned), 2u);
+  EXPECT_FALSE(s.is_muted(laned));
+  EXPECT_EQ(s.unmute(laned), 0u);
+  EXPECT_EQ(s.run_until(3_s), 1u);
+  EXPECT_EQ(ran, 3);
+  EXPECT_FALSE(s.mute(laned));  // fired: no longer pending
+}
+
+TEST(SchedulerMuteTest, ClearDropsMutedEventsAndTheirIds) {
+  Scheduler s;
+  const Scheduler::Lane lane = s.lane(1_s);
+  bool stale_ran = false;
+  const EventId a = s.schedule_in(lane, [&] { stale_ran = true; });
+  ASSERT_TRUE(s.mute(a));
+  EXPECT_EQ(s.run_until(2_s), 2u);
+  ASSERT_EQ(s.muted_ticks(a), 2u);
+  s.clear();
+  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_EQ(s.queued_entries(), 0u);
+  EXPECT_FALSE(s.is_pending(a));
+  EXPECT_FALSE(s.is_muted(a));
+  EXPECT_EQ(s.muted_ticks(a), 0u);
+  EXPECT_EQ(s.unmute(a), 0u);
+
+  // The stale id reaches neither the event that recycles its slot nor
+  // that event's mute state.
+  int fired = 0;
+  const EventId b = s.schedule_in(lane, [&] { ++fired; });
+  EXPECT_FALSE(s.mute(a));
+  EXPECT_FALSE(s.is_muted(b));
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(stale_ran);
+  EXPECT_EQ(s.now(), 3_s);
+}
+
+TEST(SchedulerMuteTest, UnmutedTickAndHeapEventAtOneInstantFireInSeqOrder) {
+  // A muted tick takes its seq when it falls due, as the handler's own
+  // re-arm would. A heap event for 3 s scheduled at 1.5 s comes before
+  // the tick the 2 s firing re-queues for 3 s; one scheduled at 2.5 s
+  // comes after it.
+  for (const bool heap_first : {true, false}) {
+    SCOPED_TRACE(heap_first ? "heap event scheduled before the 2 s tick"
+                            : "heap event scheduled after the 2 s tick");
+    Scheduler s;
+    const Scheduler::Lane lane = s.lane(1_s);
+    std::string order;
+    struct Ticker {
+      Scheduler::Lane lane;
+      std::string& order;
+      Timer timer;
+    } ticker{lane, order, Timer{s, [&ticker] {
+                                 ticker.order += 'T';
+                                 ticker.timer.schedule_in(ticker.lane);
+                               }}};
+    ticker.timer.schedule_in(lane);
+    ASSERT_TRUE(ticker.timer.mute());
+    s.run_until(heap_first ? 1500_ms : 2500_ms);
+    s.schedule_at(3_s, [&] { order += 'H'; });
+    s.run_until(2500_ms);
+    EXPECT_EQ(ticker.timer.unmute(), 2u);
+    EXPECT_EQ(ticker.timer.expires_at(), 3_s);
+    EXPECT_EQ(s.run_until(3_s), 2u);
+    EXPECT_EQ(order, heap_first ? "HT" : "TH");
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Timer
 // ---------------------------------------------------------------------------
 
@@ -460,6 +557,12 @@ struct Rearm {
 /// Reference semantics in a few lines: a flat list of pending events, and
 /// every schedule or timer re-arm takes a fresh seq (cancel + push). A
 /// periodic timer re-arms itself `period` after each firing.
+///
+/// A periodic timer can be muted while its shot waits in a lane: then a
+/// firing still re-arms it and counts as executed, but logs nothing (its
+/// handler does not run) and adds one to the timer's tick count. Like an
+/// owner, every re-arm or cancel of a periodic timer from outside its
+/// handler first unmutes it and folds its ticks into `folded`.
 class ReferenceQueue {
  public:
   struct Fired {
@@ -467,16 +570,48 @@ class ReferenceQueue {
     Time at;
     bool operator==(const Fired&) const = default;
   };
+  struct Periodic {
+    Time period;
+    bool in_lane{false};  ///< pending shot queued in a lane, not postponed
+    bool muted{false};
+    std::uint64_t ticks{0};
+    std::uint64_t folded{0};
+  };
 
   void schedule(int tag, Time at, Rearm then) { pending_.push_back({tag, at, next_seq_++, then}); }
   void cancel(int tag) {
     std::erase_if(pending_, [tag](const Event& e) { return e.tag == tag; });
   }
-  void arm_timer(int k, Time at, Rearm then) {
+  /// Re-arms timer k at `at`: through its lane (Timer::schedule_in(Lane),
+  /// which postpones a pending shot due no later) or not (schedule_at).
+  void arm_timer(int k, Time at, Rearm then, bool through_lane = false) {
+    if (Periodic* p = periodic(k)) {
+      fold(*p);
+      const Time* due = timer_expiry(k);
+      p->in_lane = through_lane && !(due != nullptr && at >= *due);
+    }
     cancel(timer_tag(k));
     schedule(timer_tag(k), at, then);
   }
-  void set_period(int k, Time period) { periods_.push_back({timer_tag(k), period}); }
+  void cancel_timer(int k) {
+    if (Periodic* p = periodic(k)) fold(*p);
+    cancel(timer_tag(k));
+  }
+  void set_period(int k, Time period) { periodic_.emplace(k, Periodic{period}); }
+  bool mute(int k) {
+    Periodic& p = *periodic(k);
+    if (timer_expiry(k) == nullptr || !p.in_lane) return false;
+    p.muted = true;
+    return true;
+  }
+  std::uint64_t unmute(int k) {
+    Periodic& p = *periodic(k);
+    const std::uint64_t ticks = p.ticks;
+    p.ticks = 0;
+    p.muted = false;
+    return ticks;
+  }
+  const Periodic& periodic_state(int k) const { return periodic_.at(k); }
   const Time* timer_expiry(int k) const {
     for (const Event& e : pending_) {
       if (e.tag == timer_tag(k)) return &e.at;
@@ -510,6 +645,15 @@ class ReferenceQueue {
     std::uint64_t seq;
     Rearm then;
   };
+  Periodic* periodic(int k) {
+    const auto it = periodic_.find(k);
+    return it == periodic_.end() ? nullptr : &it->second;
+  }
+  static void fold(Periodic& p) {
+    p.folded += p.ticks;
+    p.ticks = 0;
+    p.muted = false;
+  }
   const Event& next() const {
     return *std::min_element(pending_.begin(), pending_.end(), [](const Event& a, const Event& b) {
       return a.at < b.at || (a.at == b.at && a.seq < b.seq);
@@ -520,15 +664,27 @@ class ReferenceQueue {
     cancel(e.tag);
     now_ = e.at;
     ++executed_;
+    Periodic* p = e.tag < 0 ? periodic(-1 - e.tag) : nullptr;
+    if (p != nullptr && p->muted) {
+      ++p->ticks;
+      schedule(e.tag, now_ + p->period, Rearm{});
+      return;
+    }
     log_.push_back({e.tag, e.at});
-    if (e.then.timer >= 0) arm_timer(e.then.timer, now_ + e.then.delta, Rearm{});
-    for (const auto& [tag, period] : periods_) {
-      if (tag == e.tag) arm_timer(-1 - tag, now_ + period, Rearm{});
+    if (e.then.timer >= 0) {
+      arm_timer(e.then.timer, now_ + e.then.delta, Rearm{},
+                /*through_lane=*/periodic(e.then.timer) != nullptr);
+    }
+    if (p != nullptr) {
+      // The handler's own re-arm: the timer is not pending, so it goes
+      // through the lane.
+      p->in_lane = true;
+      schedule(e.tag, now_ + p->period, Rearm{});
     }
   }
 
   std::vector<Event> pending_;
-  std::vector<std::pair<int, Time>> periods_;  ///< (timer tag, period)
+  std::map<int, Periodic> periodic_;  ///< by timer index
   std::vector<Fired> log_;
   std::uint64_t next_seq_{1};
   Time now_{};
@@ -538,12 +694,15 @@ class ReferenceQueue {
 /// The real Scheduler and Timers driven through the same operations.
 /// Timers [0, heap_timers) re-arm through the heap. Each later timer is
 /// periodic: its handler re-arms it through the lane of its period, and
-/// a Rearm naming it arms it through that lane too.
+/// a Rearm naming it arms it through that lane too. Re-arming or
+/// cancelling a periodic timer from outside its handler first unmutes
+/// it and folds the ticks it owes, as an owner must.
 class RealQueue {
  public:
   RealQueue(int heap_timers, const std::vector<Time>& lane_periods)
       : heap_timers_{heap_timers},
-        timer_then_(static_cast<std::size_t>(heap_timers) + lane_periods.size()) {
+        timer_then_(static_cast<std::size_t>(heap_timers) + lane_periods.size()),
+        folded_(timer_then_.size()) {
     const int timers = heap_timers + static_cast<int>(lane_periods.size());
     for (int k = 0; k < timers; ++k) {
       timers_.push_back(std::make_unique<Timer>(sched_, [this, k] { on_timer(k); }));
@@ -566,15 +725,22 @@ class RealQueue {
   }
   void cancel(int tag) { sched_.cancel(ids_[static_cast<std::size_t>(tag)]); }
   void arm_timer(int k, Time at, Rearm then) {
+    fold(k);
     timer_then_[static_cast<std::size_t>(k)] = then;
-    timers_[static_cast<std::size_t>(k)]->schedule_at(at);
+    timer(k).schedule_at(at);
   }
   /// Arms lane timer `k` one period from now, through its lane.
-  void arm_lane_timer(int k) { timers_[static_cast<std::size_t>(k)]->schedule_in(lane_of(k)); }
-  void cancel_timer(int k) { timers_[static_cast<std::size_t>(k)]->cancel(); }
+  void arm_lane_timer(int k) {
+    fold(k);
+    timer(k).schedule_in(lane_of(k));
+  }
+  void cancel_timer(int k) {
+    fold(k);
+    timer(k).cancel();
+  }
   bool is_pending(int tag) const { return sched_.is_pending(ids_[static_cast<std::size_t>(tag)]); }
-  bool timer_pending(int k) const { return timers_[static_cast<std::size_t>(k)]->pending(); }
-  Time timer_expiry(int k) const { return timers_[static_cast<std::size_t>(k)]->expires_at(); }
+  Timer& timer(int k) { return *timers_[static_cast<std::size_t>(k)]; }
+  std::uint64_t folded(int k) const { return folded_[static_cast<std::size_t>(k)]; }
 
   Scheduler& sched() { return sched_; }
   const std::vector<ReferenceQueue::Fired>& log() const { return log_; }
@@ -583,10 +749,11 @@ class RealQueue {
   Scheduler::Lane lane_of(int k) const {
     return lanes_[static_cast<std::size_t>(k - heap_timers_)];
   }
+  void fold(int k) { folded_[static_cast<std::size_t>(k)] += timer(k).unmute(); }
   void on_timer(int k) {
     log_.push_back({ReferenceQueue::timer_tag(k), sched_.now()});
     if (k >= heap_timers_) {
-      arm_lane_timer(k);
+      timer(k).schedule_in(lane_of(k));
     } else {
       apply(timer_then_[static_cast<std::size_t>(k)]);
     }
@@ -604,20 +771,31 @@ class RealQueue {
   std::vector<std::unique_ptr<Timer>> timers_;
   std::vector<Scheduler::Lane> lanes_;
   std::vector<Rearm> timer_then_;
+  std::vector<std::uint64_t> folded_;
   std::vector<EventId> ids_;
   std::vector<ReferenceQueue::Fired> log_;
 };
 
+/// Which operations a differential run draws from.
+enum class Mix {
+  kHeap,   ///< heap events and timers only
+  kLanes,  ///< plus periodic lane timers and raw lane events
+  kMuted,  ///< plus muting and unmuting the lane timers
+};
+
 /// One seeded run of random operations; stops at the first divergence.
-/// With `lanes`, three periodic timers (two sharing the 3 ms lane, one on
-/// 5 ms) re-arm through lanes, raw events also go through lanes (0, 3 and
-/// 5 ms), and five more operations join the mix: arming a lane timer
+/// From kLanes on, three periodic timers (two sharing the 3 ms lane, one
+/// on 5 ms) re-arm through lanes, raw events also go through lanes (0, 3
+/// and 5 ms), and five more operations join the mix: arming a lane timer
 /// through its lane, re-arming it with schedule_at to a later time, the
 /// same time or an earlier one, cancelling it, scheduling a raw lane
-/// event, and run_until landing exactly on a lane timer's due time.
-/// Without, the draws are those of the heap-only harness.
-void run_differential(std::uint64_t seed, bool lanes) {
+/// event, and run_until landing exactly on a lane timer's due time (a
+/// muted one's too). kMuted adds muting and unmuting a lane timer. Each
+/// mix keeps the draws of the one before it. Adds the ticks the lane
+/// timers skipped while muted to `*muted_ticks` when it is given.
+void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = nullptr) {
   constexpr int kHeapTimers = 4;
+  const bool lanes = mix != Mix::kHeap;
   const std::vector<Time> lane_periods =
       lanes ? std::vector<Time>{3_ms, 3_ms, 5_ms} : std::vector<Time>{};
   const std::vector<Time> raw_lane_delays{0_ms, 3_ms, 5_ms};
@@ -656,10 +834,11 @@ void run_differential(std::uint64_t seed, bool lanes) {
     }
     return at;
   };
+  const std::uint64_t ops = mix == Mix::kHeap ? 100 : mix == Mix::kLanes ? 140 : 160;
 
   for (int step = 0; step < kSteps; ++step) {
     SCOPED_TRACE(::testing::Message() << "step " << step);
-    const std::uint64_t op = rng.uniform_int(std::uint64_t{lanes ? 140u : 100u});
+    const std::uint64_t op = rng.uniform_int(ops);
     if (op < 25) {
       const Time at = s.now() + ms(0, 6);
       const Rearm then = random_rearm();
@@ -679,7 +858,7 @@ void run_differential(std::uint64_t seed, bool lanes) {
       real.arm_timer(k, at, then);
     } else if (op < 72) {
       const int k = pick(kHeapTimers);
-      ref.cancel(ReferenceQueue::timer_tag(k));
+      ref.cancel_timer(k);
       real.cancel_timer(k);
     } else if (op < 88) {
       const Time until = s.now() + ms(0, 4);
@@ -691,7 +870,8 @@ void run_differential(std::uint64_t seed, bool lanes) {
       s.run(k);
     } else if (op < 110) {
       const int k = lane_timer();
-      ref.arm_timer(k, s.now() + lane_periods[static_cast<std::size_t>(k - kHeapTimers)], Rearm{});
+      ref.arm_timer(k, s.now() + lane_periods[static_cast<std::size_t>(k - kHeapTimers)], Rearm{},
+                    /*through_lane=*/true);
       real.arm_lane_timer(k);
     } else if (op < 118) {
       const int k = lane_timer();
@@ -700,7 +880,7 @@ void run_differential(std::uint64_t seed, bool lanes) {
       real.arm_timer(k, at, Rearm{});
     } else if (op < 124) {
       const int k = lane_timer();
-      ref.cancel(ReferenceQueue::timer_tag(k));
+      ref.cancel_timer(k);
       real.cancel_timer(k);
     } else if (op < 132) {
       const std::size_t i = static_cast<std::size_t>(pick(static_cast<int>(raw_lane_delays.size())));
@@ -708,11 +888,17 @@ void run_differential(std::uint64_t seed, bool lanes) {
       ref.schedule(raw_events, s.now() + raw_lane_delays[i], then);
       real.schedule_lane(raw_events, s.lane(raw_lane_delays[i]), then);
       ++raw_events;
-    } else {
+    } else if (op < 140) {
       const Time* due = ref.timer_expiry(lane_timer());
       const Time until = due != nullptr ? *due : s.now();
       ref.run_until(until);
       s.run_until(until);
+    } else if (op < 152) {
+      const int k = lane_timer();
+      ASSERT_EQ(real.timer(k).mute(), ref.mute(k)) << "mute timer " << k;
+    } else {
+      const int k = lane_timer();
+      ASSERT_EQ(real.timer(k).unmute(), ref.unmute(k)) << "unmute timer " << k;
     }
 
     ASSERT_EQ(real.log().size(), ref.log().size());
@@ -730,10 +916,17 @@ void run_differential(std::uint64_t seed, bool lanes) {
     ASSERT_GE(s.queued_entries(), s.pending_count());
     for (int k = 0; k < timers; ++k) {
       const Time* due = ref.timer_expiry(k);
-      ASSERT_EQ(real.timer_pending(k), due != nullptr) << "timer " << k;
-      if (due != nullptr) {
-        ASSERT_EQ(real.timer_expiry(k), *due) << "timer " << k;
+      Timer& t = real.timer(k);
+      ASSERT_EQ(t.pending(), due != nullptr) << "timer " << k;
+      const bool muted = k >= kHeapTimers && ref.periodic_state(k).muted;
+      if (due != nullptr && !muted) {
+        ASSERT_EQ(t.expires_at(), *due) << "timer " << k;
       }
+      if (k < kHeapTimers) continue;
+      const ReferenceQueue::Periodic& p = ref.periodic_state(k);
+      ASSERT_EQ(t.muted(), p.muted) << "timer " << k;
+      ASSERT_EQ(t.muted_ticks(), p.ticks) << "timer " << k;
+      ASSERT_EQ(real.folded(k), p.folded) << "timer " << k;
     }
     for (int tag = 0; tag < raw_events; ++tag) {
       if (real.is_pending(tag) != ref.is_pending(tag)) {
@@ -741,12 +934,15 @@ void run_differential(std::uint64_t seed, bool lanes) {
       }
     }
   }
+  for (int k = kHeapTimers; muted_ticks != nullptr && k < timers; ++k) {
+    *muted_ticks += ref.periodic_state(k).folded + ref.periodic_state(k).ticks;
+  }
 }
 
 TEST(SchedulerDifferential, MatchesCancelAndPushReference) {
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
-    run_differential(seed, /*lanes=*/false);
+    run_differential(seed, Mix::kHeap);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -754,9 +950,20 @@ TEST(SchedulerDifferential, MatchesCancelAndPushReference) {
 TEST(SchedulerDifferential, LanesMatchCancelAndPushReference) {
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
-    run_differential(seed, /*lanes=*/true);
+    run_differential(seed, Mix::kLanes);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(SchedulerDifferential, MutedLanesMatchCancelAndPushReference) {
+  std::uint64_t muted_ticks = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    run_differential(seed, Mix::kMuted, &muted_ticks);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The mix must really mute: thousands of skipped ticks, not a handful.
+  EXPECT_GT(muted_ticks, 1000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -294,5 +294,166 @@ TEST_F(TcpFixture, SenderValidatesParameters) {
   EXPECT_NO_THROW(TcpSender(net.node(0), 100, edge));
 }
 
+// ---------------------------------------------------------------------------
+// TcpCbrFeeder's muted ticks vs an eager reference
+// ---------------------------------------------------------------------------
+
+/// The CBR feeder as it ran before muting: every interval one message into
+/// the sender, re-armed through the same lane as the tick's last act, and
+/// never muted.
+class EagerFeeder {
+ public:
+  EagerFeeder(net::Env& env, TcpSender& tcp, std::size_t packet_bytes, Time interval)
+      : tcp_{tcp},
+        packet_bytes_{packet_bytes},
+        lane_{env.scheduler().lane(interval)},
+        timer_{env.scheduler(), [this] { tick(); }} {}
+
+  void start() { tick(); }
+  std::uint64_t packets_offered() const { return offered_; }
+
+ private:
+  void tick() {
+    ++offered_;
+    tcp_.node().env().metrics().add(tcp_.node().id(), sim::Counter::kAppMessagesGenerated);
+    tcp_.advance_bytes(packet_bytes_);
+    timer_.schedule_in(lane_);
+  }
+
+  TcpSender& tcp_;
+  std::size_t packet_bytes_;
+  sim::Scheduler::Lane lane_;
+  std::uint64_t offered_{0};
+  sim::Timer timer_;
+};
+
+enum class FeedCase { kOneLoss, kBurstLoss, kTahoe, kUnreachablePeer, kStartBeforeConnect };
+
+/// What a feed run shows from outside, read every 100 ms checkpoint.
+struct FeedRun {
+  std::vector<std::pair<Time, std::uint64_t>> sends;        ///< agent-level (time, seq)
+  std::vector<std::pair<Time, std::uint64_t>> receptions;  ///< at the sink
+  std::vector<std::uint64_t> offered;    ///< packets_offered() per checkpoint
+  std::vector<std::uint64_t> generated;  ///< kAppMessagesGenerated per checkpoint
+  std::uint64_t events{0};
+  std::int64_t next_seq{0};
+  TcpStats stats;
+};
+
+/// Two 802.11 nodes 10 m apart (node 1 600 m off and without a stack for
+/// kUnreachablePeer); a 4 Mb/s CBR feed into a TCP sender whose window
+/// is shut most of the time, so most of the muting feeder's ticks are
+/// muted.
+template <typename Feeder>
+FeedRun run_feed(FeedCase c, bool metrics) {
+  eblnet::testing::TestNet net{3};
+  net::Node& a = net.add_node({0.0, 0.0});
+  switch (c) {
+    case FeedCase::kOneLoss:
+    case FeedCase::kTahoe:
+      net.with_80211_queue(a, std::make_unique<LossyQueue>(std::vector<std::uint64_t>{20}));
+      break;
+    case FeedCase::kBurstLoss:
+      net.with_80211_queue(a, std::make_unique<LossyQueue>(std::vector<std::uint64_t>{20, 21, 22}));
+      break;
+    default:
+      net.with_80211(a);
+  }
+  net.with_static(a);
+  if (c == FeedCase::kUnreachablePeer) {
+    net.add_node({600.0, 0.0});
+  } else {
+    net::Node& b = net.add_node({10.0, 0.0});
+    net.with_80211(b);
+    net.with_static(b);
+  }
+  net.env().metrics().set_enabled(metrics);
+
+  TcpParams params;
+  params.max_window = 16;
+  params.initial_rto = 200_ms;
+  params.min_rto = 200_ms;
+  if (c == FeedCase::kTahoe) params.flavor = TcpFlavor::kTahoe;
+  TcpSender tx{net.node(0), 100, params};
+  FeedRun run;
+  std::unique_ptr<TcpSink> rx;
+  if (c != FeedCase::kUnreachablePeer) {
+    rx = std::make_unique<TcpSink>(net.node(1), 200);
+    rx->set_data_callback(
+        [&](const net::Packet& p) { run.receptions.emplace_back(net.env().now(), p.app_seq); });
+  }
+  Feeder feeder{net.env(), tx, 500, 1_ms};
+  if (c != FeedCase::kStartBeforeConnect) tx.connect(1, 200);
+  feeder.start();
+  for (int i = 0; i < 30; ++i) {
+    net.run_for(100_ms);
+    if (c == FeedCase::kStartBeforeConnect && i == 4) tx.connect(1, 200);
+    run.offered.push_back(feeder.packets_offered());
+    run.generated.push_back(
+        net.env().metrics().snapshot().node_counter(0, sim::Counter::kAppMessagesGenerated));
+  }
+  const auto& records = net.tracer().records();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const net::TraceRecord& r = records[i];
+    if (r.action == net::TraceAction::kSend && r.layer == net::TraceLayer::kAgent && r.node == 0)
+      run.sends.emplace_back(r.t, r.app_seq);
+  }
+  run.events = net.env().scheduler().executed_count();
+  run.next_seq = tx.next_seq();
+  run.stats = tx.stats();
+  return run;
+}
+
+TEST(TcpCbrFeederMuting, MatchesAnEagerFeederOverLossyLinks) {
+  const struct {
+    FeedCase c;
+    const char* name;
+  } cases[] = {{FeedCase::kOneLoss, "one loss, Reno fast retransmit"},
+               {FeedCase::kBurstLoss, "burst loss, NewReno partial ACKs"},
+               {FeedCase::kTahoe, "one loss, Tahoe"},
+               {FeedCase::kUnreachablePeer, "unreachable peer, RTO backoff"},
+               {FeedCase::kStartBeforeConnect, "feeder started before connect"}};
+  for (const auto& fc : cases) {
+    for (const bool metrics : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << fc.name << (metrics ? ", metrics on" : ", metrics off"));
+      const FeedRun eager = run_feed<EagerFeeder>(fc.c, metrics);
+      const FeedRun muted = run_feed<app::TcpCbrFeeder>(fc.c, metrics);
+      EXPECT_EQ(muted.sends, eager.sends);
+      EXPECT_EQ(muted.receptions, eager.receptions);
+      EXPECT_EQ(muted.offered, eager.offered);
+      EXPECT_EQ(muted.generated, eager.generated);
+      EXPECT_EQ(muted.events, eager.events);
+      EXPECT_EQ(muted.next_seq, eager.next_seq);
+      EXPECT_EQ(muted.stats.retransmits, eager.stats.retransmits);
+      EXPECT_EQ(muted.stats.timeouts, eager.stats.timeouts);
+      EXPECT_EQ(muted.stats.fast_retransmits, eager.stats.fast_retransmits);
+
+      // Each case reaches the path it is named for, behind a shut window.
+      EXPECT_GT(eager.offered.back(), static_cast<std::uint64_t>(eager.next_seq) * 2);
+      EXPECT_EQ(eager.generated.back(), metrics ? eager.offered.back() : 0u);
+      switch (fc.c) {
+        case FeedCase::kOneLoss:
+        case FeedCase::kTahoe:
+          EXPECT_GE(eager.stats.fast_retransmits, 1u);
+          break;
+        case FeedCase::kBurstLoss:
+          // One fast retransmit, then a partial ACK per further hole.
+          EXPECT_GE(eager.stats.fast_retransmits, 1u);
+          EXPECT_GE(eager.stats.retransmits, 3u);
+          break;
+        case FeedCase::kUnreachablePeer:
+          EXPECT_GE(eager.stats.timeouts, 3u);
+          break;
+        case FeedCase::kStartBeforeConnect:
+          // Nothing leaves before connect (500 ms); the first tick after
+          // it sends.
+          EXPECT_GE(eager.offered[3], 400u);
+          EXPECT_EQ(eager.sends.front().first, 501_ms);
+          break;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace eblnet::transport
