@@ -5,12 +5,13 @@
 //
 // Usage: ebl_intersection [tdma|80211] [packet_bytes]
 
-#include <cstdlib>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "core/safety.hpp"
 #include "core/scenario_builder.hpp"
@@ -20,6 +21,10 @@
 using namespace eblnet;
 
 int main(int argc, char** argv) {
+  const auto usage = [&] {
+    std::cerr << "usage: " << argv[0] << " [tdma|80211] [packet_bytes]\n";
+    return 1;
+  };
   core::MacType mac = core::MacType::kTdma;
   std::size_t packet_bytes = 1000;
   if (argc > 1) {
@@ -27,11 +32,17 @@ int main(int argc, char** argv) {
     if (arg == "80211" || arg == "802.11") {
       mac = core::MacType::k80211;
     } else if (arg != "tdma") {
-      std::cerr << "usage: " << argv[0] << " [tdma|80211] [packet_bytes]\n";
-      return 1;
+      return usage();
     }
   }
-  if (argc > 2) packet_bytes = static_cast<std::size_t>(std::atoi(argv[2]));
+  if (argc > 2) {
+    // A positive decimal integer, nothing else: no sign, no blanks, no
+    // overflow.
+    const std::string_view arg = argv[2];
+    const char* end = arg.data() + arg.size();
+    const auto [ptr, ec] = std::from_chars(arg.data(), end, packet_bytes);
+    if (ec != std::errc{} || ptr != end || packet_bytes == 0) return usage();
+  }
 
   const core::ScenarioBuilder builder = core::ScenarioBuilder::trial(packet_bytes, mac);
   const core::ScenarioConfig& cfg = builder.config();

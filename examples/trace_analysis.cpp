@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<net::TraceRecord> records;
+  trace::TraceStore records;
   try {
     records = trace::parse_trace(in);
   } catch (const std::exception& e) {

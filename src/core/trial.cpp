@@ -1,7 +1,6 @@
 #include "core/trial.hpp"
 
 #include <algorithm>
-#include <map>
 #include <tuple>
 #include <utility>
 
@@ -65,12 +64,6 @@ stats::ConfidenceInterval throughput_ci(const stats::TimeSeries& series, sim::Ti
   return stats::batch_means_confidence_interval(window, 10);
 }
 
-/// Delivery bookkeeping for one (ip_src, ip_dst, app_seq) data packet.
-struct DeliveryRecord {
-  sim::Time first_send{};
-  bool delivered{false};
-};
-
 /// Hull of the plan's scheduled fault events, as [start, end] seconds.
 /// Permanent faults (zero duration) extend the window to `run_end`.
 /// Returns {-1, -1} for an empty plan.
@@ -85,34 +78,18 @@ std::pair<double, double> outage_window(const sim::FaultPlan& plan, sim::Time ru
   return {start, start < 0.0 ? -1.0 : end};
 }
 
-/// Application-level delivery accounting: offered = distinct data packets
-/// first sent at the agent layer, delivered = those also received at the
-/// agent layer of their IP destination. Windowed ratios classify packets
-/// by send time against the outage hull.
-void compute_delivery_ratios(TrialResult& r, const trace::TraceStore& records) {
-  std::map<std::pair<std::uint64_t, std::uint64_t>, DeliveryRecord> offered;
-  for (const net::TraceRecord& rec : records) {
-    if (rec.layer != net::TraceLayer::kAgent) continue;
-    if (rec.type != net::PacketType::kUdpData && rec.type != net::PacketType::kTcpData) continue;
-    const std::pair<std::uint64_t, std::uint64_t> key{
-        (static_cast<std::uint64_t>(rec.ip_src) << 32) | rec.ip_dst, rec.app_seq};
-    if (rec.action == net::TraceAction::kSend) {
-      offered.try_emplace(key, DeliveryRecord{rec.t, false});  // first send wins
-    } else if (rec.action == net::TraceAction::kRecv && rec.node == rec.ip_dst) {
-      const auto it = offered.find(key);
-      if (it != offered.end()) it->second.delivered = true;
-    }
-  }
+/// Application-level delivery ratios over the analyzer's offered packets.
+/// Windowed ratios classify packets by send time against the outage hull.
+void compute_delivery_ratios(TrialResult& r, const std::vector<trace::OfferedPacket>& offered) {
   if (offered.empty()) return;
 
   const double out_start = r.resilience.outage_start_s;
   const double out_end = r.resilience.outage_end_s;
   std::uint64_t delivered = 0, during = 0, during_ok = 0, after = 0, after_ok = 0;
-  for (const auto& [key, d] : offered) {
-    (void)key;
+  for (const trace::OfferedPacket& d : offered) {
     delivered += d.delivered ? 1 : 0;
     if (out_start < 0.0) continue;
-    const double sent = d.first_send.to_seconds();
+    const double sent = d.sent.to_seconds();
     if (sent >= out_start && sent <= out_end) {
       ++during;
       during_ok += d.delivered ? 1 : 0;
@@ -195,7 +172,7 @@ TrialResult extract_trial_result(const ScenarioConfig& config, std::string name,
   }
   std::tie(r.resilience.outage_start_s, r.resilience.outage_end_s) =
       outage_window(config.faults, config.duration);
-  compute_delivery_ratios(r, records);
+  compute_delivery_ratios(r, delays.offered());
   return r;
 }
 

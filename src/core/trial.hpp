@@ -73,9 +73,9 @@ struct TrialResult {
     /// metrics were disabled.
     double time_to_reroute_s{-1.0};
 
-    /// Application-level delivery ratio: distinct data packets received
-    /// at their IP destination / distinct data packets offered, matched
-    /// by (ip_src, ip_dst, app_seq) exactly like the delay analyzer.
+    /// Application-level delivery ratio: of the data packets the delay
+    /// analyzer counts as offered (first agent send at the source), the
+    /// share received at their IP destination's agent.
     /// -1 when no packets were offered.
     double delivery_ratio{-1.0};
     /// Delivery ratio restricted to packets *sent* inside / after the

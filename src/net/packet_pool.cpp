@@ -1,8 +1,5 @@
 #include "net/packet_pool.hpp"
 
-#include <utility>
-#include <variant>
-
 namespace eblnet::net {
 
 Packet* PacketPool::take_blank() {
@@ -15,59 +12,8 @@ Packet* PacketPool::take_blank() {
   return owned_.back().get();
 }
 
-PooledPacket PacketPool::clone(const Packet& p) {
-  Packet* shell = take_blank();
-  shell->uid = p.uid;
-  shell->type = p.type;
-  shell->payload_bytes = p.payload_bytes;
-  shell->created = p.created;
-  shell->app_seq = p.app_seq;
-  shell->prev_hop = p.prev_hop;
-  shell->mac = p.mac;
-  shell->ip = p.ip;
-  shell->udp = p.udp;
-  shell->tcp = p.tcp;
-  if (p.aodv) {
-    if (const auto* rerr = std::get_if<AodvRerrHeader>(&*p.aodv)) {
-      // Seed the copy with a cached vector so assign() reuses its capacity.
-      AodvRerrHeader h;
-      if (!rerr_cache_.empty()) {
-        h.unreachable = std::move(rerr_cache_.back());
-        rerr_cache_.pop_back();
-      }
-      h.unreachable.assign(rerr->unreachable.begin(), rerr->unreachable.end());
-      shell->aodv.emplace(std::move(h));
-    } else {
-      shell->aodv = p.aodv;  // RREQ/RREP/Hello: flat structs, no allocation
-    }
-  }
-  if (p.dsdv) {
-    DsdvUpdateHeader h;
-    if (!route_cache_.empty()) {
-      h.routes = std::move(route_cache_.back());
-      route_cache_.pop_back();
-    }
-    h.routes.assign(p.dsdv->routes.begin(), p.dsdv->routes.end());
-    shell->dsdv.emplace(std::move(h));
-  }
-  return PooledPacket{this, shell};
-}
-
 void PacketPool::release(Packet* p) noexcept {
   if (p == nullptr) return;
-  // Harvest vector capacity before the reset below destroys the headers.
-  if (p->aodv) {
-    if (auto* rerr = std::get_if<AodvRerrHeader>(&*p->aodv);
-        rerr != nullptr && rerr->unreachable.capacity() > 0 &&
-        rerr_cache_.size() < kMaxCachedVectors) {
-      rerr->unreachable.clear();
-      rerr_cache_.push_back(std::move(rerr->unreachable));
-    }
-  }
-  if (p->dsdv && p->dsdv->routes.capacity() > 0 && route_cache_.size() < kMaxCachedVectors) {
-    p->dsdv->routes.clear();
-    route_cache_.push_back(std::move(p->dsdv->routes));
-  }
   *p = Packet{};
   free_.push_back(p);
 }

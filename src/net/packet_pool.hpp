@@ -11,9 +11,9 @@ namespace eblnet::net {
 class PacketPool;
 
 /// Move-only RAII handle to a pool-owned Packet. Destroying (or
-/// resetting) the handle returns the packet — and its header vectors'
-/// capacity — to the pool. 16 bytes, so it fits comfortably inside an
-/// InlineFunction capture where a by-value Packet would not.
+/// resetting) the handle returns the packet to the pool. 16 bytes, so it
+/// fits comfortably inside an InlineFunction capture where a by-value
+/// Packet would not.
 class PooledPacket {
  public:
   PooledPacket() noexcept = default;
@@ -55,13 +55,12 @@ class PooledPacket {
 
 /// Per-Env free-list of Packet storage (the NS-2 packet free-list idea).
 ///
-/// `Packet` is a value type with six optional headers, two of which own
-/// vectors, so every by-value copy on the broadcast fan-out used to heap-
-/// allocate. The pool recycles whole Packet objects *and* the capacity of
-/// the `AodvRerrHeader`/`DsdvUpdateHeader` vectors (harvested on release,
-/// re-seeded on clone), so steady-state acquire/clone/release cycles
-/// perform zero allocations once the pool has warmed up to the
-/// simulation's peak in-flight packet count.
+/// A broadcast hands each receiver its own copy of the packet, held by an
+/// event capture with room for a handle but not for a Packet. The pool
+/// recycles whole Packet objects, so steady-state acquire/clone/release
+/// cycles perform zero allocations once the pool has warmed up to the
+/// simulation's peak in-flight packet count; only the vectors of an
+/// `AodvRerrHeader` or `DsdvUpdateHeader` are copied afresh.
 ///
 /// Ownership: the pool owns the storage forever (`owned_`); handles only
 /// borrow. The pool must outlive every handle — `net::Env` declares its
@@ -83,28 +82,25 @@ class PacketPool {
     return PooledPacket{this, shell};
   }
 
-  /// Copy `p` into a pooled shell, reusing cached vector capacity for the
-  /// RERR/DSDV header vectors instead of allocating fresh ones.
-  PooledPacket clone(const Packet& p);
+  /// Copy `p`, every field of it, into a pooled shell.
+  PooledPacket clone(const Packet& p) {
+    Packet* shell = take_blank();
+    *shell = p;
+    return PooledPacket{this, shell};
+  }
 
   /// Return a packet to the free list (normally via PooledPacket). The
-  /// packet is fully reset to default state; header-vector capacity is
-  /// harvested into the caches first.
+  /// packet is fully reset to default state.
   void release(Packet* p) noexcept;
 
   std::size_t total_count() const noexcept { return owned_.size(); }
   std::size_t free_count() const noexcept { return free_.size(); }
 
  private:
-  /// Bound on cached header vectors; beyond it, capacity is simply freed.
-  static constexpr std::size_t kMaxCachedVectors = 64;
-
   Packet* take_blank();
 
   std::vector<std::unique_ptr<Packet>> owned_;
   std::vector<Packet*> free_;
-  std::vector<std::vector<AodvRerrHeader::Unreachable>> rerr_cache_;
-  std::vector<std::vector<DsdvUpdateHeader::Route>> route_cache_;
 };
 
 inline void PooledPacket::reset() noexcept {

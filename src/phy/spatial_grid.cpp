@@ -12,9 +12,7 @@ void SpatialGrid::Bucket::clear() noexcept {
   x.clear();
   y.clear();
   cull_r2.clear();
-  cs_w.clear();
   seq.clear();
-  slot.clear();
   chan.clear();
 }
 
@@ -47,9 +45,7 @@ void SpatialGrid::insert(WirelessPhy* phy, mobility::Vec2 pos) {
   b.x.push_back(pos.x);
   b.y.push_back(pos.y);
   b.cull_r2.push_back(phy->grid_cull_r2_);
-  b.cs_w.push_back(phy->params().cs_threshold_w);
   b.seq.push_back(phy->attach_seq_);
-  b.slot.push_back(phy->chan_slot_);
   b.chan.push_back(phy->channel_id());
   ++size_;
 }
@@ -67,18 +63,14 @@ void SpatialGrid::remove(WirelessPhy* phy) {
     b.x[i] = b.x[last];
     b.y[i] = b.y[last];
     b.cull_r2[i] = b.cull_r2[last];
-    b.cs_w[i] = b.cs_w[last];
     b.seq[i] = b.seq[last];
-    b.slot[i] = b.slot[last];
     b.chan[i] = b.chan[last];
   }
   b.phys.pop_back();
   b.x.pop_back();
   b.y.pop_back();
   b.cull_r2.pop_back();
-  b.cs_w.pop_back();
   b.seq.pop_back();
-  b.slot.pop_back();
   b.chan.pop_back();
   phy->grid_bucketed_ = false;
   --size_;
@@ -122,8 +114,8 @@ std::uint64_t SpatialGrid::cull(mobility::Vec2 center, double radius_m, std::uin
       if (n == 0) continue;
       lanes += n;
       if (keep_.size() < n) keep_.resize(n);
-      // Branch-free range² sweep over the contiguous arrays — the
-      // auto-vectorizable inner loop (no pointer derefs, no calls).
+      // Branch-free range² sweep over the contiguous arrays (no pointer
+      // derefs, no calls).
       const double* xs = b.x.data();
       const double* ys = b.y.data();
       const double* r2 = b.cull_r2.data();
@@ -140,7 +132,7 @@ std::uint64_t SpatialGrid::cull(mobility::Vec2 center, double radius_m, std::uin
         if (!keep[i]) continue;
         if (b.chan[i] != tx_channel) continue;
         if (b.phys[i] == exclude) continue;
-        out.push_back({b.seq[i], b.slot[i], b.phys[i], b.cs_w[i]});
+        out.push_back({b.seq[i], b.phys[i]});
       }
     }
   }

@@ -10,17 +10,13 @@ namespace eblnet::phy {
 
 class WirelessPhy;
 
-/// One spatial-grid query hit, carrying everything the channel's delivery
-/// pipeline needs to order and filter the candidate *without touching the
-/// phy object*: the attach sequence (the delivery-order sort key), the
-/// channel liveness slot and the exact carrier-sense threshold for the
-/// phase-2 re-filter. The phy pointer is dereferenced only for survivors
-/// of the batched cull.
+/// One spatial-grid query hit: the attach sequence (the delivery-order
+/// sort key, so sorting survivors chases no pointers) and the phy, which
+/// the channel's exact filter dereferences only for survivors of the
+/// batched cull.
 struct GridCandidate {
-  std::uint64_t seq;        ///< attach sequence (stable delivery order)
-  std::uint32_t slot;       ///< channel delivery-liveness slot
+  std::uint64_t seq;  ///< attach sequence (stable delivery order)
   WirelessPhy* phy;
-  double cs_threshold_w;    ///< exact per-receiver CS threshold (phase 2)
 };
 
 /// Uniform hash grid over phy positions — the channel's broadcast
@@ -30,12 +26,13 @@ struct GridCandidate {
 /// the sender.
 ///
 /// Each cell bucket is a structure of parallel arrays (position x/y,
-/// per-phy squared cull radius, CS threshold, attach sequence, liveness
-/// slot, frequency channel, phy pointer), kept in sync by swap-remove on
-/// insert/update/remove. `cull` sweeps those contiguous arrays with a
-/// branch-free range² test — no pointer chasing, no virtual calls — so
-/// the phase-1 inner loop auto-vectorizes. It does not sort: the channel
-/// runs one post-cull sort over the surviving candidates.
+/// per-phy squared cull radius, attach sequence, frequency channel, phy
+/// pointer), kept in sync by swap-remove on insert/update/remove. `cull`
+/// sweeps those contiguous arrays with a branch-free range² test — no
+/// pointer chasing, no virtual calls. GCC does not vectorize that loop at
+/// `-O2`; the layout is kept because it measured faster than
+/// array-of-structs buckets (DESIGN.md §3.7). It does not sort: the
+/// channel runs one post-cull sort over the surviving candidates.
 ///
 /// The grid stores its per-phy bookkeeping (cached cell, index within the
 /// bucket, cull radius) inside WirelessPhy itself, so insert/update/
@@ -53,11 +50,10 @@ class SpatialGrid {
   /// a later remove/update on them is safe without re-insertion.
   void reset(double cell_size_m);
 
-  /// Bucket `phy` at `pos`. The phy's channel bookkeeping (attach
-  /// sequence, slot, CS threshold, cull radius — see
-  /// `WirelessPhy::grid_cull_r2_`) is copied into the bucket's parallel
-  /// arrays; `set_channel` keeps the frequency-channel lane fresh if the
-  /// radio retunes while bucketed.
+  /// Bucket `phy` at `pos`. The phy's attach sequence, cull radius (see
+  /// `WirelessPhy::grid_cull_r2_`) and frequency channel are copied into
+  /// the bucket's parallel arrays; `set_channel` keeps the
+  /// frequency-channel lane fresh if the radio retunes while bucketed.
   void insert(WirelessPhy* phy, mobility::Vec2 pos);
   void remove(WirelessPhy* phy);
   /// Re-bucket `phy` if it crossed a cell boundary since it was last
@@ -87,9 +83,7 @@ class SpatialGrid {
     std::vector<WirelessPhy*> phys;
     std::vector<double> x, y;          ///< bucketed positions
     std::vector<double> cull_r2;       ///< (envelope range for own CS + slack)²
-    std::vector<double> cs_w;          ///< exact CS threshold (phase-2 filter)
     std::vector<std::uint64_t> seq;    ///< attach sequence
-    std::vector<std::uint32_t> slot;   ///< channel liveness slot
     std::vector<std::uint32_t> chan;   ///< frequency channel id
 
     std::size_t count() const noexcept { return phys.size(); }

@@ -335,21 +335,6 @@ void Channel::collect_receivers(WirelessPhy& sender) {
                         sim::Time::seconds(d / kSpeedOfLight)});
   };
 
-  // Phase 2: the exact per-candidate filter — identical test and
-  // identical delivery order as the flat loop, only the candidate set is
-  // pruned. The phy is dereferenced here for its true current position.
-  const auto consider_candidate = [&](const GridCandidate& c) {
-    ++pair_evaluations_;
-    WirelessPhy* rx = c.phy;
-    if (rx->channel_id() != channel_id) return;  // different frequency
-    const mobility::Vec2 to = rx->position();
-    const double d = mobility::distance(from, to);
-    const double power = pair_power(*rx, d, to);
-    if (power < c.cs_threshold_w) return;  // invisible
-    scratch_.push_back(
-        {rx, c.slot, generations_[c.slot], power, sim::Time::seconds(d / kSpeedOfLight)});
-  };
-
   if (grid_active()) {
     if (!grid_built_ || range_dirty_) {
       rebuild_grid();
@@ -371,7 +356,9 @@ void Channel::collect_receivers(WirelessPhy& sender) {
     // candidate record, so comparisons chase no pointers.
     std::sort(candidates_.begin(), candidates_.end(),
               [](const GridCandidate& a, const GridCandidate& b) { return a.seq < b.seq; });
-    for (const GridCandidate& c : candidates_) consider_candidate(c);
+    // Phase 2: the flat loop's exact filter, in the flat loop's order;
+    // only the candidate set is pruned.
+    for (const GridCandidate& c : candidates_) consider(c.phy);
   } else {
     for (WirelessPhy* rx : phys_) consider(rx);
   }

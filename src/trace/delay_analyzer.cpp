@@ -15,12 +15,7 @@ using FlowSeq = std::tuple<net::NodeId, net::NodeId, std::uint64_t>;
 
 }  // namespace
 
-DelayAnalyzer::DelayAnalyzer(const std::vector<net::TraceRecord>& records) { build(records); }
-
-DelayAnalyzer::DelayAnalyzer(const TraceStore& records) { build(records); }
-
-template <typename Records>
-void DelayAnalyzer::build(const Records& records) {
+DelayAnalyzer::DelayAnalyzer(const TraceStore& records) {
   struct Pending {
     sim::Time sent{};
     bool have_sent{false};
@@ -42,13 +37,14 @@ void DelayAnalyzer::build(const Records& records) {
     }
   }
 
+  offered_.reserve(pending.size());
   samples_.reserve(pending.size());
   for (const auto& [key, p] : pending) {
-    if (p.have_sent && p.have_received) {
+    if (!p.have_sent) continue;
+    offered_.push_back(OfferedPacket{p.sent, p.have_received});
+    if (p.have_received) {
       samples_.push_back(DelaySample{std::get<0>(key), std::get<1>(key), std::get<2>(key),
                                      p.sent, p.received});
-    } else if (p.have_sent) {
-      ++unmatched_;
     }
   }
   // std::map iteration already yields (src, dst, seq) order.
@@ -58,14 +54,6 @@ std::vector<DelaySample> DelayAnalyzer::flow(net::NodeId src, net::NodeId dst) c
   std::vector<DelaySample> out;
   for (const auto& s : samples_) {
     if (s.src == src && s.dst == dst) out.push_back(s);
-  }
-  return out;
-}
-
-std::vector<DelaySample> DelayAnalyzer::to_destination(net::NodeId dst) const {
-  std::vector<DelaySample> out;
-  for (const auto& s : samples_) {
-    if (s.dst == dst) out.push_back(s);
   }
   return out;
 }

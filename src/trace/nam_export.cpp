@@ -12,10 +12,11 @@ void emit_position(std::ostream& os, const std::string& t, std::size_t id,
      << " -S UP -v circle -c black\n";
 }
 
-template <typename Records>
-void export_nam_impl(std::ostream& os,
-                     const std::vector<const mobility::MobilityModel*>& mobility,
-                     const Records& records, sim::Time duration, NamExportConfig config) {
+}  // namespace
+
+void export_nam(std::ostream& os,
+                const std::vector<const mobility::MobilityModel*>& mobility,
+                const TraceStore& records, sim::Time duration, NamExportConfig config) {
   os << "V -t * -v 1.0a5 -a 0\n";
   os << "W -t * -x " << config.arena_width << " -y " << config.arena_height << "\n";
 
@@ -65,21 +66,6 @@ void export_nam_impl(std::ostream& os,
     }
   }
   flush_events_until(duration);
-}
-
-}  // namespace
-
-void export_nam(std::ostream& os,
-                const std::vector<const mobility::MobilityModel*>& mobility,
-                const std::vector<net::TraceRecord>& records, sim::Time duration,
-                NamExportConfig config) {
-  export_nam_impl(os, mobility, records, duration, config);
-}
-
-void export_nam(std::ostream& os,
-                const std::vector<const mobility::MobilityModel*>& mobility,
-                const TraceStore& records, sim::Time duration, NamExportConfig config) {
-  export_nam_impl(os, mobility, records, duration, config);
 }
 
 }  // namespace eblnet::trace

@@ -30,10 +30,6 @@ struct NamExportConfig {
 ///   d  -t <t> -s <node> ...             packet dropped
 void export_nam(std::ostream& os,
                 const std::vector<const mobility::MobilityModel*>& mobility,
-                const std::vector<net::TraceRecord>& records, sim::Time duration,
-                NamExportConfig config = {});
-void export_nam(std::ostream& os,
-                const std::vector<const mobility::MobilityModel*>& mobility,
                 const TraceStore& records, sim::Time duration, NamExportConfig config = {});
 
 }  // namespace eblnet::trace

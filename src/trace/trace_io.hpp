@@ -2,7 +2,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "net/trace_sink.hpp"
 #include "trace/trace_store.hpp"
@@ -16,16 +15,17 @@ namespace eblnet::trace {
 ///
 /// columns: action time _node_ layer uid type size ip_src ip_dst app_seq
 /// reason ("-" when empty; broadcast addresses print as "*").
-void write_trace(std::ostream& os, const std::vector<net::TraceRecord>& records);
 void write_trace(std::ostream& os, const TraceStore& records);
 
 /// One record as a single formatted line (no trailing newline).
 std::string format_record(const net::TraceRecord& r);
 
-/// Parse the format produced by write_trace. Throws std::runtime_error
-/// on malformed input (with the offending line number). Reasons are
-/// interned in process-lifetime storage, so the returned records'
-/// `reason` views stay valid indefinitely.
-std::vector<net::TraceRecord> parse_trace(std::istream& is);
+/// Parse the format produced by write_trace. Times must read as
+/// `Time::to_string` writes them (integer seconds, a dot, nine digits),
+/// and every count and address must be a decimal that fits its field.
+/// Throws std::runtime_error on malformed input (with the offending line
+/// number). Reasons are interned in process-lifetime storage, so the
+/// returned records' `reason` views stay valid indefinitely.
+TraceStore parse_trace(std::istream& is);
 
 }  // namespace eblnet::trace

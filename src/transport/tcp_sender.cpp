@@ -37,6 +37,7 @@ void TcpSender::connect(net::NodeId dst, net::Port dport) {
   settle_source();
   peer_ = dst;
   peer_port_ = dport;
+  send_much();  // data written before the peer was known leaves now
 }
 
 void TcpSender::advance_bytes(std::size_t bytes) {

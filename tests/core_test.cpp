@@ -3,6 +3,7 @@
 #include "core/ebl_app.hpp"
 #include "core/safety.hpp"
 #include "core/scenario.hpp"
+#include "core/trial.hpp"
 #include "mobility/platoon.hpp"
 #include "test_net.hpp"
 
@@ -205,6 +206,34 @@ TEST(ScenarioTest, RejectsDegeneratePlatoon) {
   ScenarioConfig cfg;
   cfg.platoon_size = 1;
   EXPECT_THROW(EblScenario{cfg}, std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// extract_trial_result's delivery accounting
+// ---------------------------------------------------------------------------
+
+TEST(ExtractTrialResultTest, OnlyTheSourcesAgentSendsAreOffered) {
+  const auto agent = [](double t, net::TraceAction action, net::NodeId node,
+                        std::uint64_t seq) {
+    net::TraceRecord r;
+    r.t = Time::seconds(t);
+    r.action = action;
+    r.layer = net::TraceLayer::kAgent;
+    r.node = node;
+    r.type = net::PacketType::kTcpData;
+    r.ip_src = EblScenario::kP1Lead;
+    r.ip_dst = EblScenario::kP1Middle;
+    r.app_seq = seq;
+    return r;
+  };
+  trace::TraceStore records;
+  records.push_back(agent(1.0, net::TraceAction::kSend, EblScenario::kP1Lead, 0));
+  records.push_back(agent(1.1, net::TraceAction::kRecv, EblScenario::kP1Middle, 0));
+  // A data send traced at a node other than the packet's source.
+  records.push_back(agent(1.2, net::TraceAction::kSend, EblScenario::kP1Trailing, 1));
+  const TrialResult r = extract_trial_result(trial1_config(), "t", records, {}, {}, {}, 0, nullptr);
+  EXPECT_EQ(r.p1_middle.size(), 1u);
+  EXPECT_DOUBLE_EQ(r.resilience.delivery_ratio, 1.0);
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ TEST(NamExportTest, EmitsHeaderAndInitialPositions) {
   mobility::StaticMobility a{{10.0, 20.0}};
   mobility::StaticMobility b{{30.0, 40.0}};
   std::ostringstream os;
-  export_nam(os, {&a, &b}, std::vector<net::TraceRecord>{}, 1_s);
+  export_nam(os, {&a, &b}, TraceStore{}, 1_s);
   const std::string out = os.str();
   EXPECT_NE(out.find("V -t *"), std::string::npos);
   EXPECT_NE(out.find("n -t * -s 0 -x 10 -y 20"), std::string::npos);
@@ -48,7 +48,7 @@ TEST(NamExportTest, EmitsHeaderAndInitialPositions) {
 TEST(NamExportTest, StaticNodesGetNoMotionUpdates) {
   mobility::StaticMobility a{{0.0, 0.0}};
   std::ostringstream os;
-  export_nam(os, {&a}, std::vector<net::TraceRecord>{}, 5_s);
+  export_nam(os, {&a}, TraceStore{}, 5_s);
   // Exactly one position line: the initial placement.
   EXPECT_EQ(count_lines_starting(os.str(), "n "), 1u);
 }
@@ -59,7 +59,7 @@ TEST(NamExportTest, MovingNodesAreResampled) {
   std::ostringstream os;
   NamExportConfig cfg;
   cfg.sample_interval = 1_s;
-  export_nam(os, {&m}, std::vector<net::TraceRecord>{}, 5_s, cfg);
+  export_nam(os, {&m}, TraceStore{}, 5_s, cfg);
   // Initial placement + one update per elapsed second.
   EXPECT_EQ(count_lines_starting(os.str(), "n "), 1u + 5u);
   EXPECT_NE(os.str().find("-x 30"), std::string::npos);  // position at t=3
@@ -67,7 +67,7 @@ TEST(NamExportTest, MovingNodesAreResampled) {
 
 TEST(NamExportTest, PacketEventsAppearInOrder) {
   mobility::StaticMobility a{{0.0, 0.0}};
-  std::vector<net::TraceRecord> recs;
+  TraceStore recs;
   recs.push_back(mac_event(0.2, net::TraceAction::kSend, 0, 1));
   recs.push_back(mac_event(0.3, net::TraceAction::kRecv, 1, 1));
   recs.push_back(mac_event(0.4, net::TraceAction::kDrop, 0, 2));
@@ -83,7 +83,7 @@ TEST(NamExportTest, PacketEventsAppearInOrder) {
 
 TEST(NamExportTest, NonMacNonDropRecordsFiltered) {
   mobility::StaticMobility a{{0.0, 0.0}};
-  std::vector<net::TraceRecord> recs;
+  TraceStore recs;
   net::TraceRecord agt = mac_event(0.2, net::TraceAction::kSend, 0, 1);
   agt.layer = net::TraceLayer::kAgent;
   recs.push_back(agt);
@@ -95,7 +95,7 @@ TEST(NamExportTest, NonMacNonDropRecordsFiltered) {
 TEST(NamExportTest, NullMobilityEntriesSkipped) {
   mobility::StaticMobility a{{1.0, 2.0}};
   std::ostringstream os;
-  export_nam(os, {nullptr, &a}, std::vector<net::TraceRecord>{}, 1_s);
+  export_nam(os, {nullptr, &a}, TraceStore{}, 1_s);
   EXPECT_EQ(count_lines_starting(os.str(), "n "), 1u);
   EXPECT_NE(os.str().find("-s 1 "), std::string::npos);
 }

@@ -22,6 +22,7 @@ Packet make_loaded_packet() {
   p.created = Time::seconds(std::int64_t{3});
   p.app_seq = 7;
   p.prev_hop = 4;
+  p.priority = 6;
   p.mac = MacHeader{1, 2, Time::microseconds(std::int64_t{100}), true};
   p.ip = Ipv4Header{1, 2, 16};
   AodvRerrHeader rerr;
@@ -65,6 +66,7 @@ TEST(PacketPoolTest, ReleaseRecyclesStorageAndFullyResets) {
   EXPECT_EQ(h2->payload_bytes, 0u);
   EXPECT_EQ(h2->app_seq, 0u);
   EXPECT_EQ(h2->prev_hop, kBroadcastAddress);
+  EXPECT_EQ(h2->priority, 0u);
   EXPECT_FALSE(h2->mac.has_value());
   EXPECT_FALSE(h2->ip.has_value());
   EXPECT_FALSE(h2->udp.has_value());
@@ -82,6 +84,9 @@ TEST(PacketPoolTest, ClonePreservesUidAndContent) {
   EXPECT_EQ(copy->type, original.type);
   EXPECT_EQ(copy->payload_bytes, original.payload_bytes);
   EXPECT_EQ(copy->created, original.created);
+  EXPECT_EQ(copy->app_seq, original.app_seq);
+  EXPECT_EQ(copy->prev_hop, original.prev_hop);
+  EXPECT_EQ(copy->priority, original.priority);  // EDCA's access category
   ASSERT_TRUE(copy->mac.has_value());
   EXPECT_EQ(copy->mac->src, 1u);
   EXPECT_TRUE(copy->mac->retry);
@@ -127,7 +132,7 @@ TEST(PacketPoolTest, DsdvRouteVectorIsRecycledAndReset) {
   PooledPacket h2 = pool.acquire();
   EXPECT_FALSE(h2->dsdv.has_value());
 
-  // Cached capacity is re-seeded on clone without affecting contents.
+  // A clone of a DSDV update copies its routes.
   Packet src;
   src.type = PacketType::kDsdvUpdate;
   DsdvUpdateHeader upd;

@@ -70,6 +70,23 @@ TEST_F(TcpFixture, FtpTransfersInOrderWithoutGaps) {
   EXPECT_EQ(rx.expected_minus_one(), static_cast<std::int64_t>(rx.packets_received()) - 1);
 }
 
+TEST_F(TcpFixture, FtpSourceStartedBeforeConnectSendsAtConnect) {
+  build_pair();
+  TcpSender tx{net.node(0), 100};
+  TcpSink rx{net.node(1), 200};
+  tx.set_infinite_data();  // no peer yet: nothing can leave
+  net.run_for(300_ms);
+  EXPECT_EQ(tx.next_seq(), 0);
+  tx.connect(1, 200);
+  EXPECT_GT(tx.next_seq(), 0);
+  // The first segment leaves at the connect instant.
+  EXPECT_EQ(net.tracer().count(net::TraceAction::kSend, net::TraceLayer::kAgent),
+            static_cast<std::size_t>(tx.next_seq()));
+  EXPECT_EQ(net.env().now(), 300_ms);
+  net.run_for(1_s);
+  EXPECT_GT(rx.packets_received(), 0u);
+}
+
 TEST_F(TcpFixture, SlowStartDoublesPerRtt) {
   build_pair();
   TcpParams params;
@@ -445,10 +462,10 @@ TEST(TcpCbrFeederMuting, MatchesAnEagerFeederOverLossyLinks) {
           EXPECT_GE(eager.stats.timeouts, 3u);
           break;
         case FeedCase::kStartBeforeConnect:
-          // Nothing leaves before connect (500 ms); the first tick after
-          // it sends.
+          // Nothing leaves before connect (500 ms); the backlog starts
+          // leaving at connect.
           EXPECT_GE(eager.offered[3], 400u);
-          EXPECT_EQ(eager.sends.front().first, 501_ms);
+          EXPECT_EQ(eager.sends.front().first, 500_ms);
           break;
       }
     }

@@ -113,7 +113,7 @@ TEST(TraceStoreTest, ClearKeepsStorageAndRefills) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceIoTest, RoundTripPreservesEverything) {
-  std::vector<net::TraceRecord> in;
+  TraceStore in;
   in.push_back(make_record(2.013, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0, 2, 17));
   in.push_back(make_record(2.144, net::TraceAction::kDrop, net::TraceLayer::kIfq, 1, 0, 2, 25,
                            net::PacketType::kTcpData, "IFQ"));
@@ -123,6 +123,11 @@ TEST(TraceIoTest, RoundTripPreservesEverything) {
   net::TraceRecord bc = make_record(4.0, net::TraceAction::kSend, net::TraceLayer::kRouter, 3,
                                     3, net::kBroadcastAddress, 0, net::PacketType::kAodvRreq);
   in.push_back(bc);
+  // Every packet type, BEACON (the last) included.
+  for (int i = 0; i <= static_cast<int>(net::PacketType::kBeacon); ++i) {
+    in.push_back(make_record(5.0 + i, net::TraceAction::kSend, net::TraceLayer::kMac, 0, 0, 1,
+                             static_cast<std::uint64_t>(i), static_cast<net::PacketType>(i)));
+  }
 
   std::stringstream ss;
   write_trace(ss, in);
@@ -154,21 +159,42 @@ TEST(TraceIoTest, ParserSkipsCommentsAndBlankLines) {
 }
 
 TEST(TraceIoTest, ParserRejectsGarbage) {
-  std::stringstream bad1{"x 1.0 _0_ AGT 1 tcp 1040 0 1 0 -\n"};
-  EXPECT_THROW(parse_trace(bad1), std::runtime_error);
-  std::stringstream bad2{"s 1.0 _0_ WAT 1 tcp 1040 0 1 0 -\n"};
-  EXPECT_THROW(parse_trace(bad2), std::runtime_error);
-  std::stringstream bad3{"s 1.0 0 AGT 1 tcp 1040 0 1 0 -\n"};
-  EXPECT_THROW(parse_trace(bad3), std::runtime_error);
-  std::stringstream bad4{"s 1.0 _0_ AGT 1 tcp\n"};
-  EXPECT_THROW(parse_trace(bad4), std::runtime_error);
+  // Each line is well formed but for one field, and the error names the
+  // line.
+  const auto rejects = [](const char* line) {
+    std::stringstream ss{std::string{"# header\n"} + line + "\n"};
+    try {
+      parse_trace(ss);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find("line 2"), std::string::npos) << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a runtime_error for \"" << line << "\": " << e.what();
+    }
+  };
+  rejects("x 1.000000000 _0_ AGT 1 tcp 1040 0 1 0 -");
+  rejects("s 1.000000000 _0_ WAT 1 tcp 1040 0 1 0 -");
+  rejects("s 1.000000000 0 AGT 1 tcp 1040 0 1 0 -");
+  rejects("s 1.000000000 _0_ AGT 1 tcp");
+  // Times are read exactly, in the form Time::to_string writes.
+  rejects("s nan _0_ AGT 1 tcp 1040 0 1 0 -");
+  rejects("s 1e300 _0_ AGT 1 tcp 1040 0 1 0 -");
+  rejects("s 9223372037.000000000 _0_ AGT 1 tcp 1040 0 1 0 -");
+  rejects("s 1.5 _0_ AGT 1 tcp 1040 0 1 0 -");
+  // Counts and addresses are decimals that fit their field.
+  rejects("s 1.000000000 _0_ AGT abc tcp 1040 0 1 0 -");
+  rejects("s 1.000000000 _0_ AGT -1 tcp 1040 0 1 0 -");
+  rejects("s 1.000000000 _99999999999_ AGT 1 tcp 1040 0 1 0 -");
+  rejects("s 1.000000000 _0_ AGT 1 tcp 1040 4294967296 1 0 -");
 }
 
 TEST(TraceIoTest, FormatRecordMatchesWriteTrace) {
   const auto r = make_record(2.5, net::TraceAction::kForward, net::TraceLayer::kRouter, 3, 3, 4,
                              9, net::PacketType::kAodvRrep);
+  TraceStore one;
+  one.push_back(r);
   std::stringstream ss;
-  write_trace(ss, {r});
+  write_trace(ss, one);
   EXPECT_EQ(ss.str(), format_record(r) + "\n");
 }
 
@@ -177,7 +203,7 @@ TEST(TraceIoTest, FormatRecordMatchesWriteTrace) {
 // ---------------------------------------------------------------------------
 
 TEST(DelayAnalyzerTest, MatchesFirstSendToFirstReceive) {
-  std::vector<net::TraceRecord> recs;
+  TraceStore recs;
   recs.push_back(make_record(1.0, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0, 1, 0));
   recs.push_back(make_record(1.5, net::TraceAction::kRecv, net::TraceLayer::kAgent, 1, 0, 1, 0));
   recs.push_back(make_record(2.0, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0, 1, 1));
@@ -192,7 +218,7 @@ TEST(DelayAnalyzerTest, MatchesFirstSendToFirstReceive) {
 }
 
 TEST(DelayAnalyzerTest, DuplicateEventsDoNotSkewDelay) {
-  std::vector<net::TraceRecord> recs;
+  TraceStore recs;
   recs.push_back(make_record(1.0, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0, 1, 0));
   // A later duplicate send (retransmission trace) must be ignored.
   recs.push_back(make_record(3.0, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0, 1, 0));
@@ -207,17 +233,41 @@ TEST(DelayAnalyzerTest, DuplicateEventsDoNotSkewDelay) {
 }
 
 TEST(DelayAnalyzerTest, UnmatchedSendsAreCounted) {
-  std::vector<net::TraceRecord> recs;
+  TraceStore recs;
   recs.push_back(make_record(1.0, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0, 1, 0));
   recs.push_back(make_record(1.2, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0, 1, 1));
   recs.push_back(make_record(1.5, net::TraceAction::kRecv, net::TraceLayer::kAgent, 1, 0, 1, 0));
   const DelayAnalyzer a{recs};
   EXPECT_EQ(a.flow(0, 1).size(), 1u);
   EXPECT_EQ(a.unmatched_sends(), 1u);
+  ASSERT_EQ(a.offered().size(), 2u);
+  EXPECT_TRUE(a.offered()[0].delivered);
+  EXPECT_FALSE(a.offered()[1].delivered);
+  EXPECT_EQ(a.offered()[1].sent, Time::seconds(1.2));
+}
+
+TEST(DelayAnalyzerTest, OnlyTheSourcesAgentSendOffersAPacket) {
+  TraceStore recs;
+  // An agent send traced at node 2 for a 0 -> 1 packet offers nothing,
+  // and its receive then matches no offer.
+  recs.push_back(make_record(0.5, net::TraceAction::kSend, net::TraceLayer::kAgent, 2, 0, 1, 0));
+  recs.push_back(make_record(0.9, net::TraceAction::kRecv, net::TraceLayer::kAgent, 1, 0, 1, 0));
+  // Seq 1: the source's send counts, from its own time, not node 2's.
+  recs.push_back(make_record(1.0, net::TraceAction::kSend, net::TraceLayer::kAgent, 2, 0, 1, 1));
+  recs.push_back(make_record(1.5, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0, 1, 1));
+  recs.push_back(make_record(1.7, net::TraceAction::kRecv, net::TraceLayer::kAgent, 1, 0, 1, 1));
+  const DelayAnalyzer a{recs};
+  ASSERT_EQ(a.offered().size(), 1u);
+  EXPECT_EQ(a.offered()[0].sent, Time::seconds(1.5));
+  EXPECT_TRUE(a.offered()[0].delivered);
+  ASSERT_EQ(a.all().size(), 1u);
+  EXPECT_EQ(a.all()[0].seq, 1u);
+  EXPECT_NEAR(a.all()[0].delay_seconds(), 0.2, 1e-9);
+  EXPECT_EQ(a.unmatched_sends(), 0u);
 }
 
 TEST(DelayAnalyzerTest, NonAgentAndControlRecordsIgnored) {
-  std::vector<net::TraceRecord> recs;
+  TraceStore recs;
   recs.push_back(make_record(1.0, net::TraceAction::kSend, net::TraceLayer::kMac, 0, 0, 1, 0));
   recs.push_back(make_record(1.5, net::TraceAction::kRecv, net::TraceLayer::kMac, 1, 0, 1, 0));
   recs.push_back(make_record(1.0, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0, 1, 7,
@@ -227,7 +277,7 @@ TEST(DelayAnalyzerTest, NonAgentAndControlRecordsIgnored) {
 }
 
 TEST(DelayAnalyzerTest, FlowsAreSeparatedByEndpoints) {
-  std::vector<net::TraceRecord> recs;
+  TraceStore recs;
   recs.push_back(make_record(1.0, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0, 1, 0));
   recs.push_back(make_record(1.1, net::TraceAction::kRecv, net::TraceLayer::kAgent, 1, 0, 1, 0));
   recs.push_back(make_record(1.0, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0, 2, 0));
@@ -235,12 +285,12 @@ TEST(DelayAnalyzerTest, FlowsAreSeparatedByEndpoints) {
   const DelayAnalyzer a{recs};
   EXPECT_EQ(a.flow(0, 1).size(), 1u);
   EXPECT_EQ(a.flow(0, 2).size(), 1u);
-  EXPECT_EQ(a.to_destination(2).size(), 1u);
+  EXPECT_EQ(a.all().size(), 2u);
   EXPECT_DOUBLE_EQ(a.flow(0, 2)[0].delay_seconds(), 0.4);
 }
 
 TEST(DelayAnalyzerTest, SummaryAndInitialPacketHelpers) {
-  std::vector<net::TraceRecord> recs;
+  TraceStore recs;
   for (int i = 0; i < 3; ++i) {
     recs.push_back(make_record(1.0 + i, net::TraceAction::kSend, net::TraceLayer::kAgent, 0, 0,
                                1, static_cast<std::uint64_t>(i)));
