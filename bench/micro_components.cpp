@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -325,8 +326,10 @@ void BM_IdmLaw(benchmark::State& state) {
   // in [0.99, 1.01], and a quarter slowed. Arg 0 runs the textbook law:
   // libm's pow(v/v0, 4.0) and 2√(ab) per vehicle. Arg 1 runs
   // idm_acceleration as TrafficFlow calls it: the exact x⁴ and 2√(ab)
-  // computed once. Both return the same bits; per_vehicle is the time
-  // of one evaluation.
+  // computed once. Arg 2 runs the two-lane law two vehicles at a time,
+  // then idm_acceleration for each lane it leaves (fallback_share), as
+  // TrafficFlow's tick does. All return the same bits; per_vehicle is
+  // the time of one evaluation.
   constexpr std::size_t kVehicles = 1500;
   mobility::IdmParams p;
   benchmark::DoNotOptimize(p);  // keep the calibration a run-time value
@@ -339,9 +342,16 @@ void BM_IdmLaw(benchmark::State& state) {
     gap[i] = i == 0 ? 1e9 : rng.uniform(5.0, 150.0);
     dv[i] = rng.uniform(-3.0, 3.0);
   }
-  const bool textbook = state.range(0) == 0;
+  const auto load = [](const std::vector<double>& column, std::size_t i) {
+    mobility::Lanes2 x;
+    std::memcpy(&x, &column[i], sizeof x);
+    return x;
+  };
+  std::vector<std::size_t> fallback(kVehicles);
+  std::size_t fallbacks = 0;
+  const auto mode = state.range(0);
   for (auto _ : state) {
-    if (textbook) {
+    if (mode == 0) {
       for (std::size_t i = 0; i < kVehicles; ++i) {
         const double brake_scale = 2.0 * std::sqrt(p.max_accel_mps2 * p.comfort_decel_mps2);
         const double s_star =
@@ -349,9 +359,26 @@ void BM_IdmLaw(benchmark::State& state) {
         const double ratio = s_star / std::max(gap[i], 0.01);
         out[i] = p.max_accel_mps2 * (1.0 - std::pow(v[i] / v0[i], 4.0) - ratio * ratio);
       }
-    } else {
+    } else if (mode == 1) {
       const double brake_scale = mobility::idm_brake_scale(p);
       for (std::size_t i = 0; i < kVehicles; ++i) {
+        out[i] = mobility::idm_acceleration(p, v0[i], p.time_headway_s, brake_scale, v[i],
+                                            gap[i], dv[i]);
+      }
+    } else {
+      const double brake_scale = mobility::idm_brake_scale(p);
+      fallbacks = 0;
+      for (std::size_t i = 0; i < kVehicles; i += 2) {
+        const mobility::IdmPair a = mobility::idm_acceleration2(
+            p, load(v0, i), p.time_headway_s, brake_scale, load(v, i), load(gap, i), load(dv, i));
+        std::memcpy(&out[i], &a.accel, sizeof a.accel);
+        fallback[fallbacks] = i;
+        fallbacks += a.exact[0] == 0;
+        fallback[fallbacks] = i + 1;
+        fallbacks += a.exact[1] == 0;
+      }
+      for (std::size_t k = 0; k < fallbacks; ++k) {
+        const std::size_t i = fallback[k];
         out[i] = mobility::idm_acceleration(p, v0[i], p.time_headway_s, brake_scale, v[i],
                                             gap[i], dv[i]);
       }
@@ -359,11 +386,15 @@ void BM_IdmLaw(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(textbook ? "textbook std::pow" : "idm_acceleration");
+  state.SetLabel(mode == 0 ? "textbook std::pow"
+                 : mode == 1 ? "idm_acceleration"
+                             : "idm_acceleration2 + fallback");
   state.counters["per_vehicle"] = benchmark::Counter(
       kVehicles, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  if (mode == 2)
+    state.counters["fallback_share"] = static_cast<double>(fallbacks) / kVehicles;
 }
-BENCHMARK(BM_IdmLaw)->Arg(0)->Arg(1);
+BENCHMARK(BM_IdmLaw)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_FullScenarioSecond(benchmark::State& state) {
   // Wall-clock cost of one simulated second of the paper scenario.

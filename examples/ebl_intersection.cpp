@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -62,14 +63,21 @@ int main(int argc, char** argv) {
   // paper's workflow launched nam.exe on the NS-2 trace). Outputs go into
   // results/ next to the bench artifacts, never the working directory.
   std::filesystem::create_directories("results");
-  const core::TrialResult r = builder.run("example", [&](core::EblScenario& s) {
-    std::ofstream nam{"results/ebl_intersection.nam"};
-    std::vector<const mobility::MobilityModel*> models;
-    for (std::size_t i = 0; i < s.node_count(); ++i) models.push_back(s.node(i).mobility());
-    trace::export_nam(nam, models, s.trace().records(), cfg.duration);
-    std::ofstream tr{"results/ebl_intersection.tr"};
-    trace::write_trace(tr, s.trace().records());
-  });
+  core::TrialResult r;
+  try {
+    r = builder.run("example", [&](core::EblScenario& s) {
+      std::ofstream nam{"results/ebl_intersection.nam"};
+      std::vector<const mobility::MobilityModel*> models;
+      for (std::size_t i = 0; i < s.node_count(); ++i) models.push_back(s.node(i).mobility());
+      trace::export_nam(nam, models, s.trace().records(), cfg.duration);
+      std::ofstream tr{"results/ebl_intersection.tr"};
+      trace::write_trace(tr, s.trace().records());
+    });
+  } catch (const std::invalid_argument& e) {
+    // A packet size the scenario rejects (e.g. above 65,535 bytes).
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 1;
+  }
   std::cout << "(animation written to results/ebl_intersection.nam, trace to "
                "results/ebl_intersection.tr — analyse it with `trace_analysis`)\n\n";
 

@@ -1,6 +1,7 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "app/beacon.hpp"
@@ -162,6 +163,19 @@ NodeStack build_node_stack(net::Env& env, phy::Channel& channel, const ScenarioC
 EblScenario::EblScenario(ScenarioConfig config) : config_{std::move(config)}, env_{config_.seed} {
   if (config_.platoon_size < 2)
     throw std::invalid_argument{"EblScenario: platoons need at least two vehicles"};
+  if (config_.packet_bytes == 0 || config_.packet_bytes > 65'535)
+    throw std::invalid_argument{"EblScenario: packet_bytes must be in [1, 65535]"};
+  const double rate = config_.ebl.cbr_rate_bps;
+  if (!(std::isfinite(rate) && rate > 0.0))
+    throw std::invalid_argument{"EblScenario: ebl.cbr_rate_bps must be finite and > 0"};
+  // The feeder schedules each send one interval after the last, so the
+  // interval leaves half of sim::Time's range to the clock.
+  const double interval_s = static_cast<double>(config_.packet_bytes) * 8.0 / rate;
+  if (!(interval_s * 1e9 < 0x1p62) ||
+      app::CbrSource::interval_for_rate(config_.packet_bytes, rate) <= sim::Time::zero())
+    throw std::invalid_argument{
+        "EblScenario: send interval packet_bytes * 8 / ebl.cbr_rate_bps must be at least 1 ns "
+        "and below 2^62 ns"};
   if (config_.enable_trace) env_.set_trace_sink(&trace_);
   env_.metrics().set_enabled(config_.enable_metrics);
   channel_ = std::make_unique<phy::Channel>(env_, make_propagation(config_, env_.rng()),

@@ -220,6 +220,11 @@ NodeStack build_node_stack(net::Env& env, phy::Channel& channel, const ScenarioC
 /// east at `platoon2_depart`.
 class EblScenario {
  public:
+  /// Throws std::invalid_argument, naming the field, for a platoon of
+  /// fewer than two vehicles, a packet_bytes of 0 or above 65,535 (the
+  /// largest IP datagram), an ebl.cbr_rate_bps that is not finite and
+  /// > 0, or a send interval (packet_bytes × 8 / rate) that rounds to
+  /// 0 ns or reaches 2^62 ns (half of sim::Time's range).
   explicit EblScenario(ScenarioConfig config);
   ~EblScenario();
 

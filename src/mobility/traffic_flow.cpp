@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -72,6 +73,13 @@ TrafficFlow::TrafficFlow(TrafficFlowParams params, std::uint64_t seed)
     total_lanes += static_cast<std::size_t>(r.lanes);
   }
   lanes_.resize(total_lanes);
+  for (std::size_t r = 0; r < params_.roads.size(); ++r) {
+    for (int l = 0; l < params_.roads[r].lanes; ++l) {
+      Lane& ln = lanes_[lane_base_[r] + static_cast<std::size_t>(l)];
+      ln.road = static_cast<std::uint16_t>(r);
+      ln.lane = static_cast<std::uint16_t>(l);
+    }
+  }
   const double mean_gap_s = params_.flow_rate_veh_per_s_per_lane > 0.0
                                 ? 1.0 / params_.flow_rate_veh_per_s_per_lane
                                 : 0.0;
@@ -104,19 +112,19 @@ TrafficFlow::VehicleId TrafficFlow::spawn(std::uint16_t road, std::uint16_t lane
     throw std::invalid_argument{"TrafficFlow::spawn: speed outside the declared bound"};
   if (!std::isfinite(pos_m))
     throw std::invalid_argument{"TrafficFlow::spawn: position must be finite"};
-  auto& col = lane_state(road, lane).column;
-  if (!col.empty() && pos_m >= pos_[col.back()])
+  Lane& ln = lane_state(road, lane);
+  if (ln.front < ln.id.size() && pos_m >= ln.pos.back())
     throw std::invalid_argument{"TrafficFlow::spawn: must enter behind the rearmost vehicle"};
-  if (params_.max_vehicles != 0 && pos_.size() >= params_.max_vehicles) return kNoVehicle;
+  if (params_.max_vehicles != 0 && slot_.size() >= params_.max_vehicles) return kNoVehicle;
 
-  const auto id = static_cast<VehicleId>(pos_.size());
-  pos_.push_back(pos_m);
-  speed_.push_back(speed_mps);
-  accel_.push_back(0.0);
-  v0_.push_back(params_.idm.desired_speed_mps);
-  road_.push_back(road);
-  lane_.push_back(lane);
-  active_.push_back(1);
+  const auto id = static_cast<VehicleId>(slot_.size());
+  lane_index_.push_back(static_cast<std::uint32_t>(lane_base_[road] + lane));
+  slot_.push_back(static_cast<std::uint32_t>(ln.id.size()));
+  ln.pos.push_back(pos_m);
+  ln.speed.push_back(speed_mps);
+  ln.accel.push_back(0.0);
+  ln.v0.push_back(params_.idm.desired_speed_mps);
+  ln.id.push_back(id);
   braking_.push_back(0);
   forced_.push_back(0);
   forced_decel_.push_back(0.0);
@@ -124,7 +132,6 @@ TrafficFlow::VehicleId TrafficFlow::spawn(std::uint16_t road, std::uint16_t lane
   policy_.push_back(DrivingPolicy{});
   policy_until_.push_back(sim::Time::zero());
   slowed_.push_back(0);
-  col.push_back(id);
   ++active_count_;
   if (on_spawn_) on_spawn_(id);
   return id;
@@ -134,11 +141,14 @@ void TrafficFlow::apply_policy(VehicleId v, DrivingPolicy policy, sim::Time unti
   validate_policy(policy, "TrafficFlow::apply_policy: policy");
   policy_[v] = policy;
   policy_until_[v] = until;
+  Lane& ln = lanes_[lane_index_[v]];
+  ln.policy_until = std::max(ln.policy_until, until);
 }
 
 void TrafficFlow::force_stop(VehicleId v, double decel_mps2, sim::Time until) {
   if (!(decel_mps2 > 0.0 && decel_mps2 <= kMaxPhysicalDecel))
     throw std::invalid_argument{"TrafficFlow: force_stop decel must be in (0, 9] m/s^2"};
+  if (forced_[v] == 0 && active(v)) ++lanes_[lane_index_[v]].forced;
   forced_[v] = 1;
   forced_decel_[v] = decel_mps2;
   forced_until_[v] = until;
@@ -148,83 +158,152 @@ void TrafficFlow::spawn_arrivals(sim::Time now) {
   if (params_.flow_rate_veh_per_s_per_lane <= 0.0) return;
   const double mean_gap_s = 1.0 / params_.flow_rate_veh_per_s_per_lane;
   const IdmParams& idm = params_.idm;
-  for (std::size_t r = 0; r < params_.roads.size(); ++r) {
-    for (int l = 0; l < params_.roads[r].lanes; ++l) {
-      auto& ls = lane_state(static_cast<std::uint16_t>(r), static_cast<std::uint16_t>(l));
-      while (ls.next_spawn <= now) {
-        if (params_.max_vehicles != 0 && pos_.size() >= params_.max_vehicles) return;
-        double entry_speed = -1.0;
-        if (!ls.column.empty()) {
-          const VehicleId rear = ls.column.back();
-          // A blocked entrance queues the arrival (retried next tick
-          // without a fresh draw), so the arrival pattern stays a pure
-          // function of the spawn stream.
-          const double rear_v = speed_[rear];
-          if (pos_[rear] < idm.vehicle_length_m + idm.min_gap_m + rear_v * idm.time_headway_s)
-            break;
-          entry_speed = rear_v;
-        }
-        const double jitter = params_.speed_jitter_frac;
-        const double v_des =
-            jitter > 0.0 ? idm.desired_speed_mps * ls.rng.uniform(1.0 - jitter, 1.0 + jitter)
-                         : idm.desired_speed_mps;
-        const double v_in = entry_speed < 0.0 ? v_des : std::min(v_des, entry_speed);
-        const VehicleId id = spawn(static_cast<std::uint16_t>(r), static_cast<std::uint16_t>(l),
-                                   0.0, v_in);
-        if (id == kNoVehicle) return;
-        v0_[id] = v_des;
-        ls.next_spawn += sim::Time::seconds(ls.rng.exponential(mean_gap_s));
+  for (Lane& ln : lanes_) {
+    while (ln.next_spawn <= now) {
+      if (params_.max_vehicles != 0 && slot_.size() >= params_.max_vehicles) return;
+      double entry_speed = -1.0;
+      if (ln.front < ln.id.size()) {
+        // A blocked entrance queues the arrival (retried next tick
+        // without a fresh draw), so the arrival pattern stays a pure
+        // function of the spawn stream.
+        const double rear_v = ln.speed.back();
+        if (ln.pos.back() < idm.vehicle_length_m + idm.min_gap_m + rear_v * idm.time_headway_s)
+          break;
+        entry_speed = rear_v;
       }
+      const double jitter = params_.speed_jitter_frac;
+      const double v_des =
+          jitter > 0.0 ? idm.desired_speed_mps * ln.rng.uniform(1.0 - jitter, 1.0 + jitter)
+                       : idm.desired_speed_mps;
+      const double v_in = entry_speed < 0.0 ? v_des : std::min(v_des, entry_speed);
+      const VehicleId id = spawn(ln.road, ln.lane, 0.0, v_in);
+      if (id == kNoVehicle) return;
+      ln.v0[slot_[id]] = v_des;
+      ln.next_spawn += sim::Time::seconds(ln.rng.exponential(mean_gap_s));
     }
   }
 }
 
+namespace {
+
+Lanes2 load2(const double* p) {
+  Lanes2 x;
+  std::memcpy(&x, p, sizeof x);
+  return x;
+}
+
+void store2(double* p, Lanes2 x) { std::memcpy(p, &x, sizeof x); }
+
+}  // namespace
+
 void TrafficFlow::compute_accels(sim::Time now) {
   const IdmParams& base = params_.idm;
+  // The pair loop's copy: its stores cannot alias a local whose address
+  // stays in this function, so the calibration stays in registers.
+  const IdmParams law = base;
   const double brake_scale = idm_brake_scale(base);
+  const double threshold = params_.hard_brake_threshold_mps2;
+  // δ = 4 sends followers through the two-lane law two at a time.
+  const bool paired = base.accel_exponent == 4.0;
+  const Lanes2 decel_floor = Lanes2{} - kMaxPhysicalDecel;
   brake_edges_.clear();
-  for (std::size_t r = 0; r < params_.roads.size(); ++r) {
-    const RoadSpec& road = params_.roads[r];
-    for (int l = 0; l < road.lanes; ++l) {
-      const auto& col =
-          lane_state(static_cast<std::uint16_t>(r), static_cast<std::uint16_t>(l)).column;
-      for (std::size_t i = 0; i < col.size(); ++i) {
-        const VehicleId id = col[i];
-        const double v = speed_[id];
-        double gap = 1e9;
-        double dv = 0.0;
-        if (i > 0) {
-          const VehicleId lead = col[i - 1];
-          gap = pos_[lead] - pos_[id] - base.vehicle_length_m;
-          dv = v - speed_[lead];
+  for (Lane& ln : lanes_) {
+    const std::size_t front = ln.front;
+    const std::size_t end = ln.id.size();
+    if (front == end) continue;
+    const double* const pos = ln.pos.data();
+    const double* const speed = ln.speed.data();
+    const double* const v0s = ln.v0.data();
+    double* const accel = ln.accel.data();
+    const bool policies = ln.policy_until > now;
+    // The scalar law for one slot, policy included. IDM's interaction
+    // term diverges as the gap closes; the clamp keeps one bad tick from
+    // poisoning the hard-brake edge detector and the integrator alike.
+    const auto scalar = [&](std::size_t i) {
+      const double v = speed[i];
+      double gap = 1e9;
+      double dv = 0.0;
+      if (i > front) {
+        gap = pos[i - 1] - pos[i] - base.vehicle_length_m;
+        dv = v - speed[i - 1];
+      }
+      double v0 = v0s[i];
+      double headway = base.time_headway_s;
+      if (policies && policy_until_[ln.id[i]] > now) {
+        const DrivingPolicy& policy = policy_[ln.id[i]];
+        headway *= policy.headway_scale;
+        v0 = std::min(v0, policy.speed_cap_mps);
+      }
+      accel[i] = std::max(idm_acceleration(base, v0, headway, brake_scale, v, gap, dv),
+                          -kMaxPhysicalDecel);
+    };
+
+    // Followers two at a time, policies ignored. A lane whose x⁴ pow4
+    // could not round exactly goes on the fallback list, without a branch.
+    std::size_t i = front + 1;
+    std::size_t fallbacks = 0;
+    if (paired) {
+      if (fallback_.size() < end - front) fallback_.resize(end - front);
+      std::size_t* const fallback = fallback_.data();
+      for (; i + 1 < end; i += 2) {
+        const Lanes2 v = load2(speed + i);
+        const Lanes2 gap = load2(pos + i - 1) - load2(pos + i) - law.vehicle_length_m;
+        const Lanes2 dv = v - load2(speed + i - 1);
+        const IdmPair a = idm_acceleration2(law, load2(v0s + i), law.time_headway_s,
+                                            brake_scale, v, gap, dv);
+        store2(accel + i, max2(a.accel, decel_floor));
+        fallback[fallbacks] = i;
+        fallbacks += a.exact[0] == 0;
+        fallback[fallbacks] = i + 1;
+        fallbacks += a.exact[1] == 0;
+      }
+    }
+    const std::size_t paired_end = i;
+    // The scalar pass: the leader on free road, an odd last follower
+    // (every follower when δ ≠ 4), the fallbacks, and every paired
+    // vehicle under a live policy.
+    scalar(front);
+    for (; i < end; ++i) scalar(i);
+    for (std::size_t k = 0; k < fallbacks; ++k) scalar(fallback_[k]);
+    if (policies) {
+      for (std::size_t j = front + 1; j < paired_end; ++j) {
+        if (policy_until_[ln.id[j]] > now) scalar(j);
+      }
+    }
+
+    // Forced stops and brake edges, in column order.
+    if (ln.forced == 0 && ln.latched == 0) {
+      for (std::size_t j = front; j < end; ++j) {
+        if (accel[j] <= -threshold) {
+          const VehicleId id = ln.id[j];
+          braking_[id] = 1;
+          ++ln.latched;
+          brake_edges_.push_back(id);
         }
-        double v0 = v0_[id];
-        double headway = base.time_headway_s;
-        if (policy_until_[id] > now) {
-          headway *= policy_[id].headway_scale;
-          v0 = std::min(v0, policy_[id].speed_cap_mps);
+      }
+      continue;
+    }
+    for (std::size_t j = front; j < end; ++j) {
+      const VehicleId id = ln.id[j];
+      double a = accel[j];
+      if (forced_[id] != 0) {
+        if (now >= forced_until_[id]) {
+          forced_[id] = 0;
+          --ln.forced;
+        } else {
+          a = speed[j] > 0.0 ? std::min(a, -forced_decel_[id]) : 0.0;
+          accel[j] = a;
         }
-        // IDM's interaction term diverges as the gap closes; the clamp
-        // keeps one bad tick from poisoning the hard-brake edge detector
-        // and the integrator alike.
-        double a = std::max(idm_acceleration(base, v0, headway, brake_scale, v, gap, dv),
-                            -kMaxPhysicalDecel);
-        if (forced_[id] != 0) {
-          if (now >= forced_until_[id]) {
-            forced_[id] = 0;
-          } else {
-            a = v > 0.0 ? std::min(a, -forced_decel_[id]) : 0.0;
-          }
+      }
+      if (a <= -threshold) {
+        if (braking_[id] == 0) {
+          braking_[id] = 1;
+          ++ln.latched;
+          brake_edges_.push_back(id);
         }
-        accel_[id] = a;
-        if (a <= -params_.hard_brake_threshold_mps2) {
-          if (braking_[id] == 0) {
-            braking_[id] = 1;
-            brake_edges_.push_back(id);
-          }
-        } else if (a > -0.5 * params_.hard_brake_threshold_mps2) {
-          braking_[id] = 0;
-        }
+      } else if (a > -0.5 * threshold && braking_[id] != 0) {
+        braking_[id] = 0;
+        --ln.latched;
       }
     }
   }
@@ -233,33 +312,45 @@ void TrafficFlow::compute_accels(sim::Time now) {
 void TrafficFlow::integrate_and_cull(sim::Time now) {
   const double dt = params_.tick.to_seconds();
   const double now_s = now.to_seconds();
-  for (std::size_t r = 0; r < params_.roads.size(); ++r) {
-    const RoadSpec& road = params_.roads[r];
-    for (int l = 0; l < road.lanes; ++l) {
-      auto& col = lane_state(static_cast<std::uint16_t>(r), static_cast<std::uint16_t>(l)).column;
-      for (const VehicleId id : col) {
-        // Semi-implicit Euler: speed first, then position with the new
-        // speed. All accelerations came from the previous tick's state,
-        // so the update is synchronous across every column.
-        const double v_new = std::max(0.0, speed_[id] + accel_[id] * dt);
-        pos_[id] += v_new * dt;
-        speed_[id] = v_new;
-        if (slow_stats_armed_ && slowed_[id] == 0 && v_new < params_.slow_speed_mps) {
-          slowed_[id] = 1;
-          slow_events_.push_back({id, now_s, pos_[id], static_cast<std::uint16_t>(r),
-                                  static_cast<std::uint16_t>(l)});
+  for (Lane& ln : lanes_) {
+    const std::size_t end = ln.id.size();
+    double* const pos = ln.pos.data();
+    double* const speed = ln.speed.data();
+    const double* const accel = ln.accel.data();
+    // Semi-implicit Euler: speed first, then position with the new
+    // speed, two vehicles at a time. All accelerations came from the
+    // previous tick's state, so the update is synchronous across every
+    // column.
+    std::size_t j = ln.front;
+    for (; j + 1 < end; j += 2) {
+      const Lanes2 v_new = max2(Lanes2{}, load2(speed + j) + load2(accel + j) * dt);
+      store2(pos + j, load2(pos + j) + v_new * dt);
+      store2(speed + j, v_new);
+    }
+    if (j < end) {
+      const double v_new = std::max(0.0, speed[j] + accel[j] * dt);
+      pos[j] += v_new * dt;
+      speed[j] = v_new;
+    }
+    if (slow_stats_armed_) {
+      for (j = ln.front; j < end; ++j) {
+        if (speed[j] < params_.slow_speed_mps && slowed_[ln.id[j]] == 0) {
+          slowed_[ln.id[j]] = 1;
+          slow_events_.push_back({ln.id[j], now_s, pos[j], ln.road, ln.lane});
         }
       }
-      while (!col.empty() && pos_[col.front()] >= road.length_m) {
-        const VehicleId gone = col.front();
-        col.erase(col.begin());
-        pos_[gone] = road.length_m;
-        speed_[gone] = 0.0;
-        accel_[gone] = 0.0;
-        active_[gone] = 0;
-        --active_count_;
-        if (on_despawn_) on_despawn_(gone);
-      }
+    }
+    const double length = params_.roads[ln.road].length_m;
+    while (ln.front < ln.id.size() && ln.pos[ln.front] >= length) {
+      const std::size_t k = ln.front++;
+      const VehicleId gone = ln.id[k];
+      ln.pos[k] = length;
+      ln.speed[k] = 0.0;
+      ln.accel[k] = 0.0;
+      if (forced_[gone] != 0) --ln.forced;
+      if (braking_[gone] != 0) --ln.latched;
+      --active_count_;
+      if (on_despawn_) on_despawn_(gone);
     }
   }
 }
@@ -280,9 +371,9 @@ void TrafficFlow::step(sim::Scheduler& sched) {
   if (ticks_ % static_cast<std::uint64_t>(params_.speed_sample_every_ticks) == 0) {
     double sum = 0.0;
     std::uint32_t n = 0;
-    for (const auto& ls : lanes_) {
-      for (const VehicleId id : ls.column) {
-        sum += speed_[id];
+    for (const Lane& ln : lanes_) {
+      for (std::size_t j = ln.front; j < ln.id.size(); ++j) {
+        sum += ln.speed[j];
         ++n;
       }
     }
@@ -297,18 +388,20 @@ void TrafficFlow::step(sim::Scheduler& sched) {
 }
 
 Vec2 TrafficFlow::position_of(VehicleId v, sim::Time t) const {
-  const RoadSpec& r = params_.roads[road_[v]];
-  double s = pos_[v];
-  if (active_[v] != 0 && t > last_step_) s += speed_[v] * (t - last_step_).to_seconds();
+  const Lane& ln = home(v);
+  const std::size_t k = slot_[v];
+  const RoadSpec& r = params_.roads[ln.road];
+  double s = ln.pos[k];
+  if (k >= ln.front && t > last_step_) s += ln.speed[k] * (t - last_step_).to_seconds();
   s = std::min(s, r.length_m);
   const Vec2 perp{-r.direction.y, r.direction.x};
-  const double offset = (static_cast<double>(lane_[v]) + 0.5) * r.lane_width_m;
+  const double offset = (static_cast<double>(ln.lane) + 0.5) * r.lane_width_m;
   return r.origin + r.direction * s + perp * offset;
 }
 
 Vec2 TrafficFlow::velocity_of(VehicleId v) const {
-  if (active_[v] == 0) return {};
-  return params_.roads[road_[v]].direction * speed_[v];
+  if (!active(v)) return {};
+  return params_.roads[home(v).road].direction * speed_of(v);
 }
 
 std::shared_ptr<MobilityModel> TrafficFlow::make_mobility(VehicleId v) {

@@ -90,11 +90,15 @@ struct SpeedSample {
 /// mobility split. Its vehicle state evolves by simulation events (a
 /// fixed integration tick scheduled through the shared event queue), so
 /// message reception may change a vehicle's future trajectory, which a
-/// closed-form `MobilityModel` cannot express. All vehicle state lives
-/// in structure-of-arrays vectors indexed by a dense spawn-ordered
-/// vehicle id (ids are never reused; despawned vehicles deactivate and
-/// freeze in place). Each (road, lane) pair is an independent
-/// front-to-back ordered IDM column.
+/// closed-form `MobilityModel` cannot express. Vehicles carry a dense
+/// spawn-ordered id (never reused; a despawned vehicle deactivates and
+/// freezes in place). Each (road, lane) pair is an independent
+/// front-to-back ordered IDM column, stored lane-major: the lane keeps
+/// its vehicles' position, speed, acceleration, desired speed and id in
+/// column order, so the tick streams through contiguous arrays, and two
+/// id-indexed arrays map an id to its lane and slot. Fields the tick
+/// rarely reads (policy, forced stop, brake latch, slowed flag) stay
+/// indexed by id behind per-lane summaries.
 ///
 /// Contract with the channel's spatial grid: the grid's cull slack is
 /// derived from a speed bound. Scripted models are covered by the static
@@ -163,13 +167,13 @@ class TrafficFlow {
   /// (road, lane).
   VehicleId spawn(std::uint16_t road, std::uint16_t lane, double pos_m, double speed_mps);
 
-  std::size_t spawned_total() const noexcept { return pos_.size(); }
+  std::size_t spawned_total() const noexcept { return slot_.size(); }
   std::size_t active_count() const noexcept { return active_count_; }
-  bool active(VehicleId v) const { return active_[v] != 0; }
-  double longitudinal_pos(VehicleId v) const { return pos_[v]; }
-  double speed_of(VehicleId v) const { return speed_[v]; }
-  std::uint16_t road_of(VehicleId v) const { return road_[v]; }
-  std::uint16_t lane_of(VehicleId v) const { return lane_[v]; }
+  bool active(VehicleId v) const { return slot_[v] >= home(v).front; }
+  double longitudinal_pos(VehicleId v) const { return home(v).pos[slot_[v]]; }
+  double speed_of(VehicleId v) const { return home(v).speed[slot_[v]]; }
+  std::uint16_t road_of(VehicleId v) const { return home(v).road; }
+  std::uint16_t lane_of(VehicleId v) const { return home(v).lane; }
 
   /// World-frame position at `t`, extrapolating from the last tick
   /// (clamped to the road extent; frozen once despawned).
@@ -206,39 +210,50 @@ class TrafficFlow {
   std::uint64_t ticks_executed() const noexcept { return ticks_; }
 
  private:
-  struct LaneState {
-    std::vector<VehicleId> column;  ///< front (largest pos) to back
+  /// One (road, lane) column. Slots [front, size) are the vehicles on
+  /// the road, front (largest pos) to back; a despawn advances `front`,
+  /// so the slots before it keep departed vehicles' frozen state.
+  struct Lane {
+    std::vector<double> pos;  ///< longitudinal metres along the road
+    std::vector<double> speed;
+    std::vector<double> accel;
+    std::vector<double> v0;   ///< per-vehicle desired speed
+    std::vector<VehicleId> id;
+    std::size_t front{0};
+    std::uint16_t road{0};
+    std::uint16_t lane{0};
+    // Summaries of the id-indexed fields below: a lane whose summaries
+    // are clear needs none of them in the tick.
+    sim::Time policy_until{};  ///< latest expiry of a policy applied here
+    std::uint32_t forced{0};   ///< vehicles on the road with forced_ set
+    std::uint32_t latched{0};  ///< vehicles on the road with braking_ set
     sim::Time next_spawn{};
-    sim::Rng rng;                   ///< dedicated per-lane spawn stream
+    sim::Rng rng;              ///< dedicated per-lane spawn stream
   };
 
   void step(sim::Scheduler& sched);
   void spawn_arrivals(sim::Time now);
   void compute_accels(sim::Time now);
   void integrate_and_cull(sim::Time now);
-  LaneState& lane_state(std::uint16_t road, std::uint16_t lane) {
+  Lane& lane_state(std::uint16_t road, std::uint16_t lane) {
     return lanes_[lane_base_[road] + lane];
   }
+  const Lane& home(VehicleId v) const { return lanes_[lane_index_[v]]; }
 
   TrafficFlowParams params_;
-  std::vector<LaneState> lanes_;
+  std::vector<Lane> lanes_;
   std::vector<std::size_t> lane_base_;  ///< road -> first index into lanes_
 
-  // SoA per-vehicle state, indexed by VehicleId (spawn order).
-  std::vector<double> pos_;     ///< longitudinal metres along the road
-  std::vector<double> speed_;
-  std::vector<double> accel_;
-  std::vector<double> v0_;      ///< per-vehicle desired speed
-  std::vector<std::uint16_t> road_;
-  std::vector<std::uint16_t> lane_;
-  std::vector<std::uint8_t> active_;
-  std::vector<std::uint8_t> braking_;   ///< hard-brake edge latch
-  std::vector<std::uint8_t> forced_;    ///< force_stop override live
+  // Per-vehicle state indexed by VehicleId (spawn order).
+  std::vector<std::uint32_t> lane_index_;  ///< index into lanes_
+  std::vector<std::uint32_t> slot_;        ///< slot within that lane
+  std::vector<std::uint8_t> braking_;      ///< hard-brake edge latch
+  std::vector<std::uint8_t> forced_;       ///< force_stop override live
   std::vector<double> forced_decel_;
   std::vector<sim::Time> forced_until_;
   std::vector<DrivingPolicy> policy_;
   std::vector<sim::Time> policy_until_;
-  std::vector<std::uint8_t> slowed_;    ///< already recorded a SlowEvent
+  std::vector<std::uint8_t> slowed_;       ///< already recorded a SlowEvent
 
   std::function<void(VehicleId)> on_spawn_;
   std::function<void(VehicleId)> on_despawn_;
@@ -247,6 +262,7 @@ class TrafficFlow {
   std::vector<SlowEvent> slow_events_;
   std::vector<SpeedSample> speed_series_;
   std::vector<VehicleId> brake_edges_;  ///< per-tick scratch, reused
+  std::vector<std::size_t> fallback_;   ///< per-lane scratch: paired slots pow4 left
   bool slow_stats_armed_{false};
 
   sim::Scheduler* sched_{nullptr};

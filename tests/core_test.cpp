@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/ebl_app.hpp"
 #include "core/safety.hpp"
 #include "core/scenario.hpp"
@@ -206,6 +211,54 @@ TEST(ScenarioTest, RejectsDegeneratePlatoon) {
   ScenarioConfig cfg;
   cfg.platoon_size = 1;
   EXPECT_THROW(EblScenario{cfg}, std::invalid_argument);
+}
+
+/// Expects construction to throw std::invalid_argument naming `field`.
+void expect_rejected(const ScenarioConfig& cfg, const std::string& field) {
+  try {
+    EblScenario scenario{cfg};
+    ADD_FAILURE() << "accepted; expected a message naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(ScenarioTest, RejectsPacketBytesOutsideAnIpDatagramByName) {
+  for (const std::size_t bytes : {std::size_t{0}, std::size_t{65'536}, SIZE_MAX}) {
+    ScenarioConfig cfg;
+    cfg.packet_bytes = bytes;
+    SCOPED_TRACE(bytes);
+    expect_rejected(cfg, "packet_bytes");
+  }
+  ScenarioConfig largest;
+  largest.packet_bytes = 65'535;
+  EXPECT_NO_THROW(EblScenario{largest});
+}
+
+TEST(ScenarioTest, RejectsACbrRateThatIsNotFiniteAndPositiveByName) {
+  for (const double rate : {0.0, -1.2e6, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    ScenarioConfig cfg;
+    cfg.ebl.cbr_rate_bps = rate;
+    SCOPED_TRACE(rate);
+    expect_rejected(cfg, "ebl.cbr_rate_bps must be finite and > 0");
+  }
+}
+
+TEST(ScenarioTest, RejectsASendIntervalSimTimeCannotHoldByName) {
+  // 1000 bytes at 1e-300 b/s take ~8e303 s and at 1e-6 b/s 8e18 ns,
+  // which fits int64 but not below 2^62 ns; at 1e300 or 1e14 b/s the
+  // interval rounds to 0 ns (the feeder would re-arm at one instant
+  // forever).
+  for (const double rate : {1e-300, 1e-6, 1e300, 1e14}) {
+    ScenarioConfig cfg;
+    cfg.ebl.cbr_rate_bps = rate;
+    SCOPED_TRACE(rate);
+    expect_rejected(cfg, "send interval");
+  }
+  ScenarioConfig slow;
+  slow.ebl.cbr_rate_bps = 1.0;  // one 1000-byte packet every 8000 s
+  EXPECT_NO_THROW(EblScenario{slow});
 }
 
 // ---------------------------------------------------------------------------
