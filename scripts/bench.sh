@@ -292,7 +292,9 @@ EOF
   exit "$STATUS"
 fi
 
-cmake -B "$BUILD" -G Ninja -DCMAKE_BUILD_TYPE=Release
+# Plain Release would compile at CMake's -O3; perfbench/CMakeLists.txt
+# sets these flags too, so micro and perfbench numbers share them.
+cmake -B "$BUILD" -G Ninja -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG"
 cmake --build "$BUILD"
 
 case "$MODE" in

@@ -37,6 +37,7 @@ void WirelessPhy::set_down(bool down) {
     rx_end_timer_.cancel();
     rx_packet_.reset();
     carrier_timer_.cancel();
+    carrier_reserved_seq_ = 0;
     tx_until_ = sim::Time{};
     busy_until_ = sim::Time{};
     carrier_was_busy_ = false;
@@ -95,20 +96,20 @@ void WirelessPhy::signal_start(net::PooledPacket p, double rx_power_w, sim::Time
       rx_packet_ = std::move(p);
       rx_power_ = rx_power_w;
       rx_ok_ = true;
-      rx_end_timer_.schedule_at(end);
+      arm_rx_end(end);
     } else {
       // Comparable powers: both frames are corrupted.
       rx_ok_ = false;
       // Keep decoding until the longer of the two signals ends, like a
       // real receiver that can't resynchronise mid-burst.
-      if (end > rx_end_timer_.expires_at()) rx_end_timer_.schedule_at(end);
+      if (end > rx_end_timer_.expires_at()) arm_rx_end(end);
     }
   } else if (rx_power_w >= params_.rx_threshold_w) {
     rx_active_ = true;
     rx_ok_ = true;
     rx_power_ = rx_power_w;
     rx_packet_ = std::move(p);
-    rx_end_timer_.schedule_at(end);
+    arm_rx_end(end);
   } else {
     // Below RX threshold with no reception in progress: carrier noise only.
     env_.metrics().add(owner_, sim::Counter::kPhyBelowRxThreshold);
@@ -118,6 +119,11 @@ void WirelessPhy::signal_start(net::PooledPacket p, double rx_power_w, sim::Time
 
 void WirelessPhy::finish_reception() {
   rx_active_ = false;
+  // A reserved carrier shot is due now, after this one, and would find
+  // the idle transition that update_carrier() below makes: drop it.
+  assert(carrier_reserved_seq_ == 0 ||
+         (rx_end_covers_carrier_ && carrier_reserved_at_ == env_.now()));
+  carrier_reserved_seq_ = 0;
   // Take the pooled shell locally; the MAC-facing callback still receives
   // a value Packet (moved out of the shell), so nothing above the phy
   // needs to know about pooling. The shell returns to the pool at scope
@@ -139,6 +145,7 @@ void WirelessPhy::finish_reception() {
 void WirelessPhy::abort_reception() {
   rx_active_ = false;
   rx_end_timer_.cancel();
+  rx_end_covers_carrier_ = false;
   ++rx_collision_count_;
   env_.metrics().add(owner_, sim::Counter::kPhyRxAbortedByTx);
   env_.metrics().add(owner_, sim::Counter::kPhyRxCollision);
@@ -150,13 +157,34 @@ void WirelessPhy::note_busy_until(sim::Time t) {
   if (t > busy_until_) busy_until_ = t;
 }
 
+void WirelessPhy::arm_rx_end(sim::Time end) {
+  rx_end_timer_.schedule_at(end);
+  rx_end_covers_carrier_ = false;
+}
+
+// The carrier shot re-checks the carrier when the last known signal
+// ends. Where the rx-end shot is pending at that same instant, it fires
+// first (its seq is earlier), and its own update_carrier() makes the idle
+// transition: a carrier shot right after it would change nothing. So
+// arm_carrier() then only reserves the seq a queued shot would take, and
+// finish_reception() drops the reservation. Anything that changes
+// busy_until_ or tx_until_ in between calls update_carrier(), which
+// re-arms the shot at (until, next seq) — a busy carrier ends after now —
+// just as it would move a queued shot. And if the rx-end shot moves or is
+// cancelled instead (capture, collision extension, an aborting transmit
+// or retune), the call below queues the shot at its reserved key. Every
+// event keeps the key it would have had with the shot queued all along.
 void WirelessPhy::update_carrier() {
   const bool busy = carrier_busy();
-  if (busy) {
-    // Re-check exactly when the last known signal ends.
-    const sim::Time until = std::max(busy_until_, tx_until_);
-    if (!carrier_timer_.pending() || carrier_timer_.expires_at() < until)
-      carrier_timer_.schedule_at(until);
+  const sim::Time until = std::max(busy_until_, tx_until_);
+  const bool reserved = carrier_reserved_seq_ != 0;
+  const bool armed = reserved || carrier_timer_.pending();
+  const sim::Time due = reserved ? carrier_reserved_at_ : carrier_timer_.expires_at();
+  if (busy && (!armed || due < until)) {
+    arm_carrier(until);
+  } else if (reserved && !rx_end_covers_carrier_) {
+    carrier_timer_.schedule_reserved(carrier_reserved_at_, carrier_reserved_seq_);
+    carrier_reserved_seq_ = 0;
   }
   if (busy != carrier_was_busy_) {
     if (busy) {
@@ -167,6 +195,18 @@ void WirelessPhy::update_carrier() {
     carrier_was_busy_ = busy;
     if (busy) env_.metrics().add(owner_, sim::Counter::kPhyCsBusy);
     if (carrier_cb_) carrier_cb_(busy);
+  }
+}
+
+void WirelessPhy::arm_carrier(sim::Time until) {
+  if (rx_end_timer_.pending() && rx_end_timer_.expires_at() == until) {
+    carrier_timer_.cancel();
+    carrier_reserved_at_ = until;
+    carrier_reserved_seq_ = env_.scheduler().reserve_seq();
+    rx_end_covers_carrier_ = true;
+  } else {
+    carrier_reserved_seq_ = 0;
+    carrier_timer_.schedule_at(until);
   }
 }
 

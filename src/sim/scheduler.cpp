@@ -1,8 +1,8 @@
 #include "sim/scheduler.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace eblnet::sim {
@@ -18,32 +18,94 @@ const Scheduler::Slot* Scheduler::resolve(EventId id) const noexcept {
   return &s;
 }
 
-std::uint32_t Scheduler::take_slot(Time at, bool in_lane, Callback&& cb) {
+void Scheduler::throw_no_lane(Lane lane) {
+  throw std::invalid_argument{"Scheduler: lane handle " + std::to_string(lane.index_) +
+                              " names no lane"};
+}
+
+void Scheduler::throw_key_overflow(std::uint64_t seq, std::uint64_t slot) {
+  throw std::length_error{"Scheduler: seq " + std::to_string(seq) + " or slot " +
+                          std::to_string(slot) + " outgrows its 40 or 24 key bits"};
+}
+
+std::uint32_t Scheduler::take_slot(Time at, std::uint64_t seq, bool in_lane, Callback&& cb) {
   if (!cb) throw std::invalid_argument{"Scheduler: empty callback"};
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
+  const bool grow = free_slots_.empty();
+  const std::size_t slot = grow ? slots_.size() : free_slots_.back();
+  const std::uint64_t key = pack_key(seq, slot);
+  if (grow) {
     slots_.emplace_back();
+  } else {
+    free_slots_.pop_back();
   }
   Slot& s = slots_[slot];
   s.in_use = true;
   s.in_lane = in_lane;
   s.key_at = at;
-  s.key_seq = next_seq_++;
+  s.key = key;
   s.cb = std::move(cb);
   ++live_;
-  return slot;
+  return static_cast<std::uint32_t>(slot);
+}
+
+void Scheduler::sift_up(std::size_t hole, const Entry& e) {
+  Entry* const h = heap_.data();
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!earlier(e, h[parent])) break;
+    h[hole] = h[parent];
+    hole = parent;
+  }
+  h[hole] = e;
+}
+
+void Scheduler::push_heap(const Entry& e) {
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, e);
+}
+
+void Scheduler::replace_top(const Entry& e) {
+  Entry* const h = heap_.data();
+  const std::size_t n = heap_.size();
+  std::size_t hole = 0;
+  std::size_t child = 1;
+  for (; child + 1 < n; child = 2 * hole + 1) {
+    // The smaller child, chosen by arithmetic: which one wins is a coin
+    // flip the branch predictor cannot learn.
+    child += earlier(h[child + 1], h[child]);
+    h[hole] = h[child];
+    hole = child;
+  }
+  if (child < n) {  // a lone last child
+    h[hole] = h[child];
+    hole = child;
+  }
+  sift_up(hole, e);
 }
 
 EventId Scheduler::schedule_at(Time at, Callback cb) {
   if (at < now_) throw std::invalid_argument{"Scheduler: event scheduled in the past"};
-  const std::uint32_t slot = take_slot(at, /*in_lane=*/false, std::move(cb));
+  const std::uint32_t slot = take_slot(at, next_seq_, /*in_lane=*/false, std::move(cb));
+  ++next_seq_;
   const Slot& s = slots_[slot];
-  heap_.push_back(Entry{at, s.key_seq, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  push_heap(Entry{at, s.key});
+  return make_id(slot, s.gen);
+}
+
+std::uint64_t Scheduler::reserve_seq() {
+  pack_key(next_seq_, 0);  // throws at the seq limit
+  return next_seq_++;
+}
+
+EventId Scheduler::schedule_reserved(Time at, std::uint64_t seq, Callback cb) {
+  if (seq == 0 || seq >= next_seq_) {
+    throw std::invalid_argument{"Scheduler: seq " + std::to_string(seq) +
+                                " was never handed out"};
+  }
+  if (at < now_) throw std::invalid_argument{"Scheduler: event scheduled in the past"};
+  const std::uint32_t slot = take_slot(at, seq, /*in_lane=*/false, std::move(cb));
+  const Slot& s = slots_[slot];
+  push_heap(Entry{at, s.key});
   return make_id(slot, s.gen);
 }
 
@@ -60,11 +122,11 @@ Scheduler::Lane Scheduler::lane(Time delay) {
 }
 
 EventId Scheduler::schedule_in(Lane lane, Callback cb) {
-  assert(lane.index_ < lanes_.size());
-  const std::uint32_t slot =
-      take_slot(now_ + lanes_[lane.index_].delay, /*in_lane=*/true, std::move(cb));
+  const Time at = now_ + lane_delay(lane);
+  const std::uint32_t slot = take_slot(at, next_seq_, /*in_lane=*/true, std::move(cb));
+  ++next_seq_;
   const Slot& s = slots_[slot];
-  push_lane(lane.index_, Entry{s.key_at, s.key_seq, slot});
+  push_lane(lane.index_, Entry{at, s.key});
   return make_id(slot, s.gen);
 }
 
@@ -83,7 +145,7 @@ void Scheduler::push_lane(std::uint32_t lane, const Entry& e) {
   }
   l.ring[(l.first + l.count) & (l.capacity - 1)] = e;
   // A push into an empty lane is the only push that moves a head.
-  if (l.count++ == 0 && Later{}(lane_head_, e)) {
+  if (l.count++ == 0 && earlier(e, lane_head_)) {
     lane_head_ = e;
     lane_head_lane_ = lane;
   }
@@ -91,8 +153,8 @@ void Scheduler::push_lane(std::uint32_t lane, const Entry& e) {
 
 void Scheduler::cancel(EventId id) {
   Slot* s = resolve(id);
-  if (s == nullptr || s->key_seq == 0) return;
-  s->key_seq = 0;
+  if (s == nullptr || s->key == 0) return;
+  s->key = 0;
   // Release the capture now (it may own pooled packets); the heap or lane
   // entry stays behind as a tombstone and is discarded at the front.
   s->cb.reset();
@@ -101,13 +163,14 @@ void Scheduler::cancel(EventId id) {
 
 bool Scheduler::postpone(EventId id, Time at) {
   Slot* s = resolve(id);
-  if (s == nullptr || s->key_seq == 0 || at < s->key_at) return false;
+  if (s == nullptr || s->key == 0 || at < s->key_at) return false;
   // The queued entry keeps its old key, which is earlier than this one,
   // so it surfaces before the event is due. drop_or_rekey_top re-keys a
   // heap entry then; next_source moves a lane entry to the heap, where
   // no event is muted.
+  s->key = pack_key(next_seq_, s->key & kSlotMask);
+  ++next_seq_;
   s->key_at = at;
-  s->key_seq = next_seq_++;
   s->in_lane = false;
   s->muted = false;
   return true;
@@ -115,12 +178,12 @@ bool Scheduler::postpone(EventId id, Time at) {
 
 bool Scheduler::is_pending(EventId id) const {
   const Slot* s = resolve(id);
-  return s != nullptr && s->key_seq != 0;
+  return s != nullptr && s->key != 0;
 }
 
 bool Scheduler::mute(EventId id) {
   Slot* s = resolve(id);
-  if (s == nullptr || s->key_seq == 0 || !s->in_lane) return false;
+  if (s == nullptr || s->key == 0 || !s->in_lane) return false;
   s->muted = true;
   return true;
 }
@@ -136,23 +199,23 @@ std::uint64_t Scheduler::unmute(EventId id) {
 
 bool Scheduler::is_muted(EventId id) const {
   const Slot* s = resolve(id);
-  return s != nullptr && s->key_seq != 0 && s->muted;
+  return s != nullptr && s->key != 0 && s->muted;
 }
 
 std::uint64_t Scheduler::muted_ticks(EventId id) const {
   const Slot* s = resolve(id);
-  return s != nullptr && s->key_seq != 0 ? s->muted_ticks : 0;
+  return s != nullptr && s->key != 0 ? s->muted_ticks : 0;
 }
 
 Time Scheduler::due_at(EventId id) const {
   const Slot* s = resolve(id);
-  return s != nullptr && s->key_seq != 0 ? s->key_at : Time::max();
+  return s != nullptr && s->key != 0 ? s->key_at : Time::max();
 }
 
 void Scheduler::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.in_use = false;
-  s.key_seq = 0;
+  s.key = 0;
   s.muted = false;
   s.muted_ticks = 0;
   s.cb.reset();
@@ -161,29 +224,23 @@ void Scheduler::release_slot(std::uint32_t slot) {
 }
 
 Scheduler::Entry Scheduler::pop_top() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry e = heap_.back();
+  const Entry top = heap_.front();
+  const Entry last = heap_.back();
   heap_.pop_back();
-  return e;
+  if (!heap_.empty()) replace_top(last);
+  return top;
 }
 
 void Scheduler::drop_or_rekey_top() {
-  const Slot& s = slots_[heap_.front().slot];
-  if (s.key_seq == 0) {
-    release_slot(pop_top().slot);
+  const std::uint32_t slot = slot_of(heap_.front());
+  const Slot& s = slots_[slot];
+  if (s.key == 0) {
+    pop_top();
+    release_slot(slot);
     return;
   }
-  // Postponed: give the top its live key and sift it down from the root.
-  const Entry moving{s.key_at, s.key_seq, heap_.front().slot};
-  const std::size_t n = heap_.size();
-  std::size_t hole = 0;
-  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
-    if (child + 1 < n && Later{}(heap_[child], heap_[child + 1])) ++child;
-    if (!Later{}(moving, heap_[child])) break;
-    heap_[hole] = heap_[child];
-    hole = child;
-  }
-  heap_[hole] = moving;
+  // Postponed: the top takes its live key, which is later, and sinks.
+  replace_top(Entry{s.key_at, s.key});
 }
 
 void Scheduler::pop_lane_head() {
@@ -197,7 +254,7 @@ void Scheduler::refresh_lane_head() {
   lane_head_ = kNoEntry;
   for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
     const LaneRing& l = lanes_[i];
-    if (l.count != 0 && Later{}(lane_head_, l.ring[l.first])) {
+    if (l.count != 0 && earlier(l.ring[l.first], lane_head_)) {
       lane_head_ = l.ring[l.first];
       lane_head_lane_ = i;
     }
@@ -208,27 +265,26 @@ Scheduler::Source Scheduler::next_source() {
   for (;;) {
     if (!heap_.empty()) {
       const Entry& top = heap_.front();
-      if (top.seq != slots_[top.slot].key_seq) {
+      if (top.key != slots_[slot_of(top)].key) {
         drop_or_rekey_top();
         continue;
       }
       // The one compare a heap event pays for the lanes.
-      if (!Later{}(top, lane_head_)) return Source::kHeap;
-    } else if (lane_head_.seq == kNoEntry.seq) {
+      if (!earlier(lane_head_, top)) return Source::kHeap;
+    } else if (!earlier(lane_head_, kNoEntry)) {
       return Source::kNone;
     }
-    const std::uint32_t slot = lane_head_.slot;
+    const std::uint32_t slot = slot_of(lane_head_);
     const Slot& s = slots_[slot];
-    if (lane_head_.seq == s.key_seq) return s.muted ? Source::kMuted : Source::kLane;
+    if (lane_head_.key == s.key) return s.muted ? Source::kMuted : Source::kLane;
     // A dead lane head: a cancelled event frees its slot; a postponed
     // one's live key need not fit the lane's order, so it finishes its
     // wait in the heap.
     pop_lane_head();
-    if (s.key_seq == 0) {
+    if (s.key == 0) {
       release_slot(slot);
     } else {
-      heap_.push_back(Entry{s.key_at, s.key_seq, slot});
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
+      push_heap(Entry{s.key_at, s.key});
     }
   }
 }
@@ -244,8 +300,9 @@ void Scheduler::fire(Source src) {
   assert(e.at >= now_);
   // Move the callback to the stack before releasing: the callback may
   // schedule new events, which can recycle (or grow) the slot table.
-  Callback cb = std::move(slots_[e.slot].cb);
-  release_slot(e.slot);
+  const std::uint32_t slot = slot_of(e);
+  Callback cb = std::move(slots_[slot].cb);
+  release_slot(slot);
   --live_;
   now_ = e.at;
   ++executed_;
@@ -258,15 +315,17 @@ void Scheduler::requeue_muted() {
   // slot and id.
   const Entry e = lane_head_;
   const std::uint32_t lane = lane_head_lane_;
+  const std::uint64_t key = pack_key(next_seq_, slot_of(e));
   pop_lane_head();
   assert(e.at >= now_);
-  Slot& s = slots_[e.slot];
+  Slot& s = slots_[slot_of(e)];
   now_ = e.at;
   ++executed_;
+  ++next_seq_;
   ++s.muted_ticks;
   s.key_at = now_ + lanes_[lane].delay;
-  s.key_seq = next_seq_++;
-  push_lane(lane, Entry{s.key_at, s.key_seq, e.slot});
+  s.key = key;
+  push_lane(lane, Entry{s.key_at, key});
 }
 
 std::uint64_t Scheduler::run_until(Time until) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -63,13 +62,27 @@ inline constexpr EventId kInvalidEventId = 0;
 /// allocates.
 ///
 /// Callbacks are `InlineFunction` (fixed inline storage, no heap
-/// fallback) and live in the slot table, not the queues: heap entries
-/// stay a flat 24 bytes through every sift, and a recycled slot reuses
-/// the same callback storage, so a steady-state schedule/fire cycle
-/// performs zero allocations. A closure that outgrows `kCallbackCapacity`
-/// is a compile error — capture a pooled handle (net::PacketPool) instead
-/// of a by-value packet, or raise the constant if the capture is
-/// genuinely irreducible.
+/// fallback) and live in the slot table, not the queues: a recycled slot
+/// reuses the same callback storage, so a steady-state schedule/fire
+/// cycle performs zero allocations. A closure that outgrows
+/// `kCallbackCapacity` is a compile error — capture a pooled handle
+/// (net::PacketPool) instead of a by-value packet, or raise the constant
+/// if the capture is genuinely irreducible.
+///
+/// Heap and lane entries are 16 bytes: the due time, then one word with
+/// the seq in its top 40 bits and the slot in its low 24 (`pack_key`), so
+/// an entry's (time, seq) order is one unsigned 128-bit compare. A pop
+/// walks the hole at the root down to a leaf, taking the smaller child
+/// by arithmetic rather than by a branch, then sifts the heap's last
+/// entry up into it; a push sifts up through a hole. A seq reaching 2^40
+/// or a slot index reaching 2^24 (events pending at once) throws
+/// std::length_error.
+///
+/// A key can be reserved (`reserve_seq`) and filled later
+/// (`schedule_reserved`): the event then fires where one scheduled at the
+/// moment of the reservation would have fired. An owner that knows an
+/// event it would schedule will change nothing holds the key instead,
+/// and queues the event only if it turns out to matter.
 ///
 /// Clock semantics: `run_until(until)` always leaves `now() == until`
 /// (unless the clock is already past it), even when no event fires at or
@@ -118,16 +131,31 @@ class Scheduler {
   /// scans the lanes, so owners call this once and keep the handle.
   Lane lane(Time delay);
 
-  /// The fixed delay of `lane`.
-  Time lane_delay(Lane lane) const noexcept {
-    assert(lane.index_ < lanes_.size());
+  /// The fixed delay of `lane`. Throws std::invalid_argument, naming the
+  /// handle, when `lane` names no lane of this Scheduler (a
+  /// default-constructed handle, say).
+  Time lane_delay(Lane lane) const {
+    if (lane.index_ >= lanes_.size()) throw_no_lane(lane);
     return lanes_[lane.index_].delay;
   }
 
   /// Schedule `cb` to run lane_delay(lane) after now(), through the lane:
   /// the same (time, seq) key as schedule_in(lane_delay(lane), cb), at
-  /// O(1) cost instead of a heap sift.
+  /// O(1) cost instead of a heap sift. Throws as lane_delay does.
   EventId schedule_in(Lane lane, Callback cb);
+
+  /// Take the next seq and queue nothing: (t, seq) is the key an event
+  /// scheduled now for time t would get. schedule_reserved queues an
+  /// event there later; a seq that is never used leaves a gap, which
+  /// orders nothing differently. Throws std::length_error at the seq
+  /// limit (pack_key).
+  std::uint64_t reserve_seq();
+
+  /// Schedule `cb` at the reserved key (at, seq), in the heap. Throws
+  /// std::invalid_argument when `seq` was never handed out (0, or not yet
+  /// taken) or `at` is before now(). Each reserved seq must be used at
+  /// most once.
+  EventId schedule_reserved(Time at, std::uint64_t seq, Callback cb);
 
   /// Cancel a pending event. Harmless if the event already fired, was
   /// already cancelled, or `id` is kInvalidEventId.
@@ -175,6 +203,14 @@ class Scheduler {
   /// clock).
   void clear();
 
+  /// The low word of a heap or lane entry: `seq` in the top 40 bits,
+  /// `slot` in the low 24. Throws std::length_error when either does not
+  /// fit.
+  static std::uint64_t pack_key(std::uint64_t seq, std::uint64_t slot) {
+    if (seq >= kSeqLimit || slot > kSlotMask) [[unlikely]] throw_key_overflow(seq, slot);
+    return seq << kSlotBits | slot;
+  }
+
   std::size_t pending_count() const noexcept { return live_; }
   /// Heap and lane entries, including those of cancelled and postponed
   /// events that have not yet surfaced.
@@ -182,18 +218,32 @@ class Scheduler {
   std::uint64_t executed_count() const noexcept { return executed_; }
 
  private:
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << (64 - kSlotBits);
+
+  /// A heap or lane entry: the due time and pack_key(seq, slot).
   struct Entry {
     Time at;
-    std::uint64_t seq;    ///< global FIFO tie-break (monotonic)
-    std::uint32_t slot;   ///< index into slots_
+    std::uint64_t key;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return a.at > b.at || (a.at == b.at && a.seq > b.seq);
-    }
-  };
-  /// Key of an empty lane: later than every real event.
-  static constexpr Entry kNoEntry{Time::max(), UINT64_MAX, 0};
+  static_assert(sizeof(Entry) == 16);
+  /// (time, seq) order as one unsigned 128-bit compare. Due times are
+  /// never negative (the clock starts at 0 and events are due no earlier
+  /// than now()), so the time compares the same as an unsigned word.
+  static bool earlier(const Entry& a, const Entry& b) noexcept {
+    using Key = unsigned __int128;
+    const auto wide = [](const Entry& e) {
+      return Key{static_cast<std::uint64_t>(e.at.ns())} << 64 | e.key;
+    };
+    return wide(a) < wide(b);
+  }
+  static std::uint32_t slot_of(const Entry& e) noexcept {
+    return static_cast<std::uint32_t>(e.key & kSlotMask);
+  }
+  /// Key of an empty lane: no real event is later, and only one due at
+  /// Time::max() under the last seq and slot ties it.
+  static constexpr Entry kNoEntry{Time::max(), UINT64_MAX};
 
   /// One fixed-delay FIFO of heap-style entries: a ring buffer whose
   /// power-of-two capacity doubles only when it is full.
@@ -212,13 +262,14 @@ class Scheduler {
   /// Liveness record for one in-flight event. The generation counter
   /// disambiguates recycled slots, so a stale EventId (fired, cancelled,
   /// or cleared long ago) can never alias a newer event. The callback
-  /// lives here rather than in the heap entry: heap sifts move 24-byte
+  /// lives here rather than in the queue entry: sifts move 16-byte
   /// entries, and releasing a slot back to the free list reuses the same
   /// inline callback storage for the next event.
   ///
-  /// (key_at, key_seq) is the event's live key. Its heap or lane entry is
-  /// current only while the entry's seq equals key_seq; key_seq == 0
-  /// marks a cancelled event, and any other mismatch a postponed one.
+  /// (key_at, key) is the event's live key, key packed as in its entries.
+  /// Its heap or lane entry is current only while the entry's key equals
+  /// `key`; key == 0 marks a cancelled event, and any other mismatch a
+  /// postponed one.
   struct Slot {
     std::uint32_t gen{0};
     bool in_use{false};
@@ -227,7 +278,7 @@ class Scheduler {
     bool in_lane{false};
     bool muted{false};
     Time key_at{};
-    std::uint64_t key_seq{0};
+    std::uint64_t key{0};
     std::uint64_t muted_ticks{0};  ///< ticks skipped since mute()
     Callback cb;
   };
@@ -245,16 +296,27 @@ class Scheduler {
   Slot* resolve(EventId id) noexcept {
     return const_cast<Slot*>(std::as_const(*this).resolve(id));
   }
+  [[noreturn]] static void throw_no_lane(Lane lane);
+  [[noreturn]] static void throw_key_overflow(std::uint64_t seq, std::uint64_t slot);
 
   // The helpers declared inline are defined in scheduler.cpp, the only
   // file that calls them; `inline` lets the compiler fold them into the
   // schedule and run loops.
 
-  /// Takes a free slot for a new event at `at` with the next seq.
-  inline std::uint32_t take_slot(Time at, bool in_lane, Callback&& cb);
+  /// Takes a free slot for a new event at (at, seq); throws before
+  /// anything changes when the key does not fit (pack_key).
+  inline std::uint32_t take_slot(Time at, std::uint64_t seq, bool in_lane, Callback&& cb);
   /// Appends `e` to lane `lane`, doubling its ring when full.
   inline void push_lane(std::uint32_t lane, const Entry& e);
   inline void release_slot(std::uint32_t slot);
+  /// Adds `e` to the heap: a sift up through a hole.
+  inline void push_heap(const Entry& e);
+  /// Stores `e` at the hole `hole`, or above it while it is earlier than
+  /// the parent.
+  inline void sift_up(std::size_t hole, const Entry& e);
+  /// Replaces the heap top with the not-earlier `e`: walks the hole down
+  /// to a leaf along the smaller children, then sifts `e` up into it.
+  inline void replace_top(const Entry& e);
   /// Clears dead entries off the heap top and the earliest lane head
   /// until the next event to fire is live at one of them; kNone when
   /// nothing is pending.
@@ -266,9 +328,9 @@ class Scheduler {
   /// lane re-arm would. Apart from fire(), so that fire() stays small
   /// enough to be inlined into the run loops.
   void requeue_muted();
-  /// Removes the heap top (cancelled entries included) into `out`.
+  /// Removes and returns the heap top (cancelled entries included).
   inline Entry pop_top();
-  /// Handles a heap top whose seq is not its slot's key_seq: releases a
+  /// Handles a heap top whose key is not its slot's live key: releases a
   /// cancelled event's slot, or re-keys a postponed event's entry in place.
   void drop_or_rekey_top();
   /// Removes the earliest lane head (lane_head_) from its lane.
@@ -276,7 +338,7 @@ class Scheduler {
   /// Recomputes lane_head_ as the earliest lane front.
   void refresh_lane_head();
 
-  std::vector<Entry> heap_;  ///< binary heap via std::push_heap/pop_heap
+  std::vector<Entry> heap_;  ///< binary min-heap under earlier()
   std::vector<LaneRing> lanes_;
   /// The earliest lane front by value (kNoEntry when every lane is empty),
   /// and the lane that holds it.

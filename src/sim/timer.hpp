@@ -82,6 +82,15 @@ class Timer {
     id_ = sched_->schedule_at(at, [this] { fire(); });
   }
 
+  /// (Re)arm the timer at the reserved key (at, seq) (Scheduler::
+  /// reserve_seq, schedule_reserved): the shot fires where an arm at the
+  /// moment of the reservation would have put it.
+  void schedule_reserved(Time at, std::uint64_t seq) {
+    cancel();
+    expires_at_ = at;
+    id_ = sched_->schedule_reserved(at, seq, [this] { fire(); });
+  }
+
   void cancel() {
     if (id_ != kInvalidEventId) {
       sched_->cancel(id_);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -370,6 +371,82 @@ TEST(SchedulerLaneTest, RejectsANegativeDelayByName) {
   EXPECT_NO_THROW(s.lane(Time::zero()));
 }
 
+// A default-constructed handle names no lane; each entry point that takes
+// a handle rejects it by name instead of reading past the lane table.
+void expect_no_lane(const std::function<void()>& use) {
+  try {
+    use();
+    ADD_FAILURE() << "a handle that names no lane was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("lane handle 4294967295"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SchedulerLaneTest, ScheduleInRejectsAHandleThatNamesNoLane) {
+  Scheduler s;
+  s.lane(1_s);
+  expect_no_lane([&] { s.schedule_in(Scheduler::Lane{}, [] {}); });
+  EXPECT_EQ(s.pending_count(), 0u);
+}
+
+TEST(SchedulerLaneTest, LaneDelayRejectsAHandleThatNamesNoLane) {
+  Scheduler s;
+  expect_no_lane([&] { s.lane_delay(Scheduler::Lane{}); });
+}
+
+TEST(SchedulerLaneTest, TimerScheduleInRejectsAHandleThatNamesNoLane) {
+  Scheduler s;
+  Timer t{s, [] {}};
+  expect_no_lane([&] { t.schedule_in(Scheduler::Lane{}); });
+  EXPECT_FALSE(t.pending());
+}
+
+// ---------------------------------------------------------------------------
+// Reserved keys and the entry layout
+// ---------------------------------------------------------------------------
+
+TEST(SchedulerReservedTest, AReservedKeyFiresWhereAnEventScheduledThenWould) {
+  Scheduler s;
+  std::string order;
+  s.schedule_at(2_s, [&] { order += 'a'; });
+  const std::uint64_t seq = s.reserve_seq();
+  s.schedule_at(2_s, [&] { order += 'c'; });
+  s.schedule_at(1_s, [&] {
+    order += '1';
+    s.schedule_reserved(2_s, seq, [&] { order += 'b'; });
+  });
+  EXPECT_EQ(s.run(), 4u);
+  EXPECT_EQ(order, "1abc");
+}
+
+TEST(SchedulerReservedTest, RejectsASeqNeverHandedOut) {
+  Scheduler s;
+  const std::uint64_t seq = s.reserve_seq();
+  EXPECT_THROW(s.schedule_reserved(1_s, 0, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.schedule_reserved(1_s, seq + 1, [] {}), std::invalid_argument);
+  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_NO_THROW(s.schedule_reserved(1_s, seq, [] {}));
+}
+
+TEST(SchedulerReservedTest, RejectsATimeBeforeNow) {
+  Scheduler s;
+  const std::uint64_t seq = s.reserve_seq();
+  s.run_until(2_s);
+  EXPECT_THROW(s.schedule_reserved(1_s, seq, [] {}), std::invalid_argument);
+  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_NO_THROW(s.schedule_reserved(2_s, seq, [] {}));
+}
+
+TEST(SchedulerReservedTest, KeyPackingThrowsAtTheSeqAndSlotLimits) {
+  constexpr std::uint64_t kSeqMax = (std::uint64_t{1} << 40) - 1;
+  constexpr std::uint64_t kSlotMax = (std::uint64_t{1} << 24) - 1;
+  EXPECT_EQ(Scheduler::pack_key(1, 0), std::uint64_t{1} << 24);
+  EXPECT_EQ(Scheduler::pack_key(kSeqMax, kSlotMax), UINT64_MAX);
+  EXPECT_THROW(Scheduler::pack_key(kSeqMax + 1, 0), std::length_error);
+  EXPECT_THROW(Scheduler::pack_key(1, kSlotMax + 1), std::length_error);
+}
+
 // ---------------------------------------------------------------------------
 // Muted lane events
 // ---------------------------------------------------------------------------
@@ -579,6 +656,12 @@ class ReferenceQueue {
   };
 
   void schedule(int tag, Time at, Rearm then) { pending_.push_back({tag, at, next_seq_++, then}); }
+  /// Takes the next seq and queues nothing.
+  std::uint64_t reserve() { return next_seq_++; }
+  /// Queues `tag` at the explicit key (at, seq).
+  void schedule_at_key(int tag, Time at, std::uint64_t seq, Rearm then) {
+    pending_.push_back({tag, at, seq, then});
+  }
   void cancel(int tag) {
     std::erase_if(pending_, [tag](const Event& e) { return e.tag == tag; });
   }
@@ -723,6 +806,13 @@ class RealQueue {
       apply(then);
     }));
   }
+  /// A raw event at the reserved key (at, seq).
+  void schedule_reserved(int tag, Time at, std::uint64_t seq, Rearm then) {
+    ids_.push_back(sched_.schedule_reserved(at, seq, [this, tag, then] {
+      log_.push_back({tag, sched_.now()});
+      apply(then);
+    }));
+  }
   void cancel(int tag) { sched_.cancel(ids_[static_cast<std::size_t>(tag)]); }
   void arm_timer(int k, Time at, Rearm then) {
     fold(k);
@@ -781,6 +871,7 @@ enum class Mix {
   kHeap,   ///< heap events and timers only
   kLanes,  ///< plus periodic lane timers and raw lane events
   kMuted,  ///< plus muting and unmuting the lane timers
+  kReserved,  ///< plus reserving seqs and later queueing or dropping them
 };
 
 /// One seeded run of random operations; stops at the first divergence.
@@ -790,10 +881,15 @@ enum class Mix {
 /// through its lane, re-arming it with schedule_at to a later time, the
 /// same time or an earlier one, cancelling it, scheduling a raw lane
 /// event, and run_until landing exactly on a lane timer's due time (a
-/// muted one's too). kMuted adds muting and unmuting a lane timer. Each
-/// mix keeps the draws of the one before it. Adds the ticks the lane
-/// timers skipped while muted to `*muted_ticks` when it is given.
-void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = nullptr) {
+/// muted one's too). kMuted adds muting and unmuting a lane timer.
+/// kReserved adds reserving a seq (the reference takes its next seq too,
+/// and both must agree) and, later, either queueing a raw event at an
+/// outstanding reserved key or dropping the reservation. Each mix keeps
+/// the draws of the one before it. Adds the ticks the lane timers skipped
+/// while muted to `*muted_ticks`, and the raw events queued at reserved
+/// keys to `*reserved_events`, when they are given.
+void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = nullptr,
+                      std::uint64_t* reserved_events = nullptr) {
   constexpr int kHeapTimers = 4;
   const bool lanes = mix != Mix::kHeap;
   const std::vector<Time> lane_periods =
@@ -809,6 +905,7 @@ void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = 
     ref.set_period(k, lane_periods[static_cast<std::size_t>(k - kHeapTimers)]);
   }
   int raw_events = 0;
+  std::vector<std::uint64_t> reserved;  // seqs reserved and not yet used
   std::size_t checked = 0;  // firings already compared
   // A coarse 1 ms grid makes same-time ties, where only seq orders events.
   const auto ms = [&](std::int64_t lo, std::int64_t hi) {
@@ -834,7 +931,10 @@ void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = 
     }
     return at;
   };
-  const std::uint64_t ops = mix == Mix::kHeap ? 100 : mix == Mix::kLanes ? 140 : 160;
+  const std::uint64_t ops = mix == Mix::kHeap    ? 100
+                           : mix == Mix::kLanes ? 140
+                           : mix == Mix::kMuted ? 160
+                                                : 180;
 
   for (int step = 0; step < kSteps; ++step) {
     SCOPED_TRACE(::testing::Message() << "step " << step);
@@ -896,9 +996,24 @@ void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = 
     } else if (op < 152) {
       const int k = lane_timer();
       ASSERT_EQ(real.timer(k).mute(), ref.mute(k)) << "mute timer " << k;
-    } else {
+    } else if (op < 160) {
       const int k = lane_timer();
       ASSERT_EQ(real.timer(k).unmute(), ref.unmute(k)) << "unmute timer " << k;
+    } else if (op < 170) {
+      reserved.push_back(s.reserve_seq());
+      ASSERT_EQ(reserved.back(), ref.reserve());
+    } else {
+      if (reserved.empty()) continue;
+      const std::size_t i = static_cast<std::size_t>(pick(static_cast<int>(reserved.size())));
+      const std::uint64_t seq = reserved[i];
+      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(i));
+      if (rng.chance(0.25)) continue;  // dropped: the seq stays unused
+      const Time at = s.now() + ms(0, 6);
+      const Rearm then = random_rearm();
+      ref.schedule_at_key(raw_events, at, seq, then);
+      real.schedule_reserved(raw_events, at, seq, then);
+      ++raw_events;
+      if (reserved_events != nullptr) ++*reserved_events;
     }
 
     ASSERT_EQ(real.log().size(), ref.log().size());
@@ -964,6 +1079,19 @@ TEST(SchedulerDifferential, MutedLanesMatchCancelAndPushReference) {
   }
   // The mix must really mute: thousands of skipped ticks, not a handful.
   EXPECT_GT(muted_ticks, 1000u);
+}
+
+TEST(SchedulerDifferential, ReservedKeysMatchExplicitKeyReference) {
+  std::uint64_t muted_ticks = 0;
+  std::uint64_t reserved_events = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    run_differential(seed, Mix::kReserved, &muted_ticks, &reserved_events);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Every kind of operation must really run.
+  EXPECT_GT(muted_ticks, 1000u);
+  EXPECT_GT(reserved_events, 1000u);
 }
 
 // ---------------------------------------------------------------------------
