@@ -2,14 +2,12 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
-#include <exception>
-#include <filesystem>
+#include <cstring>
 #include <iostream>
 #include <limits>
 #include <string_view>
-
-#include "core/campaign/run_cache.hpp"
 
 namespace eblnet::bench {
 
@@ -31,11 +29,9 @@ std::ostream null_stream{&null_buffer};
       << "  --json <path>   write a JSON run manifest (enables metrics collection)\n"
       << "  --seed <n>      override the scenario seed(s)\n"
       << "  --jobs <n>      worker threads for the trials (0 = auto)\n"
-      << "  --cache         serve paper-scenario trials from the run cache\n"
-      << "  --cache-dir <d> cache directory (default results/cache)\n"
       << "  --quiet         suppress the text report\n"
       << "  --help          this message\n"
-      << "  full            full mode (campaign_sweep, perf_scale, traffic_sweep)\n";
+      << "  full            full mode (perf_scale, traffic_sweep)\n";
   std::exit(status);
 }
 
@@ -78,10 +74,6 @@ Options Options::parse(int argc, char** argv) {
     } else if (arg == "--jobs") {
       opt.jobs = static_cast<unsigned>(
           parse_u64(opt.program, arg, next(arg), std::numeric_limits<unsigned>::max()));
-    } else if (arg == "--cache") {
-      opt.cache = true;
-    } else if (arg == "--cache-dir") {
-      opt.cache_dir = next(arg);
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -96,30 +88,24 @@ Options Options::parse(int argc, char** argv) {
       usage(opt.program, 2);
     }
   }
+  // Fail before the run, not after it: a bench writes its manifest only
+  // once every trial has finished.
+  if (opt.want_json()) {
+    std::FILE* f = std::fopen(opt.json_path.c_str(), "a");
+    if (f == nullptr) {
+      std::cerr << opt.program << ": --json " << opt.json_path << ": " << std::strerror(errno)
+                << '\n';
+      std::exit(2);
+    }
+    std::fclose(f);
+  }
   return opt;
 }
 
 std::ostream& Options::out() const { return quiet ? null_stream : std::cout; }
 
-void Options::create_cache_dir() const {
-  std::error_code ec;
-  std::filesystem::create_directories(cache_dir, ec);
-  if (ec) {
-    std::cerr << program << ": --cache-dir " << cache_dir << ": " << ec.message() << '\n';
-    std::exit(2);
-  }
-}
-
 std::vector<core::TrialResult> run(std::span<const core::TrialSpec> specs, const Options& opts) {
-  if (!opts.cache) return core::Runner{opts.jobs}.run_trials(specs);
-  opts.create_cache_dir();
-  core::campaign::RunCache cache{opts.cache_dir};
-  try {
-    return core::campaign::run_cached_trials(cache, specs, opts.jobs);
-  } catch (const std::exception& e) {
-    std::cerr << opts.program << ": " << e.what() << '\n';
-    std::exit(1);
-  }
+  return core::Runner{opts.jobs}.run_trials(specs);
 }
 
 }  // namespace eblnet::bench

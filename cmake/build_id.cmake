@@ -1,13 +1,13 @@
-# Script-mode generator for the embedded build id (run with `cmake -P`).
+# Script-mode generator for an embedded build id (run with `cmake -P`).
 #
 # Hashes every source file under SRC_DIR (sorted, content + relative
 # path) into one SHA256, truncates it to 16 hex characters, and writes
-# OUT_FILE defining eblnet::core::campaign::build_id(). The run cache
-# keys entries by (scenario, seed, build id), so the id must change
-# whenever any simulation source changes and must NOT change otherwise:
-# the file is rewritten only when the id differs, keeping incremental
-# builds incremental (the custom target re-runs this script every build,
-# but an unchanged OUT_FILE never dirties build_id.gen.cpp.o).
+# OUT_FILE defining eblnet::core::campaign::build_id(). Only
+# perfbench/CMakeLists.txt still runs it: the run cache that keyed its
+# entries by the id is deleted and nothing calls the function, but the
+# benchmark's build stays as it is until the benchmark definition
+# changes (ROADMAP item 15). The file is rewritten only when the id
+# differs.
 #
 # Relative paths keep the id independent of the checkout location, so
 # two builds of the same tree agree on the fingerprint.

@@ -18,9 +18,6 @@
 #   bench.sh --traffic    closed-loop car-following sweep (traffic_sweep):
 #                         IDM shockwave vs V2V market penetration +
 #                         IDM-law micro-benchmark
-#   bench.sh --campaign   content-addressed run-cache sweep
-#                         (campaign_sweep full): cold vs warm vs
-#                         partially-warm timings over a 64-cell grid
 #   bench.sh --beacon     V2X intersection beaconing sweep
 #                         (intersection_beacon): EDCA beacon rate x
 #                         vehicle density under corner NLOS blockage
@@ -56,9 +53,9 @@
 # shell stamps it with the run date and the host's core count), so the
 # perf trajectory across PRs stays visible in one file. Entries are
 # distinguished by their "kind" field ("eblnet.pair", "eblnet.perf_scale",
-# "eblnet.resilience", "eblnet.traffic", "eblnet.campaign",
-# "eblnet.beacon"). A legacy single-object BENCH_sweep.json is wrapped
-# into a one-entry array on first contact.
+# "eblnet.resilience", "eblnet.traffic", "eblnet.beacon"). A legacy
+# single-object BENCH_sweep.json is wrapped into a one-entry array on
+# first contact.
 set -eu
 
 CALLER=$(pwd)
@@ -97,11 +94,11 @@ append_run() {
 MODE=micro
 case "${1:-}" in
   "") ;;
-  --pair | --prune | --scale | --resilience | --traffic | --campaign | --beacon)
+  --pair | --prune | --scale | --resilience | --traffic | --beacon)
     MODE=${1#--} ;;
   *)
     echo "usage: bench.sh [--pair <parent-tree> <change-tree> | --scale | --resilience |" >&2
-    echo "                 --traffic | --campaign | --beacon | --prune N]" >&2
+    echo "                 --traffic | --beacon | --prune N]" >&2
     exit 2 ;;
 esac
 
@@ -307,9 +304,6 @@ case "$MODE" in
   traffic)
     echo "== traffic_sweep (IDM shockwave vs V2V market penetration) =="
     "$BUILD"/bench/traffic_sweep --json "$RUN" ;;
-  campaign)
-    echo "== campaign_sweep full (content-addressed run cache, 64-cell grid) =="
-    "$BUILD"/bench/campaign_sweep full --json "$RUN" ;;
   beacon)
     echo "== intersection_beacon (EDCA beacon rate x density under corner NLOS) =="
     "$BUILD"/bench/intersection_beacon --json "$RUN" ;;

@@ -10,17 +10,7 @@
 # bench then runs again in both trees with `--json <file> --quiet`, and
 # the two manifests are compared value by value with the host-timing keys
 # masked (wall_s, events_per_sec, ns_per_event, ns_per_pair_eval,
-# speedup_batched, warm_speedup): counters such as mac_ack_timeouts
-# appear only there.
-#
-#   scripts/bench_diff.sh --cache <build>
-#
-# One tree, through the run cache: runs every bench in <build>/bench
-# uncached, then with `--cache --cache-dir <d>` twice (cold, then warm)
-# over a fresh cache directory per bench, compares both cached captures
-# with the uncached one byte for byte, and prints the verdict with the
-# number of cache entries the cold run wrote (0 for the benches whose
-# experiment unit is not a paper-scenario trial).
+# speedup_batched): counters such as mac_ack_timeouts appear only there.
 #
 #   scripts/bench_diff.sh --record <build>
 #
@@ -36,8 +26,8 @@
 #                manifests differ (the differing key paths follow)
 #   FAILED       a run exited non-zero
 #   MISSING      the change tree has no such bench
-#   skipped      perf_scale, campaign_sweep, micro_components: their
-#                output carries host timings, so bytes never match
+#   skipped      perf_scale, micro_components: their output carries
+#                host timings, so bytes never match
 #
 # Each run starts in its own empty scratch directory, so nothing a bench
 # writes lands in the caller's tree. Exit status: 0 when every compared
@@ -47,7 +37,6 @@ set -u
 
 usage() {
   echo "usage: $0 <parent-build> <change-build>" >&2
-  echo "       $0 --cache <build>" >&2
   echo "       $0 --record <build>" >&2
   exit 2
 }
@@ -62,8 +51,8 @@ build_tree() {
 [ $# -eq 2 ] || usage
 # base: the tree whose benches are run (the parent in two-tree mode).
 case "$1" in
-  --cache | --record)
-    mode=${1#--}
+  --record)
+    mode=record
     base=$(build_tree "$2") || exit 2
     ;;
   *)
@@ -99,7 +88,7 @@ manifest_diff() {
   python3 -c '
 import json, sys
 TIMINGS = {"wall_s", "events_per_sec", "ns_per_event", "ns_per_pair_eval",
-           "speedup_batched", "warm_speedup"}
+           "speedup_batched"}
 def diff(a, b, path):
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted((set(a) | set(b)) - TIMINGS):
@@ -123,7 +112,7 @@ for bin in "$base"/bench/*; do
   [ -f "$bin" ] && [ -x "$bin" ] || continue
   name=$(basename "$bin")
   case "$name" in
-    perf_scale | campaign_sweep | micro_components)
+    perf_scale | micro_components)
       printf '%-12s %s (output carries host timings)\n' skipped "$name"
       continue
       ;;
@@ -138,41 +127,6 @@ for bin in "$base"/bench/*; do
     fi
     digest=$(sha256sum < "$work/$name.out" | cut -d ' ' -f 1)
     printf '%s  %s\n' "$digest" "$name" >> "$work/digests"
-    continue
-  fi
-
-  if [ "$mode" = cache ]; then
-    store="$work/$name.cache"
-    if ! run_bench "$bin" "$work/$name.plain"; then
-      printf '%-12s %s (uncached run failed)\n' FAILED "$name"
-      differing=$((differing + 1))
-      continue
-    fi
-    if ! run_bench "$bin" "$work/$name.cold" --cache --cache-dir "$store"; then
-      printf '%-12s %s (cold cached run failed)\n' FAILED "$name"
-      differing=$((differing + 1))
-      continue
-    fi
-    entries=$(find "$store" -type f -name '*.json' 2>/dev/null | wc -l | tr -d ' ')
-    if ! run_bench "$bin" "$work/$name.warm" --cache --cache-dir "$store"; then
-      printf '%-12s %s (warm cached run failed)\n' FAILED "$name"
-      differing=$((differing + 1))
-      continue
-    fi
-    verdict=identical
-    for run in cold warm; do
-      cmp -s "$work/$name.plain" "$work/$name.$run" && continue
-      [ "$verdict" = identical ] &&
-        printf '%-12s %s (cold run wrote %s entries)\n' DIFFERENT "$name" "$entries"
-      verdict=DIFFERENT
-      echo "  $run cached run vs uncached:"
-      show_diff "$work/$name.plain" "$work/$name.$run"
-    done
-    if [ "$verdict" = identical ]; then
-      printf '%-12s %s (cold run wrote %s entries)\n' identical "$name" "$entries"
-    else
-      differing=$((differing + 1))
-    fi
     continue
   fi
 

@@ -7,9 +7,9 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "core/campaign/scenario_key.hpp"
 #include "core/json_writer.hpp"
 #include "core/safety.hpp"
+#include "core/scenario_text.hpp"
 #include "core/trial.hpp"
 
 namespace eblnet::core::report {
@@ -169,12 +169,11 @@ void write_trial_object(JsonWriter& w, const TrialResult& r) {
   w.field("schema_version", static_cast<std::int64_t>(kManifestSchemaVersion));
   w.field("kind", "eblnet.trial");
   w.field("name", r.name);
-  // The resolved config is the run-cache key's canonical text, one
-  // string per "name = value" line, so the manifest and the key share
-  // one field list, its gates and its resolutions.
+  // The resolved config is its canonical scenario text, one string per
+  // "name = value" line, so the manifest keeps no field list of its own.
   w.key("config");
   w.begin_array();
-  std::istringstream lines{campaign::canonical_scenario_text(r.config)};
+  std::istringstream lines{canonical_scenario_text(r.config)};
   for (std::string line; std::getline(lines, line);) w.value(line);
   w.end_array();
   w.field("events_executed", r.events_executed);
@@ -258,8 +257,6 @@ void write_json(std::ostream& os, const TrialResult& r) {
   write_trial_object(w, r);
   os << '\n';
 }
-
-void write_trial_json(JsonWriter& w, const TrialResult& r) { write_trial_object(w, r); }
 
 void write_sweep_json(std::ostream& os, const std::string& name,
                       std::span<const TrialResult> results) {

@@ -14,8 +14,6 @@
 
 namespace eblnet::core {
 
-class JsonWriter;
-
 /// Plain-text rendering helpers shared by the bench binaries: each bench
 /// prints the same rows/series the paper's figure or table shows.
 namespace report {
@@ -71,11 +69,13 @@ void print_header(const ReportContext& ctx, const std::string& title);
 /// it recorded; every run now takes the one serial path.
 /// v7: the metrics block lost the always-zero "campaign" run-cache
 /// counter layer (the run cache counts in plain members now), and the
-/// streamed "eblnet.campaign" trial manifest is gone; the kind survives
-/// only on bench/campaign_sweep's timing JSON.
+/// streamed "eblnet.campaign" trial manifest is gone; the kind survived
+/// only on bench/campaign_sweep's timing JSON, which went with the run
+/// cache (no manifest key moved, so the version stayed).
 /// v8: "config" is an array of strings, the resolved config's canonical
-/// scenario text (campaign::canonical_scenario_text, the run-cache key's
-/// input) one "name = value" line each, instead of a hand-picked object.
+/// scenario text (core::canonical_scenario_text, then also the run-cache
+/// key's input) one "name = value" line each, instead of a hand-picked
+/// object.
 /// v9: the "fault" metrics layer lost the "fault_corruptions" and
 /// "fault_reorders" counters with the queue-chaos fault kind.
 inline constexpr int kManifestSchemaVersion = 9;
@@ -86,11 +86,6 @@ inline constexpr int kManifestSchemaVersion = 9;
 /// TrialResult::metrics (all-zero when the trial ran without
 /// `enable_metrics`).
 void write_json(std::ostream& os, const TrialResult& r);
-
-/// Emit one trial's manifest object through an existing JsonWriter (the
-/// exact object write_json wraps) — run-cache entries embed trial
-/// objects inside their own documents with this.
-void write_trial_json(JsonWriter& w, const TrialResult& r);
 
 /// Write a sweep manifest: every trial's manifest plus an aggregate block
 /// (summed events and per-layer counters merged across trials).

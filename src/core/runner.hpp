@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <future>
-#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -35,13 +34,16 @@ struct TrialSpec {
 ///   2. the EBLNET_JOBS environment variable;
 ///   3. std::thread::hardware_concurrency().
 /// One job means "run serially on the calling thread" (no worker thread
-/// is spawned), which is also the fallback on single-core hosts.
+/// is spawned), which is also the fallback on single-core hosts. A batch
+/// never starts more workers than it has items: a one-item batch also
+/// runs on the calling thread, whatever the job count.
 class Runner {
  public:
   /// `jobs` = 0 resolves via EBLNET_JOBS / hardware_concurrency().
   explicit Runner(unsigned jobs = 0);
 
-  /// The resolved worker count (>= 1).
+  /// The resolved worker count (>= 1), before map() caps it at the
+  /// batch size.
   unsigned jobs() const noexcept { return jobs_; }
 
   /// Run every spec and return results in input order. A trial that
@@ -49,31 +51,18 @@ class Runner {
   /// input order) is rethrown after all in-flight trials finish.
   std::vector<TrialResult> run_trials(std::span<const TrialSpec> specs) const;
 
-  /// An in-flight asynchronous batch: `futures[i]` resolves to spec i's
-  /// result; the pool (and the specs it references) stay alive as long
-  /// as the handle does.
-  struct AsyncTrials {
-    std::shared_ptr<sim::ThreadPool> pool;
-    std::vector<std::future<TrialResult>> futures;
-  };
-
-  /// Asynchronous variant of run_trials: submit every spec and return a
-  /// future per spec immediately instead of blocking for the batch.
-  /// campaign::run_cached_trials commits each miss in spec order with
-  /// this while later misses are still executing; exceptions surface
-  /// from get().
-  AsyncTrials start_trials(std::vector<TrialSpec> specs) const;
-
   /// Generic parallel map: evaluate `fn(0) ... fn(n-1)` across the pool
   /// and return the results indexed by input. This is the primitive
   /// run_trials() is built on; benches whose experiment unit is not a
   /// TrialSpec (custom topologies, jammer setups, ...) use it
   /// directly. `fn` must be safe to call concurrently from `jobs()`
   /// threads — in this codebase that means each invocation builds its own
-  /// net::Env / scenario and touches no shared mutable state.
+  /// net::Env / scenario and touches no shared mutable state. The pool
+  /// holds min(jobs(), n) workers, none when that is 1.
   template <typename F, typename R = std::invoke_result_t<const F&, std::size_t>>
   std::vector<R> map(std::size_t n, const F& fn) const {
-    sim::ThreadPool pool{jobs_ > 1 ? jobs_ : 0};
+    const unsigned workers = n < jobs_ ? static_cast<unsigned>(n) : jobs_;
+    sim::ThreadPool pool{workers > 1 ? workers : 0};
     std::vector<std::future<R>> futures;
     futures.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {

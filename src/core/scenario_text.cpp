@@ -1,27 +1,17 @@
-#include "core/campaign/scenario_key.hpp"
+#include "core/scenario_text.hpp"
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
+#include <string_view>
 
-namespace eblnet::core::campaign {
+namespace eblnet::core {
 
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-constexpr std::uint64_t kFnvBasisHi = 0xcbf29ce484222325ULL;  // standard offset basis
-constexpr std::uint64_t kFnvBasisLo = 0x6c62272e07bb0142ULL;  // FNV-0 of a distinct tag
-
-std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 /// Line-oriented canonical-text builder. Every emitter appends exactly
-/// one "name = value\n" line; the fixed call order in build() below IS
-/// the canonical field order.
+/// one "name = value\n" line; the fixed call order in
+/// canonical_scenario_text() below IS the canonical field order.
 class Canon {
  public:
   void line(std::string_view name, std::string_view v) {
@@ -56,12 +46,6 @@ class Canon {
 };
 
 }  // namespace
-
-std::string Key::hex() const {
-  char buf[33];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64 "%016" PRIx64, hi, lo);
-  return buf;
-}
 
 std::string canonical_scenario_text(const ScenarioConfig& cfg) {
   Canon c;
@@ -262,17 +246,4 @@ std::string canonical_scenario_text(const ScenarioConfig& cfg) {
   return c.take();
 }
 
-Key scenario_key(const ScenarioConfig& cfg) {
-  const std::string text = canonical_scenario_text(cfg);
-  return Key{fnv1a(kFnvBasisHi, text), fnv1a(kFnvBasisLo, text)};
-}
-
-Key mix_fingerprint(Key k, std::string_view fingerprint) {
-  // Continue both streams over the fingerprint (plus a separator so a
-  // fingerprint can never alias trailing canonical text).
-  k.hi = fnv1a(fnv1a(k.hi, "\x1f"), fingerprint);
-  k.lo = fnv1a(fnv1a(k.lo, "\x1f"), fingerprint);
-  return k;
-}
-
-}  // namespace eblnet::core::campaign
+}  // namespace eblnet::core

@@ -5,23 +5,20 @@
 // unsigned truncates). Each exits with the usage status 2 and the
 // "expects a non-negative integer" message. The only argument that is not
 // a flag is `full`; any other word (a typo of it, a deleted mode) exits 2
-// too instead of silently running the quick mode.
+// too instead of silently running the quick mode, and so does a deleted
+// flag.
 //
-// bench::run, the one way a bench runs trials, must give the same bytes
-// with and without --cache, and must reject an unusable --cache-dir the
-// same way, before simulating anything.
+// A --json path the bench could not write must fail the same way, before
+// anything is simulated, not after the run.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/options.hpp"
-#include "core/report.hpp"
-#include "core/scenario_builder.hpp"
 #include "temp_dir.hpp"
 
 using namespace eblnet;
@@ -37,26 +34,6 @@ bench::Options parse(std::vector<std::string> args) {
 }
 
 constexpr const char* kRejected = "expects a non-negative integer";
-
-/// Two short trial-1 runs (6 s, metrics on) that differ only in seed.
-std::vector<core::TrialSpec> quick_specs() {
-  std::vector<core::TrialSpec> specs;
-  for (const std::uint64_t seed : {1, 2}) {
-    specs.push_back({core::ScenarioBuilder::trial1()
-                         .duration(sim::Time::seconds(std::int64_t{6}))
-                         .metrics()
-                         .seed(seed)
-                         .build(),
-                     "seed-" + std::to_string(seed)});
-  }
-  return specs;
-}
-
-std::string sweep_json(const std::vector<core::TrialResult>& runs) {
-  std::ostringstream ss;
-  core::report::write_sweep_json(ss, "bench-run", runs);
-  return ss.str();
-}
 
 class BenchOptionsDeathTest : public ::testing::Test {
  protected:
@@ -85,36 +62,46 @@ TEST_F(BenchOptionsDeathTest, UnexpectedArgumentIsRejected) {
               "bench: unexpected argument 'ful'\n(.|\n)*full");
 }
 
-// The default "fast" style forks after the temp file exists, so the
-// child sees it and the parent alone removes it.
-TEST(BenchRunDeathTest, CacheDirUnderARegularFileExitsWithUsageStatus) {
+// The usage text, whole: the run-cache flags and campaign_sweep's full
+// mode are gone from it.
+constexpr const char* kUsage =
+    "usage: bench \\[options\\] \\[full\\]\n"
+    "  --json <path>   [^\n]*\n"
+    "  --seed <n>      [^\n]*\n"
+    "  --jobs <n>      [^\n]*\n"
+    "  --quiet         [^\n]*\n"
+    "  --help          [^\n]*\n"
+    "  full            full mode \\(perf_scale, traffic_sweep\\)\n$";
+
+TEST_F(BenchOptionsDeathTest, DeletedCacheFlagsAreUnknown) {
+  EXPECT_EXIT(parse({"--cache"}), ::testing::ExitedWithCode(2),
+              std::string{"^bench: unknown flag --cache\n"} + kUsage);
+  EXPECT_EXIT(parse({"--cache-dir", "d"}), ::testing::ExitedWithCode(2),
+              std::string{"^bench: unknown flag --cache-dir\n"} + kUsage);
+}
+
+TEST_F(BenchOptionsDeathTest, JsonPathUnderARegularFileExitsWithUsageStatus) {
+  // The "fast" style forks after the temp file exists, so the child sees
+  // it and the parent alone removes it.
+  ::testing::FLAGS_gtest_death_test_style = "fast";
   eblnet::testing::TempDir tmp;
   const fs::path file = tmp.path() / "file";
   std::ofstream{file} << "not a directory\n";
-  const bench::Options opts = parse({"--cache", "--cache-dir", (file / "cache").string()});
-  EXPECT_EXIT(bench::run(quick_specs(), opts), ::testing::ExitedWithCode(2),
-              "--cache-dir .*/file/cache: Not a directory");
+  EXPECT_EXIT(parse({"--json", (file / "x.json").string(), "--quiet"}),
+              ::testing::ExitedWithCode(2), "^bench: --json .*/file/x\\.json: Not a directory\n$");
 }
 
-TEST(BenchRunTest, CachedRunsMatchTheUncachedRunByteForByte) {
+TEST(BenchOptionsTest, JsonPathIsCreatedWithoutTruncation) {
   eblnet::testing::TempDir tmp;
-  const std::vector<core::TrialSpec> specs = quick_specs();
-  const bench::Options cached =
-      parse({"--cache", "--cache-dir", tmp.path().string(), "--jobs", "2"});
-  const auto entries = [&] {
-    std::size_t n = 0;
-    for (const auto& e : fs::recursive_directory_iterator(tmp.path())) n += e.is_regular_file();
-    return n;
-  };
+  const fs::path fresh = tmp.path() / "fresh.json";
+  EXPECT_TRUE(parse({"--json", fresh.string()}).want_json());
+  EXPECT_TRUE(fs::is_regular_file(fresh));
+  EXPECT_EQ(fs::file_size(fresh), 0u);
 
-  const std::string cold = sweep_json(bench::run(specs, cached));
-  EXPECT_EQ(entries(), specs.size());
-  const std::string warm = sweep_json(bench::run(specs, cached));
-  EXPECT_EQ(entries(), specs.size());
-  const std::string uncached = sweep_json(bench::run(specs, parse({"--jobs", "2"})));
-
-  EXPECT_EQ(warm, cold);
-  EXPECT_EQ(warm, uncached);
+  const fs::path kept = tmp.path() / "kept.json";
+  std::ofstream{kept} << "{}\n";
+  parse({"--json", kept.string()});
+  EXPECT_EQ(fs::file_size(kept), 3u);
 }
 
 TEST(BenchOptionsTest, FullSetsTheFullMode) {

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/campaign/scenario_key.hpp"
 #include "core/scenario_builder.hpp"
+#include "core/scenario_text.hpp"
 #include "test_net.hpp"
 
 namespace eblnet::mac {
@@ -327,18 +327,18 @@ TEST_F(EdcaTest, RejectsNonPositiveSlotTimeAndRates) {
 TEST_F(EdcaTest, EdcaParamsDoNotPerturbNonEdcaScenarioKeys) {
   // The canonical scenario text only emits the chosen MAC's parameters:
   // mutating the EDCA table under an 802.11 (DCF) config must leave the
-  // key — and therefore every existing cache entry — untouched.
+  // text, and so the manifest's config lines, untouched.
   const core::ScenarioConfig dcf = core::ScenarioBuilder::trial3().build();
   core::ScenarioConfig mutated = dcf;
   mutated.edca.ac[3] = {1, 0, 3};
   mutated.edca.data_rate_bps = 27e6;
-  EXPECT_EQ(core::campaign::canonical_scenario_text(dcf),
-            core::campaign::canonical_scenario_text(mutated));
+  EXPECT_EQ(core::canonical_scenario_text(dcf),
+            core::canonical_scenario_text(mutated));
 
   core::ScenarioConfig edca = dcf;
   edca.mac = core::MacType::kEdca;
-  EXPECT_NE(core::campaign::canonical_scenario_text(dcf),
-            core::campaign::canonical_scenario_text(edca));
+  EXPECT_NE(core::canonical_scenario_text(dcf),
+            core::canonical_scenario_text(edca));
 }
 
 }  // namespace

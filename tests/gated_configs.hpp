@@ -1,5 +1,5 @@
 // Named scenario configs that between them switch on every gate of the
-// canonical scenario text (core::campaign::canonical_scenario_text):
+// canonical scenario text (core::canonical_scenario_text):
 // the EDCA and DSDV blocks, static routing, ARP, RED, Nakagami with and
 // without per-pair fade streams, corner blockage, beacons, reactive
 // braking and a non-empty fault plan. The paper trials cover TDMA,

@@ -1,10 +1,10 @@
-// JsonWriter -> parse_json round-trip: the pair the run cache's byte-
-// identity rests on. A TrialResult is serialized by core::JsonWriter and
-// reconstructed through core::campaign::parse_json, so every value class
-// the manifests contain — exact u64/i64 integers, 17-significant-digit
-// doubles, escaped strings, the null encoding of non-finite doubles —
-// must survive the trip bit-for-bit. The parser is also the cache's
-// corruption detector, so its strictness (one document, fully consumed,
+// JsonWriter -> parse_json round-trip: the manifests' values, read back.
+// Documents are serialized by core::JsonWriter and parsed by the tests'
+// strict reader (json_value.hpp), so every value class the manifests
+// contain — exact u64/i64 integers, 17-significant-digit doubles,
+// escaped strings, the null encoding of non-finite doubles — must
+// survive the trip bit-for-bit. The other tests read manifests through
+// the same parser, so its strictness (one document, fully consumed,
 // bounded depth) is pinned here too.
 
 #include <gtest/gtest.h>
@@ -17,13 +17,13 @@
 #include <string>
 #include <vector>
 
-#include "core/campaign/json_value.hpp"
 #include "core/json_writer.hpp"
+#include "json_value.hpp"
 
 using namespace eblnet;
 using core::JsonWriter;
-using core::campaign::JsonValue;
-using core::campaign::parse_json;
+using eblnet::testing::JsonValue;
+using eblnet::testing::parse_json;
 
 namespace {
 
@@ -215,8 +215,8 @@ TEST(JsonRoundTripTest, DepthLimitBoundsRecursion) {
 
 TEST(JsonRoundTripTest, WriterOutputReparsesAfterRerender) {
   // Build a writer document mixing every scalar class, parse it, and
-  // check the parsed values drive an identical re-render: this is the
-  // cache's store -> load -> re-store stability property in miniature.
+  // check the parsed values drive an identical re-render: nothing the
+  // writer emits loses a bit on the way back.
   const auto render = [](double d, std::uint64_t u, std::int64_t i, const std::string& s) {
     std::ostringstream ss;
     JsonWriter w{ss};

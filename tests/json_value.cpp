@@ -1,11 +1,11 @@
-#include "core/campaign/json_value.hpp"
+#include "json_value.hpp"
 
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 
-namespace eblnet::core::campaign {
+namespace eblnet::testing {
 
 double JsonValue::as_double() const noexcept {
   switch (kind_) {
@@ -112,7 +112,7 @@ class Parser {
 
  private:
   /// Container depth guard: the writer nests a handful of levels, so a
-  /// deeply recursive document is corruption, not data.
+  /// deeply recursive document is rejected, not recursed into.
   static constexpr int kMaxDepth = 64;
 
   void ws() {
@@ -310,4 +310,4 @@ class Parser {
 
 std::optional<JsonValue> parse_json(std::string_view text) { return Parser{text}.run(); }
 
-}  // namespace eblnet::core::campaign
+}  // namespace eblnet::testing

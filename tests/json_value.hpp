@@ -7,13 +7,13 @@
 #include <utility>
 #include <vector>
 
-namespace eblnet::core::campaign {
+namespace eblnet::testing {
 
-/// Parsed JSON document — the read side of the run cache. core::JsonWriter
-/// emits the manifests; this recursive-descent parser loads them back
-/// without a third-party dependency. It is deliberately strict (one
-/// document, fully consumed, no extensions): a cache entry that fails to
-/// parse for any reason is treated as corrupt and evicted.
+/// Parsed JSON document, the tests' read side of core::JsonWriter: the
+/// writer emits the manifests, and this recursive-descent parser loads
+/// them back without a third-party dependency, so the tests can check
+/// values and key paths. It is deliberately strict (one document, fully
+/// consumed, no extensions), so malformed writer output fails to parse.
 ///
 /// Numbers keep their exact integer identity when they have one: an
 /// unsigned integral token round-trips any u64 (sequence numbers,
@@ -79,8 +79,7 @@ class JsonValue {
 };
 
 /// Parse one JSON document. Returns nullopt on any syntax error, partial
-/// document, or trailing garbage (whitespace excepted) — the cache's
-/// corruption signal.
+/// document, or trailing garbage (whitespace excepted).
 std::optional<JsonValue> parse_json(std::string_view text);
 
-}  // namespace eblnet::core::campaign
+}  // namespace eblnet::testing

@@ -1,139 +1,59 @@
 // Golden-file schema test for the versioned JSON run manifests
-// (core::report::write_json / write_sweep_json). A minimal JSON walker
-// extracts the set of key paths ("config.seed", "trials[].delay.p1.mean",
-// ...) from a freshly generated manifest and compares it, both ways,
-// against the golden key list under tests/data/: an unknown key is as
-// much a failure as a missing one, so any schema change must come with a
-// golden update and a kManifestSchemaVersion bump decision. This doubles
-// as the CI check behind scripts/bench.sh's JSON artifacts.
+// (core::report::write_json / write_sweep_json). Each freshly generated
+// manifest is parsed (json_value.hpp) and walked for the set of key
+// paths ("config.seed", "trials[].delay.p1.mean", ...), which is
+// compared, both ways, against the golden key list under tests/data/: an
+// unknown key is as much a failure as a missing one, so any schema change
+// must come with a golden update and a kManifestSchemaVersion bump
+// decision. This doubles as the CI check behind scripts/bench.sh's JSON
+// artifacts.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/json_writer.hpp"
 #include "core/report.hpp"
 #include "core/scenario_builder.hpp"
+#include "json_value.hpp"
 
 using namespace eblnet;
+using eblnet::testing::JsonValue;
 
 namespace {
 
-/// Walks a JSON document and records every object key as a dotted path;
-/// array elements contribute "[]". Strict enough to reject malformed
-/// output from the writer (unbalanced containers, bad literals).
-class KeyPathExtractor {
- public:
-  static std::set<std::string> extract(std::string_view json) {
-    KeyPathExtractor e{json};
-    e.value("");
-    e.ws();
-    if (e.i_ != json.size()) throw std::runtime_error{"trailing characters after JSON value"};
-    return std::move(e.paths_);
-  }
-
- private:
-  explicit KeyPathExtractor(std::string_view s) : s_{s} {}
-
-  void ws() {
-    while (i_ < s_.size() &&
-           (s_[i_] == ' ' || s_[i_] == '\n' || s_[i_] == '\t' || s_[i_] == '\r'))
-      ++i_;
-  }
-  char peek() {
-    ws();
-    if (i_ >= s_.size()) throw std::runtime_error{"unexpected end of JSON"};
-    return s_[i_];
-  }
-  void expect(char c) {
-    if (peek() != c)
-      throw std::runtime_error{std::string{"expected '"} + c + "' got '" + s_[i_] + "'"};
-    ++i_;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      if (s_[i_] == '\\') {
-        ++i_;
-        if (i_ >= s_.size()) break;
-        if (s_[i_] == 'u') i_ += 4;  // \uXXXX
-      }
-      out += s_[i_++];
-    }
-    expect('"');
-    return out;
-  }
-
-  void scalar() {
-    // true / false / null / number — consume the token.
-    while (i_ < s_.size() && s_[i_] != ',' && s_[i_] != '}' && s_[i_] != ']' &&
-           s_[i_] != ' ' && s_[i_] != '\n' && s_[i_] != '\t' && s_[i_] != '\r')
-      ++i_;
-  }
-
-  void value(const std::string& path) {
-    switch (peek()) {
-      case '{': object(path); break;
-      case '[': array(path); break;
-      case '"': string(); break;
-      default: scalar();
-    }
-  }
-
-  void object(const std::string& path) {
-    expect('{');
-    if (peek() == '}') {
-      ++i_;
-      return;
-    }
-    while (true) {
-      ws();
-      const std::string key = string();
-      expect(':');
+/// Every object key under `v` as a dotted path below `path`; an array
+/// adds "path[]" (even when empty) and its elements extend that path.
+void collect_key_paths(const JsonValue& v, const std::string& path,
+                       std::set<std::string>& out) {
+  if (v.is_object()) {
+    for (const auto& [key, member] : v.as_object()) {
       const std::string full = path.empty() ? key : path + "." + key;
-      paths_.insert(full);
-      value(full);
-      if (peek() == ',') {
-        ++i_;
-        continue;
-      }
-      expect('}');
-      return;
+      out.insert(full);
+      collect_key_paths(member, full, out);
     }
+  } else if (v.is_array()) {
+    out.insert(path + "[]");
+    for (const JsonValue& element : v.as_array()) collect_key_paths(element, path + "[]", out);
   }
+}
 
-  void array(const std::string& path) {
-    expect('[');
-    paths_.insert(path + "[]");
-    if (peek() == ']') {
-      ++i_;
-      return;
-    }
-    while (true) {
-      value(path + "[]");
-      if (peek() == ',') {
-        ++i_;
-        continue;
-      }
-      expect(']');
-      return;
-    }
-  }
-
-  std::string_view s_;
-  std::size_t i_{0};
-  std::set<std::string> paths_;
-};
+/// The key paths of a whole manifest; a document that does not parse
+/// fails the calling test and yields no paths.
+std::set<std::string> key_paths(const std::string& json) {
+  std::set<std::string> paths;
+  const std::optional<JsonValue> doc = eblnet::testing::parse_json(json);
+  EXPECT_TRUE(doc) << "manifest does not parse";
+  if (doc) collect_key_paths(*doc, "", paths);
+  return paths;
+}
 
 std::set<std::string> load_golden(const std::string& name) {
   const std::string path = std::string{EBLNET_TEST_DATA_DIR} + "/" + name;
@@ -185,7 +105,7 @@ core::TrialResult quick_faulted_trial() {
 TEST(ManifestSchemaTest, TrialManifestMatchesGolden) {
   std::ostringstream ss;
   core::report::write_json(ss, quick_trial());
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_trial_v9.keys");
+  expect_schema_matches(key_paths(ss.str()), "manifest_trial_v9.keys");
 }
 
 TEST(ManifestSchemaTest, SweepManifestMatchesGolden) {
@@ -193,7 +113,7 @@ TEST(ManifestSchemaTest, SweepManifestMatchesGolden) {
   const core::TrialResult trials[] = {r, r};
   std::ostringstream ss;
   core::report::write_sweep_json(ss, "schema-sweep", trials);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_sweep_v9.keys");
+  expect_schema_matches(key_paths(ss.str()), "manifest_sweep_v9.keys");
 }
 
 TEST(ManifestSchemaTest, ResilienceManifestMatchesGolden) {
@@ -207,7 +127,7 @@ TEST(ManifestSchemaTest, ResilienceManifestMatchesGolden) {
   const core::report::ResilienceCell cells[] = {cell};
   std::ostringstream ss;
   core::report::write_resilience_json(ss, "schema-resilience", baselines, cells);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_resilience_v9.keys");
+  expect_schema_matches(key_paths(ss.str()), "manifest_resilience_v9.keys");
 }
 
 TEST(ManifestSchemaTest, TrafficManifestMatchesGolden) {
@@ -223,7 +143,7 @@ TEST(ManifestSchemaTest, TrafficManifestMatchesGolden) {
       core::ScenarioBuilder().with_traffic_flow(cfg).run_traffic("p=1.00")};
   std::ostringstream ss;
   core::report::write_traffic_json(ss, "schema-traffic", cfg, cells);
-  expect_schema_matches(KeyPathExtractor::extract(ss.str()), "manifest_traffic_v9.keys");
+  expect_schema_matches(key_paths(ss.str()), "manifest_traffic_v9.keys");
 }
 
 TEST(ManifestSchemaTest, SchemaVersionIsDeclared) {
@@ -246,5 +166,5 @@ TEST(JsonWriterTest, EscapesStringsAndNonFiniteDoubles) {
             "{\n  \"quote\\\"back\\\\slash\": \"line\\nbreak\\ttab\",\n"
             "  \"nan\": null,\n  \"inf\": null\n}");
   // And the escaped output still parses.
-  EXPECT_NO_THROW(KeyPathExtractor::extract(ss.str()));
+  EXPECT_TRUE(eblnet::testing::parse_json(ss.str()));
 }

@@ -6,11 +6,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/campaign/json_value.hpp"
-#include "core/campaign/scenario_key.hpp"
 #include "core/report.hpp"
+#include "core/scenario_text.hpp"
 #include "core/trial.hpp"
 #include "gated_configs.hpp"
+#include "json_value.hpp"
 
 namespace eblnet::core {
 namespace {
@@ -82,8 +82,8 @@ TEST(ReportTest, ConfidenceSentenceMatchesPaperPhrasing) {
 
 TEST(ReportTest, ManifestConfigIsTheCanonicalScenarioText) {
   // The manifest's "config" lines, joined with '\n' plus a trailing
-  // '\n', are exactly the text the run-cache key hashes: one field
-  // list, with the same gates and resolutions.
+  // '\n', are exactly the canonical scenario text: one field list,
+  // with the same gates and resolutions.
   std::vector<std::pair<std::string, ScenarioConfig>> configs{{"trial1", trial1_config()},
                                                               {"trial3", trial3_config()}};
   for (auto& named : eblnet::testing::gated_configs()) configs.push_back(std::move(named));
@@ -93,16 +93,16 @@ TEST(ReportTest, ManifestConfigIsTheCanonicalScenarioText) {
     r.config = cfg;
     std::ostringstream ss;
     report::write_json(ss, r);
-    const std::optional<campaign::JsonValue> doc = campaign::parse_json(ss.str());
+    const std::optional<eblnet::testing::JsonValue> doc = eblnet::testing::parse_json(ss.str());
     ASSERT_TRUE(doc) << name;
-    const campaign::JsonValue* lines = doc->find("config");
+    const eblnet::testing::JsonValue* lines = doc->find("config");
     ASSERT_TRUE(lines != nullptr && lines->is_array()) << name;
     std::string joined;
-    for (const campaign::JsonValue& line : lines->as_array()) {
+    for (const eblnet::testing::JsonValue& line : lines->as_array()) {
       ASSERT_TRUE(line.is_string()) << name;
       joined += line.as_string() + '\n';
     }
-    EXPECT_EQ(joined, campaign::canonical_scenario_text(cfg)) << name;
+    EXPECT_EQ(joined, canonical_scenario_text(cfg)) << name;
   }
 }
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/trial.hpp"
@@ -83,6 +86,30 @@ TEST(RunnerTest, MapReturnsResultsInInputOrder) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], static_cast<int>(i) * 3);
   }
+}
+
+// A batch starts no more workers than it has items, whatever jobs() says.
+TEST(RunnerTest, SingleItemMapRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  const Runner runner{16};
+  EXPECT_EQ(runner.jobs(), 16u);  // the resolved count stays unclamped
+  const std::vector<std::thread::id> ran_on =
+      runner.map(1, [](std::size_t) { return std::this_thread::get_id(); });
+  ASSERT_EQ(ran_on.size(), 1u);
+  EXPECT_EQ(ran_on[0], caller);
+}
+
+TEST(RunnerTest, TwoItemMapStartsAtMostTwoThreads) {
+  const auto threads = [] {
+    const std::filesystem::directory_iterator tasks{"/proc/self/task"};
+    return static_cast<long>(std::distance(begin(tasks), end(tasks)));
+  };
+  // ThreadSanitizer's runtime starts a helper thread along with the
+  // process's first thread; start one first so the baseline holds it.
+  std::thread{[] {}}.join();
+  const long before = threads();
+  const std::vector<long> during = Runner{16}.map(2, [&](std::size_t) { return threads(); });
+  for (const long n : during) EXPECT_LE(n, before + 2);
 }
 
 TEST(RunnerTest, MapRethrowsFirstFailureInInputOrder) {

@@ -1,69 +1,90 @@
-// The canonical scenario key (core::campaign::scenario_key) is the run
-// cache's address space: two configs share a key exactly when they are
-// the same simulation. These tests pin the three invariants that make
-// that safe — insensitivity to how a config was built (call order,
-// unresolved "auto" fields, parameters gated off by mode flags),
+// The canonical scenario text (core::canonical_scenario_text) is every
+// trial manifest's "config" block: two configs give the same text exactly
+// when they are the same simulation. These tests pin the three
+// invariants behind that — insensitivity to how a config was built (call
+// order, unresolved "auto" fields, parameters gated off by mode flags),
 // sensitivity to every knob that reaches the simulation, and long-term
-// stability (a golden key file: an accidental canonicalisation change
-// would silently orphan every existing cache entry, so it must show up
-// as a diff here first).
+// stability (a golden file of hashed texts: an accidental change to the
+// field list, its gates or its formatting moves a manifest's config
+// lines, so it must show up as a diff here first).
 
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/campaign/scenario_key.hpp"
 #include "core/scenario_builder.hpp"
+#include "core/scenario_text.hpp"
 #include "gated_configs.hpp"
 #include "sim/fault.hpp"
 
 using namespace eblnet;
-using core::campaign::Key;
-using core::campaign::canonical_scenario_text;
-using core::campaign::mix_fingerprint;
-using core::campaign::scenario_key;
+using core::canonical_scenario_text;
 
 namespace {
 
 core::ScenarioConfig base_config() { return core::trial1_config(); }
 
-}  // namespace
-
-TEST(ScenarioKeyTest, HexIs32LowercaseHexChars) {
-  const std::string hex = scenario_key(base_config()).hex();
-  ASSERT_EQ(hex.size(), 32u);
-  for (const char c : hex) EXPECT_TRUE(std::isxdigit(c) && !std::isupper(c)) << hex;
+/// 32 lowercase hex characters: two independent 64-bit FNV-1a streams
+/// over the text (the standard offset basis, then a second basis), the
+/// hash the golden file has always pinned.
+std::string golden_hash(std::string_view text) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  const auto fnv1a = [&](std::uint64_t h) {
+    for (const char c : text) {
+      h ^= static_cast<unsigned char>(c);
+      h *= kPrime;
+    }
+    return h;
+  };
+  char buf[33];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64 "%016" PRIx64, fnv1a(0xcbf29ce484222325ULL),
+                fnv1a(0x6c62272e07bb0142ULL));
+  return buf;
 }
 
+/// True when some line of `text` starts with `prefix`.
+bool has_line(const std::string& text, const std::string& prefix) {
+  return ('\n' + text).find('\n' + prefix) != std::string::npos;
+}
+
+}  // namespace
+
 TEST(ScenarioKeyTest, KeyIsCallOrderInvariant) {
-  // The key hashes the resolved config, not the construction recipe.
+  // The text renders the resolved config, not the construction recipe.
   const core::ScenarioConfig a =
       core::ScenarioBuilder::trial1().packet_bytes(500).seed(7).build();
   const core::ScenarioConfig b =
       core::ScenarioBuilder::trial1().seed(7).packet_bytes(500).build();
-  EXPECT_EQ(scenario_key(a), scenario_key(b));
   EXPECT_EQ(canonical_scenario_text(a), canonical_scenario_text(b));
 }
 
 TEST(ScenarioKeyTest, AutoDepartResolvesToExplicitEquivalent) {
   // platoon2_depart zero means "when platoon 1 has stopped"; writing the
-  // resolved instant explicitly is the same scenario and must hit the
-  // same cache entry.
+  // resolved instant explicitly is the same scenario and must render the
+  // same text, with the instant in it.
   core::ScenarioConfig implicit = base_config();
   implicit.platoon2_depart = sim::Time{};
   core::ScenarioConfig explicit_depart = implicit;
   explicit_depart.platoon2_depart = implicit.resolved_platoon2_depart();
-  EXPECT_EQ(scenario_key(implicit), scenario_key(explicit_depart));
+  ASSERT_GT(explicit_depart.platoon2_depart.ns(), 0);
+  const std::string text = canonical_scenario_text(implicit);
+  EXPECT_EQ(text, canonical_scenario_text(explicit_depart));
+  EXPECT_TRUE(has_line(text, "platoon2_depart_ns = " +
+                                 std::to_string(explicit_depart.platoon2_depart.ns()) + "\n"))
+      << text;
 }
 
 TEST(ScenarioKeyTest, GatedParametersDoNotLeakIntoKey) {
   // A parameter behind a disabled mode flag cannot reach the simulation,
-  // so varying it must not fragment the cache.
+  // so it is absent from the text, and varying it changes nothing.
   core::ScenarioConfig a = base_config();
   ASSERT_FALSE(a.use_red_queue);
   ASSERT_EQ(a.propagation, core::PropagationType::kTwoRay);
@@ -79,13 +100,18 @@ TEST(ScenarioKeyTest, GatedParametersDoNotLeakIntoKey) {
   b.blockage.corner_loss_db += 30.0;
   ASSERT_NE(b.mac, core::MacType::kEdca);
   b.edca.ac[0].cw_max += 1;
-  EXPECT_EQ(scenario_key(a), scenario_key(b));
+  const std::string text = canonical_scenario_text(a);
+  EXPECT_EQ(text, canonical_scenario_text(b));
+  for (const char* gated : {"arp.", "red.", "nakagami_m", "nakagami_node_streams",
+                            "beacon.interval_ns", "blockage.half_width_m", "edca.",
+                            "mac80211.", "dsdv.", "reactive.decel_mps2", "faults.rng_seed"})
+    EXPECT_FALSE(has_line(text, gated)) << "gated-off '" << gated << "' in the text";
 
   // An empty fault plan is bit-identity regardless of its rng_seed.
   core::ScenarioConfig c = a;
   c.faults.rng_seed = 999;
   ASSERT_TRUE(c.faults.empty());
-  EXPECT_EQ(scenario_key(a), scenario_key(c));
+  EXPECT_EQ(text, canonical_scenario_text(c));
 }
 
 TEST(ScenarioKeyTest, EveryKnobChangesKey) {
@@ -153,27 +179,17 @@ TEST(ScenarioKeyTest, EveryKnobChangesKey) {
   };
 
   const core::ScenarioConfig base = base_config();
-  const Key base_key = scenario_key(base);
-  std::map<std::string, const char*> seen{{base_key.hex(), "base"}};
+  const std::string base_text = canonical_scenario_text(base);
+  std::map<std::string, const char*> seen{{base_text, "base"}};
   for (const auto& [name, mutate] : knobs) {
     core::ScenarioConfig cfg = base;
     mutate(cfg);
-    const Key k = scenario_key(cfg);
-    EXPECT_NE(k, base_key) << "knob '" << name << "' did not change the key";
-    const auto [it, inserted] = seen.emplace(k.hex(), name);
+    const std::string text = canonical_scenario_text(cfg);
+    EXPECT_NE(text, base_text) << "knob '" << name << "' did not change the text";
+    const auto [it, inserted] = seen.emplace(text, name);
     EXPECT_TRUE(inserted) << "knobs '" << name << "' and '" << it->second
-                          << "' collided on key " << k.hex();
+                          << "' render the same text";
   }
-}
-
-TEST(ScenarioKeyTest, FingerprintExtendsTheKey) {
-  const Key k = scenario_key(base_config());
-  const Key a = mix_fingerprint(k, "build-a");
-  const Key b = mix_fingerprint(k, "build-b");
-  EXPECT_NE(a, k);
-  EXPECT_NE(b, k);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(mix_fingerprint(k, "build-a"), a);  // deterministic
 }
 
 TEST(ScenarioKeyTest, FaultPlanEventsAreKeyed) {
@@ -183,18 +199,23 @@ TEST(ScenarioKeyTest, FaultPlanEventsAreKeyed) {
   core::ScenarioConfig b = base_config();
   b.faults = sim::FaultPlan{}.blackout(sim::Time::seconds(std::int64_t{3}),
                                        sim::Time::seconds(std::int64_t{2}));
-  EXPECT_NE(scenario_key(a), scenario_key(b));
+  const std::string text = canonical_scenario_text(a);
+  EXPECT_NE(text, canonical_scenario_text(b));
+  EXPECT_TRUE(has_line(text, "faults.event.kind = ")) << text;
+  EXPECT_TRUE(has_line(text, "faults.event.duration_ns = 1000000000\n")) << text;
   // A non-empty plan's rng_seed is live.
+  EXPECT_TRUE(has_line(text, "faults.rng_seed = " + std::to_string(a.faults.rng_seed) + "\n"))
+      << text;
   core::ScenarioConfig c = a;
   c.faults.rng_seed = a.faults.rng_seed + 1;
-  EXPECT_NE(scenario_key(a), scenario_key(c));
+  EXPECT_NE(text, canonical_scenario_text(c));
 }
 
-// The golden: the three paper trials' keys, plus configs that switch on
-// every gate between them (gated_configs.hpp), pinned. A mismatch means
-// the canonicalisation changed — every existing cache entry would be
-// orphaned, so the change must be deliberate (regenerate with the hexes
-// this test prints, and mention the invalidation in the PR).
+// The golden: the hashed texts of the three paper trials, plus configs
+// that switch on every gate between them (gated_configs.hpp), pinned. A
+// mismatch means the canonical text changed, so every manifest's
+// config lines move with it: the change must be deliberate (regenerate
+// with the hashes this test prints, and say why in CHANGES.md).
 TEST(ScenarioKeyTest, GoldenKeysUnchanged) {
   const std::string path = std::string{EBLNET_TEST_DATA_DIR} + "/scenario_key.golden";
   std::ifstream in{path};
@@ -209,17 +230,17 @@ TEST(ScenarioKeyTest, GoldenKeysUnchanged) {
     golden[name] = hex;
   }
 
-  std::map<std::string, Key> actual{
-      {"trial1", scenario_key(core::trial1_config())},
-      {"trial2", scenario_key(core::trial2_config())},
-      {"trial3", scenario_key(core::trial3_config())},
+  std::map<std::string, std::string> actual{
+      {"trial1", golden_hash(canonical_scenario_text(core::trial1_config()))},
+      {"trial2", golden_hash(canonical_scenario_text(core::trial2_config()))},
+      {"trial3", golden_hash(canonical_scenario_text(core::trial3_config()))},
   };
   for (const auto& [name, cfg] : eblnet::testing::gated_configs())
-    actual.emplace(name, scenario_key(cfg));
+    actual.emplace(name, golden_hash(canonical_scenario_text(cfg)));
   ASSERT_EQ(golden.size(), actual.size()) << "golden " << path << " out of date";
-  for (const auto& [key_name, key] : actual) {
+  for (const auto& [key_name, hash] : actual) {
     ASSERT_TRUE(golden.count(key_name)) << "golden missing entry " << key_name;
-    EXPECT_EQ(golden[key_name], key.hex())
-        << key_name << " canonicalisation changed (got " << key.hex() << ")";
+    EXPECT_EQ(golden[key_name], hash)
+        << key_name << " canonical text changed (got " << hash << ")";
   }
 }

@@ -10,7 +10,7 @@ namespace eblnet::testing {
 
 /// RAII scratch directory under the system temp dir, unique per process
 /// and per instance, removed (recursively) on destruction. Used by the
-/// campaign/run-cache tests, which exercise a real on-disk store.
+/// bench CLI tests, which need a real file to put a path under.
 class TempDir {
  public:
   TempDir() {
