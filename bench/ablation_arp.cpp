@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
         "'passive' learns from overheard AODV broadcasts, so the resolve round\n"
         "trip disappears from the brake-notification path.\n";
 
-  if (opts.want_json()) core::report::write_sweep_json_file(opts.json_path, "ablation_arp", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "ablation_arp", runs); });
   return 0;
 }

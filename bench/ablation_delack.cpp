@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   os << "\nunder TDMA every ACK costs the follower's next slot, so delaying them\n"
         "frees slots but stretches the RTT the window is clocked by.\n";
 
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "ablation_delack", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "ablation_delack", runs); });
   return 0;
 }

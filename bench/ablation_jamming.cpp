@@ -5,7 +5,6 @@
 // jammer parked at the intersection, swept over duty cycles, against
 // (a) 802.11, (b) plain TDMA, and (c) TDMA+FHSS over 8 channels.
 
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
@@ -169,14 +168,8 @@ int main(int argc, char** argv) {
         "the duty cycle; TDMA+FHSS retains most deliveries because the hop\n"
         "sequence leaves the jammer's channel ~7/8 of the time.\n";
 
-  if (opts.want_json()) {
-    // The jammer grid has no TrialResult, so it gets its own manifest
-    // kind rather than the trial/sweep schema.
-    std::ofstream out{opts.json_path};
-    if (!out) {
-      std::cerr << "error: could not write " << opts.json_path << '\n';
-      return 1;
-    }
+  // The jammer grid has no TrialResult, so it gets its own manifest kind.
+  bench::write_manifest(opts, [&](std::ostream& out) {
     core::JsonWriter w{out};
     w.begin_object();
     w.field("schema_version", std::uint64_t{core::report::kManifestSchemaVersion});
@@ -196,6 +189,6 @@ int main(int argc, char** argv) {
     w.end_array();
     w.end_object();
     out << '\n';
-  }
+  });
   return 0;
 }

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   os << "\nexpectation: TDMA delay column constant (slot-bound); TDMA throughput "
         "linear in size; 802.11 delay rises with size as utilisation grows.\n";
 
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "ablation_packet_size", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "ablation_packet_size", runs); });
   return 0;
 }

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
        << std::setw(14) << r.phy_collisions << '\n';
   }
 
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "ablation_platoon_size", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "ablation_platoon_size", runs); });
   return 0;
 }

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
                "result. RED's textbook delay win appears on faster links: see\n"
                "RedQueueTest.RedKeepsTcpStandingQueueShorterThanDropTail (802.11,\n"
                "where it roughly halves the standing-queue delay).\n";
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "ablation_queue", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "ablation_queue", runs); });
   return 0;
 }

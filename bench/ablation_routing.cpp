@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
         "contribution to the first brake notification; DSDV trades it for "
         "standing control overhead.\n";
 
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "ablation_routing", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "ablation_routing", runs); });
   return 0;
 }

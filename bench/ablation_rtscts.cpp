@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
         "per-packet overhead (higher delay, lower throughput) without reducing "
         "collisions meaningfully.\n";
 
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "ablation_rtscts", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "ablation_rtscts", runs); });
   return 0;
 }

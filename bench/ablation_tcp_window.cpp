@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   os << "\nexpectation: steady delay ~ linear in window while throughput is flat "
         "(the MAC, not the window, is the bottleneck).\n";
 
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "ablation_tcp_window", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "ablation_tcp_window", runs); });
   return 0;
 }

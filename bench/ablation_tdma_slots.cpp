@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
        << '\n';
   }
 
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "ablation_tdma_slots", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "ablation_tdma_slots", runs); });
   return 0;
 }

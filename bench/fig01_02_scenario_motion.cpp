@@ -5,7 +5,6 @@
 // intersection; platoon 2 waiting on the cross street and departing east
 // once platoon 1 has stopped).
 
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <vector>
@@ -69,14 +68,8 @@ int main(int argc, char** argv) {
     samples.push_back(std::move(sample));
   }
 
-  if (opts.want_json()) {
-    // Motion has no TrialResult; emit the figure data under its own
-    // manifest kind so the plot can be regenerated from JSON.
-    std::ofstream out{opts.json_path};
-    if (!out) {
-      std::cerr << "error: could not write " << opts.json_path << '\n';
-      return 1;
-    }
+  // Motion has no TrialResult, so the figure data gets its own manifest kind.
+  bench::write_manifest(opts, [&](std::ostream& out) {
     core::JsonWriter w{out};
     w.begin_object();
     w.field("schema_version", std::uint64_t{core::report::kManifestSchemaVersion});
@@ -109,7 +102,7 @@ int main(int argc, char** argv) {
     w.end_array();
     w.end_object();
     out << '\n';
-  }
+  });
 
   return 0;
 }

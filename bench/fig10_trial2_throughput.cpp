@@ -21,6 +21,6 @@ int main(int argc, char** argv) {
   core::report::print_summary_row(ctx, "platoon 1 throughput", r.p1_throughput_summary());
   core::report::print_confidence(ctx, "confidence analysis", r.p1_throughput_ci);
 
-  if (opts.want_json()) core::report::write_json_file(opts.json_path, r);
+  bench::write_manifest(opts, [&](auto& f) { core::report::write_json(f, r); });
   return 0;
 }

@@ -34,6 +34,6 @@ int main(int argc, char** argv) {
   ctx.os << "\nplatoon 1 steady-state one-way delay (packets >= 50): "
          << r.p1_steady_state_delay_s() << " s\n";
 
-  if (opts.want_json()) core::report::write_json_file(opts.json_path, r);
+  bench::write_manifest(opts, [&](auto& f) { core::report::write_json(f, r); });
   return 0;
 }

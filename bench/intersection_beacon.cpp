@@ -30,11 +30,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -278,13 +276,10 @@ int main(int argc, char** argv) {
         "pairs closer than 100 m; CBR is the mean per-node channel busy\n"
         "ratio over the stationary measurement window.\n";
 
-  if (opts.want_json()) {
-    std::ofstream f{opts.json_path};
-    if (!f) throw std::runtime_error{"cannot open " + opts.json_path};
+  bench::write_manifest(opts, [&](std::ostream& f) {
     core::JsonWriter w{f};
     w.begin_object();
-    w.field("schema_version",
-            static_cast<std::int64_t>(core::report::kManifestSchemaVersion));
+    w.field("schema_version", std::uint64_t{core::report::kManifestSchemaVersion});
     w.field("kind", "eblnet.beacon");
     w.field("name", "intersection_beacon");
     w.field("half_width_m", kHalfWidthM);
@@ -310,6 +305,6 @@ int main(int argc, char** argv) {
     w.end_array();
     w.end_object();
     f << '\n';
-  }
+  });
   return 0;
 }

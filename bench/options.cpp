@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string_view>
@@ -106,6 +107,16 @@ std::ostream& Options::out() const { return quiet ? null_stream : std::cout; }
 
 std::vector<core::TrialResult> run(std::span<const core::TrialSpec> specs, const Options& opts) {
   return core::Runner{opts.jobs}.run_trials(specs);
+}
+
+void write_manifest(const Options& opts, const std::function<void(std::ostream&)>& write) {
+  if (!opts.want_json()) return;
+  std::ofstream os{opts.json_path};
+  write(os);
+  os.close();  // the final flush: a small manifest fails only here on a full disk
+  if (os) return;
+  std::cerr << opts.program << ": --json " << opts.json_path << ": write failed\n";
+  std::exit(1);
 }
 
 }  // namespace eblnet::bench

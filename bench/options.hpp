@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -64,5 +65,10 @@ struct Options {
 /// results in spec order. --seed is not applied here: the specs carry it
 /// (see spec()).
 std::vector<core::TrialResult> run(std::span<const core::TrialSpec> specs, const Options& opts);
+
+/// The one way a bench writes its manifest: nothing without --json, else
+/// open the path, call `write` and close the file. Any failure up to the
+/// final flush prints `<program>: --json <path>: write failed` and exits 1.
+void write_manifest(const Options& opts, const std::function<void(std::ostream&)>& write);
 
 }  // namespace eblnet::bench

@@ -53,7 +53,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <string>
@@ -337,10 +336,8 @@ void write_model(core::JsonWriter& w, const ModelPoint& p) {
   w.end_object();
 }
 
-bool write_json(const std::string& path, const std::vector<ScalePoint>& points,
+void write_json(std::ostream& out, const std::vector<ScalePoint>& points,
                 const std::vector<DrivePoint>& drive) {
-  std::ofstream out{path};
-  if (!out) return false;
   core::JsonWriter w{out};
   w.begin_object();
   w.field("schema_version", std::uint64_t{core::report::kManifestSchemaVersion});
@@ -376,7 +373,6 @@ bool write_json(const std::string& path, const std::vector<ScalePoint>& points,
   w.end_array();
   w.end_object();
   out << '\n';
-  return out.good();
 }
 
 }  // namespace
@@ -436,10 +432,7 @@ int main(int argc, char** argv) {
     drive.push_back(p);
   }
 
-  if (opts.want_json() && !write_json(opts.json_path, points, drive)) {
-    std::cerr << "error: could not write " << opts.json_path << '\n';
-    return 1;
-  }
+  bench::write_manifest(opts, [&](auto& f) { write_json(f, points, drive); });
   if (opts.want_json()) os << "wrote " << opts.json_path << '\n';
   return agree ? 0 : 1;
 }

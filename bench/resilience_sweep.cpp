@@ -163,14 +163,8 @@ int main(int argc, char** argv) {
         "of the latest-notified platoon-1 follower under each fault;\n"
         "\"never_notified\" means the brake warning never arrived at all.\n";
 
-  if (opts.want_json()) {
-    try {
-      core::report::write_resilience_json_file(opts.json_path, "resilience_sweep", baselines,
-                                               report_cells);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << '\n';
-      return 1;
-    }
-  }
+  bench::write_manifest(opts, [&](auto& f) {
+    core::report::write_resilience_json(f, "resilience_sweep", baselines, report_cells);
+  });
   return 0;
 }

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
      << t3.p1_throughput_ci.mean / t1.p1_throughput_ci.mean
      << "   (paper: >1 — 802.11 sends with greater frequency)\n";
 
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "table_comparison", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "table_comparison", runs); });
   return 0;
 }

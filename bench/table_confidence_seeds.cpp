@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   report(os, runs, 1 * kSeeds, "Trial 2 (500 B, TDMA)");
   report(os, runs, 2 * kSeeds, "Trial 3 (1000 B, 802.11)");
 
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "table_confidence_seeds", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "table_confidence_seeds", runs); });
   return 0;
 }

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   const ReportContext ctx{opts.out(), 4, "s"};
   for (const auto& r : runs) print_trial(ctx, r);
 
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "table_delay_stats", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "table_delay_stats", runs); });
   return 0;
 }

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
             .max_tolerable_delay(0.1)
      << " s\n";
 
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "table_stopping_distance", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "table_stopping_distance", runs); });
   return 0;
 }

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   const ReportContext ctx{opts.out(), 4, "Mbps"};
   for (const auto& r : runs) print_trial(ctx, r);
 
-  if (opts.want_json())
-    core::report::write_sweep_json_file(opts.json_path, "table_throughput_stats", runs);
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_sweep_json(f, "table_throughput_stats", runs); });
   return 0;
 }

@@ -112,13 +112,7 @@ int main(int argc, char** argv) {
         "under " << fmt(base.congestion_speed_mps, 0)
      << " m/s after the incident. p=0.00 is the no-V2V baseline.\n";
 
-  if (opts.want_json()) {
-    try {
-      core::report::write_traffic_json_file(opts.json_path, "traffic_sweep", base, rows);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << '\n';
-      return 1;
-    }
-  }
+  bench::write_manifest(
+      opts, [&](auto& f) { core::report::write_traffic_json(f, "traffic_sweep", base, rows); });
   return 0;
 }

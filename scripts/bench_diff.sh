@@ -4,7 +4,7 @@
 #   scripts/bench_diff.sh <parent-build> <change-build>
 #
 # Two trees (for example the parent commit's build and a change's build):
-# runs every bench binary in <parent-build>/bench with default arguments,
+# runs every bench the parent build registers with default arguments,
 # runs its namesake in <change-build>/bench the same way, compares the two
 # stdout captures byte for byte and prints one verdict per bench. Each
 # bench then runs again in both trees with `--json <file> --quiet`, and
@@ -14,10 +14,15 @@
 #
 #   scripts/bench_diff.sh --record <build>
 #
-# One tree: runs every bench in <build>/bench with default arguments and
-# rewrites tests/data/bench_stdout.sha256 with one `<sha256>  <bench>`
+# One tree: runs every bench the build registers with default arguments
+# and rewrites tests/data/bench_stdout.sha256 with one `<sha256>  <bench>`
 # line per bench, the digests the bench_golden.<bench> ctests compare.
 # A change that moves a digest names the bench and the reason.
+#
+# A tree's benches are the names of its bench_json.<bench> ctests
+# (`ctest --test-dir <build> -N -R '^bench_json\.'`), not the files in
+# its bench/ directory: CMake never deletes the binary of a target that
+# is gone, and such a stale binary is not compared.
 #
 # Verdicts:
 #
@@ -25,9 +30,11 @@
 #   DIFFERENT    bytes differ (the first differing lines follow), or the
 #                manifests differ (the differing key paths follow)
 #   FAILED       a run exited non-zero
-#   MISSING      the change tree has no such bench
-#   skipped      perf_scale, micro_components: their output carries
-#                host timings, so bytes never match
+#   MISSING      the change tree does not register the bench, whether
+#                or not a stale binary is still there
+#   skipped      perf_scale: its output carries host timings, so bytes
+#                never match (micro_components, a google-benchmark
+#                binary, has no bench_json ctest and is not listed)
 #
 # Each run starts in its own empty scratch directory, so nothing a bench
 # writes lands in the caller's tree. Exit status: 0 when every compared
@@ -46,6 +53,12 @@ build_tree() {
   tree=$(cd "$1" 2>/dev/null && pwd) || { echo "$0: no such directory: $1" >&2; exit 2; }
   [ -d "$tree/bench" ] || { echo "$0: not a build tree with a bench/ directory: $1" >&2; exit 2; }
   echo "$tree"
+}
+
+# benches <tree>: the benches the tree's build registers, one per line.
+benches() {
+  ctest --test-dir "$1" -N -R '^bench_json\.' | sed -n 's/^ *Test *#[0-9]*: bench_json\.//p' |
+    LC_ALL=C sort
 }
 
 [ $# -eq 2 ] || usage
@@ -106,17 +119,18 @@ sys.exit(1 if paths else 0)
 ' "$1" "$2"
 }
 
+base_benches=$(benches "$base")
+[ -n "$base_benches" ] || { echo "$0: $base registers no bench_json ctests" >&2; exit 2; }
+[ "$mode" = diff ] && change_benches=$(benches "$change")
+
 compared=0
 differing=0
-for bin in "$base"/bench/*; do
-  [ -f "$bin" ] && [ -x "$bin" ] || continue
-  name=$(basename "$bin")
-  case "$name" in
-    perf_scale | micro_components)
-      printf '%-12s %s (output carries host timings)\n' skipped "$name"
-      continue
-      ;;
-  esac
+for name in $base_benches; do
+  bin=$base/bench/$name
+  if [ "$name" = perf_scale ]; then
+    printf '%-12s %s (output carries host timings)\n' skipped "$name"
+    continue
+  fi
   compared=$((compared + 1))
 
   if [ "$mode" = record ]; then
@@ -130,7 +144,7 @@ for bin in "$base"/bench/*; do
     continue
   fi
 
-  if [ ! -x "$change/bench/$name" ]; then
+  if ! printf '%s\n' "$change_benches" | grep -qx "$name"; then
     printf '%-12s %s\n' MISSING "$name"
     differing=$((differing + 1))
     continue

@@ -21,9 +21,9 @@ cmake -B "$SAN_BUILD" -G Ninja -DEBLNET_SANITIZE=ON
 cmake --build "$SAN_BUILD"
 ctest --test-dir "$SAN_BUILD" --output-on-failure
 
-# The concurrent suites again under ThreadSanitizer: ThreadPool's queue
-# handoff and the Runner's trial fan-out are the code that runs on
-# several threads, which only TSan can vet.
+# The concurrent suites again under ThreadSanitizer: the Runner's trial
+# fan-out (its workers, their shared index counter and the result slots)
+# is the only code that runs on several threads, which only TSan can vet.
 TSAN_BUILD=build-tsan
 cmake -B "$TSAN_BUILD" -G Ninja -DEBLNET_TSAN=ON
 cmake --build "$TSAN_BUILD"

@@ -1,10 +1,8 @@
 #include "core/report.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <string_view>
 
 #include "core/json_writer.hpp"
@@ -363,44 +361,6 @@ void write_traffic_json(std::ostream& os, const std::string& name, const Traffic
   w.end_array();
   w.end_object();
   os << '\n';
-}
-
-namespace {
-
-std::ofstream open_or_throw(const std::string& path) {
-  std::ofstream f{path};
-  if (!f) throw std::runtime_error{"report: cannot open " + path + " for writing"};
-  return f;
-}
-
-}  // namespace
-
-void write_json_file(const std::string& path, const TrialResult& r) {
-  auto f = open_or_throw(path);
-  write_json(f, r);
-  if (!f) throw std::runtime_error{"report: write failed for " + path};
-}
-
-void write_sweep_json_file(const std::string& path, const std::string& name,
-                           std::span<const TrialResult> results) {
-  auto f = open_or_throw(path);
-  write_sweep_json(f, name, results);
-  if (!f) throw std::runtime_error{"report: write failed for " + path};
-}
-
-void write_resilience_json_file(const std::string& path, const std::string& name,
-                                std::span<const TrialResult> baselines,
-                                std::span<const ResilienceCell> cells) {
-  auto f = open_or_throw(path);
-  write_resilience_json(f, name, baselines, cells);
-  if (!f) throw std::runtime_error{"report: write failed for " + path};
-}
-
-void write_traffic_json_file(const std::string& path, const std::string& name,
-                             const TrafficConfig& cfg, std::span<const TrafficRunResult> cells) {
-  auto f = open_or_throw(path);
-  write_traffic_json(f, name, cfg, cells);
-  if (!f) throw std::runtime_error{"report: write failed for " + path};
 }
 
 }  // namespace eblnet::core::report

@@ -119,15 +119,5 @@ void write_resilience_json(std::ostream& os, const std::string& name,
 void write_traffic_json(std::ostream& os, const std::string& name, const TrafficConfig& cfg,
                         std::span<const TrafficRunResult> cells);
 
-/// Convenience: open `path`, write the manifest, throw on I/O failure.
-void write_json_file(const std::string& path, const TrialResult& r);
-void write_sweep_json_file(const std::string& path, const std::string& name,
-                           std::span<const TrialResult> results);
-void write_resilience_json_file(const std::string& path, const std::string& name,
-                                std::span<const TrialResult> baselines,
-                                std::span<const ResilienceCell> cells);
-void write_traffic_json_file(const std::string& path, const std::string& name,
-                             const TrafficConfig& cfg, std::span<const TrafficRunResult> cells);
-
 }  // namespace report
 }  // namespace eblnet::core

@@ -1,14 +1,16 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
-#include <future>
+#include <exception>
+#include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "core/trial.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace eblnet::core {
 
@@ -19,8 +21,8 @@ struct TrialSpec {
   std::string name;
 };
 
-/// Parallel experiment engine: fans independent trials out across a
-/// thread pool and returns their results **in input order**.
+/// Parallel experiment engine: fans independent trials out across
+/// worker threads and returns their results **in input order**.
 ///
 /// Every trial owns its whole simulation world (net::Env — scheduler,
 /// RNG, uid allocator — plus scenario, nodes, trace), so running trials
@@ -36,7 +38,8 @@ struct TrialSpec {
 /// One job means "run serially on the calling thread" (no worker thread
 /// is spawned), which is also the fallback on single-core hosts. A batch
 /// never starts more workers than it has items: a one-item batch also
-/// runs on the calling thread, whatever the job count.
+/// runs on the calling thread, whatever the job count. Otherwise the
+/// calling thread starts the workers and waits for them.
 class Runner {
  public:
   /// `jobs` = 0 resolves via EBLNET_JOBS / hardware_concurrency().
@@ -47,30 +50,54 @@ class Runner {
   unsigned jobs() const noexcept { return jobs_; }
 
   /// Run every spec and return results in input order. A trial that
-  /// throws aborts the batch: the first failing trial's exception (in
-  /// input order) is rethrown after all in-flight trials finish.
+  /// throws fails the batch: every other trial still runs, then the first
+  /// failing trial's exception (in input order) is rethrown.
   std::vector<TrialResult> run_trials(std::span<const TrialSpec> specs) const;
 
-  /// Generic parallel map: evaluate `fn(0) ... fn(n-1)` across the pool
-  /// and return the results indexed by input. This is the primitive
-  /// run_trials() is built on; benches whose experiment unit is not a
-  /// TrialSpec (custom topologies, jammer setups, ...) use it
-  /// directly. `fn` must be safe to call concurrently from `jobs()`
-  /// threads — in this codebase that means each invocation builds its own
-  /// net::Env / scenario and touches no shared mutable state. The pool
-  /// holds min(jobs(), n) workers, none when that is 1.
+  /// Generic parallel map: evaluate `fn(0) ... fn(n-1)` and return the
+  /// results indexed by input. This is the primitive run_trials() is
+  /// built on; benches whose experiment unit is not a TrialSpec (custom
+  /// topologies, jammer setups, ...) use it directly. `fn` must be safe
+  /// to call concurrently from `jobs()` threads — in this codebase that
+  /// means each invocation builds its own net::Env / scenario and
+  /// touches no shared mutable state.
+  ///
+  /// min(jobs(), n) workers take indices from one counter and write each
+  /// result or exception into that index's slot; with one worker the
+  /// calling thread runs every item itself, in index order. Every item
+  /// runs even after one throws, and the first exception in input order
+  /// is rethrown once all have finished.
   template <typename F, typename R = std::invoke_result_t<const F&, std::size_t>>
   std::vector<R> map(std::size_t n, const F& fn) const {
+    struct Slot {
+      std::optional<R> result;
+      std::exception_ptr error;
+    };
+    std::vector<Slot> slots(n);
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+      for (std::size_t i = next++; i < n; i = next++) {
+        try {
+          slots[i].result.emplace(fn(i));
+        } catch (...) {
+          slots[i].error = std::current_exception();
+        }
+      }
+    };
     const unsigned workers = n < jobs_ ? static_cast<unsigned>(n) : jobs_;
-    sim::ThreadPool pool{workers > 1 ? workers : 0};
-    std::vector<std::future<R>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      futures.push_back(pool.submit([&fn, i] { return fn(i); }));
-    }
+    if (workers <= 1) {
+      work();
+    } else {
+      std::vector<std::jthread> threads;
+      threads.reserve(workers);
+      for (unsigned t = 0; t < workers; ++t) threads.emplace_back(work);
+    }  // the jthreads join here
     std::vector<R> results;
     results.reserve(n);
-    for (auto& f : futures) results.push_back(f.get());
+    for (Slot& s : slots) {
+      if (s.error) std::rethrow_exception(s.error);
+      results.push_back(std::move(*s.result));
+    }
     return results;
   }
 

@@ -73,7 +73,6 @@ void TrafficScenario::on_spawn(VehicleId v) {
   auto eq = std::make_unique<Equipped>();
   const auto id = static_cast<net::NodeId>(v);
   eq->node = std::make_unique<net::Node>(env_, id);
-  eq->node->set_mobility(flow_->make_mobility(v));
 
   eq->phy = std::make_unique<phy::WirelessPhy>(
       env_, id, *channel_, [this, v] { return flow_->position_of(v, env_.now()); }, config_.phy);

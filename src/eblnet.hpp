@@ -10,7 +10,6 @@
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/thread_pool.hpp"
 #include "sim/time.hpp"
 #include "sim/timer.hpp"
 

@@ -13,9 +13,8 @@ namespace eblnet::mobility {
 /// position lazily from closed-form kinematics — there is no per-tick
 /// movement event, so they add zero load to the event queue. The
 /// stateful dynamics engine (TrafficFlow) integrates on a fixed tick
-/// through the event queue and exposes per-vehicle read views
-/// (IdmVehicle) through this same interface, extrapolating linearly
-/// between ticks.
+/// through the event queue; its radios read `TrafficFlow::position_of`,
+/// which extrapolates linearly between ticks.
 class MobilityModel {
  public:
   virtual ~MobilityModel() = default;

@@ -399,13 +399,4 @@ Vec2 TrafficFlow::position_of(VehicleId v, sim::Time t) const {
   return r.origin + r.direction * s + perp * offset;
 }
 
-Vec2 TrafficFlow::velocity_of(VehicleId v) const {
-  if (!active(v)) return {};
-  return params_.roads[home(v).road].direction * speed_of(v);
-}
-
-std::shared_ptr<MobilityModel> TrafficFlow::make_mobility(VehicleId v) {
-  return std::make_shared<IdmVehicle>(this, v);
-}
-
 }  // namespace eblnet::mobility

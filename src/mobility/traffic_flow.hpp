@@ -3,11 +3,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "mobility/idm.hpp"
-#include "mobility/mobility_model.hpp"
 #include "mobility/vec2.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -119,9 +117,8 @@ struct SpeedSample {
 /// jitter, which varies with market penetration) never perturb the
 /// arrival pattern — sweeps compare identical traffic.
 ///
-/// Read side: `make_mobility(id)` returns a `MobilityModel` view that
-/// extrapolates linearly from the last tick; the engine must outlive
-/// every view.
+/// Read side: `position_of(id, t)` extrapolates linearly from the last
+/// tick.
 class TrafficFlow {
  public:
   using VehicleId = std::uint32_t;
@@ -178,10 +175,6 @@ class TrafficFlow {
   /// World-frame position at `t`, extrapolating from the last tick
   /// (clamped to the road extent; frozen once despawned).
   Vec2 position_of(VehicleId v, sim::Time t) const;
-  Vec2 velocity_of(VehicleId v) const;
-
-  /// Read-side view bound to one vehicle. The engine must outlive it.
-  std::shared_ptr<MobilityModel> make_mobility(VehicleId v);
 
   // -- closed-loop hooks -------------------------------------------------
   /// Fired (synchronously, inside the tick) when a vehicle enters /
@@ -270,23 +263,6 @@ class TrafficFlow {
   sim::Time last_step_{};
   std::uint64_t ticks_{0};
   std::size_t active_count_{0};
-};
-
-/// Read-side adapter: one vehicle of a `TrafficFlow`, presented through
-/// the unchanged `MobilityModel` interface so phy / SpatialGrid /
-/// nam_export consume dynamics-driven vehicles with zero changes.
-class IdmVehicle final : public MobilityModel {
- public:
-  IdmVehicle(TrafficFlow* flow, TrafficFlow::VehicleId id) : flow_{flow}, id_{id} {}
-
-  Vec2 position_at(sim::Time t) const override { return flow_->position_of(id_, t); }
-  Vec2 velocity_at(sim::Time) const override { return flow_->velocity_of(id_); }
-
-  TrafficFlow::VehicleId vehicle_id() const noexcept { return id_; }
-
- private:
-  TrafficFlow* flow_;
-  TrafficFlow::VehicleId id_;
 };
 
 }  // namespace eblnet::mobility

@@ -1,8 +1,5 @@
 #include "net/packet.hpp"
 
-#include <algorithm>
-#include <cstdio>
-
 namespace eblnet::net {
 
 const char* to_string(PacketType t) noexcept {
@@ -45,19 +42,6 @@ std::size_t Packet::size_bytes() const noexcept {
         *aodv);
   }
   return n;
-}
-
-std::string Packet::describe() const {
-  char buf[128];
-  const NodeId src = ip ? ip->src : (mac ? mac->src : kBroadcastAddress);
-  const NodeId dst = ip ? ip->dst : (mac ? mac->dst : kBroadcastAddress);
-  const int n = std::snprintf(buf, sizeof buf, "#%llu %s %zuB %u->%u seq=%llu",
-                              static_cast<unsigned long long>(uid), to_string(type), size_bytes(),
-                              src, dst, static_cast<unsigned long long>(app_seq));
-  // Construct once with the exact length (snprintf reports the untruncated
-  // length, so clamp to the buffer).
-  const std::size_t len = n < 0 ? 0 : std::min(static_cast<std::size_t>(n), sizeof buf - 1);
-  return std::string(buf, len);
 }
 
 }  // namespace eblnet::net

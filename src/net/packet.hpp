@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <variant>
 #include <vector>
 
@@ -176,9 +175,6 @@ class Packet {
   /// The 802.11 data MAC overhead (34 B) is added by the MAC when
   /// computing airtime, not here, so queue byte-limits match NS-2.
   std::size_t size_bytes() const noexcept;
-
-  /// One-line rendering for traces and debugging.
-  std::string describe() const;
 };
 
 }  // namespace eblnet::net

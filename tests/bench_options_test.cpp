@@ -9,7 +9,10 @@
 // flag.
 //
 // A --json path the bench could not write must fail the same way, before
-// anything is simulated, not after the run.
+// anything is simulated, not after the run. A manifest write that fails
+// after the run (a full disk) exits 1 with "write failed", whether the
+// manifest fits the stream's buffer (the write fails at the final flush)
+// or not (it fails mid-write).
 
 #include <gtest/gtest.h>
 
@@ -89,6 +92,26 @@ TEST_F(BenchOptionsDeathTest, JsonPathUnderARegularFileExitsWithUsageStatus) {
   std::ofstream{file} << "not a directory\n";
   EXPECT_EXIT(parse({"--json", (file / "x.json").string(), "--quiet"}),
               ::testing::ExitedWithCode(2), "^bench: --json .*/file/x\\.json: Not a directory\n$");
+}
+
+void expect_full_disk_exit(std::size_t payload_bytes) {
+  ::testing::FLAGS_gtest_death_test_style = "fast";
+  const bench::Options opts = parse({"--json", "/dev/full", "--quiet"});
+  EXPECT_EXIT(bench::write_manifest(
+                  opts, [&](std::ostream& os) { os << std::string(payload_bytes, 'x'); }),
+              ::testing::ExitedWithCode(1), "^bench: --json /dev/full: write failed\n$");
+}
+
+// 2 KB stays in the stream's buffer until the final flush; 64 KB
+// overflows it mid-write.
+TEST_F(BenchOptionsDeathTest, SmallManifestOnAFullDiskExitsOne) { expect_full_disk_exit(2048); }
+
+TEST_F(BenchOptionsDeathTest, LargeManifestOnAFullDiskExitsOne) { expect_full_disk_exit(65536); }
+
+TEST(BenchOptionsTest, WriteManifestWithoutJsonCallsNothing) {
+  bool called = false;
+  bench::write_manifest(parse({"--quiet"}), [&](std::ostream&) { called = true; });
+  EXPECT_FALSE(called);
 }
 
 TEST(BenchOptionsTest, JsonPathIsCreatedWithoutTruncation) {

@@ -72,20 +72,6 @@ TEST(PacketTest, TypeNamesAreStable) {
   EXPECT_STREQ(to_string(PacketType::kAodvRreq), "AODV_RREQ");
 }
 
-TEST(PacketTest, DescribeMentionsKeyFields) {
-  Packet p;
-  p.uid = 42;
-  p.type = PacketType::kTcpData;
-  p.payload_bytes = 100;
-  p.ip.emplace();
-  p.ip->src = 1;
-  p.ip->dst = 2;
-  const std::string d = p.describe();
-  EXPECT_NE(d.find("#42"), std::string::npos);
-  EXPECT_NE(d.find("tcp"), std::string::npos);
-  EXPECT_NE(d.find("1->2"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Env
 // ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 // TrafficFlow engine contracts: deterministic Poisson spawning, the
 // vehicle lifecycle, policy/force-stop overrides, multi-road flows, and
-// the MobilityModel read-side view.
+// the read side (`position_of`).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -193,7 +192,6 @@ TEST(TrafficFlowLifecycle, VehiclesDespawnAtRoadEndAndFreeze) {
   EXPECT_FALSE(flow.active(v));
   EXPECT_EQ(flow.active_count(), 0u);
   EXPECT_DOUBLE_EQ(flow.longitudinal_pos(v), 300.0);  // frozen at the road end
-  EXPECT_EQ(flow.velocity_of(v).x, 0.0);
   // The read side keeps answering (frozen), far beyond the despawn.
   const Vec2 later = flow.position_of(v, Time::seconds(std::int64_t{120}));
   EXPECT_DOUBLE_EQ(later.x, 300.0);
@@ -276,28 +274,26 @@ TEST(TrafficFlowRoads, EveryRoadOfATwoRoadFlowSpawnsVehicles) {
 }
 
 // ---------------------------------------------------------------------------
-// The read side (MobilityModel view)
+// The read side (position_of)
 // ---------------------------------------------------------------------------
 
 TEST(TrafficFlowReadSide, ViewExtrapolatesLinearlyBetweenTicks) {
   TrafficFlowParams p = TrafficFlowParams::highway(2, 10000.0, 0.0);
   TrafficFlow flow{p, 1};
   const auto v = flow.spawn(0, 1, 500.0, 20.0);
-  const auto view = flow.make_mobility(v);
   sim::Scheduler sched;
   flow.start(sched);
   sched.run_until(Time::seconds(std::int64_t{10}));
 
-  const Vec2 at_tick = view->position_at(Time::seconds(std::int64_t{10}));
-  const Vec2 vel = view->velocity_at(Time::seconds(std::int64_t{10}));
-  EXPECT_GT(vel.x, 0.0);
-  EXPECT_DOUBLE_EQ(vel.y, 0.0);
+  const Vec2 at_tick = flow.position_of(v, Time::seconds(std::int64_t{10}));
+  const double speed = flow.speed_of(v);
+  EXPECT_GT(speed, 0.0);
   // Lane 1 of a +x road sits one and a half lane widths off the axis.
   EXPECT_DOUBLE_EQ(at_tick.y, 1.5 * p.roads[0].lane_width_m);
-  // Mid-tick queries extrapolate with the current velocity.
+  // Mid-tick queries extrapolate with the current speed along the road.
   const Time mid = Time::seconds(std::int64_t{10}) + Time::milliseconds(40);
-  const Vec2 at_mid = view->position_at(mid);
-  EXPECT_DOUBLE_EQ(at_mid.x, at_tick.x + vel.x * 0.04);
+  const Vec2 at_mid = flow.position_of(v, mid);
+  EXPECT_DOUBLE_EQ(at_mid.x, at_tick.x + speed * 0.04);
   EXPECT_DOUBLE_EQ(at_mid.y, at_tick.y);
 }
 
