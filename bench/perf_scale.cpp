@@ -6,8 +6,8 @@
 //    baseline; capped at N <= 1000 — beyond that it only proves O(N²)
 //    is slow);
 //  - batched: the spatial grid (DESIGN.md §3.5) with the SoA cull
-//    pipeline — branch-free range²/channel sweep, then the exact filter
-//    on survivors only (DESIGN.md §3.7).
+//    pipeline — one range² sweep, then the exact filter on survivors
+//    only (DESIGN.md §3.7).
 //
 // Each population is measured under both channel models:
 //
@@ -29,46 +29,31 @@
 //
 // In the full-stack scenario the candidate walk is a few percent of wall
 // time (every broadcast fans out into MAC timers and per-receiver signal
-// events that both legs pay identically), so the end-to-end table mostly
-// demonstrates parity plus the determinism check. The second table — the
-// *broadcast drive* — times the channel transmit path in isolation: N
-// stationary radios on a square urban grid (100 m pitch), every 16th a
-// roadside receiver whose carrier sense is 20 dB more sensitive (a mixed
-// fleet). The sensitive listeners stretch the grid cell to their ~1.7 km
-// envelope, so the 3x3 neighbourhood holds ~29x the receiver count in
-// 2-D, and the batched leg rejects the out-of-radius lanes in the
-// branch-free phase-1 sweep — the heterogeneous-radii case the per-lane
-// cull_r2 exists for.
+// events that both legs pay identically), so the table mostly
+// demonstrates parity plus the determinism check. micro_components'
+// BM_ChannelBroadcast times the channel transmit path alone.
 //
 // Usage: perf_scale [--json out.json] [--quiet] [full]
 //
-//   The argument `full` adds N ∈ {1000, 10000, 50000, 100000} to both
-//   tables (the acceptance run; `scripts/bench.sh --scale` passes it).
-//   Without it the quick sizes ({6, 50, 200} end-to-end, 1000 for the
-//   drive) keep reproduce.sh's unoptimised sweep fast.
+//   The argument `full` adds N ∈ {1000, 10000, 50000, 100000} (the
+//   acceptance run; `scripts/bench.sh --scale` passes it). Without it the
+//   quick sizes {6, 50, 200} keep reproduce.sh's unoptimised sweep fast.
 //
 // Wall-clock numbers are only meaningful in a Release build; use
 // scripts/bench.sh --scale, which configures -O2 -DNDEBUG before timing.
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
-#include <string>
-#include <vector>
-
 #include <memory>
+#include <vector>
 
 #include "bench/options.hpp"
 #include "core/json_writer.hpp"
 #include "core/report.hpp"
 #include "core/scenario_builder.hpp"
-#include "net/env.hpp"
-#include "net/packet.hpp"
-#include "phy/propagation.hpp"
 #include "phy/wireless_phy.hpp"
-#include "sim/rng.hpp"
 
 using namespace eblnet;
 
@@ -187,102 +172,11 @@ ModelPoint run_model(std::size_t n, const bench::Options& opts, core::Propagatio
 /// only its cost, so two-ray flat and batched legs execute the same
 /// events. (Fading legs draw different Rng streams by design.) False,
 /// with a message on stderr, when they diverge.
-bool legs_agree(const char* table, std::size_t n, const ModelPoint& two_ray) {
+bool legs_agree(std::size_t n, const ModelPoint& two_ray) {
   if (!two_ray.flat.run || two_ray.flat.events == two_ray.batched.events) return true;
-  std::cerr << "perf_scale: " << table
-            << ": flat and batched two-ray legs executed different event counts at N = " << n
-            << " (" << two_ray.flat.events << " vs " << two_ray.batched.events << ")\n";
+  std::cerr << "perf_scale: flat and batched two-ray legs executed different event counts at N = "
+            << n << " (" << two_ray.flat.events << " vs " << two_ray.batched.events << ")\n";
   return false;
-}
-
-// ---- broadcast drive: the channel transmit path in isolation ----------
-
-constexpr double kDriveSpacingM = 100.0;  ///< urban-grid intersection pitch
-constexpr std::size_t kDriveRoadsideEvery = 16;
-/// Roadside receivers listen 20 dB below the vehicle carrier sense —
-/// their ~1.7 km envelope sets the grid cell for everyone, so a vehicle
-/// broadcast must consider every radio within ±2.7 km while only the
-/// ~550 m disc actually hears it. In two dimensions that is a ~29x
-/// candidate-to-receiver ratio: the regime the per-lane cull_r2 targets.
-constexpr double kDriveRoadsideCsFactor = 1e-2;
-
-struct DrivePoint {
-  std::size_t n{0};
-  std::uint64_t broadcasts{0};
-  ModelPoint two_ray;
-  ModelPoint nakagami;
-};
-
-LegTiming run_drive_leg(std::size_t n, std::uint64_t k_broadcasts, core::PropagationType prop,
-                        phy::ChannelParams params) {
-  net::Env env{1};
-  sim::Rng fade_rng{20260808};
-  std::shared_ptr<phy::PropagationModel> model;
-  if (prop == core::PropagationType::kTwoRay) {
-    model = std::make_shared<phy::TwoRayGround>();
-  } else {
-    model = std::make_shared<phy::NakagamiFading>(3.0, fade_rng);
-  }
-  phy::Channel channel{env, model, params};
-
-  // Square urban grid, one radio per intersection.
-  const auto side = static_cast<std::size_t>(std::ceil(std::sqrt(static_cast<double>(n))));
-  std::vector<std::unique_ptr<phy::WirelessPhy>> phys;
-  phys.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const mobility::Vec2 pos{kDriveSpacingM * static_cast<double>(i % side),
-                             kDriveSpacingM * static_cast<double>(i / side)};
-    phy::PhyParams pp;
-    if (i % kDriveRoadsideEvery == 0) pp.cs_threshold_w *= kDriveRoadsideCsFactor;
-    phys.push_back(std::make_unique<phy::WirelessPhy>(
-        env, static_cast<net::NodeId>(i), channel, [pos] { return pos; }, pp));
-  }
-
-  net::Packet p;
-  p.uid = 1;
-  p.type = net::PacketType::kTcpData;
-  p.payload_bytes = 1000;
-
-  // One untimed broadcast builds the grid and sizes every scratch vector.
-  phys[n / 2]->transmit(p, sim::Time::microseconds(std::int64_t{100}));
-  env.scheduler().run();
-
-  const std::uint64_t ev0 = env.scheduler().executed_count();
-  const std::uint64_t tx0 = channel.broadcasts();
-  const std::uint64_t pe0 = channel.pair_evaluations();
-  const std::uint64_t bl0 = channel.batch_lanes();
-  const std::uint64_t bc0 = channel.batch_culled();
-
-  // Stride coprime with every drive size so successive senders are spread
-  // along the strip instead of reheating one neighbourhood.
-  std::size_t sender = 0;
-  const std::size_t stride = n / 2 + 1;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t k = 0; k < k_broadcasts; ++k) {
-    sender = (sender + stride) % n;
-    phys[sender]->transmit(p, sim::Time::microseconds(std::int64_t{100}));
-    env.scheduler().run();
-  }
-  const auto stop = std::chrono::steady_clock::now();
-
-  LegTiming t;
-  t.run = true;
-  t.wall_s = std::chrono::duration<double>(stop - start).count();
-  t.events = env.scheduler().executed_count() - ev0;
-  t.broadcasts = channel.broadcasts() - tx0;
-  t.pair_evaluations = channel.pair_evaluations() - pe0;
-  t.batch_lanes = channel.batch_lanes() - bl0;
-  t.batch_culled = channel.batch_culled() - bc0;
-  return t;
-}
-
-ModelPoint run_drive_model(std::size_t n, std::uint64_t k_broadcasts, core::PropagationType prop) {
-  ModelPoint p;
-  if (n <= kFlatCap) p.flat = run_drive_leg(n, k_broadcasts, prop, flat_channel());
-  phy::ChannelParams grid;
-  grid.grid_min_phys = 0;
-  p.batched = run_drive_leg(n, k_broadcasts, prop, grid);
-  return p;
 }
 
 void print_columns(std::ostream& os) {
@@ -336,8 +230,7 @@ void write_model(core::JsonWriter& w, const ModelPoint& p) {
   w.end_object();
 }
 
-void write_json(std::ostream& out, const std::vector<ScalePoint>& points,
-                const std::vector<DrivePoint>& drive) {
+void write_json(std::ostream& out, const std::vector<ScalePoint>& points) {
   core::JsonWriter w{out};
   w.begin_object();
   w.field("schema_version", std::uint64_t{core::report::kManifestSchemaVersion});
@@ -348,22 +241,6 @@ void write_json(std::ostream& out, const std::vector<ScalePoint>& points,
   for (const ScalePoint& p : points) {
     w.begin_object();
     w.field("n_vehicles", std::uint64_t{p.n});
-    w.key("two_ray");
-    write_model(w, p.two_ray);
-    w.key("nakagami");
-    write_model(w, p.nakagami);
-    w.end_object();
-  }
-  w.end_array();
-  w.field("drive_scenario",
-          "channel transmit path only: urban grid at 100 m pitch, "
-          "1/16 roadside receivers at -20 dB CS");
-  w.key("drive_points");
-  w.begin_array();
-  for (const DrivePoint& p : drive) {
-    w.begin_object();
-    w.field("n_vehicles", std::uint64_t{p.n});
-    w.field("broadcasts", p.broadcasts);
     w.key("two_ray");
     write_model(w, p.two_ray);
     w.key("nakagami");
@@ -399,40 +276,13 @@ int main(int argc, char** argv) {
     p.n = n;
     p.two_ray = run_model(n, opts, core::PropagationType::kTwoRay);
     print_row(os, n, "two-ray", p.two_ray);
-    agree = legs_agree("end-to-end", n, p.two_ray) && agree;
+    agree = legs_agree(n, p.two_ray) && agree;
     p.nakagami = run_model(n, opts, core::PropagationType::kNakagami);
     print_row(os, n, "nakagami", p.nakagami);
     points.push_back(p);
   }
 
-  std::vector<std::size_t> drive_sizes{1000};
-  if (opts.full) {
-    drive_sizes.push_back(10000);
-    drive_sizes.push_back(50000);
-    drive_sizes.push_back(100000);
-  }
-  const std::uint64_t k_broadcasts = opts.full ? 20000 : 1000;
-
-  os << '\n';
-  core::report::print_header({os, 4, ""},
-                             "broadcast drive — channel transmit path, mixed fleet "
-                             "(urban grid, 100 m pitch, 1/16 roadside @ -20 dB CS)");
-  print_columns(os);
-
-  std::vector<DrivePoint> drive;
-  for (const std::size_t n : drive_sizes) {
-    DrivePoint p;
-    p.n = n;
-    p.broadcasts = k_broadcasts;
-    p.two_ray = run_drive_model(n, k_broadcasts, core::PropagationType::kTwoRay);
-    print_row(os, n, "two-ray", p.two_ray);
-    agree = legs_agree("drive", n, p.two_ray) && agree;
-    p.nakagami = run_drive_model(n, k_broadcasts, core::PropagationType::kNakagami);
-    print_row(os, n, "nakagami", p.nakagami);
-    drive.push_back(p);
-  }
-
-  bench::write_manifest(opts, [&](auto& f) { write_json(f, points, drive); });
+  bench::write_manifest(opts, [&](auto& f) { write_json(f, points); });
   if (opts.want_json()) os << "wrote " << opts.json_path << '\n';
   return agree ? 0 : 1;
 }

@@ -9,9 +9,10 @@
 #   bench.sh --pair <parent-tree> <change-tree>
 #                         no build: time a change against its parent with
 #                         alternating perfbench pairs (below)
-#   bench.sh --scale      large-N spatial-grid harness (perf_scale full,
-#                         including the N = 1000 acceptance point) +
-#                         channel-broadcast micro-benchmark
+#   bench.sh --scale      large-N spatial-grid harness (perf_scale full:
+#                         the end-to-end highway table, including the
+#                         N = 1000 acceptance point) + channel-broadcast
+#                         micro-benchmark (the transmit path alone)
 #   bench.sh --resilience safety-under-failure sweep (resilience_sweep):
 #                         the paper trials under a crash/blackout/PER
 #                         fault grid

@@ -30,15 +30,14 @@ cmake --build "$TSAN_BUILD"
 ctest --test-dir "$TSAN_BUILD" -L parallel --output-on-failure
 ctest --test-dir "$TSAN_BUILD" -L perf --output-on-failure
 
+# The benches are the build's bench_json.<bench> ctests, as in
+# scripts/bench_diff.sh: a stale binary of a deleted target, which CMake
+# leaves in $BUILD/bench, does not run.
 mkdir -p "$RESULTS"
-for bench in "$BUILD"/bench/*; do
-  name=$(basename "$bench")
-  case "$name" in
-    CMakeFiles|CTestTestfile.cmake|cmake_install.cmake) continue ;;
-  esac
-  [ -x "$bench" ] || continue
+for name in $(ctest --test-dir "$BUILD" -N -R '^bench_json\.' |
+              sed -n 's/^ *Test *#[0-9]*: bench_json\.//p'); do
   echo "== $name =="
-  "$bench" > "$RESULTS/$name.txt"
+  "$BUILD/bench/$name" > "$RESULTS/$name.txt"
 done
 
 # Extract the figure series into gnuplot-friendly .dat files.

@@ -35,11 +35,12 @@ struct TrialSpec {
 ///   1. a positive `jobs` passed to the constructor;
 ///   2. the EBLNET_JOBS environment variable;
 ///   3. std::thread::hardware_concurrency().
-/// One job means "run serially on the calling thread" (no worker thread
-/// is spawned), which is also the fallback on single-core hosts. A batch
-/// never starts more workers than it has items: a one-item batch also
-/// runs on the calling thread, whatever the job count. Otherwise the
-/// calling thread starts the workers and waits for them.
+/// The calling thread is one of the workers: a batch starts one thread
+/// fewer than it runs workers. One job means "run serially on the calling
+/// thread" (no thread is started), which is also the fallback on
+/// single-core hosts. A batch never runs more workers than it has items:
+/// a one-item batch also runs on the calling thread, whatever the job
+/// count.
 class Runner {
  public:
   /// `jobs` = 0 resolves via EBLNET_JOBS / hardware_concurrency().
@@ -62,11 +63,12 @@ class Runner {
   /// means each invocation builds its own net::Env / scenario and
   /// touches no shared mutable state.
   ///
-  /// min(jobs(), n) workers take indices from one counter and write each
-  /// result or exception into that index's slot; with one worker the
-  /// calling thread runs every item itself, in index order. Every item
-  /// runs even after one throws, and the first exception in input order
-  /// is rethrown once all have finished.
+  /// min(jobs(), n) workers, the calling thread and min(jobs(), n) - 1
+  /// jthreads, take indices from one counter and write each result or
+  /// exception into that index's slot; with one worker the calling thread
+  /// runs every item itself, in index order. Every item runs even after
+  /// one throws, and the first exception in input order is rethrown once
+  /// all have finished.
   template <typename F, typename R = std::invoke_result_t<const F&, std::size_t>>
   std::vector<R> map(std::size_t n, const F& fn) const {
     struct Slot {
@@ -85,12 +87,10 @@ class Runner {
       }
     };
     const unsigned workers = n < jobs_ ? static_cast<unsigned>(n) : jobs_;
-    if (workers <= 1) {
-      work();
-    } else {
+    {
       std::vector<std::jthread> threads;
-      threads.reserve(workers);
-      for (unsigned t = 0; t < workers; ++t) threads.emplace_back(work);
+      for (unsigned t = 1; t < workers; ++t) threads.emplace_back(work);
+      work();
     }  // the jthreads join here
     std::vector<R> results;
     results.reserve(n);

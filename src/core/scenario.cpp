@@ -117,9 +117,7 @@ NodeStack build_node_stack(net::Env& env, phy::Channel& channel, const ScenarioC
 
   std::unique_ptr<net::PacketQueue> ifq;
   if (config.use_red_queue) {
-    queue::RedParams red = config.red;
-    red.capacity = config.ifq_capacity;
-    ifq = std::make_unique<queue::RedQueue>(env.rng(), red);
+    ifq = std::make_unique<queue::RedQueue>(env.rng(), config.ifq_capacity, config.red);
   } else {
     ifq = std::make_unique<queue::PriQueue>(config.ifq_capacity);
   }

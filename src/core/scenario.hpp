@@ -97,7 +97,7 @@ struct ScenarioConfig {
   double speed_mps{22.352};  ///< 50 mph
   double vehicle_gap_m{5.0};
   double decel_mps2{5.0};
-  std::size_t ifq_capacity{50};  ///< drop-tail PriQueue length
+  std::size_t ifq_capacity{50};  ///< interface queue length (PriQueue or RED)
 
   /// Replace the paper's drop-tail PriQueue with RED (ablation only).
   bool use_red_queue{false};

@@ -75,7 +75,9 @@ std::string canonical_scenario_text(const ScenarioConfig& cfg) {
 
   c.boolean("use_red_queue", cfg.use_red_queue);
   if (cfg.use_red_queue) {
-    c.u64("red.capacity", static_cast<std::uint64_t>(cfg.red.capacity));
+    // The RED queue's capacity is the interface queue's; the line keeps
+    // the text (and so every scenario key) as it was.
+    c.u64("red.capacity", static_cast<std::uint64_t>(cfg.ifq_capacity));
     c.real("red.min_thresh", cfg.red.min_thresh);
     c.real("red.max_thresh", cfg.red.max_thresh);
     c.real("red.max_p", cfg.red.max_p);

@@ -44,7 +44,7 @@ TrafficScenario::TrafficScenario(TrafficConfig config)
   equip_seed_ = sim::mix_seed(config_.seed, 0xE901'BAD6'0002ULL);
 
   // Declare the dynamics side's speed bound before anything moves: the
-  // grid bakes cull radii from it, so this must precede the first
+  // grid bakes its cull radius from it, so this must precede the first
   // transmit (see TrafficFlow's class comment).
   channel_->raise_speed_bound(flow_->max_speed_bound_mps());
 

@@ -10,9 +10,6 @@ constexpr double kSpeedOfLight = 299'792'458.0;
 }
 
 double PropagationModel::range_for_threshold(double tx_power_w, double threshold_w) const {
-  for (const RangeCacheEntry& e : range_cache_) {
-    if (e.tx_power_w == tx_power_w && e.threshold_w == threshold_w) return e.range_m;
-  }
   double lo = 0.1, hi = 1.0;
   while (envelope_rx_power(tx_power_w, hi) > threshold_w && hi < 1e7) hi *= 2.0;
   for (int i = 0; i < 200; ++i) {
@@ -23,13 +20,7 @@ double PropagationModel::range_for_threshold(double tx_power_w, double threshold
       hi = mid;
     }
   }
-  const double range = 0.5 * (lo + hi);
-  // A simulation sees a handful of distinct (power, threshold) pairs; the
-  // bound only guards against a pathological caller generating fresh pairs
-  // forever.
-  if (range_cache_.size() >= 64) range_cache_.clear();
-  range_cache_.push_back({tx_power_w, threshold_w, range});
-  return range;
+  return 0.5 * (lo + hi);
 }
 
 FreeSpace::FreeSpace(double frequency_hz, double gt, double gr, double loss)

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "mobility/vec2.hpp"
 #include "sim/rng.hpp"
@@ -65,19 +64,8 @@ class PropagationModel {
 
   /// Distance at which the envelope drops to `threshold_w` (bisection over
   /// the monotone envelope); used by tests, range planning and the spatial
-  /// grid's cell sizing. Results are memoised per (tx_power, threshold)
-  /// pair — the bisection runs once per distinct pair, not per call. The
-  /// cache makes this method non-thread-safe; models are per-simulation
-  /// objects (one Env, one model), never shared across runner threads.
+  /// grid's cell sizing.
   double range_for_threshold(double tx_power_w, double threshold_w) const;
-
- private:
-  struct RangeCacheEntry {
-    double tx_power_w;
-    double threshold_w;
-    double range_m;
-  };
-  mutable std::vector<RangeCacheEntry> range_cache_;
 };
 
 /// Friis free-space model: Pr = Pt Gt Gr lambda^2 / ((4 pi d)^2 L).

@@ -11,9 +11,7 @@ void SpatialGrid::Bucket::clear() noexcept {
   phys.clear();
   x.clear();
   y.clear();
-  cull_r2.clear();
   seq.clear();
-  chan.clear();
 }
 
 SpatialGrid::SpatialGrid(double cell_size_m) { reset(cell_size_m); }
@@ -44,9 +42,7 @@ void SpatialGrid::insert(WirelessPhy* phy, mobility::Vec2 pos) {
   b.phys.push_back(phy);
   b.x.push_back(pos.x);
   b.y.push_back(pos.y);
-  b.cull_r2.push_back(phy->grid_cull_r2_);
   b.seq.push_back(phy->attach_seq_);
-  b.chan.push_back(phy->channel_id());
   ++size_;
 }
 
@@ -62,16 +58,12 @@ void SpatialGrid::remove(WirelessPhy* phy) {
     b.phys[i]->grid_idx_ = static_cast<std::uint32_t>(i);
     b.x[i] = b.x[last];
     b.y[i] = b.y[last];
-    b.cull_r2[i] = b.cull_r2[last];
     b.seq[i] = b.seq[last];
-    b.chan[i] = b.chan[last];
   }
   b.phys.pop_back();
   b.x.pop_back();
   b.y.pop_back();
-  b.cull_r2.pop_back();
   b.seq.pop_back();
-  b.chan.pop_back();
   phy->grid_bucketed_ = false;
   --size_;
 }
@@ -81,7 +73,7 @@ void SpatialGrid::update(WirelessPhy* phy, mobility::Vec2 pos) {
   const std::int32_t cy = coord(pos.y);
   if (phy->grid_bucketed_ && cx == phy->grid_cx_ && cy == phy->grid_cy_) {
     // Same cell: refresh the stored position so the SoA lane is never
-    // staler than one re-bucket period (the cull radii's mobility slack
+    // staler than one re-bucket period (the cull radius's mobility slack
     // is sized to exactly that drift).
     Bucket& b = cells_.at(key(cx, cy));
     b.x[phy->grid_idx_] = pos.x;
@@ -92,15 +84,11 @@ void SpatialGrid::update(WirelessPhy* phy, mobility::Vec2 pos) {
   insert(phy, pos);
 }
 
-void SpatialGrid::set_channel(WirelessPhy* phy, std::uint32_t channel_id) {
-  if (!phy->grid_bucketed_) return;
-  cells_.at(key(phy->grid_cx_, phy->grid_cy_)).chan[phy->grid_idx_] = channel_id;
-}
-
-std::uint64_t SpatialGrid::cull(mobility::Vec2 center, double radius_m, std::uint32_t tx_channel,
+std::uint64_t SpatialGrid::cull(mobility::Vec2 center, double radius_m,
                                 const WirelessPhy* exclude,
                                 std::vector<GridCandidate>& out) const {
   out.clear();
+  const double r2 = radius_m * radius_m;
   const std::int32_t cx = coord(center.x);
   const std::int32_t cy = coord(center.y);
   const auto span = static_cast<std::int32_t>(std::ceil(radius_m * inv_cell_));
@@ -111,27 +99,16 @@ std::uint64_t SpatialGrid::cull(mobility::Vec2 center, double radius_m, std::uin
       if (it == cells_.end()) continue;
       const Bucket& b = it->second;
       const std::size_t n = b.count();
-      if (n == 0) continue;
       lanes += n;
-      if (keep_.size() < n) keep_.resize(n);
-      // Branch-free range² sweep over the contiguous arrays (no pointer
-      // derefs, no calls).
+      // One range² test per lane over the contiguous position arrays (no
+      // pointer derefs, no calls); only lanes in range read the phy and
+      // sequence lanes.
       const double* xs = b.x.data();
       const double* ys = b.y.data();
-      const double* r2 = b.cull_r2.data();
-      std::uint8_t* keep = keep_.data();
       for (std::size_t i = 0; i < n; ++i) {
         const double ddx = xs[i] - center.x;
         const double ddy = ys[i] - center.y;
-        keep[i] = static_cast<std::uint8_t>(ddx * ddx + ddy * ddy <= r2[i]);
-      }
-      // Gather survivors (frequency-channel mismatches are deterministic
-      // rejects in the exact filter too, so culling them here consumes no
-      // randomness and changes no outcome).
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!keep[i]) continue;
-        if (b.chan[i] != tx_channel) continue;
-        if (b.phys[i] == exclude) continue;
+        if (ddx * ddx + ddy * ddy > r2 || b.phys[i] == exclude) continue;
         out.push_back({b.seq[i], b.phys[i]});
       }
     }

@@ -26,17 +26,17 @@ struct GridCandidate {
 /// the sender.
 ///
 /// Each cell bucket is a structure of parallel arrays (position x/y,
-/// per-phy squared cull radius, attach sequence, frequency channel, phy
-/// pointer), kept in sync by swap-remove on insert/update/remove. `cull`
-/// sweeps those contiguous arrays with a branch-free range² test — no
-/// pointer chasing, no virtual calls. GCC does not vectorize that loop at
-/// `-O2`; the layout is kept because it measured faster than
-/// array-of-structs buckets (DESIGN.md §3.7). It does not sort: the
-/// channel runs one post-cull sort over the surviving candidates.
+/// attach sequence, phy pointer), kept in sync by swap-remove on
+/// insert/update/remove. `cull` sweeps the position arrays with one
+/// range² test per lane — no pointer chasing, no virtual calls. GCC does
+/// not vectorize that loop at `-O2`; the layout is kept because it
+/// measured faster than array-of-structs buckets (DESIGN.md §3.7). It
+/// does not sort: the channel runs one post-cull sort over the surviving
+/// candidates.
 ///
 /// The grid stores its per-phy bookkeeping (cached cell, index within the
-/// bucket, cull radius) inside WirelessPhy itself, so insert/update/
-/// remove are side-table-free and O(1).
+/// bucket) inside WirelessPhy itself, so insert/update/remove are
+/// side-table-free and O(1).
 class SpatialGrid {
  public:
   explicit SpatialGrid(double cell_size_m = 1.0);
@@ -50,41 +50,34 @@ class SpatialGrid {
   /// a later remove/update on them is safe without re-insertion.
   void reset(double cell_size_m);
 
-  /// Bucket `phy` at `pos`. The phy's attach sequence, cull radius (see
-  /// `WirelessPhy::grid_cull_r2_`) and frequency channel are copied into
-  /// the bucket's parallel arrays; `set_channel` keeps the
-  /// frequency-channel lane fresh if the radio retunes while bucketed.
+  /// Bucket `phy` at `pos`; its attach sequence is copied into the
+  /// bucket's parallel arrays.
   void insert(WirelessPhy* phy, mobility::Vec2 pos);
   void remove(WirelessPhy* phy);
   /// Re-bucket `phy` if it crossed a cell boundary since it was last
   /// inserted/updated; otherwise refresh its stored position in place
   /// (the SoA lanes must never be staler than one re-bucket period — the
-  /// mobility slack baked into the cull radii covers exactly that drift).
+  /// mobility slack baked into the cull radius covers exactly that drift).
   void update(WirelessPhy* phy, mobility::Vec2 pos);
-  /// Refresh the bucketed frequency-channel lane after a retune (no-op if
-  /// `phy` is not bucketed).
-  void set_channel(WirelessPhy* phy, std::uint32_t channel_id);
 
   /// Phase-1 batched cull: clear `out` and append a candidate for every
-  /// phy in the neighbourhood whose bucketed position lies within its own
-  /// cull radius of `center` AND whose radio is tuned to `tx_channel`
-  /// (`exclude`d sender skipped). The distance test runs branch-free over
-  /// the bucket's contiguous arrays; per-phy cull radii already encode
+  /// phy in the neighbourhood whose bucketed position lies within
+  /// `radius_m` of `center` (`exclude`d sender skipped), in one pass over
+  /// the bucket's contiguous arrays. The channel's radius already encodes
   /// the envelope-power threshold (range_for_threshold over the
   /// deterministic envelope) plus the mobility slack, so a phy the exact
-  /// filter would accept is never culled. Returns the number of lanes
+  /// filter would accept is never culled; the exact filter checks
+  /// frequency channel and CS threshold. Returns the number of lanes
   /// scanned (the `batch_culled` statistic is lanes minus survivors).
-  std::uint64_t cull(mobility::Vec2 center, double radius_m, std::uint32_t tx_channel,
-                     const WirelessPhy* exclude, std::vector<GridCandidate>& out) const;
+  std::uint64_t cull(mobility::Vec2 center, double radius_m, const WirelessPhy* exclude,
+                     std::vector<GridCandidate>& out) const;
 
  private:
   /// Structure-of-arrays cell bucket; all vectors stay index-aligned.
   struct Bucket {
     std::vector<WirelessPhy*> phys;
-    std::vector<double> x, y;          ///< bucketed positions
-    std::vector<double> cull_r2;       ///< (envelope range for own CS + slack)²
-    std::vector<std::uint64_t> seq;    ///< attach sequence
-    std::vector<std::uint32_t> chan;   ///< frequency channel id
+    std::vector<double> x, y;        ///< bucketed positions
+    std::vector<std::uint64_t> seq;  ///< attach sequence
 
     std::size_t count() const noexcept { return phys.size(); }
     void clear() noexcept;
@@ -103,10 +96,6 @@ class SpatialGrid {
   /// sweep through a bounded strip of cells, so the map stays small and
   /// steady-state queries allocate nothing.
   std::unordered_map<std::uint64_t, Bucket> cells_;
-  /// Phase-1 mask scratch, reused across queries so the cull never
-  /// allocates at steady state. The grid is per-channel, per-Env state,
-  /// never shared across runner threads.
-  mutable std::vector<std::uint8_t> keep_;
 };
 
 }  // namespace eblnet::phy

@@ -50,7 +50,6 @@ void WirelessPhy::set_down(bool down) {
 void WirelessPhy::set_channel_id(std::uint32_t id) {
   if (id == channel_id_) return;
   channel_id_ = id;
-  channel_.phy_channel_changed(this);  // keep the grid's SoA lane fresh
   if (rx_active_) abort_reception();
   // Energy on the old channel is invisible now (own tx keeps its slot:
   // the radio finishes the burst it started).
@@ -250,10 +249,7 @@ void Channel::attach(WirelessPhy* phy) {
     min_cs_threshold_w_ = phy->params().cs_threshold_w;
     range_dirty_ = true;
   }
-  if (grid_built_ && !range_dirty_) {
-    phy->grid_cull_r2_ = cull_radius2_for(*phy);
-    grid_.insert(phy, phy->position());
-  }
+  if (grid_built_ && !range_dirty_) grid_.insert(phy, phy->position());
 }
 
 void Channel::detach(WirelessPhy* phy) {
@@ -290,25 +286,12 @@ void Channel::raise_speed_bound(double mps) {
   if (mps <= dynamic_speed_bound_mps_) return;
   const double old_effective = speed_bound_mps();
   dynamic_speed_bound_mps_ = mps;
-  // Cull radii and the cell size bake the slack in at (re)build time; a
-  // larger bound invalidates them, so the next grid transmit rebuilds.
+  // The cell size bakes the slack in at (re)build time; a larger bound
+  // invalidates it, so the next grid transmit rebuilds.
   if (speed_bound_mps() > old_effective) range_dirty_ = true;
 }
 
 double Channel::query_radius() const noexcept { return interference_range_m_ + mobility_slack(); }
-
-double Channel::cull_radius2_for(const WirelessPhy& phy) const {
-  // Conservative per-phy phase-1 radius: beyond it, even the deterministic
-  // envelope at the maximum attached tx power is below this phy's own CS
-  // threshold, so the exact filter would reject the pair no matter where
-  // inside the staleness slack the phy really is. range_for_threshold is
-  // memoised per (power, threshold) pair — a handful of distinct CS
-  // thresholds means a handful of bisections per simulation.
-  const double r =
-      propagation_->range_for_threshold(max_tx_power_w_, phy.params().cs_threshold_w) +
-      mobility_slack();
-  return r * r;
-}
 
 void Channel::rebuild_grid() {
   interference_range_m_ =
@@ -318,9 +301,7 @@ void Channel::rebuild_grid() {
   // neighbourhood of the sender's cell.
   grid_.reset(query_radius());
   for (WirelessPhy* phy : phys_) {
-    if (phy == nullptr) continue;
-    phy->grid_cull_r2_ = cull_radius2_for(*phy);
-    grid_.insert(phy, phy->position());
+    if (phy != nullptr) grid_.insert(phy, phy->position());
   }
   grid_built_ = true;
   last_rebucket_ = env_.now();
@@ -332,10 +313,6 @@ void Channel::rebucket_all() {
   }
   last_rebucket_ = env_.now();
   ++grid_rebucket_count_;
-}
-
-void Channel::phy_channel_changed(WirelessPhy* phy) {
-  if (grid_built_) grid_.set_channel(phy, phy->channel_id());
 }
 
 void Channel::transmit(WirelessPhy& sender, net::Packet p, sim::Time duration) {
@@ -382,10 +359,9 @@ void Channel::collect_receivers(WirelessPhy& sender) {
       rebucket_all();
     }
     grid_.update(&sender, from);  // the sender's position is exact and free
-    // Phase 1: branch-free SoA sweep (range² against per-phy envelope
-    // radii + frequency channel).
-    const std::uint64_t lanes =
-        grid_.cull(from, query_radius(), channel_id, &sender, candidates_);
+    // Phase 1: one range² sweep over the SoA positions against the
+    // channel's query radius.
+    const std::uint64_t lanes = grid_.cull(from, query_radius(), &sender, candidates_);
     batch_lane_count_ += lanes;
     batch_culled_count_ += lanes - candidates_.size();
     env_.metrics().add(sender.owner(), sim::Counter::kPhyBatchCulled,
@@ -396,8 +372,9 @@ void Channel::collect_receivers(WirelessPhy& sender) {
     // candidate record, so comparisons chase no pointers.
     std::sort(candidates_.begin(), candidates_.end(),
               [](const GridCandidate& a, const GridCandidate& b) { return a.seq < b.seq; });
-    // Phase 2: the flat loop's exact filter, in the flat loop's order;
-    // only the candidate set is pruned.
+    // Phase 2: the flat loop's exact filter (frequency channel, then the
+    // receiver's own CS threshold), in the flat loop's order; only the
+    // candidate set is pruned.
     for (const GridCandidate& c : candidates_) consider(c.phy);
   } else {
     for (WirelessPhy* rx : phys_) consider(rx);

@@ -135,11 +135,6 @@ class WirelessPhy {
   std::int32_t grid_cy_{0};
   std::uint32_t grid_idx_{0};       ///< index within the bucket's parallel arrays
   bool grid_bucketed_{false};
-  /// Squared phase-1 cull radius — (envelope range for this phy's CS
-  /// threshold at the channel's max tx power, plus mobility slack)².
-  /// Computed by the Channel at grid (re)build and copied into the
-  /// bucket's SoA lane on insert.
-  double grid_cull_r2_{0.0};
 
   net::Env& env_;
   net::NodeId owner_;
@@ -251,16 +246,16 @@ class Channel {
   /// can accelerate vehicles past any static guess — so it must declare
   /// its own bound here and the re-bucketing staleness slack uses
   /// max(assumed, declared). The bound is monotone (it only ever grows);
-  /// raising it past the slack baked into the current cull radii forces a
+  /// raising it past the slack baked into the current cell size forces a
   /// grid rebuild on the next transmit, so an accelerating vehicle can
-  /// never outrun its cull radius.
+  /// never outrun the cull radius.
   void raise_speed_bound(double mps);
   double speed_bound_mps() const noexcept {
     return dynamic_speed_bound_mps_ > params_.grid_max_speed_mps ? dynamic_speed_bound_mps_
                                                                  : params_.grid_max_speed_mps;
   }
 
-  // --- statistics (the perf_scale bench's scaling evidence) ---
+  // --- statistics (perf_scale and perfbench's phy layer read them) ---
   /// Transmissions fanned out.
   std::uint64_t broadcasts() const noexcept { return broadcast_count_; }
   /// Candidate receivers put through the exact per-receiver filter (flat:
@@ -268,8 +263,8 @@ class Channel {
   std::uint64_t pair_evaluations() const noexcept { return pair_evaluations_; }
   /// SoA lanes swept by the phase-1 batched cull across all broadcasts.
   std::uint64_t batch_lanes() const noexcept { return batch_lane_count_; }
-  /// Lanes rejected by phase 1 (range² or frequency channel) before ever
-  /// dereferencing the phy or drawing a fade.
+  /// Lanes rejected by phase 1 (beyond the channel's query radius) before
+  /// ever dereferencing the phy or drawing a fade.
   std::uint64_t batch_culled() const noexcept { return batch_culled_count_; }
   /// Full O(N) re-bucket passes performed.
   std::uint64_t grid_rebuckets() const noexcept { return grid_rebucket_count_; }
@@ -293,13 +288,10 @@ class Channel {
   void rebucket_all();
   /// Drop the detach holes from phys_, keeping attach order.
   void compact_phys();
+  /// The cell size and phase-1 cull radius: the interference range plus
+  /// mobility slack.
   double query_radius() const noexcept;
   double mobility_slack() const noexcept;
-  /// (envelope range for `phy`'s CS threshold at the conservative max tx
-  /// power, plus mobility slack)² — the phase-1 SoA cull radius.
-  double cull_radius2_for(const WirelessPhy& phy) const;
-  /// A bucketed phy retuned its radio: refresh its frequency-channel lane.
-  void phy_channel_changed(WirelessPhy* phy);
   void deliver(std::uint32_t slot, std::uint32_t generation, net::NodeId tx,
                net::PooledPacket p, double power_w, sim::Time duration);
   void schedule_deliveries(net::NodeId tx, net::Packet p, sim::Time duration);

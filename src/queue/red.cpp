@@ -4,9 +4,9 @@
 
 namespace eblnet::queue {
 
-RedQueue::RedQueue(sim::Rng& rng, RedParams params)
-    : rng_{rng}, params_{params}, q_{params.capacity} {
-  if (params.capacity == 0) throw std::invalid_argument{"RedQueue: capacity must be > 0"};
+RedQueue::RedQueue(sim::Rng& rng, std::size_t capacity, RedParams params)
+    : rng_{rng}, params_{params}, q_{capacity} {
+  if (capacity == 0) throw std::invalid_argument{"RedQueue: capacity must be > 0"};
   if (!(params.min_thresh < params.max_thresh))
     throw std::invalid_argument{"RedQueue: min_thresh must be below max_thresh"};
   if (params.max_p <= 0.0 || params.max_p > 1.0)
@@ -35,7 +35,7 @@ bool RedQueue::enqueue(net::Packet p) {
 
   const bool protected_pkt = params_.protect_routing && net::is_routing_control(p.type);
 
-  if (q_.size() >= params_.capacity) {
+  if (q_.size() >= capacity()) {
     drop(std::move(p), "IFQ", forced_drops_);
     return false;
   }

@@ -7,9 +7,9 @@
 namespace eblnet::queue {
 
 /// RED parameters (Floyd & Jacobson '93, NS-2 flavoured defaults scaled
-/// to a 50-packet interface queue).
+/// to a 50-packet interface queue; the capacity is the queue's
+/// constructor argument).
 struct RedParams {
-  std::size_t capacity{50};
   double min_thresh{5.0};
   double max_thresh{15.0};
   double max_p{0.02};       ///< drop probability at max_thresh
@@ -29,7 +29,9 @@ struct RedParams {
 /// instantaneous size) rather than the m-packet idle extrapolation.
 class RedQueue final : public net::PacketQueue {
  public:
-  RedQueue(sim::Rng& rng, RedParams params = {});
+  /// `capacity` is in packets, as for PriQueue (the scenario passes its
+  /// `ifq_capacity`).
+  explicit RedQueue(sim::Rng& rng, std::size_t capacity = 50, RedParams params = {});
 
   bool enqueue(net::Packet p) override;
   std::optional<net::Packet> dequeue() override;
@@ -43,6 +45,7 @@ class RedQueue final : public net::PacketQueue {
   double average_queue() const noexcept { return avg_; }
   std::uint64_t early_drops() const noexcept { return early_drops_; }
   std::uint64_t forced_drops() const noexcept { return forced_drops_; }
+  std::size_t capacity() const noexcept { return q_.bound(); }
   const RedParams& params() const noexcept { return params_; }
 
  private:

@@ -45,7 +45,7 @@ TEST_F(RedQueueTest, EarlyDropsBeginAboveMinThreshold) {
   params.max_thresh = 6.0;
   params.max_p = 0.5;
   params.weight = 1.0;  // avg == instantaneous: deterministic thresholds
-  RedQueue q{rng, params};
+  RedQueue q{rng, 50, params};
   int accepted = 0, offered = 0;
   for (std::uint64_t i = 0; i < 500; ++i) {
     ++offered;
@@ -58,10 +58,10 @@ TEST_F(RedQueueTest, EarlyDropsBeginAboveMinThreshold) {
 
 TEST_F(RedQueueTest, HardCapStillEnforced) {
   RedParams params;
-  params.capacity = 10;
   params.min_thresh = 100.0;  // early drops effectively off
   params.max_thresh = 200.0;
-  RedQueue q{rng, params};
+  RedQueue q{rng, 10, params};
+  EXPECT_EQ(q.capacity(), 10u);
   for (std::uint64_t i = 0; i < 20; ++i) q.enqueue(data_packet(i));
   EXPECT_EQ(q.length(), 10u);
   EXPECT_EQ(q.forced_drops(), 10u);
@@ -74,7 +74,7 @@ TEST_F(RedQueueTest, RoutingPacketsBypassEarlyDropAndJumpQueue) {
   params.max_thresh = 2.0;
   params.weight = 1.0;
   params.max_p = 1.0;  // every unprotected arrival above min is dropped
-  RedQueue q{rng, params};
+  RedQueue q{rng, 50, params};
   q.enqueue(data_packet(1));
   q.enqueue(data_packet(2));
   EXPECT_TRUE(q.enqueue(routing_packet(100)));
@@ -85,7 +85,7 @@ TEST_F(RedQueueTest, RoutingPacketsBypassEarlyDropAndJumpQueue) {
 TEST_F(RedQueueTest, AverageTracksOccupancy) {
   RedParams params;
   params.weight = 0.5;
-  RedQueue q{rng, params};
+  RedQueue q{rng, 50, params};
   for (std::uint64_t i = 0; i < 10; ++i) q.enqueue(data_packet(i));
   EXPECT_GT(q.average_queue(), 2.0);
   while (q.dequeue()) {
@@ -99,18 +99,16 @@ TEST_F(RedQueueTest, AverageTracksOccupancy) {
 }
 
 TEST_F(RedQueueTest, ValidatesParameters) {
+  EXPECT_THROW(RedQueue(rng, 0), std::invalid_argument);
   RedParams bad;
-  bad.capacity = 0;
-  EXPECT_THROW(RedQueue(rng, bad), std::invalid_argument);
-  bad = RedParams{};
   bad.min_thresh = bad.max_thresh;
-  EXPECT_THROW(RedQueue(rng, bad), std::invalid_argument);
+  EXPECT_THROW(RedQueue(rng, 50, bad), std::invalid_argument);
   bad = RedParams{};
   bad.max_p = 0.0;
-  EXPECT_THROW(RedQueue(rng, bad), std::invalid_argument);
+  EXPECT_THROW(RedQueue(rng, 50, bad), std::invalid_argument);
   bad = RedParams{};
   bad.weight = 0.0;
-  EXPECT_THROW(RedQueue(rng, bad), std::invalid_argument);
+  EXPECT_THROW(RedQueue(rng, 50, bad), std::invalid_argument);
 }
 
 TEST_F(RedQueueTest, RemoveByNextHopWorks) {
@@ -128,16 +126,15 @@ TEST_F(RedQueueTest, RemoveByNextHopWorks) {
 // The ring under RED grows on demand (4, 8, ... slots up to the capacity);
 // these pin the queue-visible behaviour across those growth steps. Early
 // drops are switched off so every arrival below the cap is admitted.
-RedParams no_early_drops(std::size_t capacity) {
+RedParams no_early_drops() {
   RedParams params;
-  params.capacity = capacity;
   params.min_thresh = 1000.0;
   params.max_thresh = 2000.0;
   return params;
 }
 
 TEST_F(RedQueueTest, FifoOrderAcrossGrowthWithWrappedHead) {
-  RedQueue q{rng, no_early_drops(50)};
+  RedQueue q{rng, 50, no_early_drops()};
   for (std::uint64_t i = 0; i < 3; ++i) q.enqueue(data_packet(i));
   EXPECT_EQ(q.dequeue()->uid, 0u);
   EXPECT_EQ(q.dequeue()->uid, 1u);
@@ -149,7 +146,7 @@ TEST_F(RedQueueTest, FifoOrderAcrossGrowthWithWrappedHead) {
 }
 
 TEST_F(RedQueueTest, ProtectedHeadInsertAtGrowthBoundary) {
-  RedQueue q{rng, no_early_drops(50)};
+  RedQueue q{rng, 50, no_early_drops()};
   for (std::uint64_t i = 1; i <= 4; ++i) q.enqueue(data_packet(i));
   EXPECT_TRUE(q.enqueue(routing_packet(100)));  // 5th arrival: head-insert + grow
   EXPECT_EQ(q.length(), 5u);
@@ -159,7 +156,7 @@ TEST_F(RedQueueTest, ProtectedHeadInsertAtGrowthBoundary) {
 }
 
 TEST_F(RedQueueTest, RemoveByNextHopAfterGrowth) {
-  RedQueue q{rng, no_early_drops(50)};
+  RedQueue q{rng, 50, no_early_drops()};
   for (std::uint64_t i = 0; i < 12; ++i) {
     net::Packet p = data_packet(i);
     p.mac->dst = i % 3 == 0 ? 1 : 9;
@@ -175,7 +172,7 @@ TEST_F(RedQueueTest, RemoveByNextHopAfterGrowth) {
 
 TEST_F(RedQueueTest, ForcedDropExactlyAtCapacityAfterGrowth) {
   // 6 is reached by growing 4 -> 6 (the doubling clamps to the cap).
-  RedQueue q{rng, no_early_drops(6)};
+  RedQueue q{rng, 6, no_early_drops()};
   for (std::uint64_t i = 0; i < 6; ++i) EXPECT_TRUE(q.enqueue(data_packet(i)));
   EXPECT_EQ(q.forced_drops(), 0u);
   EXPECT_FALSE(q.enqueue(data_packet(6)));
@@ -201,7 +198,7 @@ TEST_F(RedQueueTest, RedKeepsTcpStandingQueueShorterThanDropTail) {
       params.min_thresh = 5.0;
       params.max_thresh = 15.0;
       params.max_p = 0.1;
-      net.with_80211_queue(a, std::make_unique<RedQueue>(net.env().rng(), params));
+      net.with_80211_queue(a, std::make_unique<RedQueue>(net.env().rng(), 50, params));
     } else {
       net.with_80211(a);  // 50-packet drop-tail PriQueue
     }

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iterator>
+#include <latch>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -139,6 +140,21 @@ TEST(RunnerTest, SingleItemMapRunsOnTheCallingThread) {
       runner.map(1, [](std::size_t) { return std::this_thread::get_id(); });
   ASSERT_EQ(ran_on.size(), 1u);
   EXPECT_EQ(ran_on[0], caller);
+}
+
+// The calling thread is one of the workers. Each item waits at a latch
+// of two, so the two items run at once on two threads; one of them must
+// be the caller.
+TEST(RunnerTest, TwoJobMapRunsOneItemOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::latch both_running{2};
+  const std::vector<std::thread::id> ran_on = Runner{2}.map(2, [&](std::size_t) {
+    both_running.arrive_and_wait();
+    return std::this_thread::get_id();
+  });
+  ASSERT_EQ(ran_on.size(), 2u);
+  EXPECT_NE(ran_on[0], ran_on[1]);
+  EXPECT_TRUE(ran_on[0] == caller || ran_on[1] == caller);
 }
 
 TEST(RunnerTest, TwoItemMapStartsAtMostTwoThreads) {

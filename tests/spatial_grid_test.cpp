@@ -117,6 +117,54 @@ TEST(SpatialGridEquivalence, RandomizedPositionsChannelsAndThresholds) {
   EXPECT_GT(grid_net.channel().batch_lanes(), grid_net.channel().batch_culled());
 }
 
+TEST(SpatialGridEquivalence, MixedThresholdsCullOnlyBeyondTheChannelRadius) {
+  // Phase 1 tests one radius per channel: the interference range at the
+  // most sensitive CS threshold plus the mobility slack. A less sensitive
+  // radio inside that radius but beyond its own carrier range is left to
+  // the exact filter, so phase 1 culls exactly the lanes beyond the
+  // channel radius (and each sender's own lane), and the receivers stay
+  // the flat loop's.
+  eblnet::testing::TestNet grid_net{1, nullptr, grid_forced()};
+  eblnet::testing::TestNet flat_net{1, nullptr, grid_disabled()};
+
+  const PhyParams defaults;
+  const ChannelParams channel_params;
+  const double radius =
+      TwoRayGround{}.range_for_threshold(defaults.tx_power_w, defaults.cs_threshold_w / 4) +
+      (channel_params.grid_max_speed_mps * channel_params.grid_rebucket_period.to_seconds() +
+       1e-6);  // the channel's query radius, computed as it computes it
+
+  // Every radio inside one square narrower than a cell (the cell edge is
+  // the radius), so every broadcast scans every lane.
+  sim::Rng rng{7};
+  std::vector<mobility::Vec2> positions;
+  for (int i = 0; i < 40; ++i) {
+    positions.push_back({rng.uniform() * 0.95 * radius, rng.uniform() * 0.95 * radius});
+    PhyParams p;
+    if (i % 2 == 0) p.cs_threshold_w = defaults.cs_threshold_w / 4;  // ~780 m
+    grid_net.add_node(positions.back(), p);
+    flat_net.add_node(positions.back(), p);
+  }
+
+  std::uint64_t beyond = 0;
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    for (const mobility::Vec2 to : positions) {
+      const double dx = to.x - positions[i].x;
+      const double dy = to.y - positions[i].y;
+      if (dx * dx + dy * dy > radius * radius) ++beyond;
+    }
+    grid_net.channel().transmit(grid_net.phy(i), make_packet(i + 1), 1_ms);
+    flat_net.channel().transmit(flat_net.phy(i), make_packet(i + 1), 1_ms);
+    expect_same_reachable(grid_net.channel(), flat_net.channel(), "mixed thresholds");
+    grid_net.run_for(10_ms);
+    flat_net.run_for(10_ms);
+  }
+  const std::uint64_t n = positions.size();
+  ASSERT_EQ(grid_net.channel().batch_lanes(), n * n);
+  ASSERT_GT(beyond, 0u);
+  EXPECT_EQ(grid_net.channel().batch_culled(), beyond + n);  // + each sender's own lane
+}
+
 TEST(SpatialGridEquivalence, MovingNodesAcrossRebucketPeriods) {
   // Vehicles cruising at 50 m/s cross cell boundaries; transmits straddle
   // several re-bucket periods, so stale buckets plus the mobility slack
@@ -367,7 +415,7 @@ TEST(SpatialGridSoA, ResetUnhooksLiveBucketedPhys) {
   }
   EXPECT_EQ(grid.size(), phys.size());
   std::vector<GridCandidate> out;
-  const std::uint64_t lanes = grid.cull({0.0, 0.0}, 1000.0, 0, phys[0].get(), out);
+  const std::uint64_t lanes = grid.cull({0.0, 0.0}, 1000.0, phys[0].get(), out);
   EXPECT_EQ(lanes, phys.size());  // every lane in the neighbourhood scanned
 }
 
@@ -477,7 +525,7 @@ TEST(SpatialGridStaleness, DynamicsFasterThanTheStaticBoundNeedsRaiseSpeedBound)
          "the regression geometry no longer bites";
 
   // Declare the true dynamics bound. Raising it past the slack baked
-  // into the current cull radii dirties the grid; the next transmit
+  // into the current cull radius dirties the grid; the next transmit
   // rebuilds with fresh buckets and a 50 m/s slack, and the legs agree.
   grid_ch.raise_speed_bound(50.0);
   grid_ch.transmit(grid_tx, make_packet(3), 1_ms);
@@ -493,39 +541,6 @@ TEST(SpatialGridStaleness, DynamicsFasterThanTheStaticBoundNeedsRaiseSpeedBound)
   grid_ch.transmit(grid_tx, make_packet(4), 1_ms);
   flat_ch.transmit(flat_tx, make_packet(4), 1_ms);
   expect_same_reachable(grid_ch, flat_ch, "moving within the declared bound");
-}
-
-// ---------------------------------------------------------------------------
-// range_for_threshold cache
-// ---------------------------------------------------------------------------
-
-class CountingTwoRay final : public TwoRayGround {
- public:
-  double rx_power(double tx_power_w, double distance_m) const override {
-    ++evaluations;
-    return TwoRayGround::rx_power(tx_power_w, distance_m);
-  }
-  mutable std::uint64_t evaluations{0};
-};
-
-TEST(PropagationRangeCache, BisectsOncePerDistinctPair) {
-  const CountingTwoRay model;
-  const PhyParams p;
-  const double r1 = model.range_for_threshold(p.tx_power_w, p.cs_threshold_w);
-  const std::uint64_t after_first = model.evaluations;
-  EXPECT_GT(after_first, 0u);
-
-  // Same pair: served from the cache, no bisection.
-  EXPECT_EQ(model.range_for_threshold(p.tx_power_w, p.cs_threshold_w), r1);
-  EXPECT_EQ(model.evaluations, after_first);
-
-  // A different pair bisects again; repeating it is cached too.
-  const double r2 = model.range_for_threshold(p.tx_power_w, p.rx_threshold_w);
-  EXPECT_LT(r2, r1);
-  const std::uint64_t after_second = model.evaluations;
-  EXPECT_GT(after_second, after_first);
-  EXPECT_EQ(model.range_for_threshold(p.tx_power_w, p.rx_threshold_w), r2);
-  EXPECT_EQ(model.evaluations, after_second);
 }
 
 TEST(PropagationEnvelope, NakagamiEnvelopeIsDeterministicAndAboveMean) {
