@@ -87,7 +87,7 @@ void Beacon::sample_cbr() {
   cbr_primed_ = true;
 }
 
-void Beacon::recv(net::Packet p) {
+void Beacon::recv(net::Packet&& p) {
   if (p.type != net::PacketType::kBeacon || !p.ip) return;
   const net::NodeId sender = p.ip->src;
   if (sender == node_.id()) return;

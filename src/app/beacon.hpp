@@ -57,7 +57,7 @@ class Beacon final : public net::PortHandler {
   using BeaconCallback = std::function<void(net::NodeId sender, const net::Packet& p)>;
   void set_on_beacon(BeaconCallback cb) { on_beacon_ = std::move(cb); }
 
-  void recv(net::Packet p) override;
+  void recv(net::Packet&& p) override;
 
   const BeaconParams& params() const noexcept { return params_; }
   std::uint64_t sent() const noexcept { return sent_; }

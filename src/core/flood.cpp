@@ -14,7 +14,7 @@ void WarningFlood::originate(std::uint64_t warning_id) {
   broadcast(warning_id, params_.hop_limit);
 }
 
-void WarningFlood::recv(net::Packet p) {
+void WarningFlood::recv(net::Packet&& p) {
   if (!p.udp || !p.ip) return;
   const std::uint64_t id = p.app_seq;
   if (!seen_.insert(id).second) {

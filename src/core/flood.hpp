@@ -44,7 +44,7 @@ class WarningFlood final : public net::PortHandler {
   using WarningCallback = std::function<void(std::uint64_t warning_id, unsigned hops)>;
   void set_on_warning(WarningCallback cb) { on_warning_ = std::move(cb); }
 
-  void recv(net::Packet p) override;
+  void recv(net::Packet&& p) override;
 
   std::uint64_t warnings_received() const noexcept { return received_; }
   std::uint64_t rebroadcasts() const noexcept { return rebroadcasts_; }

@@ -7,7 +7,7 @@ namespace eblnet::mac {
 ArpLayer::ArpLayer(net::Env& env, std::unique_ptr<net::MacLayer> inner, ArpParams params)
     : env_{env}, inner_{std::move(inner)}, params_{params} {
   if (!inner_) throw std::invalid_argument{"ArpLayer: inner MAC required"};
-  inner_->set_rx_callback([this](net::Packet p) { on_rx(std::move(p)); });
+  inner_->set_rx_callback([this](net::Packet&& p) { on_rx(std::move(p)); });
 }
 
 void ArpLayer::enqueue(net::Packet p) {
@@ -55,7 +55,7 @@ std::vector<net::Packet> ArpLayer::flush_next_hop(net::NodeId next_hop) {
   return out;
 }
 
-void ArpLayer::on_rx(net::Packet p) {
+void ArpLayer::on_rx(net::Packet&& p) {
   // Hearing a frame from a node proves its reachability (optional; ARP
   // replies always resolve).
   if (p.prev_hop != net::kBroadcastAddress &&

@@ -73,7 +73,7 @@ class ArpLayer final : public net::MacLayer {
     std::unique_ptr<sim::Timer> timer;
   };
 
-  void on_rx(net::Packet p);
+  void on_rx(net::Packet&& p);
   void send_request(net::NodeId dst);
   void on_retry_timeout(net::NodeId dst);
   net::Packet make_arp(net::PacketType type, net::NodeId dst);

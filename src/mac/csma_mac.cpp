@@ -24,7 +24,7 @@ void CsmaMac::start(const char* mac) {
     throw std::invalid_argument{name + ": data_rate_bps must be > 0"};
   if (!(timing_.basic_rate_bps > 0.0))
     throw std::invalid_argument{name + ": basic_rate_bps must be > 0"};
-  phy_.set_rx_end_callback([this](net::Packet p, bool ok) { on_rx_end(std::move(p), ok); });
+  phy_.set_rx_end_callback([this](net::Packet&& p, bool ok) { on_rx_end(std::move(p), ok); });
   phy_.set_carrier_callback([this](bool) { medium_changed(); });
 }
 
@@ -103,7 +103,7 @@ void CsmaMac::response_expired() {
 // Receive side
 // ---------------------------------------------------------------------------
 
-void CsmaMac::on_rx_end(net::Packet p, bool ok) {
+void CsmaMac::on_rx_end(net::Packet&& p, bool ok) {
   if (!ok) {
     on_rx_corrupt();
     return;
@@ -132,7 +132,7 @@ void CsmaMac::on_rx_end(net::Packet p, bool ok) {
   if (p.mac->duration > sim::Time::zero()) update_nav(env_.now() + p.mac->duration);
 }
 
-void CsmaMac::handle_data(net::Packet p) {
+void CsmaMac::handle_data(net::Packet&& p) {
   // ACK after SIFS, even for duplicates (the original ACK may have been lost).
   net::Packet ack = make_ctrl(net::PacketType::kMacAck, p.mac->src, sim::Time::zero());
   schedule_response(std::move(ack), ctrl_airtime(timing_.ack_bytes));
@@ -144,7 +144,7 @@ void CsmaMac::handle_data(net::Packet p) {
   accept(std::move(p));
 }
 
-void CsmaMac::accept(net::Packet p) {
+void CsmaMac::accept(net::Packet&& p) {
   p.prev_hop = p.mac->src;
   env_.trace(net::TraceAction::kRecv, net::TraceLayer::kMac, address_, p);
   env_.metrics().add(address_, sim::Counter::kMacRxData);

@@ -96,9 +96,9 @@ class CsmaMac : public MacBase {
   sim::Time nav_until_{};
 
  private:
-  void on_rx_end(net::Packet p, bool ok);
-  void handle_data(net::Packet p);
-  void accept(net::Packet p);
+  void on_rx_end(net::Packet&& p, bool ok);
+  void handle_data(net::Packet&& p);
+  void accept(net::Packet&& p);
   void handle_ack();
   void response_expired();
   void send_scheduled_response();

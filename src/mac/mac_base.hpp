@@ -42,7 +42,7 @@ class MacBase : public net::MacLayer {
     return plcp_overhead + sim::Time::seconds(static_cast<double>(bytes) * 8.0 / rate_bps);
   }
 
-  void deliver_up(net::Packet p) {
+  void deliver_up(net::Packet&& p) {
     if (rx_cb_) rx_cb_(std::move(p));
   }
   void report_tx_fail(const net::Packet& p) {

@@ -14,7 +14,7 @@ MacTdma::MacTdma(net::Env& env, net::NodeId address, phy::WirelessPhy& phy,
     throw std::invalid_argument{"MacTdma: slot index out of range"};
   if (!(params.data_rate_bps > 0.0))
     throw std::invalid_argument{"MacTdma: data_rate_bps must be > 0"};
-  phy_.set_rx_end_callback([this](net::Packet p, bool ok) { on_rx_end(std::move(p), ok); });
+  phy_.set_rx_end_callback([this](net::Packet&& p, bool ok) { on_rx_end(std::move(p), ok); });
   schedule_next_slot();
 }
 
@@ -68,7 +68,7 @@ void MacTdma::on_slot_start() {
   phy_.transmit(std::move(*p), air);
 }
 
-void MacTdma::on_rx_end(net::Packet p, bool ok) {
+void MacTdma::on_rx_end(net::Packet&& p, bool ok) {
   if (!ok || !p.mac) return;
   if (p.type == net::PacketType::kNoise) return;  // jammer energy, not a frame
   if (p.mac->dst != address_ && p.mac->dst != net::kBroadcastAddress) return;

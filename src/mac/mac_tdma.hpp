@@ -60,7 +60,7 @@ class MacTdma final : public MacBase {
  private:
   void on_slot_start();
   void schedule_next_slot();
-  void on_rx_end(net::Packet p, bool ok);
+  void on_rx_end(net::Packet&& p, bool ok);
 
   TdmaParams params_;
   unsigned slot_index_;

@@ -73,7 +73,9 @@ class MacLayer {
 
   virtual void enqueue(Packet p) = 0;
 
-  using RxCallback = std::function<void(Packet)>;
+  /// Frames handed up by rvalue reference: a receiver that keeps one
+  /// moves it into its own storage.
+  using RxCallback = std::function<void(Packet&&)>;
   virtual void set_rx_callback(RxCallback cb) = 0;
 
   using TxFailCallback = std::function<void(const Packet&)>;
@@ -109,9 +111,9 @@ class RoutingAgent {
   virtual void route_output(Packet p) = 0;
 
   /// Packet handed up by the MAC (may be forwarded or delivered locally).
-  virtual void route_input(Packet p) = 0;
+  virtual void route_input(Packet&& p) = 0;
 
-  using DeliverCallback = std::function<void(Packet)>;
+  using DeliverCallback = std::function<void(Packet&&)>;
   virtual void set_deliver_callback(DeliverCallback cb) = 0;
 
   virtual void attach_mac(MacLayer* mac) = 0;
@@ -126,7 +128,7 @@ class RoutingAgent {
 class PortHandler {
  public:
   virtual ~PortHandler() = default;
-  virtual void recv(Packet p) = 0;
+  virtual void recv(Packet&& p) = 0;
 };
 
 }  // namespace eblnet::net

@@ -11,13 +11,13 @@ void Node::set_mac(std::unique_ptr<MacLayer> mac) {
 
 void Node::set_routing(std::unique_ptr<RoutingAgent> routing) {
   routing_ = std::move(routing);
-  routing_->set_deliver_callback([this](Packet p) { deliver(std::move(p)); });
+  routing_->set_deliver_callback([this](Packet&& p) { deliver(std::move(p)); });
   wire();
 }
 
 void Node::wire() {
   if (mac_ && routing_) {
-    mac_->set_rx_callback([this](Packet p) { routing_->route_input(std::move(p)); });
+    mac_->set_rx_callback([this](Packet&& p) { routing_->route_input(std::move(p)); });
     routing_->attach_mac(mac_.get());
   }
 }
@@ -47,7 +47,7 @@ void Node::set_up(bool up) {
   if (routing_) routing_->set_node_up(up);
 }
 
-void Node::deliver(Packet p) {
+void Node::deliver(Packet&& p) {
   Port dport = 0;
   if (p.udp) {
     dport = p.udp->dport;

@@ -68,7 +68,7 @@ class Node {
 
  private:
   void wire();
-  void deliver(Packet p);
+  void deliver(Packet&& p);
 
   Env& env_;
   NodeId id_;

@@ -62,7 +62,7 @@ void Aodv::route_output(net::Packet p) {
   forward_data(std::move(p));
 }
 
-void Aodv::route_input(net::Packet p) {
+void Aodv::route_input(net::Packet&& p) {
   note_neighbor(p.prev_hop);
   if (p.aodv) {
     switch (p.type) {

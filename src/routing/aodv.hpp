@@ -74,7 +74,7 @@ class Aodv final : public net::RoutingAgent {
   Aodv(net::Env& env, net::NodeId self, AodvParams params = {});
 
   void route_output(net::Packet p) override;
-  void route_input(net::Packet p) override;
+  void route_input(net::Packet&& p) override;
   void set_deliver_callback(DeliverCallback cb) override { deliver_ = std::move(cb); }
   void attach_mac(net::MacLayer* mac) override;
   void set_node_up(bool up) override;

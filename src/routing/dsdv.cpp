@@ -36,7 +36,7 @@ void Dsdv::route_output(net::Packet p) {
   forward_data(std::move(p));
 }
 
-void Dsdv::route_input(net::Packet p) {
+void Dsdv::route_input(net::Packet&& p) {
   if (p.dsdv) {
     handle_update(p);
     return;

@@ -49,7 +49,7 @@ class Dsdv final : public net::RoutingAgent {
   Dsdv(net::Env& env, net::NodeId self, DsdvParams params = {});
 
   void route_output(net::Packet p) override;
-  void route_input(net::Packet p) override;
+  void route_input(net::Packet&& p) override;
   void set_deliver_callback(DeliverCallback cb) override { deliver_ = std::move(cb); }
   void attach_mac(net::MacLayer* mac) override;
 

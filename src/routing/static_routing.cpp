@@ -9,7 +9,7 @@ void StaticRouting::route_output(net::Packet p) {
   forward(std::move(p));
 }
 
-void StaticRouting::route_input(net::Packet p) {
+void StaticRouting::route_input(net::Packet&& p) {
   if (!p.ip) return;
   if (p.ip->dst == self_ || p.ip->dst == net::kBroadcastAddress) {
     if (deliver_) deliver_(std::move(p));

@@ -21,7 +21,7 @@ class StaticRouting final : public net::RoutingAgent {
   void add_route(net::NodeId dst, net::NodeId next_hop) { routes_[dst] = next_hop; }
 
   void route_output(net::Packet p) override;
-  void route_input(net::Packet p) override;
+  void route_input(net::Packet&& p) override;
   void set_deliver_callback(DeliverCallback cb) override { deliver_ = std::move(cb); }
   void attach_mac(net::MacLayer* mac) override {
     mac_ = mac;

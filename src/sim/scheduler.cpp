@@ -97,6 +97,13 @@ std::uint64_t Scheduler::reserve_seq() {
   return next_seq_++;
 }
 
+std::uint64_t Scheduler::reserve_seqs(std::uint64_t k) {
+  const std::uint64_t first = next_seq_;
+  if (k != 0) pack_key(k < kSeqLimit ? first + k - 1 : kSeqLimit, 0);  // throws at the limit
+  next_seq_ += k;
+  return first;
+}
+
 EventId Scheduler::schedule_reserved(Time at, std::uint64_t seq, Callback cb) {
   if (seq == 0 || seq >= next_seq_) {
     throw std::invalid_argument{"Scheduler: seq " + std::to_string(seq) +
@@ -328,30 +335,58 @@ void Scheduler::requeue_muted() {
   push_lane(lane, Entry{s.key_at, key});
 }
 
+/// Sets the claim bounds of one run loop and restores the enclosing
+/// loop's (none, outside any) when the loop returns.
+class Scheduler::ClaimBounds {
+ public:
+  ClaimBounds(Scheduler& s, Time until, std::uint64_t limit) noexcept
+      : s_{s}, until_{s.claim_until_}, limit_{s.claim_limit_} {
+    s.claim_until_ = until;
+    s.claim_limit_ = limit;
+  }
+  ~ClaimBounds() {
+    s_.claim_until_ = until_;
+    s_.claim_limit_ = limit_;
+  }
+  ClaimBounds(const ClaimBounds&) = delete;
+  ClaimBounds& operator=(const ClaimBounds&) = delete;
+
+ private:
+  Scheduler& s_;
+  Time until_;
+  std::uint64_t limit_;
+};
+
 std::uint64_t Scheduler::run_until(Time until) {
-  std::uint64_t n = 0;
-  for (Source src; (src = next_source()) != Source::kNone; ++n) {
-    if ((src == Source::kHeap ? heap_.front().at : lane_head_.at) > until) break;
-    if (src == Source::kMuted) {
-      requeue_muted();
-    } else {
-      fire(src);
+  const std::uint64_t start = executed_;
+  {
+    const ClaimBounds bounds{*this, until, UINT64_MAX};
+    for (Source src; (src = next_source()) != Source::kNone;) {
+      if ((src == Source::kHeap ? heap_.front().at : lane_head_.at) > until) break;
+      if (src == Source::kMuted) {
+        requeue_muted();
+      } else {
+        fire(src);
+      }
     }
   }
   if (now_ < until) now_ = until;
-  return n;
+  return executed_ - start;
 }
 
 std::uint64_t Scheduler::run(std::uint64_t max_events) {
-  std::uint64_t n = 0;
-  for (Source src; n < max_events && (src = next_source()) != Source::kNone; ++n) {
+  const std::uint64_t start = executed_;
+  // Claimed events count against the budget too.
+  const std::uint64_t limit = max_events < UINT64_MAX - start ? start + max_events : UINT64_MAX;
+  const ClaimBounds bounds{*this, Time::max(), limit};
+  for (Source src; executed_ < limit && (src = next_source()) != Source::kNone;) {
     if (src == Source::kMuted) {
       requeue_muted();
     } else {
       fire(src);
     }
   }
-  return n;
+  return executed_ - start;
 }
 
 void Scheduler::clear() {

@@ -105,7 +105,7 @@ void TcpSender::send_packet(std::int64_t seq, bool is_retransmit) {
   node_.send(std::move(p));
 }
 
-void TcpSender::recv(net::Packet p) {
+void TcpSender::recv(net::Packet&& p) {
   settle_source();
   if (!p.tcp) return;
   ++stats_.acks_received;

@@ -84,7 +84,7 @@ class TcpSender final : public net::PortHandler {
   /// brake-status messages must not be delivered later.
   void truncate_backlog();
 
-  void recv(net::Packet p) override;  ///< ACKs from the sink
+  void recv(net::Packet&& p) override;  ///< ACKs from the sink
 
   /// The one writer to settle (nullptr: none); it must detach before it
   /// is destroyed.

@@ -12,7 +12,7 @@ TcpSink::TcpSink(net::Node& node, net::Port local_port, TcpSinkParams params)
 
 TcpSink::~TcpSink() { node_.unbind_port(local_port_); }
 
-void TcpSink::recv(net::Packet p) {
+void TcpSink::recv(net::Packet&& p) {
   if (!p.tcp) return;
   ++packets_received_;
   bytes_ += p.payload_bytes;

@@ -30,7 +30,7 @@ class TcpSink final : public net::PortHandler {
   TcpSink(const TcpSink&) = delete;
   TcpSink& operator=(const TcpSink&) = delete;
 
-  void recv(net::Packet p) override;
+  void recv(net::Packet&& p) override;
 
   /// Total payload bytes received (including duplicates, as in NS-2).
   std::uint64_t bytes() const noexcept { return bytes_; }

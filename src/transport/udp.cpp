@@ -35,7 +35,7 @@ void UdpAgent::send(std::size_t payload_bytes) {
   node_.send(std::move(p));
 }
 
-void UdpAgent::recv(net::Packet p) {
+void UdpAgent::recv(net::Packet&& p) {
   ++packets_received_;
   bytes_received_ += p.payload_bytes;
   node_.env().trace(net::TraceAction::kRecv, net::TraceLayer::kAgent, node_.id(), p);

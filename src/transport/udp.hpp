@@ -24,7 +24,7 @@ class UdpAgent final : public net::PortHandler {
   using RecvCallback = std::function<void(const net::Packet&)>;
   void set_recv_callback(RecvCallback cb) { recv_cb_ = std::move(cb); }
 
-  void recv(net::Packet p) override;
+  void recv(net::Packet&& p) override;
 
   std::uint64_t packets_sent() const noexcept { return packets_sent_; }
   std::uint64_t packets_received() const noexcept { return packets_received_; }

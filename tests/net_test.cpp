@@ -118,14 +118,14 @@ TEST(EnvTest, SeedControlsRngStream) {
 
 class RecordingHandler final : public PortHandler {
  public:
-  void recv(Packet p) override { received.push_back(std::move(p)); }
+  void recv(Packet&& p) override { received.push_back(std::move(p)); }
   std::vector<Packet> received;
 };
 
 class StubRouting final : public RoutingAgent {
  public:
   void route_output(Packet p) override { sent.push_back(std::move(p)); }
-  void route_input(Packet p) override {
+  void route_input(Packet&& p) override {
     if (deliver) deliver(std::move(p));
   }
   void set_deliver_callback(DeliverCallback cb) override { deliver = std::move(cb); }
