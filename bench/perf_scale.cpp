@@ -9,18 +9,19 @@
 //    pipeline — one range² sweep, then the exact filter on survivors
 //    only (DESIGN.md §3.7).
 //
-// Each population is measured under both channel models:
+// Each population is measured under both channel models, and under each
+// both legs must execute the *same* event sequence, so the pair doubles
+// as a determinism check — a divergence fails the run (exit 1, after the
+// tables):
 //
-//  - two-ray ground (the paper's deterministic channel): both legs must
-//    execute the *same* event sequence, so the pair doubles as a
-//    determinism check — a divergence fails the run (exit 1, after the
-//    tables); speedups are the pure candidate-walk cost.
-//  - Nakagami-m fading (the de facto VANET channel): the flat loop draws
-//    a gamma fade for every one of the N-1 pairs per broadcast, the
+//  - two-ray ground (the paper's deterministic channel): speedups are the
+//    pure candidate-walk cost.
+//  - Nakagami-m fading (the de facto VANET channel) with keyed per-pair
+//    fade streams (`nakagami_node_streams`): each fade depends on the
+//    pair and the transmit time, not on evaluation order. The flat loop
+//    draws a fade for every one of the N-1 pairs per broadcast; the
 //    batched leg culls geometrically against the deterministic fade
 //    envelope first, and its phase 1 never dereferences a phy at all.
-//    Fading legs draw different Rng streams, so their event counts are
-//    statistically equivalent, not identical.
 //
 // Reported per leg: wall time, events/s, pair evaluations per broadcast
 // and ns per pair evaluation; the batched leg adds the phase-1 survivor
@@ -123,6 +124,7 @@ core::ScenarioConfig scale_config(std::size_t n_vehicles, const bench::Options& 
       .duration(sim::Time::seconds(kDurationS))
       .trace(false)
       .channel_params(channel)
+      .nakagami_node_streams(prop == core::PropagationType::kNakagami)
       .mutate([&](core::ScenarioConfig& c) {
         c.propagation = prop;
         c.vehicle_gap_m = 100.0;
@@ -168,14 +170,15 @@ ModelPoint run_model(std::size_t n, const bench::Options& opts, core::Propagatio
   return p;
 }
 
-/// Deterministic propagation ⇒ the index must not change the simulation,
-/// only its cost, so two-ray flat and batched legs execute the same
-/// events. (Fading legs draw different Rng streams by design.) False,
-/// with a message on stderr, when they diverge.
-bool legs_agree(std::size_t n, const ModelPoint& two_ray) {
-  if (!two_ray.flat.run || two_ray.flat.events == two_ray.batched.events) return true;
-  std::cerr << "perf_scale: flat and batched two-ray legs executed different event counts at N = "
-            << n << " (" << two_ray.flat.events << " vs " << two_ray.batched.events << ")\n";
+/// Deterministic propagation, or fades keyed by pair and transmit time,
+/// ⇒ the index must not change the simulation, only its cost, so flat and
+/// batched legs execute the same events. False, with a message on
+/// stderr, when they diverge.
+bool legs_agree(std::size_t n, const char* model, const ModelPoint& p) {
+  if (!p.flat.run || p.flat.events == p.batched.events) return true;
+  std::cerr << "perf_scale: flat and batched " << model
+            << " legs executed different event counts at N = " << n << " (" << p.flat.events
+            << " vs " << p.batched.events << ")\n";
   return false;
 }
 
@@ -276,9 +279,10 @@ int main(int argc, char** argv) {
     p.n = n;
     p.two_ray = run_model(n, opts, core::PropagationType::kTwoRay);
     print_row(os, n, "two-ray", p.two_ray);
-    agree = legs_agree(n, p.two_ray) && agree;
+    agree = legs_agree(n, "two-ray", p.two_ray) && agree;
     p.nakagami = run_model(n, opts, core::PropagationType::kNakagami);
     print_row(os, n, "nakagami", p.nakagami);
+    agree = legs_agree(n, "nakagami", p.nakagami) && agree;
     points.push_back(p);
   }
 

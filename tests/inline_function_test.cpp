@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 namespace eblnet::sim {
@@ -105,6 +108,38 @@ TEST(InlineFunctionTest, MoveOnlyCapturesAreSupported) {
   Fn g{std::move(f)};
   g();
   EXPECT_EQ(seen, 9);
+}
+
+TEST(InlineFunctionTest, TriviallyCopyableFullCaptureSurvivesMovesAndReset) {
+  // A full-width capture with no move constructor to call: InlineFunction
+  // relocates it by copying its bytes and drops it without a destructor.
+  std::uint64_t sum = 0;
+  const auto make = [&sum](std::uint64_t base) {
+    std::array<std::uint64_t, 7> words{};
+    for (std::size_t i = 0; i < words.size(); ++i) words[i] = base + i;
+    return [words, out = &sum] {
+      for (const std::uint64_t w : words) *out += w;
+    };
+  };
+  using Capture = decltype(make(0));
+  static_assert(std::is_trivially_copyable_v<Capture>);
+  static_assert(sizeof(Capture) == Fn::kCapacity);
+
+  Fn a{make(10)};
+  Fn b{std::move(a)};
+  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move): moved-from is empty by contract
+  b();
+  EXPECT_EQ(sum, 91u);  // 10 + 11 + ... + 16
+  Fn c{make(0)};
+  c = std::move(b);
+  EXPECT_FALSE(static_cast<bool>(b));  // NOLINT(bugprone-use-after-move)
+  c();
+  EXPECT_EQ(sum, 182u);
+  c.reset();
+  EXPECT_FALSE(static_cast<bool>(c));
+  c = make(100);
+  c();
+  EXPECT_EQ(sum, 182u + 721u);  // 100 + 101 + ... + 106
 }
 
 }  // namespace

@@ -447,6 +447,57 @@ TEST(SchedulerReservedTest, KeyPackingThrowsAtTheSeqAndSlotLimits) {
   EXPECT_THROW(Scheduler::pack_key(1, kSlotMax + 1), std::length_error);
 }
 
+TEST(SchedulerReservedTest, ReserveSeqsTakesConsecutiveSeqsOrNoneAtTheLimit) {
+  Scheduler s;
+  const std::uint64_t first = s.reserve_seqs(3);
+  EXPECT_EQ(s.reserve_seq(), first + 3);
+  EXPECT_EQ(s.reserve_seqs(0), first + 4);  // takes nothing
+  EXPECT_THROW(s.reserve_seqs(std::uint64_t{1} << 40), std::length_error);
+  EXPECT_EQ(s.reserve_seq(), first + 4);  // the failed call took nothing
+}
+
+TEST(SchedulerReservedTest, ClaimRunsAReservedKeyOnlyAheadOfTheQueueAndInsideTheLoopBound) {
+  Scheduler s;
+  std::string order;
+  const std::uint64_t seq = s.reserve_seqs(3);
+  EXPECT_FALSE(s.claim(1_s, seq));  // outside a run loop
+  s.schedule_at(2_s, [&] { order += 'x'; });
+  s.schedule_reserved(1_s, seq, [&] {
+    order += 'a';
+    // (1 s, seq + 1) comes before the queued 2 s event; (3 s, seq + 2)
+    // does not.
+    if (s.claim(1_s, seq + 1)) order += 'b';
+    EXPECT_EQ(s.now(), 1_s);
+    if (!s.claim(3_s, seq + 2)) s.schedule_reserved(3_s, seq + 2, [&] { order += 'c'; });
+  });
+  EXPECT_EQ(s.run(), 4u);  // the claimed key counts
+  EXPECT_EQ(order, "abxc");
+  EXPECT_EQ(s.executed_count(), 4u);
+
+  // The loop's bounds: run_until's time and run's budget.
+  std::string bounded;
+  const std::uint64_t more = s.reserve_seqs(2);
+  s.schedule_reserved(4_s, more, [&] {
+    bounded += 'd';
+    if (!s.claim(5_s, more + 1)) s.schedule_reserved(5_s, more + 1, [&] { bounded += 'e'; });
+  });
+  EXPECT_EQ(s.run_until(4500_ms), 1u);
+  EXPECT_EQ(bounded, "d");
+  EXPECT_EQ(s.now(), 4500_ms);
+  EXPECT_EQ(s.run(1), 1u);
+  EXPECT_EQ(bounded, "de");
+  const std::uint64_t last = s.reserve_seqs(2);
+  s.schedule_reserved(6_s, last, [&] {
+    bounded += 'f';
+    if (!s.claim(6_s, last + 1)) s.schedule_reserved(6_s, last + 1, [&] { bounded += 'g'; });
+  });
+  EXPECT_EQ(s.run(1), 1u);  // the budget is spent: g is queued, not claimed
+  EXPECT_EQ(bounded, "def");
+  EXPECT_EQ(s.pending_count(), 1u);
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(bounded, "defg");
+}
+
 // ---------------------------------------------------------------------------
 // Muted lane events
 // ---------------------------------------------------------------------------
@@ -813,6 +864,51 @@ class RealQueue {
       apply(then);
     }));
   }
+  /// One key of a reserved range: raw event `tag` at (at, seq).
+  struct RangeKey {
+    int tag;
+    Time at;
+    std::uint64_t seq;
+    Rearm then;
+  };
+  /// Queues one event for `keys`, as the channel fans a broadcast out: it
+  /// fires the earliest key, then claims each next one while
+  /// Scheduler::claim allows, and otherwise re-queues itself at it.
+  void schedule_range(std::vector<RangeKey> keys) {
+    std::sort(keys.begin(), keys.end(), [](const RangeKey& a, const RangeKey& b) {
+      return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+    });
+    for (const RangeKey& k : keys) {
+      ids_.resize(std::max(ids_.size(), static_cast<std::size_t>(k.tag) + 1), kInvalidEventId);
+      range_pending_.resize(ids_.size(), false);
+      range_pending_[static_cast<std::size_t>(k.tag)] = true;
+    }
+    ranges_.push_back(std::make_unique<Range>(Range{std::move(keys), 0}));
+    Range& r = *ranges_.back();
+    sched_.schedule_reserved(r.keys[0].at, r.keys[0].seq, [this, &r] { fire_range(r); });
+  }
+  /// The next key of the first unfinished range with at least two keys
+  /// left, or nullptr.
+  const RangeKey* range_key_before_another() const {
+    for (const auto& r : ranges_) {
+      if (r->keys.size() - r->next >= 2) return &r->keys[r->next];
+    }
+    return nullptr;
+  }
+  /// Range keys waiting behind their range's one queued event.
+  std::size_t range_backlog() const {
+    std::size_t n = 0;
+    for (const auto& r : ranges_) {
+      if (r->next < r->keys.size()) n += r->keys.size() - r->next - 1;
+    }
+    return n;
+  }
+  bool is_range_key(int tag) const {
+    return ids_[static_cast<std::size_t>(tag)] == kInvalidEventId;
+  }
+  std::uint64_t claims() const { return claims_; }
+  std::uint64_t requeues() const { return requeues_; }
+
   void cancel(int tag) { sched_.cancel(ids_[static_cast<std::size_t>(tag)]); }
   void arm_timer(int k, Time at, Rearm then) {
     fold(k);
@@ -828,7 +924,10 @@ class RealQueue {
     fold(k);
     timer(k).cancel();
   }
-  bool is_pending(int tag) const { return sched_.is_pending(ids_[static_cast<std::size_t>(tag)]); }
+  bool is_pending(int tag) const {
+    return is_range_key(tag) ? range_pending_[static_cast<std::size_t>(tag)]
+                             : sched_.is_pending(ids_[static_cast<std::size_t>(tag)]);
+  }
   Timer& timer(int k) { return *timers_[static_cast<std::size_t>(k)]; }
   std::uint64_t folded(int k) const { return folded_[static_cast<std::size_t>(k)]; }
 
@@ -836,6 +935,27 @@ class RealQueue {
   const std::vector<ReferenceQueue::Fired>& log() const { return log_; }
 
  private:
+  struct Range {
+    std::vector<RangeKey> keys;  ///< sorted by (at, seq)
+    std::size_t next{0};
+  };
+  void fire_range(Range& r) {
+    for (;;) {
+      const RangeKey& k = r.keys[r.next++];
+      range_pending_[static_cast<std::size_t>(k.tag)] = false;
+      log_.push_back({k.tag, sched_.now()});
+      apply(k.then);
+      if (r.next == r.keys.size()) return;
+      const RangeKey& n = r.keys[r.next];
+      if (!sched_.claim(n.at, n.seq)) {
+        ++requeues_;
+        sched_.schedule_reserved(n.at, n.seq, [this, &r] { fire_range(r); });
+        return;
+      }
+      ++claims_;
+    }
+  }
+
   Scheduler::Lane lane_of(int k) const {
     return lanes_[static_cast<std::size_t>(k - heap_timers_)];
   }
@@ -862,7 +982,11 @@ class RealQueue {
   std::vector<Scheduler::Lane> lanes_;
   std::vector<Rearm> timer_then_;
   std::vector<std::uint64_t> folded_;
-  std::vector<EventId> ids_;
+  std::vector<EventId> ids_;  ///< by raw tag; kInvalidEventId for a range key
+  std::vector<bool> range_pending_;
+  std::vector<std::unique_ptr<Range>> ranges_;
+  std::uint64_t claims_{0};
+  std::uint64_t requeues_{0};
   std::vector<ReferenceQueue::Fired> log_;
 };
 
@@ -872,6 +996,7 @@ enum class Mix {
   kLanes,  ///< plus periodic lane timers and raw lane events
   kMuted,  ///< plus muting and unmuting the lane timers
   kReserved,  ///< plus reserving seqs and later queueing or dropping them
+  kRanges,    ///< plus reserved ranges fired from one event that claims
 };
 
 /// One seeded run of random operations; stops at the first divergence.
@@ -887,9 +1012,19 @@ enum class Mix {
 /// outstanding reserved key or dropping the reservation. Each mix keeps
 /// the draws of the one before it. Adds the ticks the lane timers skipped
 /// while muted to `*muted_ticks`, and the raw events queued at reserved
-/// keys to `*reserved_events`, when they are given.
+/// keys to `*reserved_events`, when they are given. kRanges adds
+/// reserving a range of 1–6 keys with random delays, fired from one event
+/// that claims each next key when allowed and re-queues itself at it
+/// otherwise (the reference schedules each key alone), and run_until
+/// landing on a range key with another key of its range still behind it.
+/// The keys claimed inline and the re-queues add to `*ranges`.
+struct RangeCounts {
+  std::uint64_t claims{0};
+  std::uint64_t requeues{0};
+};
 void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = nullptr,
-                      std::uint64_t* reserved_events = nullptr) {
+                      std::uint64_t* reserved_events = nullptr,
+                      RangeCounts* ranges = nullptr) {
   constexpr int kHeapTimers = 4;
   const bool lanes = mix != Mix::kHeap;
   const std::vector<Time> lane_periods =
@@ -934,7 +1069,8 @@ void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = 
   const std::uint64_t ops = mix == Mix::kHeap    ? 100
                            : mix == Mix::kLanes ? 140
                            : mix == Mix::kMuted ? 160
-                                                : 180;
+                           : mix == Mix::kReserved ? 180
+                                                   : 200;
 
   for (int step = 0; step < kSteps; ++step) {
     SCOPED_TRACE(::testing::Message() << "step " << step);
@@ -948,6 +1084,7 @@ void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = 
     } else if (op < 35) {
       if (raw_events == 0) continue;
       const int tag = pick(raw_events);
+      if (real.is_range_key(tag)) continue;  // deliveries are never cancelled
       ref.cancel(tag);
       real.cancel(tag);
     } else if (op < 65) {
@@ -1002,7 +1139,7 @@ void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = 
     } else if (op < 170) {
       reserved.push_back(s.reserve_seq());
       ASSERT_EQ(reserved.back(), ref.reserve());
-    } else {
+    } else if (op < 180) {
       if (reserved.empty()) continue;
       const std::size_t i = static_cast<std::size_t>(pick(static_cast<int>(reserved.size())));
       const std::uint64_t seq = reserved[i];
@@ -1014,6 +1151,22 @@ void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = 
       real.schedule_reserved(raw_events, at, seq, then);
       ++raw_events;
       if (reserved_events != nullptr) ++*reserved_events;
+    } else if (op < 192) {
+      const std::uint64_t k = 1 + rng.uniform_int(std::uint64_t{6});
+      const std::uint64_t first = s.reserve_seqs(k);
+      std::vector<RealQueue::RangeKey> keys;
+      for (std::uint64_t i = 0; i < k; ++i) {
+        ASSERT_EQ(first + i, ref.reserve());
+        keys.push_back({raw_events, s.now() + ms(0, 4), first + i, random_rearm()});
+        ref.schedule_at_key(raw_events, keys.back().at, keys.back().seq, keys.back().then);
+        ++raw_events;
+      }
+      real.schedule_range(std::move(keys));
+    } else {
+      const RealQueue::RangeKey* key = real.range_key_before_another();
+      const Time until = key != nullptr ? key->at : s.now();
+      ref.run_until(until);
+      s.run_until(until);
     }
 
     ASSERT_EQ(real.log().size(), ref.log().size());
@@ -1027,7 +1180,7 @@ void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = 
     }
     ASSERT_EQ(s.now(), ref.now());
     ASSERT_EQ(s.executed_count(), ref.executed());
-    ASSERT_EQ(s.pending_count(), ref.pending_count());
+    ASSERT_EQ(s.pending_count() + real.range_backlog(), ref.pending_count());
     ASSERT_GE(s.queued_entries(), s.pending_count());
     for (int k = 0; k < timers; ++k) {
       const Time* due = ref.timer_expiry(k);
@@ -1051,6 +1204,10 @@ void run_differential(std::uint64_t seed, Mix mix, std::uint64_t* muted_ticks = 
   }
   for (int k = kHeapTimers; muted_ticks != nullptr && k < timers; ++k) {
     *muted_ticks += ref.periodic_state(k).folded + ref.periodic_state(k).ticks;
+  }
+  if (ranges != nullptr) {
+    ranges->claims += real.claims();
+    ranges->requeues += real.requeues();
   }
 }
 
@@ -1092,6 +1249,23 @@ TEST(SchedulerDifferential, ReservedKeysMatchExplicitKeyReference) {
   // Every kind of operation must really run.
   EXPECT_GT(muted_ticks, 1000u);
   EXPECT_GT(reserved_events, 1000u);
+}
+
+TEST(SchedulerDifferential, ClaimedRangesMatchOneEventPerKeyReference) {
+  std::uint64_t muted_ticks = 0;
+  std::uint64_t reserved_events = 0;
+  RangeCounts ranges;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    run_differential(seed, Mix::kRanges, &muted_ticks, &reserved_events, &ranges);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Every kind of operation must really run, and range keys must be both
+  // claimed inline and re-queued.
+  EXPECT_GT(muted_ticks, 1000u);
+  EXPECT_GT(reserved_events, 1000u);
+  EXPECT_GT(ranges.claims, 1000u);
+  EXPECT_GT(ranges.requeues, 1000u);
 }
 
 // ---------------------------------------------------------------------------
