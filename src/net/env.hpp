@@ -44,7 +44,7 @@ class Env {
   sim::MetricsRegistry& metrics() noexcept { return metrics_; }
   const sim::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  /// Free-list of Packet storage for the broadcast fan-out and any
+  /// Free-list of Packet storage for the frames radios decode and any
   /// scheduled closure that would otherwise capture a Packet by value.
   PacketPool& packet_pool() noexcept { return pool_; }
 

@@ -138,8 +138,8 @@ struct DsdvUpdateHeader {
 
 // ---------------------------------------------------------------------------
 
-/// A simulated packet. Value type: copies are independent (broadcast
-/// reception hands each receiver its own copy).
+/// A simulated packet. Value type: copies are independent (each radio
+/// that decodes a broadcast keeps its own copy).
 class Packet {
  public:
   /// Globally unique per simulation (allocated by net::Env).

@@ -55,12 +55,14 @@ class PooledPacket {
 
 /// Per-Env free-list of Packet storage (the NS-2 packet free-list idea).
 ///
-/// A broadcast hands each receiver its own copy of the packet, held by an
-/// event capture with room for a handle but not for a Packet. The pool
-/// recycles whole Packet objects, so steady-state acquire/clone/release
-/// cycles perform zero allocations once the pool has warmed up to the
-/// simulation's peak in-flight packet count; only the vectors of an
-/// `AodvRerrHeader` or `DsdvUpdateHeader` are copied afresh.
+/// A radio that starts decoding a broadcast keeps its own copy of the
+/// frame while the reception lasts (phy::WirelessPhy::signal_start), and
+/// an event capture with room for a handle but not for a Packet holds a
+/// frame the same way. The pool recycles whole Packet objects, so
+/// steady-state acquire/clone/release cycles perform zero allocations
+/// once the pool has warmed up to the simulation's peak count of kept
+/// copies; only the vectors of an `AodvRerrHeader` or `DsdvUpdateHeader`
+/// are copied afresh.
 ///
 /// Ownership: the pool owns the storage forever (`owned_`); handles only
 /// borrow. The pool must outlive every handle — `net::Env` declares its
