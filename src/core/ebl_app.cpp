@@ -52,6 +52,7 @@ PlatoonEbl::PlatoonEbl(net::Env& env, mobility::Platoon& platoon,
     links_.push_back(std::make_unique<EblLink>(env, *nodes[0], *nodes[i],
                                                static_cast<net::Port>(base_port + i),
                                                static_cast<net::Port>(base_port + 100), cfg));
+    links_.back()->mutable_sink().add_bytes_to(&sink_bytes_);
   }
 
   follow_lead_state(env, *platoon.lead(), links_);
@@ -59,12 +60,6 @@ PlatoonEbl::PlatoonEbl(net::Env& env, mobility::Platoon& platoon,
 
 bool PlatoonEbl::communicating() const {
   return !links_.empty() && links_.front()->running();
-}
-
-std::uint64_t PlatoonEbl::total_sink_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& l : links_) total += l->sink().bytes();
-  return total;
 }
 
 }  // namespace eblnet::core

@@ -78,6 +78,10 @@ class PlatoonEbl {
   PlatoonEbl(net::Env& env, mobility::Platoon& platoon, const std::vector<net::Node*>& nodes,
              EblConfig cfg, net::Port base_port = 1000);
 
+  // The sinks and the lead's state callback hold this object's address.
+  PlatoonEbl(const PlatoonEbl&) = delete;
+  PlatoonEbl& operator=(const PlatoonEbl&) = delete;
+
   bool communicating() const;
 
   /// Links in follower order: link(0) targets vehicle 1 (middle), etc.
@@ -86,11 +90,13 @@ class PlatoonEbl {
   EblLink& mutable_link(std::size_t i) { return *links_.at(i); }
 
   /// Sum of every follower sink's byte counter — the quantity the
-  /// platoon-level throughput monitor samples.
-  std::uint64_t total_sink_bytes() const;
+  /// platoon-level throughput monitor samples. Each sink adds to it as
+  /// it counts, so sampling it walks no sink.
+  std::uint64_t total_sink_bytes() const noexcept { return sink_bytes_; }
 
  private:
   std::vector<std::unique_ptr<EblLink>> links_;
+  std::uint64_t sink_bytes_{0};
 };
 
 }  // namespace eblnet::core

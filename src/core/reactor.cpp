@@ -1,5 +1,6 @@
 #include "core/reactor.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace eblnet::core {
@@ -29,7 +30,8 @@ namespace {
 // can never leave a data callback pointing at a dead reactor.
 std::function<void()> make_brake_policy(std::shared_ptr<mobility::Vehicle> vehicle, double decel) {
   if (!vehicle) throw std::invalid_argument{"EblBrakeReactor: vehicle required"};
-  if (decel <= 0.0) throw std::invalid_argument{"EblBrakeReactor: decel must be > 0"};
+  if (!(std::isfinite(decel) && decel > 0.0))
+    throw std::invalid_argument{"EblBrakeReactor: decel must be finite and > 0"};
   return [vehicle = std::move(vehicle), decel] { vehicle->brake(decel); };
 }
 

@@ -1,6 +1,7 @@
 #include "core/traffic_scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "queue/drop_tail.hpp"
@@ -23,13 +24,21 @@ TrafficScenario::TrafficScenario(TrafficConfig config)
     : config_{std::move(config)}, env_{config_.seed} {
   if (!(config_.penetration >= 0.0 && config_.penetration <= 1.0))
     throw std::invalid_argument{"TrafficScenario: penetration must be in [0, 1]"};
-  if (config_.warn_range_m < 0.0)
-    throw std::invalid_argument{"TrafficScenario: warn range must be >= 0"};
-  // Checked here rather than when the incident fires or the first
-  // warning lands, minutes of simulated time into the run.
+  // Each check is written so that NaN fails it. Checked here rather than
+  // when the incident fires or the first warning lands, minutes of
+  // simulated time into the run, or at the first equipped spawn.
+  if (!(config_.warn_range_m >= 0.0))
+    throw std::invalid_argument{"TrafficScenario: warn_range_m must be >= 0"};
+  if (config_.reaction < sim::Time::zero())
+    throw std::invalid_argument{"TrafficScenario: reaction must be >= 0"};
   if (!(config_.incident_decel_mps2 > 0.0 &&
         config_.incident_decel_mps2 <= mobility::TrafficFlow::kMaxPhysicalDecel))
     throw std::invalid_argument{"TrafficScenario: incident_decel_mps2 must be in (0, 9] m/s^2"};
+  if (!(config_.incident_pos_m < 0.0 || std::isfinite(config_.incident_pos_m)))
+    throw std::invalid_argument{
+        "TrafficScenario: incident_pos_m must be finite, or < 0 for mid-road"};
+  if (!(std::isfinite(config_.congestion_speed_mps) && config_.congestion_speed_mps >= 0.0))
+    throw std::invalid_argument{"TrafficScenario: congestion_speed_mps must be finite and >= 0"};
   mobility::validate_policy(config_.warned_policy, "TrafficScenario: warned_policy");
 
   propagation_ = std::make_shared<phy::TwoRayGround>();

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -25,29 +24,53 @@ struct IdmParams {
 // pow4's split and error terms assume every operation rounds to double.
 static_assert(FLT_EVAL_METHOD == 0, "pow4 needs double-precision evaluation");
 
-/// Two doubles in one 16-byte vector (GCC/Clang vector extensions; SSE2
-/// on x86-64, with no compile flag): the operand type of the two-lane
-/// law `idm_acceleration2`. Arithmetic on it is per-lane IEEE double
-/// arithmetic, so each lane rounds exactly as the scalar code does.
+/// Lane vectors (GCC/Clang vector extensions): the operand types of the
+/// lane-generic law `idm_accelerationv`. Arithmetic on them is per-lane
+/// IEEE double arithmetic, so each lane rounds exactly as the scalar
+/// code does. Lanes2 is two doubles in 16 bytes, SSE2 on x86-64 with no
+/// compile flag. Lanes4 is four doubles in 32 bytes: in a function built
+/// for AVX2 they are ymm registers; elsewhere GCC lowers each operation
+/// to SSE2 pairs, so use it only under `[[gnu::target("avx2")]]`, with
+/// every helper inlined, so that no Lanes4 crosses a call.
 typedef double Lanes2 __attribute__((vector_size(16)));
-/// A Lanes2 comparison's result: all ones in a lane where it holds.
-typedef std::int64_t Mask2 __attribute__((vector_size(16)));
-/// A Lanes2's bits, for the masks pow4 applies to its sign, exponent
-/// and mantissa.
-typedef std::uint64_t Bits2 __attribute__((vector_size(16)));
+typedef double Lanes4 __attribute__((vector_size(32)));
+
+/// The types that go with a double (pow4's scalar form) or a lane
+/// vector: `Bits` for the masks pow4 applies to its sign, exponent and
+/// mantissa, and `Mask` for a comparison's result (all ones in a lane
+/// where it holds).
+template <class T>
+struct LaneTypes;
+template <>
+struct LaneTypes<double> {
+  using Bits = std::uint64_t;
+  using Mask = bool;
+};
+template <>
+struct LaneTypes<Lanes2> {
+  typedef std::uint64_t Bits __attribute__((vector_size(16)));
+  typedef std::int64_t Mask __attribute__((vector_size(16)));
+};
+template <>
+struct LaneTypes<Lanes4> {
+  typedef std::uint64_t Bits __attribute__((vector_size(32)));
+  typedef std::int64_t Mask __attribute__((vector_size(32)));
+};
+template <class T>
+using LaneMask = typename LaneTypes<T>::Mask;
 
 /// x⁴ rounded once (`s`), and `exact` where `s` is provably the double
 /// `std::pow(x, 4.0)` returns.
-template <class T, class Mask>
+template <class T>
 struct Pow4Split {
   T s;
-  Mask exact;
+  LaneMask<T> exact;
 };
 
 /// pow4's arithmetic without its libm fallback, written once for a
-/// double (Bits = std::uint64_t, Mask = bool) and for Lanes2 (Bits2,
-/// Mask2), so that `pow4` and `idm_acceleration2` perform the same IEEE
-/// operations in the same order. x² = p + e and p² = h4 + l4 are
+/// double and for each lane vector, so that `pow4` and
+/// `idm_accelerationv` perform the same IEEE operations in the same
+/// order. x² = p + e and p² = h4 + l4 are
 /// exact double-double products (Veltkamp split, Dekker product), so
 /// h4 + (l4 + 2pe) is within ~2⁻⁵¹ ulp of the exact x⁴ (e² is below
 /// that). Fast2Sum rounds it once to s with an exact residual r. When
@@ -62,8 +85,12 @@ struct Pow4Split {
 /// FMA target GCC still contracts some of them; with h4 kept rounded
 /// (below), a GCC 12.2 -march=native build passes
 /// IdmLaw.Pow4MatchesLibmBitForBit, which checks the whole contract.
-template <class T, class Bits, class Mask>
-inline Pow4Split<T, Mask> pow4_split(T x) {
+/// Always inlined, with `__builtin_bit_cast` for its casts, so that a
+/// lane vector never crosses a call even in an unoptimised build.
+template <class T>
+[[gnu::always_inline]] inline Pow4Split<T> pow4_split(const T& x) {
+  using Bits = typename LaneTypes<T>::Bits;
+  using Mask = LaneMask<T>;
   constexpr double kSplit = 0x1p27 + 1.0;  // 53-bit mantissa -> 26 + 27 bits
   const T xc = kSplit * x;
   const T xh = xc - (xc - x);
@@ -78,9 +105,9 @@ inline Pow4Split<T, Mask> pow4_split(T x) {
   const T t = l4 + 2.0 * p * e;
   const T s = h4 + t;
   const T r = t - (s - h4);
-  const Bits bits = std::bit_cast<Bits>(s);
-  const T exponent_scale = std::bit_cast<T>(bits & 0x7FF0'0000'0000'0000ULL);
-  const T abs_r = std::bit_cast<T>(std::bit_cast<Bits>(r) & 0x7FFF'FFFF'FFFF'FFFFULL);
+  const Bits bits = __builtin_bit_cast(Bits, s);
+  const T exponent_scale = __builtin_bit_cast(T, bits & 0x7FF0'0000'0000'0000ULL);
+  const T abs_r = __builtin_bit_cast(T, __builtin_bit_cast(Bits, r) & 0x7FFF'FFFF'FFFF'FFFFULL);
   // The range test reads h4, not s: a use of h4 that is not a sum
   // keeps GCC (-ffp-contract=fast, its default) on an FMA target from
   // fusing p·p into l4's and s's sums, which would drop h4's rounding.
@@ -93,7 +120,7 @@ inline Pow4Split<T, Mask> pow4_split(T x) {
 /// calling libm on ~90 % of inputs: `pow4_split`'s s where it is exact,
 /// else `std::pow(x, 4.0)` itself.
 inline double pow4(double x) {
-  const auto [s, exact] = pow4_split<double, std::uint64_t, bool>(x);
+  const auto [s, exact] = pow4_split(x);
   return exact ? s : std::pow(x, 4.0);
 }
 
@@ -147,33 +174,35 @@ inline double idm_acceleration(const IdmParams& p, double v, double gap, double 
                           dv);
 }
 
-/// Per lane, what `std::max(a, b)` returns: b where a < b, else a (so a
-/// NaN in `a` survives and one in `b` does not).
-inline Lanes2 max2(Lanes2 a, Lanes2 b) {
-  const Mask2 take_b = a < b;
-  return std::bit_cast<Lanes2>((std::bit_cast<Mask2>(b) & take_b) |
-                               (std::bit_cast<Mask2>(a) & ~take_b));
-}
-
-/// The two-lane law's result: per lane the acceleration, and `exact`
-/// all ones where that is bit for bit what `idm_acceleration` returns.
-struct IdmPair {
-  Lanes2 accel;
-  Mask2 exact;
+/// The lane-generic law's result: per lane the acceleration, and
+/// `exact` all ones where that is bit for bit what `idm_acceleration`
+/// returns.
+template <class V>
+struct IdmLanes {
+  V accel;
+  LaneMask<V> exact;
 };
 
-/// `idm_acceleration` for two drivers at once and δ = 4 only: the same
-/// IEEE operations in the same order, lane by lane, with x⁴ from
-/// `pow4_split`. A lane whose `exact` is zero (x⁴ in pow4's libm band)
-/// must be evaluated again by `idm_acceleration`; the three divisions
-/// cost about as much for two lanes as for one.
-inline IdmPair idm_acceleration2(const IdmParams& p, Lanes2 v0, double headway_s,
-                                 double brake_scale, Lanes2 v, Lanes2 gap, Lanes2 dv) {
-  const auto [free, exact] = pow4_split<Lanes2, Bits2, Mask2>(v / v0);
-  const Lanes2 zero{};
-  const Lanes2 dynamic = v * headway_s + v * dv / brake_scale;
-  const Lanes2 s_star = p.min_gap_m + max2(zero, dynamic);
-  const Lanes2 ratio = s_star / max2(gap, zero + 0.01);
+/// `idm_acceleration` for a vector of drivers at once and δ = 4 only:
+/// the same IEEE operations in the same order, lane by lane, with x⁴
+/// from `pow4_split` and `std::max(a, b)` as the per-lane select
+/// `a < b ? b : a`. A lane whose `exact` is zero (x⁴ in pow4's libm
+/// band) must be evaluated again by `idm_acceleration`; the three
+/// divisions cost about as much for a vector as for one driver. Vectors
+/// go in by reference and out in a struct: GCC's -Wpsabi flags a
+/// 32-byte vector passed or returned by value in a function built
+/// without AVX, even one that is always inlined.
+template <class V>
+[[gnu::always_inline]] inline IdmLanes<V> idm_accelerationv(const IdmParams& p, const V& v0,
+                                                            double headway_s, double brake_scale,
+                                                            const V& v, const V& gap,
+                                                            const V& dv) {
+  const auto [free, exact] = pow4_split(v / v0);
+  const V zero{};
+  const V min_gap = zero + 0.01;
+  const V dynamic = v * headway_s + v * dv / brake_scale;
+  const V s_star = p.min_gap_m + (zero < dynamic ? dynamic : zero);
+  const V ratio = s_star / (gap < min_gap ? min_gap : gap);
   return {p.max_accel_mps2 * (1.0 - free - ratio * ratio), exact};
 }
 

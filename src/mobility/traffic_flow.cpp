@@ -186,26 +186,88 @@ void TrafficFlow::spawn_arrivals(sim::Time now) {
 
 namespace {
 
-Lanes2 load2(const double* p) {
-  Lanes2 x;
-  std::memcpy(&x, p, sizeof x);
-  return x;
+/// The follower kernel's loop over V-wide steps, resumed from `pass`.
+/// Always inlined, so each kernel compiles it for its own target.
+template <class V>
+[[gnu::always_inline]] inline void follower_steps(const IdmParams& law, double brake_scale,
+                                                  const FollowerColumn& column, std::size_t end,
+                                                  FollowerPass& pass) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+  const double* const pos = column.pos;
+  const double* const speed = column.speed;
+  const double* const v0s = column.v0;
+  double* const accel = column.accel;
+  std::size_t* const fallback = column.fallback;
+  const V decel_floor = V{} - TrafficFlow::kMaxPhysicalDecel;
+  std::size_t i = pass.next;
+  std::size_t fallbacks = pass.fallbacks;
+  for (; i + kLanes <= end; i += kLanes) {
+    V pos_ahead, pos_here, v_ahead, v, v0;
+    std::memcpy(&pos_ahead, pos + i - 1, sizeof(V));
+    std::memcpy(&pos_here, pos + i, sizeof(V));
+    std::memcpy(&v_ahead, speed + i - 1, sizeof(V));
+    std::memcpy(&v, speed + i, sizeof(V));
+    std::memcpy(&v0, v0s + i, sizeof(V));
+    const IdmLanes<V> a =
+        idm_accelerationv(law, v0, law.time_headway_s, brake_scale, v,
+                          pos_ahead - pos_here - law.vehicle_length_m, v - v_ahead);
+    const V floored = a.accel < decel_floor ? decel_floor : a.accel;
+    std::memcpy(accel + i, &floored, sizeof(V));
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      fallback[fallbacks] = i + k;
+      fallbacks += a.exact[k] == 0;
+    }
+  }
+  pass = {i, fallbacks};
 }
-
-void store2(double* p, Lanes2 x) { std::memcpy(p, &x, sizeof x); }
 
 }  // namespace
 
+FollowerPass idm_followers_lanes2(const IdmParams& p, double brake_scale,
+                                  const FollowerColumn& column, std::size_t first,
+                                  std::size_t end) {
+  // A copy: the kernel's stores cannot alias a local whose address stays
+  // in this function, so the calibration stays in registers.
+  const IdmParams law = p;
+  FollowerPass pass{first, 0};
+  follower_steps<Lanes2>(law, brake_scale, column, end, pass);
+  return pass;
+}
+
+#if defined(__x86_64__)
+// AVX2 only: GCC contracts a·b + c into an FMA (-ffp-contract=fast, its
+// default) wherever FMA is enabled, and that would round differently
+// from the scalar law the fallbacks and the tests use.
+[[gnu::target("avx2")]] FollowerPass idm_followers_lanes4(const IdmParams& p, double brake_scale,
+                                                          const FollowerColumn& column,
+                                                          std::size_t first, std::size_t end) {
+  const IdmParams law = p;
+  FollowerPass pass{first, 0};
+  follower_steps<Lanes4>(law, brake_scale, column, end, pass);
+  follower_steps<Lanes2>(law, brake_scale, column, end, pass);
+  return pass;
+}
+#endif
+
+FollowerKernel idm_follower_kernel() {
+#if defined(__x86_64__)
+  static const FollowerKernel kernel = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? &idm_followers_lanes4 : &idm_followers_lanes2;
+  }();
+  return kernel;
+#else
+  return &idm_followers_lanes2;
+#endif
+}
+
 void TrafficFlow::compute_accels(sim::Time now) {
   const IdmParams& base = params_.idm;
-  // The pair loop's copy: its stores cannot alias a local whose address
-  // stays in this function, so the calibration stays in registers.
-  const IdmParams law = base;
   const double brake_scale = idm_brake_scale(base);
   const double threshold = params_.hard_brake_threshold_mps2;
-  // δ = 4 sends followers through the two-lane law two at a time.
-  const bool paired = base.accel_exponent == 4.0;
-  const Lanes2 decel_floor = Lanes2{} - kMaxPhysicalDecel;
+  // δ = 4 sends followers through the vector kernel.
+  const FollowerKernel kernel = base.accel_exponent == 4.0 ? idm_follower_kernel() : nullptr;
   brake_edges_.clear();
   for (Lane& ln : lanes_) {
     const std::size_t front = ln.front;
@@ -238,35 +300,20 @@ void TrafficFlow::compute_accels(sim::Time now) {
                           -kMaxPhysicalDecel);
     };
 
-    // Followers two at a time, policies ignored. A lane whose x⁴ pow4
-    // could not round exactly goes on the fallback list, without a branch.
-    std::size_t i = front + 1;
-    std::size_t fallbacks = 0;
-    if (paired) {
+    // Followers a vector at a time, policies ignored.
+    FollowerPass pass{front + 1, 0};
+    if (kernel != nullptr) {
       if (fallback_.size() < end - front) fallback_.resize(end - front);
-      std::size_t* const fallback = fallback_.data();
-      for (; i + 1 < end; i += 2) {
-        const Lanes2 v = load2(speed + i);
-        const Lanes2 gap = load2(pos + i - 1) - load2(pos + i) - law.vehicle_length_m;
-        const Lanes2 dv = v - load2(speed + i - 1);
-        const IdmPair a = idm_acceleration2(law, load2(v0s + i), law.time_headway_s,
-                                            brake_scale, v, gap, dv);
-        store2(accel + i, max2(a.accel, decel_floor));
-        fallback[fallbacks] = i;
-        fallbacks += a.exact[0] == 0;
-        fallback[fallbacks] = i + 1;
-        fallbacks += a.exact[1] == 0;
-      }
+      pass = kernel(base, brake_scale, {pos, speed, v0s, accel, fallback_.data()}, front + 1, end);
     }
-    const std::size_t paired_end = i;
-    // The scalar pass: the leader on free road, an odd last follower
-    // (every follower when δ ≠ 4), the fallbacks, and every paired
+    // The scalar pass: the leader on free road, the followers the kernel
+    // left (every follower when δ ≠ 4), the fallbacks, and every kernel
     // vehicle under a live policy.
     scalar(front);
-    for (; i < end; ++i) scalar(i);
-    for (std::size_t k = 0; k < fallbacks; ++k) scalar(fallback_[k]);
+    for (std::size_t i = pass.next; i < end; ++i) scalar(i);
+    for (std::size_t k = 0; k < pass.fallbacks; ++k) scalar(fallback_[k]);
     if (policies) {
-      for (std::size_t j = front + 1; j < paired_end; ++j) {
+      for (std::size_t j = front + 1; j < pass.next; ++j) {
         if (policy_until_[ln.id[j]] > now) scalar(j);
       }
     }
@@ -323,9 +370,15 @@ void TrafficFlow::integrate_and_cull(sim::Time now) {
     // column.
     std::size_t j = ln.front;
     for (; j + 1 < end; j += 2) {
-      const Lanes2 v_new = max2(Lanes2{}, load2(speed + j) + load2(accel + j) * dt);
-      store2(pos + j, load2(pos + j) + v_new * dt);
-      store2(speed + j, v_new);
+      Lanes2 x, v, a;
+      std::memcpy(&x, pos + j, sizeof x);
+      std::memcpy(&v, speed + j, sizeof v);
+      std::memcpy(&a, accel + j, sizeof a);
+      const Lanes2 v_raw = v + a * dt;
+      const Lanes2 v_new = Lanes2{} < v_raw ? v_raw : Lanes2{};
+      x += v_new * dt;
+      std::memcpy(pos + j, &x, sizeof x);
+      std::memcpy(speed + j, &v_new, sizeof v_new);
     }
     if (j < end) {
       const double v_new = std::max(0.0, speed[j] + accel[j] * dt);

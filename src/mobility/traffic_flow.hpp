@@ -255,7 +255,7 @@ class TrafficFlow {
   std::vector<SlowEvent> slow_events_;
   std::vector<SpeedSample> speed_series_;
   std::vector<VehicleId> brake_edges_;  ///< per-tick scratch, reused
-  std::vector<std::size_t> fallback_;   ///< per-lane scratch: paired slots pow4 left
+  std::vector<std::size_t> fallback_;   ///< per-lane scratch: kernel slots pow4 left
   bool slow_stats_armed_{false};
 
   sim::Scheduler* sched_{nullptr};
@@ -264,5 +264,56 @@ class TrafficFlow {
   std::uint64_t ticks_{0};
   std::size_t active_count_{0};
 };
+
+/// One lane-major column as TrafficFlow's follower kernels read it: the
+/// vehicle in slot i follows the one in slot i − 1. `fallback` has room
+/// for one entry per follower.
+struct FollowerColumn {
+  const double* pos;
+  const double* speed;
+  const double* v0;
+  double* accel;
+  std::size_t* fallback;
+};
+
+/// Where a follower kernel stopped: `next` is the first slot it did not
+/// evaluate, with fewer than two followers left from there, and
+/// `fallbacks` the number of slots it put on the fallback list.
+struct FollowerPass {
+  std::size_t next;
+  std::size_t fallbacks;
+};
+
+/// TrafficFlow's follower loop for δ = 4, a vector of followers a step:
+/// from slot `first` (past the column's leader) on, while a whole
+/// vector fits before `end`, accel[i] is `idm_accelerationv` at v0[i],
+/// the calibration's headway, speed[i], gap pos[i − 1] − pos[i] − L and
+/// closing speed speed[i] − speed[i − 1], floored at
+/// −TrafficFlow::kMaxPhysicalDecel; each slot whose lane was not exact
+/// goes on the fallback list, in slot order, without a branch. The
+/// caller evaluates the fallbacks and the slots from `next` on with
+/// `idm_acceleration`, and applies driving policies itself.
+using FollowerKernel = FollowerPass (*)(const IdmParams& p, double brake_scale,
+                                        const FollowerColumn& column, std::size_t first,
+                                        std::size_t end);
+
+/// Two followers at a time in 16-byte vectors (SSE2 on x86-64): the
+/// kernel every host can run.
+FollowerPass idm_followers_lanes2(const IdmParams& p, double brake_scale,
+                                  const FollowerColumn& column, std::size_t first,
+                                  std::size_t end);
+#if defined(__x86_64__)
+/// Four followers at a time in 32-byte vectors, then a remaining pair
+/// through the two-lane step; built for AVX2 (and not FMA, whose
+/// contractions would round differently from the scalar law). Call only
+/// where `idm_follower_kernel()` returns it.
+FollowerPass idm_followers_lanes4(const IdmParams& p, double brake_scale,
+                                  const FollowerColumn& column, std::size_t first,
+                                  std::size_t end);
+#endif
+/// The kernel TrafficFlow's tick runs: `idm_followers_lanes4` on an
+/// x86-64 host whose CPU reports AVX2, else `idm_followers_lanes2`.
+/// Decided once per process.
+FollowerKernel idm_follower_kernel();
 
 }  // namespace eblnet::mobility

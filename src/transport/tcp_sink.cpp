@@ -16,6 +16,7 @@ void TcpSink::recv(net::Packet&& p) {
   if (!p.tcp) return;
   ++packets_received_;
   bytes_ += p.payload_bytes;
+  if (bytes_total_ != nullptr) *bytes_total_ += p.payload_bytes;
   peer_ = p.ip->src;
   peer_port_ = p.tcp->sport;
 

@@ -35,6 +35,10 @@ class TcpSink final : public net::PortHandler {
   /// Total payload bytes received (including duplicates, as in NS-2).
   std::uint64_t bytes() const noexcept { return bytes_; }
 
+  /// Also add every byte `bytes()` counts to `*total`, a running sum
+  /// over several sinks; `total` must outlive the sink.
+  void add_bytes_to(std::uint64_t* total) noexcept { bytes_total_ = total; }
+
   /// Payload bytes delivered in order, without duplicates.
   std::uint64_t in_order_bytes() const noexcept { return in_order_bytes_; }
 
@@ -61,6 +65,7 @@ class TcpSink final : public net::PortHandler {
   std::int64_t next_expected_{0};
   std::map<std::int64_t, std::size_t> out_of_order_;  ///< seq -> payload bytes
   std::uint64_t bytes_{0};
+  std::uint64_t* bytes_total_{nullptr};
   std::uint64_t in_order_bytes_{0};
   std::uint64_t packets_received_{0};
   std::uint64_t duplicates_{0};

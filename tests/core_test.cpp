@@ -143,6 +143,27 @@ TEST_F(EblAppFixture, EachFollowerHasItsOwnLink) {
   }
 }
 
+TEST_F(EblAppFixture, RunningSinkTotalEqualsTheSumOverSinksWithDuplicates) {
+  // Each sink adds to the platoon's running total where it counts its
+  // own bytes, duplicates included. Lost ACKs from both followers make
+  // the lead retransmit, so the sinks see duplicates.
+  build(3);
+  net.env().install_faults(sim::FaultPlan{}
+                               .link_per(Time::zero(), 4_s, 0.4, nodes[1]->id(), nodes[0]->id())
+                               .link_per(Time::zero(), 4_s, 0.4, nodes[2]->id(), nodes[0]->id()));
+  PlatoonEbl ebl{net.env(), *platoon, nodes, fast_cfg()};
+  net.run_for(6_s);
+  std::uint64_t sum = 0;
+  std::uint64_t duplicates = 0;
+  for (std::size_t i = 0; i < ebl.link_count(); ++i) {
+    sum += ebl.link(i).sink().bytes();
+    duplicates += ebl.link(i).sink().duplicates();
+  }
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_GT(sum, 0u);
+  EXPECT_EQ(ebl.total_sink_bytes(), sum);
+}
+
 TEST_F(EblAppFixture, RequiresAtLeastOneFollower) {
   platoon = std::make_unique<mobility::Platoon>(net.env().scheduler(), 1,
                                                 mobility::Vec2{0.0, 0.0},

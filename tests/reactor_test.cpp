@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/ebl_app.hpp"
 #include "core/reactor.hpp"
 #include "core/rsu.hpp"
@@ -123,6 +126,26 @@ TEST_F(ClosedLoopFixture, FollowerBrakesOnFirstMessage) {
   EXPECT_EQ(platoon->vehicle(1)->state(), mobility::DriveState::kStopped);
   // Actuation happened exactly `reaction` after notification.
   EXPECT_EQ(reactor.braked_at() - reactor.notified_at(), 100_ms);
+}
+
+TEST_F(ClosedLoopFixture, BadBrakeDecelIsRejectedBeforeTheSinkIsHooked) {
+  // `decel <= 0` let NaN through, and the follower then braked to a
+  // NaN stopping time.
+  build(20.0);
+  for (const double decel : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    try {
+      EblBrakeReactor reactor{net.env(), ebl->mutable_link(0).mutable_sink(), platoon->vehicle(1),
+                              decel, 100_ms};
+      ADD_FAILURE() << "accepted decel " << decel;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("decel"), std::string::npos) << e.what();
+    }
+  }
+  // No data callback points at a reactor that was never built: the
+  // stopped platoon streams from the start.
+  net.run_for(2_s);
+  EXPECT_GT(ebl->link(0).sink().bytes(), 0u);
 }
 
 TEST_F(ClosedLoopFixture, SafeAtWideHeadwayCollidesWhenTight) {

@@ -32,6 +32,16 @@ core::TrafficConfig small_config() {
   return cfg;
 }
 
+// Construction must throw std::invalid_argument naming `field`.
+void expect_rejected(const core::TrafficConfig& cfg, const char* field) {
+  try {
+    core::TrafficScenario scenario{cfg};
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(field), std::string::npos) << e.what();
+  }
+}
+
 }  // namespace
 
 TEST(TrafficScenarioTest, TrafficIsIdenticalAcrossPenetrationsWithoutIncident) {
@@ -121,20 +131,40 @@ TEST(TrafficScenarioTest, BadIncidentDecelAndWarnedPolicyAreRejectedAtConstructi
   // Unchecked, a zero decel throws only when the incident fires, minutes
   // into the run, and a NaN headway scale reaches every warned vehicle,
   // where std::max(0.0, NaN) drops s*'s whole dynamic term.
-  const auto expect_rejected = [](const core::TrafficConfig& cfg, const char* field) {
-    try {
-      core::TrafficScenario scenario{cfg};
-      ADD_FAILURE() << "accepted a bad " << field;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos) << e.what();
-    }
-  };
   core::TrafficConfig cfg = small_config();
   cfg.incident_decel_mps2 = 0.0;
   expect_rejected(cfg, "incident_decel_mps2");
   cfg = small_config();
   cfg.warned_policy.headway_scale = std::numeric_limits<double>::quiet_NaN();
   expect_rejected(cfg, "warned_policy.headway_scale");
+}
+
+TEST(TrafficScenarioTest, NanFieldsAndNegativeReactionAreRejectedAtConstruction) {
+  // Unchecked, a NaN warn range makes `ahead > warn_range_m` always
+  // false, so every warning from ahead acts whatever its distance; a
+  // NaN or +inf incident position stages no incident; a NaN congestion
+  // speed never records an onset; and a negative reaction throws only
+  // from the first equipped spawn, so never at penetration 0.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  core::TrafficConfig cfg = small_config();
+  cfg.warn_range_m = nan;
+  expect_rejected(cfg, "warn_range_m");
+  cfg = small_config();
+  cfg.incident_pos_m = nan;
+  expect_rejected(cfg, "incident_pos_m");
+  cfg.incident_pos_m = std::numeric_limits<double>::infinity();
+  expect_rejected(cfg, "incident_pos_m");
+  cfg = small_config();
+  cfg.congestion_speed_mps = nan;
+  expect_rejected(cfg, "congestion_speed_mps");
+  cfg = small_config();
+  cfg.penetration = 0.0;
+  cfg.reaction = Time::zero() - Time::milliseconds(1);
+  expect_rejected(cfg, "reaction");
+  // The negative incident position stays the mid-road sentinel.
+  cfg = small_config();
+  cfg.incident_pos_m = -std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW(core::TrafficScenario{cfg});
 }
 
 TEST(TrafficScenarioTest, TrafficRunInheritsTheBuilderSeed) {
